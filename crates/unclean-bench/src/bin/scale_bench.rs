@@ -251,7 +251,7 @@ fn main() -> ExitCode {
                 "scale_bench --scales {} (paper pipeline: scenario generation + detector sweeps per scale step)",
                 scales.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(",")
             ),
-            "methodology": "Each scale step runs in a freshly exec'd child process so its peak_rss_kb (VmHWM from /proc/self/status, process-wide and monotonic) is that step's own high-water mark rather than an inherited one. wall_secs covers ExperimentContext::generate — world generation, the flow spool, and both detector sweeps — i.e. the shared pipeline every experiment binary pays before its own analysis. The out-of-core acceptance gate is peak_rss(last)/peak_rss(first) <= max-rss-ratio: memory must grow at most linearly with scale (sublinearly in practice, thanks to constant overhead), so a superlinear ratio means a stage is re-materializing the whole unclean window in memory.",
+            "methodology": "Each scale step runs in a freshly exec'd child process so its peak_rss_kb (VmHWM from /proc/self/status, process-wide and monotonic) is that step's own high-water mark rather than an inherited one. wall_secs covers ExperimentContext::generate — world generation and both detector sweeps, which generate each day's flows straight into their detector shards — i.e. the shared pipeline every experiment binary pays before its own analysis. The out-of-core acceptance gate is peak_rss(last)/peak_rss(first) <= max-rss-ratio: memory must grow at most linearly with scale (sublinearly in practice, thanks to constant overhead), so a superlinear ratio means a stage is re-materializing the whole unclean window in memory.",
             "entries": [{
                 "date": utc_date(now),
                 "commit": commit,

@@ -11,29 +11,22 @@ use unclean_core::prelude::*;
 use unclean_stats::SeedTree;
 
 /// `unclean inspect <file> [--lenient [--max-bad N]] [--verbose]`: sniff
-/// and profile one file. Flow archives (v2 indexed or v1 framed) get a
-/// per-day replay summary; anything else is parsed as an IP report.
-/// Lenient mode quarantines malformed report lines — or, for a v2
-/// archive, damaged segments — and reports them instead of aborting.
+/// and profile one file. A v2 flow archive gets a per-day replay summary;
+/// a v1 framed archive is refused with the upgrade command; anything else
+/// is parsed as an IP report. Lenient mode quarantines malformed report
+/// lines — or, for a v2 archive, damaged segments — and reports them
+/// instead of aborting.
 pub fn inspect(path: &Path, mode: ParseMode, verbose: bool) -> Result<String, String> {
-    match sniff_archive(path)? {
-        ArchiveKind::V2 => return inspect_archive_v2(path, mode, verbose),
-        ArchiveKind::V1 => return inspect_archive_v1(path, verbose),
-        ArchiveKind::NotAnArchive => {}
+    if sniff_v2_archive(path)? {
+        return inspect_archive_v2(path, mode, verbose);
     }
     inspect_report(path, mode)
 }
 
-/// What the leading/trailing bytes of a file say it is.
-enum ArchiveKind {
-    V2,
-    V1,
-    NotAnArchive,
-}
-
-/// Cheap archive sniff: the v2 trailer magic, else a plausible v1 frame
-/// leading with the V5 version word. Reads at most a few bytes.
-fn sniff_archive(path: &Path) -> Result<ArchiveKind, String> {
+/// Cheap archive sniff: `true` on the v2 trailer magic, an error naming
+/// `unclean archive index` on a plausible v1 frame leading with the V5
+/// version word, `false` otherwise. Reads at most a few bytes.
+fn sniff_v2_archive(path: &Path) -> Result<bool, String> {
     use std::io::{Read as _, Seek as _, SeekFrom};
     let mut file =
         std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
@@ -50,7 +43,7 @@ fn sniff_archive(path: &Path) -> Result<ArchiveKind, String> {
         let mut tail = [0u8; 7];
         read_at(&mut file, len - magic_len, &mut tail)?;
         if tail == *unclean_flowgen::indexed::ARCHIVE_MAGIC {
-            return Ok(ArchiveKind::V2);
+            return Ok(true);
         }
     }
     if len >= 4 {
@@ -58,10 +51,13 @@ fn sniff_archive(path: &Path) -> Result<ArchiveKind, String> {
         read_at(&mut file, 0, &mut head)?;
         let frame = u16::from_be_bytes([head[0], head[1]]) as u64;
         if head[2] == 0 && head[3] == 5 && frame >= 24 && 2 + frame <= len {
-            return Ok(ArchiveKind::V1);
+            return Err(format!(
+                "{}: v1 framed flow archive; upgrade it with `unclean archive index` first",
+                path.display()
+            ));
         }
     }
-    Ok(ArchiveKind::NotAnArchive)
+    Ok(false)
 }
 
 /// Streaming per-day summary of a v2 indexed archive: one bounded buffer,
@@ -177,63 +173,6 @@ fn inspect_archive_v2(path: &Path, mode: ParseMode, verbose: bool) -> Result<Str
         for (day, peak) in &day_peak {
             let _ = writeln!(out, "{:>12}  {:>14}", Day(*day).to_string(), peak);
         }
-    }
-    Ok(out)
-}
-
-/// Sequential per-day summary of a legacy v1 framed archive.
-fn inspect_archive_v1(path: &Path, verbose: bool) -> Result<String, String> {
-    use std::collections::BTreeMap;
-    use unclean_flowgen::ArchiveReader;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    // The v1 writer stamps its boot anchor into every header's unix_secs
-    // field; recover it from the first frame (offset 2 skips the length,
-    // 8 skips version/count/uptime).
-    let boot = u32::from_be_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]);
-    let mut reader = ArchiveReader::new(bytes.as_slice(), boot);
-    let mut per_day: BTreeMap<i32, u64> = BTreeMap::new();
-    loop {
-        match reader.next_datagram() {
-            Ok(Some(batch)) => {
-                for flow in &batch {
-                    *per_day.entry(flow.day().0).or_default() += 1;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        }
-    }
-    let telemetry = reader.telemetry();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}: v1 framed flow archive (no index — sequential read), boot {boot}",
-        path.display()
-    );
-    let _ = writeln!(out, "{:>12}  {:>10}", "day", "flows");
-    for (day, flows) in &per_day {
-        let _ = writeln!(
-            out,
-            "{:>12}  {flows:>10}",
-            unclean_core::Day(*day).to_string()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "total: {} flows, {} datagrams, {} gap(s), {} lost, {} reordered",
-        telemetry.flows,
-        telemetry.datagrams,
-        telemetry.sequence_gaps,
-        telemetry.lost_flows,
-        telemetry.reordered
-    );
-    if verbose {
-        let _ = writeln!(
-            out,
-            "whole archive buffered: {} bytes (v1 has no segment index; \
-             run `unclean archive index` to upgrade)",
-            bytes.len()
-        );
     }
     Ok(out)
 }

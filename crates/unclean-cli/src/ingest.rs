@@ -840,7 +840,7 @@ fn run_attempt(opts: &IngestOpts, shared: &ControlShared, attempt: u32) -> Resul
 pub struct ReplayOpts {
     /// Collector address the datagrams are sent to.
     pub to: String,
-    /// Replay this flow archive (v2 or v1) instead of synthesizing.
+    /// Replay this v2 flow archive instead of synthesizing.
     pub archive: Option<PathBuf>,
     /// Flows to synthesize when no archive is given.
     pub synth: u64,
@@ -934,7 +934,7 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
         Some(path) => {
             let bytes =
                 std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let mut source = ArchiveFlowSource::open(&bytes, opts.boot_unix_secs, 1)
+            let mut source = ArchiveFlowSource::open(&bytes, 1)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
             let mut out = Vec::new();
             while !matches!(

@@ -83,11 +83,11 @@ Malformed lines abort the load; 'inspect --lenient' quarantines them
 instead (reported with line numbers), failing only past --max-bad (default
 100).
 
-'inspect' also recognizes flow archives (v2 indexed or legacy v1 framed)
-and prints a per-day replay summary instead; --lenient quarantines damaged
-v2 segments, --verbose adds the peak replay buffer size. 'archive index'
-prints a v2 archive's footer index, or upgrades a v1 archive in place of
-an index.";
+'inspect' also recognizes v2 flow archives and prints a per-day replay
+summary instead; --lenient quarantines damaged segments, --verbose adds the
+peak replay buffer size. 'archive index' prints a v2 archive's footer
+index, or upgrades a legacy v1 archive to v2 (the only command that reads
+v1).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -496,8 +496,9 @@ mod tests {
         assert!(out.contains("quarantined 1 segment(s)"), "{out}");
         assert!(out.contains("total: 80 flows"), "{out}");
 
-        // v1: sequential summary, then `archive index` upgrades it and the
-        // upgrade inspects as v2 with the same flow count.
+        // v1: inspect refuses it and names the upgrader; `archive index`
+        // upgrades it and the upgrade inspects as v2 with the same flow
+        // count.
         let mut w1 = ArchiveWriter::new(Vec::new(), boot);
         for day in 0..2i64 {
             for i in 0..35u32 {
@@ -508,9 +509,8 @@ mod tests {
         let v1_path = dir.join("legacy.flows");
         std::fs::write(&v1_path, &v1_bytes).expect("write");
         let p1 = v1_path.to_string_lossy().to_string();
-        let out = run(&argv(&format!("inspect {p1}"))).expect("v1 inspect");
-        assert!(out.contains("v1 framed flow archive"), "{out}");
-        assert!(out.contains("total: 70 flows"), "{out}");
+        let err = run(&argv(&format!("inspect {p1}"))).expect_err("v1 refused");
+        assert!(err.contains("unclean archive index"), "{err}");
         let up_path = dir.join("legacy.v2");
         let up = up_path.to_string_lossy().to_string();
         let out = run(&argv(&format!("archive index {p1} --out {up}"))).expect("upgrade");

@@ -5,7 +5,7 @@
 //! *lookup* question. This module provides the two structures the
 //! `unclean-serve` daemon answers it with:
 //!
-//! * [`CidrTrie`] — a mutable arena-allocated binary trie over CIDR
+//! * [`CidrTrie`] — a mutable vector-backed binary trie over CIDR
 //!   blocks, each carrying an uncleanliness score. The pointer-trie
 //!   sibling of [`crate::trie::PrefixTrie`], extended with terminal
 //!   entries at interior depths so nested blocks resolve by longest
@@ -38,7 +38,7 @@ use crate::snap::{self, SnapError, SnapshotMeta};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Index of a node in an arena; `NONE` marks an absent child or entry.
+/// Index of a node in a node vector; `NONE` marks an absent child or entry.
 type Idx = u32;
 const NONE: Idx = u32::MAX;
 
@@ -76,7 +76,7 @@ impl Node {
     }
 }
 
-/// A mutable arena-allocated binary trie mapping CIDR blocks to scored
+/// A mutable vector-backed binary trie mapping CIDR blocks to scored
 /// entries, answering longest-prefix-match lookups.
 #[derive(Debug, Clone, Default)]
 pub struct CidrTrie {

@@ -12,7 +12,7 @@ use crate::ip::Ip;
 use crate::ipset::IpSet;
 use unclean_telemetry::{Counter, Registry};
 
-/// Index of a trie node in the arena; `NONE` marks an absent child.
+/// Index of a trie node in the node vector; `NONE` marks an absent child.
 type NodeIdx = u32;
 const NONE: NodeIdx = u32::MAX;
 
@@ -29,7 +29,7 @@ impl Node {
     }
 }
 
-/// An arena-allocated binary trie keyed by address bits, most significant
+/// A vector-backed binary trie keyed by address bits, most significant
 /// first. Every inserted address creates a full 32-deep path.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie {

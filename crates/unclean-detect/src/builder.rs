@@ -8,20 +8,23 @@
 //! streams the blocking window's traffic from the bot-test /24s through
 //! the candidate collector for the §6 analysis, and [`daily_scanners`]
 //! produces Figure 1's per-day scanner series.
+//!
+//! The window is never held in memory: both multi-day passes generate
+//! each day's flows straight into their shard of the one day-sharded
+//! sweep (`crate::sweep::day_sweep`) and merge the shards in day order.
 
 use crate::botmonitor::{BotMonitor, MonitorConfig};
 use crate::phishlist::phish_report;
 use crate::scan::{FanoutConfig, HourlyFanoutDetector};
-use crate::spam::{SpamConfig, SpamDetector};
+use crate::spam::SpamConfig;
+use crate::sweep::{day_sweep, DetectorPair};
 use crossbeam::executor::Executor;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use unclean_core::{
     union_reports, BlockSet, Candidate, DateRange, Day, IpSet, Provenance, Report, ReportClass,
 };
-use unclean_flowgen::record::EPOCH_UNIX_SECS;
-use unclean_flowgen::{
-    CandidateCollector, FlowGenerator, GeneratorConfig, IndexedArchive, IndexedArchiveWriter,
-};
+use unclean_flowgen::{CandidateCollector, Flow, FlowGenerator, GeneratorConfig};
 use unclean_netmodel::{control_report_with, Scenario};
 use unclean_telemetry::Registry;
 
@@ -55,42 +58,6 @@ impl PipelineConfig {
             detect_over_benign: true,
             ..PipelineConfig::default()
         }
-    }
-}
-
-/// Days per detector-sweep replay chunk. A chunk is served by one
-/// detector pair whose window state is flushed (cleared, capacity kept)
-/// at every day boundary, so its size trades scratch reuse against
-/// replay parallelism. It must depend only on the data — never on the
-/// worker count — to keep the sweep byte-identical at any `--threads`.
-const SWEEP_CHUNK_DAYS: usize = 2;
-
-/// Exporter boot anchor for a one-day spool: the day's own midnight, so
-/// every flow sits well inside the ~49.7-day SysUptime horizon and the
-/// archive round trip is lossless.
-fn day_boot(day: Day) -> u32 {
-    (i64::from(EPOCH_UNIX_SECS) + i64::from(day.0) * 86_400).max(0) as u32
-}
-
-/// Stream every flow of a freshly written one-day spool to `sink`,
-/// threading entry sequences across segments exactly like the
-/// sequential reader. Decoding is zero-copy over the compressed bytes:
-/// no `Vec<Flow>` is ever built.
-fn replay_day_spool(spool: &[u8], mut sink: impl FnMut(&unclean_flowgen::Flow)) {
-    let archive = IndexedArchive::open(spool)
-        .expect("fresh spool has a valid index")
-        .expect("fresh spool is v2");
-    let mut entry = None;
-    for i in 0..archive.segments().len() {
-        let mut cursor = unclean_flowgen::SegmentCursor::new(
-            archive.segment_bytes(i),
-            archive.boot_unix_secs(),
-            entry,
-        );
-        cursor
-            .for_each_flow(&mut sink)
-            .expect("fresh spool replays cleanly");
-        entry = Some(archive.segments()[i].end_seq);
     }
 }
 
@@ -151,78 +118,47 @@ pub fn build_reports_with(
     );
     generator.attach_telemetry(registry);
 
-    // Observed reports: the out-of-core sweep. Stage 1 spools each day's
-    // border flows straight through the v2 varint encoder — one worker
-    // per day, flows streaming into the compressed spool as they are
-    // generated, so no day's expanded flows are ever materialized.
-    // Stage 2 replays the spools through the detectors in fixed-size day
-    // chunks: one detector pair per chunk walks its days' segments with a
-    // zero-copy cursor, flushing window state at every day boundary
-    // (clearing state, keeping capacity — the shard's reused scratch).
-    // Chunk boundaries depend only on the day list, never the worker
-    // count; flows never cross a day boundary and the detectors' merge
-    // is a pure union over flushed shards, so the result is bit-for-bit
-    // identical to the sequential sweep at any thread count.
+    // Observed reports: each chunk of days is generated straight into
+    // its detector pair, one day at a time, so no day's flows are ever
+    // materialized.
     let pool = Executor::new(cfg.threads);
-    let flows_ingested = registry.counter("detect.flows_ingested");
-    let mut scan_det = HourlyFanoutDetector::new(cfg.fanout.clone());
-    let mut spam_det = SpamDetector::new(cfg.spam.clone());
+    let mut detectors = DetectorPair::new(&cfg.fanout, &cfg.spam);
     {
         let mut detect_span = pipeline_span.child("detect");
         detect_span.field("days", dates.unclean_window.len_days());
         detect_span.field("threads", pool.threads() as u64);
         let days: Vec<Day> = dates.unclean_window.days().collect();
-        let spools = pool.run_indexed(days.len(), |i| {
-            let mut writer = IndexedArchiveWriter::new(Vec::new(), day_boot(days[i]));
-            generator.flows_on(&model, days[i], cfg.detect_over_benign, |f| {
-                flows_ingested.inc();
-                writer.push(&f).expect("in-memory spool");
-            });
-            let (bytes, _) = writer.finish().expect("in-memory spool");
-            bytes
+        let new_shard = || DetectorPair::new(&cfg.fanout, &cfg.spam);
+        let Ok(shards) = day_sweep(&pool, &days, new_shard, |&day, shard| {
+            generator.flows_on(&model, day, cfg.detect_over_benign, |f| shard.observe(&f));
+            Ok::<(), Infallible>(())
         });
-        detect_span.field(
-            "spool_bytes",
-            spools.iter().map(|s| s.len() as u64).sum::<u64>(),
-        );
-        let chunks: Vec<&[Vec<u8>]> = spools.chunks(SWEEP_CHUNK_DAYS).collect();
-        let shards = pool.run_indexed(chunks.len(), |c| {
-            let mut scan_shard = HourlyFanoutDetector::new(cfg.fanout.clone());
-            let mut spam_shard = SpamDetector::new(cfg.spam.clone());
-            for spool in chunks[c] {
-                replay_day_spool(spool, |f| {
-                    scan_shard.observe(f);
-                    spam_shard.observe(f);
-                });
-                scan_shard.flush_window_state();
-                spam_shard.flush_window_state();
-            }
-            (scan_shard, spam_shard)
-        });
-        for (scan_shard, spam_shard) in shards {
-            scan_det.merge(scan_shard);
-            spam_det.merge(spam_shard);
+        for shard in shards {
+            detectors.merge(shard);
         }
     }
     registry
+        .counter("detect.flows_ingested")
+        .add(detectors.flows);
+    registry
         .counter("detect.scan.hits")
-        .add(scan_det.detected_count() as u64);
+        .add(detectors.scan.detected_count() as u64);
     registry
         .counter("detect.spam.hits")
-        .add(spam_det.detected_count() as u64);
+        .add(detectors.spam.detected_count() as u64);
     let scan = Report::new(
         "scan",
         ReportClass::Scanning,
         Provenance::Observed,
         dates.unclean_window,
-        scan_det.detected(),
+        detectors.scan.detected(),
     );
     let spam = Report::new(
         "spam",
         ReportClass::Spamming,
         Provenance::Observed,
         dates.unclean_window,
-        spam_det.detected(),
+        detectors.spam.detected(),
     );
 
     // Provided reports.
@@ -316,14 +252,10 @@ pub fn build_candidates(
 /// (the §6.1 "legitimate user" half — candidates a naive blocker would
 /// falsely block).
 ///
-/// The §6 scan is archive-shaped, the way the paper's authors replayed
-/// their SiLK spool: the window's candidate traffic is spooled once
-/// (serially — generation order defines the canonical stream) into an
-/// in-memory v2 indexed archive, then replayed one executor worker per
-/// day-segment with per-segment collectors merged in day order. Evidence
-/// merging is order-insensitive and the v2 codec round-trips flows
-/// exactly, so the candidate list is byte-identical to the direct
-/// sequential scan at any `--threads` value.
+/// Each day's filtered hostile and benign traffic is generated straight
+/// into a per-chunk collector of the day sweep, and the shards merge in
+/// day order. Evidence merging is order-insensitive, so the candidate list
+/// is byte-identical to one sequential scan at any `--threads` value.
 pub fn build_candidates_with(
     scenario: &Scenario,
     bot_test: &Report,
@@ -340,51 +272,34 @@ pub fn build_candidates_with(
         scenario.seeds.child("flowgen"),
     );
     generator.attach_telemetry(registry);
-    let window = scenario.dates.unclean_window;
-    // Anchor the exporter clock at the window start: every spooled flow
-    // sits well inside the ~49.7-day SysUptime horizon, so the archive
-    // round trip is lossless.
-    let boot = (i64::from(EPOCH_UNIX_SECS) + i64::from(window.start.0) * 86_400).max(0) as u32;
-    let mut writer = IndexedArchiveWriter::new(Vec::new(), boot);
-    for day in window.days() {
-        model.hostile_events_on_filtered(
-            day,
-            |ip| blocks.contains(ip),
-            |e| generator.expand(&e, |f| writer.push(&f).expect("in-memory spool")),
-        );
-        // Benign traffic from those same /24s (the innocents at risk).
-        model.benign_events_on_filtered(
-            day,
-            |prefix24| blocks.contains(unclean_core::Ip(prefix24 << 8)),
-            |e| generator.expand(&e, |f| writer.push(&f).expect("in-memory spool")),
-        );
-    }
-    let (spool, _) = writer.finish().expect("in-memory spool");
-    // The spool is now the only copy of the window's candidate traffic:
-    // drop the generator and activity model (and their RNG/campaign
-    // state) before the replay so the scan stage holds nothing but the
-    // compressed bytes and the per-source evidence being accumulated.
-    drop(generator);
-    drop(model);
-    let archive = IndexedArchive::open(&spool)
-        .expect("fresh spool has a valid index")
-        .expect("fresh spool is v2");
-    span.field("spool_segments", archive.segments().len() as u64);
-    span.field("spool_bytes", spool.len() as u64);
-    let pool = Executor::new(cfg.threads);
-    let replay = archive
-        .replay_with(&pool, None, false, |_, cursor| {
-            let mut shard = CandidateCollector::new(blocks.clone());
-            cursor.for_each_flow(|f| shard.observe(f))?;
-            Ok(shard)
-        })
-        .expect("fresh spool replays cleanly");
+    let days: Vec<Day> = scenario.dates.unclean_window.days().collect();
+    span.field("days", days.len() as u64);
+    let new_shard = || CandidateCollector::new(blocks.clone());
+    let Ok(shards) = day_sweep(
+        &Executor::new(cfg.threads),
+        &days,
+        new_shard,
+        |&day, shard| {
+            let mut observe = |f: Flow| shard.observe(&f);
+            model.hostile_events_on_filtered(
+                day,
+                |ip| blocks.contains(ip),
+                |e| generator.expand(&e, &mut observe),
+            );
+            // Benign traffic from those same /24s (the innocents at risk).
+            model.benign_events_on_filtered(
+                day,
+                |prefix24| blocks.contains(unclean_core::Ip(prefix24 << 8)),
+                |e| generator.expand(&e, &mut observe),
+            );
+            Ok::<(), Infallible>(())
+        },
+    );
     let mut collector = CandidateCollector::new(blocks.clone());
     collector.attach_telemetry(registry);
-    for output in &replay.outputs {
-        collector.merge(output.output.as_ref().expect("strict replay delivers"));
+    for shard in &shards {
+        collector.merge(shard);
     }
-    replay.telemetry.record(registry);
     let candidates = collector.candidates();
     registry
         .counter("detect.candidates.total")
@@ -552,22 +467,16 @@ mod tests {
         let model = s.activity();
         let generator =
             FlowGenerator::new(&s.observed, cfg.generator.clone(), s.seeds.child("flowgen"));
-        let mut scan_det = HourlyFanoutDetector::new(cfg.fanout.clone());
-        let mut spam_det = SpamDetector::new(cfg.spam.clone());
+        let mut detectors = DetectorPair::new(&cfg.fanout, &cfg.spam);
         let day = s.dates.unclean_window.start;
-        model.benign_events_on(day, |e| {
-            generator.expand(&e, |f| {
-                scan_det.observe(&f);
-                spam_det.observe(&f);
-            })
-        });
+        model.benign_events_on(day, |e| generator.expand(&e, |f| detectors.observe(&f)));
         assert_eq!(
-            scan_det.detected_count(),
+            detectors.scan.detected_count(),
             0,
             "no benign scan false positives"
         );
         assert_eq!(
-            spam_det.detected_count(),
+            detectors.spam.detected_count(),
             0,
             "no benign spam false positives"
         );

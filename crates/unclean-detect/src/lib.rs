@@ -15,9 +15,11 @@
 //!   the paper's report inventory, candidate collection, and Figure 1's
 //!   daily scanner series;
 //! * [`live`] — the ingest daemon's analysis half: window-scoped
-//!   rescoring of a spooled archive image into a scored blocklist, with
-//!   day-grouped workers so multi-segment WAL days stay bit-identical to
-//!   a sequential scan.
+//!   rescoring of a spooled archive image into a scored blocklist.
+//!
+//! The offline detector and candidate passes and the live rescore share
+//! one day-sharded sweep (`sweep::day_sweep`): whole-day chunks on the
+//! executor, merged in day order, bit-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,13 +30,14 @@ pub mod live;
 pub mod phishlist;
 pub mod scan;
 pub mod spam;
+mod sweep;
 
 pub use botmonitor::{BotMonitor, MonitorConfig, MonitorSweep};
 pub use builder::{
     build_candidates, build_candidates_with, build_reports, build_reports_with, daily_scanners,
     daily_scanners_with, PipelineConfig, ReportSet,
 };
-pub use live::{archive_candidates, rescore_window, LiveScanConfig, WindowScan};
+pub use live::{rescore_window, LiveScanConfig, WindowScan};
 pub use phishlist::phish_report;
 pub use scan::{FanoutConfig, HourlyFanoutDetector, TrwConfig, TrwDetector};
 pub use spam::{SpamConfig, SpamDetector};

@@ -9,27 +9,23 @@
 //! multidimensional scorer, and returns deploy-ready scored blocklist
 //! entries — the payload the rescore loop hands to `unclean-serve`.
 //!
-//! Unlike the offline per-day shards, a WAL archive can hold *several*
-//! segments for the same day (the spooler seals on every checkpoint, not
-//! just at day boundaries). The detectors carry hourly-window state, so
-//! splitting one day across workers would split fan-out windows and lose
-//! detections. The sweep therefore shards **by whole days, not by
-//! segment**: each worker takes a fixed-size chunk of days, walks their
-//! segments sequentially with a single reused detector pair, flushes
-//! window state at every day boundary, and the chunks merge in day
-//! order — bit-identical to a sequential scan at any thread count.
+//! A WAL archive can hold *several* segments for the same day (the
+//! spooler seals on every checkpoint, not just at day boundaries). The
+//! detectors carry hourly-window state, so splitting one day across
+//! workers would split fan-out windows and lose detections. The rescore
+//! therefore feeds the shared day sweep **whole days, not segments**: one
+//! day's feed walks all of that day's segments in file order.
 
-use crate::scan::{FanoutConfig, HourlyFanoutDetector};
-use crate::spam::{SpamConfig, SpamDetector};
+use crate::scan::FanoutConfig;
+use crate::spam::SpamConfig;
+use crate::sweep::{day_sweep, DayShard, DetectorPair};
 use crossbeam::executor::Executor;
 use serde::{Deserialize, Serialize};
 use unclean_core::{
-    BlockSet, Candidate, Cidr, DateRange, Day, NetworkScore, Provenance, Report, ReportClass,
-    ScoreWeights, UncleanlinessScorer,
+    Cidr, DateRange, Day, NetworkScore, Provenance, Report, ReportClass, ScoreWeights,
+    UncleanlinessScorer,
 };
-use unclean_flowgen::{
-    ArchiveTelemetry, CandidateCollector, IndexedArchive, IndexedError, SegmentCursor,
-};
+use unclean_flowgen::{ArchiveTelemetry, IndexedArchive, IndexedError, SegmentCursor};
 use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 
 /// Settings for a live window rescore.
@@ -90,11 +86,18 @@ pub struct WindowScan {
 /// indexed readers use).
 type DayGroup = (Day, Vec<(usize, Option<u32>)>);
 
-/// Whole-day groups per rescore replay chunk — see the matching
-/// `SWEEP_CHUNK_DAYS` in the offline builder for the contract: data-
-/// defined boundaries, one reused detector pair per chunk, flushed at
-/// every day boundary.
-const RESCORE_CHUNK_DAYS: usize = 2;
+/// One rescore chunk's state: its detectors plus the replay accounting
+/// of the segments it walked.
+struct RescoreShard {
+    detectors: DetectorPair,
+    telemetry: ArchiveTelemetry,
+}
+
+impl DayShard for RescoreShard {
+    fn flush_window_state(&mut self) {
+        self.detectors.flush_window_state();
+    }
+}
 
 /// Selected segment indexes grouped into runs of equal day.
 fn day_groups(archive: &IndexedArchive<'_>, range: Option<DateRange>) -> Vec<DayGroup> {
@@ -144,53 +147,35 @@ pub fn rescore_window(
     span.field("days", groups.len() as u64);
     let pool = Executor::new(cfg.threads);
     span.field("threads", pool.threads() as u64);
-    // Fixed-size chunks of whole days: one detector pair per chunk,
-    // window state flushed (cleared, capacity kept) at every day
-    // boundary. Chunk boundaries depend only on the day list, so the
-    // sweep stays bit-identical at any thread count while each shard
-    // reuses its detector scratch across days.
-    let chunks: Vec<&[DayGroup]> = groups.chunks(RESCORE_CHUNK_DAYS).collect();
-    let shards = pool.run_indexed(chunks.len(), |c| {
-        let mut scan_shard = HourlyFanoutDetector::new(cfg.fanout.clone());
-        let mut spam_shard = SpamDetector::new(cfg.spam.clone());
-        let mut telemetry = ArchiveTelemetry::default();
-        let mut flows = 0u64;
-        for (_, segments) in chunks[c] {
-            for &(i, entry) in segments {
-                archive.verify_segment(i)?;
-                let mut cursor =
-                    SegmentCursor::new(archive.segment_bytes(i), archive.boot_unix_secs(), entry);
-                cursor.for_each_flow(|f| {
-                    flows += 1;
-                    scan_shard.observe(f);
-                    spam_shard.observe(f);
-                })?;
-                telemetry.accumulate(&cursor.telemetry());
-            }
-            scan_shard.flush_window_state();
-            spam_shard.flush_window_state();
+    let new_shard = || RescoreShard {
+        detectors: DetectorPair::new(&cfg.fanout, &cfg.spam),
+        telemetry: ArchiveTelemetry::default(),
+    };
+    let shards = day_sweep(&pool, &groups, new_shard, |(_, segments), shard| {
+        for &(i, entry) in segments {
+            archive.verify_segment(i)?;
+            let mut cursor =
+                SegmentCursor::new(archive.segment_bytes(i), archive.boot_unix_secs(), entry);
+            cursor.for_each_flow(|f| shard.detectors.observe(f))?;
+            shard.telemetry.accumulate(&cursor.telemetry());
         }
-        Ok::<_, IndexedError>((scan_shard, spam_shard, telemetry, flows))
-    });
+        Ok::<(), IndexedError>(())
+    })?;
 
-    let mut scan_det = HourlyFanoutDetector::new(cfg.fanout.clone());
-    let mut spam_det = SpamDetector::new(cfg.spam.clone());
+    let mut detectors = DetectorPair::new(&cfg.fanout, &cfg.spam);
     let mut telemetry = ArchiveTelemetry::default();
-    let mut flows = 0u64;
     for shard in shards {
-        let (scan_shard, spam_shard, shard_telemetry, shard_flows) = shard?;
-        scan_det.merge(scan_shard);
-        spam_det.merge(spam_shard);
-        telemetry.accumulate(&shard_telemetry);
-        flows += shard_flows;
+        detectors.merge(shard.detectors);
+        telemetry.accumulate(&shard.telemetry);
     }
+    let flows = detectors.flows;
     telemetry.record(registry);
     registry
         .counter("detect.scan.hits")
-        .add(scan_det.detected_count() as u64);
+        .add(detectors.scan.detected_count() as u64);
     registry
         .counter("detect.spam.hits")
-        .add(spam_det.detected_count() as u64);
+        .add(detectors.spam.detected_count() as u64);
 
     let window = match (groups.first(), groups.last()) {
         (Some((first, _)), Some((last, _))) => Some(DateRange::new(*first, *last)),
@@ -202,14 +187,14 @@ pub fn rescore_window(
         ReportClass::Scanning,
         Provenance::Observed,
         report_range,
-        scan_det.detected(),
+        detectors.scan.detected(),
     );
     let spam = Report::new(
         "live-spam",
         ReportClass::Spamming,
         Provenance::Observed,
         report_range,
-        spam_det.detected(),
+        detectors.spam.detected(),
     );
     let scorer = UncleanlinessScorer {
         prefix_len: cfg.prefix_len,
@@ -264,40 +249,6 @@ fn empty_scan(_cfg: &LiveScanConfig) -> WindowScan {
         scores: Vec::new(),
         blocklist: Vec::new(),
     }
-}
-
-/// The §6.1 candidate sweep over an archive image: stream the window's
-/// flows sourced from `blocks` through the candidate collector, one
-/// worker per segment (evidence merging is order-insensitive, so unlike
-/// the detector sweep this needs no day grouping). The archive-image
-/// counterpart of [`crate::build_candidates_with`] for spooled traffic.
-pub fn archive_candidates(
-    data: &[u8],
-    blocks: &BlockSet,
-    range: Option<DateRange>,
-    threads: usize,
-    registry: &Registry,
-) -> Result<Vec<Candidate>, IndexedError> {
-    let mut span = registry.span("live/candidates");
-    let archive = match IndexedArchive::open(data)? {
-        Some(archive) => archive,
-        None => return Ok(Vec::new()),
-    };
-    let pool = Executor::new(threads);
-    let replay = archive.replay_with(&pool, range, false, |_, cursor| {
-        let mut shard = CandidateCollector::new(blocks.clone());
-        cursor.for_each_flow(|f| shard.observe(f))?;
-        Ok(shard)
-    })?;
-    let mut collector = CandidateCollector::new(blocks.clone());
-    collector.attach_telemetry(registry);
-    for output in &replay.outputs {
-        collector.merge(output.output.as_ref().expect("strict replay delivers"));
-    }
-    replay.telemetry.record(registry);
-    let candidates = collector.candidates();
-    span.field("candidates", candidates.len() as u64);
-    Ok(candidates)
 }
 
 #[cfg(test)]
@@ -432,25 +383,5 @@ mod tests {
         assert!(!base.blocklist.is_empty());
         assert!(strict.blocklist.is_empty(), "floor trims everything");
         assert_eq!(strict.scores, base.scores, "scores themselves unchanged");
-    }
-
-    #[test]
-    fn archive_candidates_match_direct_collection() {
-        let image = two_day_image("candidates");
-        let archive = IndexedArchive::open(&image).expect("parse").expect("v2");
-        let (flows, _) = archive.read_day_range(None).expect("read");
-        let srcs: unclean_core::IpSet = flows.iter().map(|f| f.src).collect();
-        let blocks = BlockSet::of(&srcs, 24);
-        let mut direct = CandidateCollector::new(blocks.clone());
-        for f in &flows {
-            direct.observe(f);
-        }
-        let expected = direct.candidates();
-        for threads in [1, 8] {
-            let got = archive_candidates(&image, &blocks, None, threads, &Registry::off())
-                .expect("candidates");
-            assert_eq!(got, expected);
-        }
-        assert!(!expected.is_empty());
     }
 }

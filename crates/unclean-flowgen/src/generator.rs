@@ -260,39 +260,6 @@ impl<'a> FlowGenerator<'a> {
         self.flows_counter.add(emitted);
     }
 
-    /// Expand one event into `arena`, returning how many flows it added.
-    ///
-    /// Batch-collection variant of [`expand`](Self::expand): flows are
-    /// bump-allocated into chunks the arena retains across
-    /// [`reset`](arena::Arena::reset), so a caller that recycles one
-    /// arena per day reaches a steady state where expansion performs no
-    /// heap allocation at all.
-    pub fn expand_into(&self, event: &ActivityEvent, arena: &mut arena::Arena<Flow>) -> usize {
-        let before = arena.len();
-        self.expand(event, |f| {
-            arena.alloc(f);
-        });
-        arena.len() - before
-    }
-
-    /// Generate all border flows for one day into `arena`: hostile
-    /// activity plus (optionally) benign clients. Returns the number of
-    /// flows added. See [`expand_into`](Self::expand_into) for the
-    /// allocation-recycling contract.
-    pub fn flows_on_into(
-        &self,
-        model: &ActivityModel<'_>,
-        day: Day,
-        include_benign: bool,
-        arena: &mut arena::Arena<Flow>,
-    ) -> usize {
-        let before = arena.len();
-        self.flows_on(model, day, include_benign, |f| {
-            arena.alloc(f);
-        });
-        arena.len() - before
-    }
-
     /// Generate all border flows for one day: hostile activity plus
     /// (optionally) benign clients.
     pub fn flows_on(
@@ -333,28 +300,9 @@ mod tests {
     fn expand_all(kind: ActivityKind) -> Vec<Flow> {
         let (net, cfg) = gen_fixture();
         let generator = FlowGenerator::new(&net, cfg, SeedTree::new(1));
-        let mut batch = arena::Arena::with_chunk_capacity(64);
-        let n = generator.expand_into(&event(kind), &mut batch);
-        assert_eq!(n, batch.len(), "fresh arena holds exactly this batch");
-        let via_arena: Vec<Flow> = batch.iter().copied().collect();
-        let mut via_sink = Vec::new();
-        generator.expand(&event(kind), |f| via_sink.push(f));
-        assert_eq!(via_arena, via_sink, "arena batch mirrors the sink path");
-        via_sink
-    }
-
-    #[test]
-    fn arena_reset_recycles_capacity_across_batches() {
-        let (net, cfg) = gen_fixture();
-        let generator = FlowGenerator::new(&net, cfg, SeedTree::new(1));
-        let mut batch = arena::Arena::with_chunk_capacity(64);
-        generator.expand_into(&event(ActivityKind::Scan { targets: 150 }), &mut batch);
-        let cap = batch.capacity();
-        batch.reset();
-        assert_eq!(batch.len(), 0);
-        let n = generator.expand_into(&event(ActivityKind::Scan { targets: 150 }), &mut batch);
-        assert!(n > 0);
-        assert_eq!(batch.capacity(), cap, "reset keeps chunk capacity");
+        let mut flows = Vec::new();
+        generator.expand(&event(kind), |f| flows.push(f));
+        flows
     }
 
     #[test]

@@ -12,15 +12,15 @@
 //!   [`ArchiveTelemetry`] accounting, identical across sources);
 //! * [`FlowSource::checkpoint`] — where are we, durably resumable.
 //!
-//! [`ArchiveFlowSource`] adapts both archive vintages (v2 replays
+//! [`ArchiveFlowSource`] adapts v2 indexed archives (replayed
 //! executor-parallel with day-ordered merge, so batches are byte-identical
 //! at any thread count); [`UdpFlowSource`] binds a socket, decodes V5
 //! datagrams with the existing codec, and feeds a bounded [`FlowRing`]
 //! whose shed policy is explicit and *counted* — backpressure never turns
 //! into silent loss.
 
-use crate::archive::{ArchiveReader, ArchiveTelemetry};
-use crate::indexed::{FlowArchive, IndexedError};
+use crate::archive::ArchiveTelemetry;
+use crate::indexed::{IndexedArchive, IndexedError};
 use crate::record::decode_datagram;
 use crate::seq::SequenceTracker;
 use crate::session::Flow;
@@ -105,10 +105,10 @@ pub trait FlowSource {
 // Archive replay as a FlowSource
 // ---------------------------------------------------------------------------
 
-/// Archive replay behind the [`FlowSource`] interface. Both vintages are
-/// accepted; v2 archives replay one executor worker per day segment with
-/// the batches merged in day order, so the delivered stream is
-/// byte-identical at any thread count.
+/// Archive replay behind the [`FlowSource`] interface. v2 archives
+/// replay one executor worker per day segment with the batches merged in
+/// day order, so the delivered stream is byte-identical at any thread
+/// count. v1 archives must first be upgraded with `unclean archive index`.
 #[derive(Debug)]
 pub struct ArchiveFlowSource {
     batches: VecDeque<Vec<Flow>>,
@@ -119,60 +119,34 @@ pub struct ArchiveFlowSource {
 }
 
 impl ArchiveFlowSource {
-    /// Replay `data` (v2 sniffed by trailer, v1 fallback decoded against
-    /// `boot_unix_secs`) on `threads` workers. Lenient: a v2 segment that
-    /// fails its CRC is quarantined (counted, skipped) rather than
-    /// aborting the source.
-    pub fn open(
-        data: &[u8],
-        boot_unix_secs: u32,
-        threads: usize,
-    ) -> Result<ArchiveFlowSource, SourceError> {
-        match FlowArchive::open(data)? {
-            FlowArchive::V2(archive) => {
-                let pool = Executor::new(threads);
-                let replay = archive.replay_with(&pool, None, true, |_, cursor| {
-                    let mut flows = Vec::new();
-                    cursor.for_each_flow(|f| flows.push(*f))?;
-                    Ok(flows)
-                })?;
-                let batches: VecDeque<Vec<Flow>> = replay
-                    .outputs
-                    .iter()
-                    .filter_map(|o| o.output.clone())
-                    .collect();
-                let end_seq = archive.segments().last().map(|s| s.end_seq);
-                Ok(ArchiveFlowSource {
-                    batches,
-                    telemetry: replay.telemetry,
-                    quarantined: replay.quarantined.len(),
-                    end_seq,
-                    delivered: 0,
-                })
-            }
-            FlowArchive::V1(bytes) => {
-                let mut reader = ArchiveReader::new(bytes, boot_unix_secs);
-                let mut batches = VecDeque::new();
-                loop {
-                    match reader.next_datagram() {
-                        Ok(Some(batch)) => {
-                            if !batch.is_empty() {
-                                batches.push_back(batch);
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err(SourceError::Archive(e.to_string())),
-                    }
-                }
-                Ok(ArchiveFlowSource {
-                    batches,
-                    telemetry: reader.telemetry(),
-                    quarantined: 0,
-                    end_seq: None,
-                    delivered: 0,
-                })
-            }
-        }
+    /// Replay the v2 archive `data` on `threads` workers. Lenient: a
+    /// segment that fails its CRC is quarantined (counted, skipped) rather
+    /// than aborting the source.
+    pub fn open(data: &[u8], threads: usize) -> Result<ArchiveFlowSource, SourceError> {
+        let archive = IndexedArchive::open(data)?.ok_or_else(|| {
+            SourceError::Archive(
+                "not a v2 indexed flow archive (upgrade a v1 archive with `unclean archive index`)"
+                    .to_string(),
+            )
+        })?;
+        let pool = Executor::new(threads);
+        let replay = archive.replay_with(&pool, None, true, |_, cursor| {
+            let mut flows = Vec::new();
+            cursor.for_each_flow(|f| flows.push(*f))?;
+            Ok(flows)
+        })?;
+        let batches: VecDeque<Vec<Flow>> = replay
+            .outputs
+            .iter()
+            .filter_map(|o| o.output.clone())
+            .collect();
+        Ok(ArchiveFlowSource {
+            batches,
+            telemetry: replay.telemetry,
+            quarantined: replay.quarantined.len(),
+            end_seq: archive.segments().last().map(|s| s.end_seq),
+            delivered: 0,
+        })
     }
 
     /// Segments skipped by the lenient v2 replay.
@@ -613,8 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_source_replays_both_vintages() {
-        // v2
+    fn archive_source_replays_v2_and_refuses_v1() {
         let mut w = IndexedArchiveWriter::new(Vec::new(), boot());
         let mut expected = Vec::new();
         for day in 0..3 {
@@ -625,20 +598,20 @@ mod tests {
             }
         }
         let (v2, _) = w.finish().expect("finish");
-        let mut src = ArchiveFlowSource::open(&v2, boot(), 2).expect("open v2");
+        let mut src = ArchiveFlowSource::open(&v2, 2).expect("open v2");
         assert_eq!(drain(&mut src), expected);
         assert_eq!(src.telemetry().flows, 210);
         assert_eq!(src.checkpoint().delivered, 210);
         assert!(src.checkpoint().expected_seq.is_some());
 
-        // v1
+        // v1 is refused with the upgrade path named.
         let mut w = ArchiveWriter::new(Vec::new(), boot());
         for f in &expected[..95] {
             w.push(f).expect("write");
         }
         let (v1, _) = w.finish().expect("finish");
-        let mut src = ArchiveFlowSource::open(&v1, boot(), 1).expect("open v1");
-        assert_eq!(drain(&mut src), &expected[..95]);
+        let err = ArchiveFlowSource::open(&v1, 1).expect_err("v1 refused");
+        assert!(err.to_string().contains("unclean archive index"), "{err}");
     }
 
     #[test]
@@ -650,8 +623,8 @@ mod tests {
             }
         }
         let (bytes, _) = w.finish().expect("finish");
-        let mut one = ArchiveFlowSource::open(&bytes, boot(), 1).expect("open");
-        let mut eight = ArchiveFlowSource::open(&bytes, boot(), 8).expect("open");
+        let mut one = ArchiveFlowSource::open(&bytes, 1).expect("open");
+        let mut eight = ArchiveFlowSource::open(&bytes, 8).expect("open");
         let (t1, t8) = (one.telemetry(), eight.telemetry());
         assert_eq!(drain(&mut one), drain(&mut eight));
         assert_eq!(t1, t8);

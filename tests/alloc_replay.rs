@@ -7,9 +7,14 @@
 //! the library crates `forbid(unsafe_code)`, a test crate root may not)
 //! and verifies the allocation count during a full replay stays flat as
 //! the flow count quadruples.
+//!
+//! The counter is process-wide, so each test holds [`SERIAL`] for its
+//! whole body: another test allocating on a parallel harness thread would
+//! otherwise land in a measured walk.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use unclean_core::{BlockSet, Ip, IpSet};
 use unclean_flowgen::record::EPOCH_UNIX_SECS;
 use unclean_flowgen::{
@@ -19,6 +24,14 @@ use unclean_flowgen::{
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test for its whole body, measured walks included.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still measures alone.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -80,6 +93,7 @@ fn replay_counting(bytes: &[u8]) -> (u64, u64) {
 
 #[test]
 fn replay_allocations_do_not_scale_with_flow_count() {
+    let _serial = serial();
     let small = spool(500);
     let large = spool(2_000);
 
@@ -129,6 +143,7 @@ fn candidate_scan_counting(bytes: &[u8], collector: &mut CandidateCollector) -> 
 
 #[test]
 fn candidate_scan_allocations_do_not_scale_with_flow_count() {
+    let _serial = serial();
     let small = spool(500);
     let large = spool(2_000);
 

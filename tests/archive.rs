@@ -1,7 +1,7 @@
 //! Cross-crate tests for the v2 indexed segment archive: round-trip
 //! properties at any thread count, the checked-in v1 golden compat
 //! contract, per-segment fault quarantine, and equivalence of the
-//! archive-backed candidate scan with direct collection.
+//! day-sharded candidate scan with direct collection.
 
 use crossbeam::executor::Executor;
 use proptest::collection::vec;
@@ -138,8 +138,9 @@ fn regenerate_golden_v1() {
 }
 
 /// v1 compat: the checked-in golden archive still decodes to the same
-/// flows, still byte-matches today's v1 writer, still falls back to the
-/// sequential path (no footer), and upgrades losslessly to v2.
+/// flows, still byte-matches today's v1 writer, still sniffs as v1 (no
+/// footer), and upgrades losslessly to v2 — the `unclean archive index`
+/// path, the only place v1 is still read.
 #[test]
 fn v1_golden_archive_reads_and_upgrades() {
     let bytes = std::fs::read(golden_path()).expect("golden archive checked in");
@@ -153,7 +154,7 @@ fn v1_golden_archive_reads_and_upgrades() {
         .expect("v1 read");
     assert_eq!(flows, golden_flows());
 
-    // No trailer ⇒ the sniffing open falls back to v1.
+    // No trailer ⇒ the sniffing open reports v1, the upgrader's input.
     match FlowArchive::open(&bytes).expect("open") {
         FlowArchive::V1(_) => {}
         FlowArchive::V2(_) => panic!("golden v1 archive misdetected as v2"),
@@ -216,9 +217,9 @@ fn truncated_final_segment_quarantines_only_that_segment() {
     assert_eq!(delivered, flows[..2 * 67].to_vec());
 }
 
-/// The archive-backed §6 candidate scan returns byte-identical candidates
-/// at any thread count, and matches a direct (no-archive) serial
-/// collection replicating the pre-v2 pipeline.
+/// The day-sharded §6 candidate scan returns byte-identical candidates
+/// at any thread count, and matches one serial collection over the same
+/// generated traffic.
 #[test]
 fn candidate_scan_matches_direct_collection() {
     let fx = fixture();
@@ -239,7 +240,7 @@ fn candidate_scan_matches_direct_collection() {
     }
 
     // Direct reference: feed the generator straight into one collector,
-    // exactly as the pipeline did before the archive spool existed.
+    // one day after another.
     let cfg = PipelineConfig::paper();
     let blocks = BlockSet::of(fx.reports.bot_test.addresses(), 24);
     let model = fx.scenario.activity();

@@ -122,7 +122,7 @@ fn archive_flow_source_is_thread_count_invariant() {
     let (bytes, _) = writer.finish().expect("finish");
 
     let drain = |threads: usize| -> Vec<Flow> {
-        let mut source = ArchiveFlowSource::open(&bytes, boot, threads).expect("open");
+        let mut source = ArchiveFlowSource::open(&bytes, threads).expect("open");
         let mut out = Vec::new();
         while !matches!(
             source.next_batch(&mut out).expect("batch"),
@@ -277,9 +277,8 @@ fn sharded_scenario_generation_is_thread_count_invariant() {
 // ---------------------------------------------------------------------------
 
 /// The reference the out-of-core pipeline must match: expand each day's
-/// flows into a plain `Vec` (the pre-spooling pipeline's peak-memory
-/// shape) and feed the detectors directly, flushing window state at each
-/// day boundary.
+/// flows into a plain `Vec` and feed one detector pair sequentially,
+/// flushing window state at each day boundary.
 fn in_memory_sweep(
     scenario: &unclean_netmodel::Scenario,
     cfg: &unclean_detect::PipelineConfig,
@@ -307,10 +306,11 @@ fn in_memory_sweep(
     (scan.detected(), spam.detected())
 }
 
-/// The out-of-core sweep (spool each day through the v2 indexed
-/// archive, replay through zero-copy cursors in day chunks) must report
-/// the identical scanner and spammer sets as the in-memory reference
-/// sweep — at 1 and 8 threads, at two scenario scales, over
+/// The pipeline's out-of-core sweep (each whole-day chunk generated
+/// straight into its own detector pair, never holding a day's flows, and
+/// the shards merged in day order) must report the identical scanner and
+/// spammer sets as the in-memory reference sweep — at 1 and 8 threads, at
+/// two scenario scales, over
 /// property-drawn seeds. Scenario generation is too expensive for the
 /// default 64-case budget, so the seed strategy is driven by hand for a
 /// fixed two cases instead of through `proptest!`.
