@@ -84,14 +84,14 @@ fn bench_prediction(c: &mut Criterion) {
     g.finish();
 }
 
+/// The minimal CIDR cover of a clustered address set, as `unclean
+/// blocklist --aggregate` computes it.
 fn bench_trie(c: &mut Criterion) {
     let mut g = c.benchmark_group("trie");
-    let set = clustered_set(50_000);
-    g.bench_function("build_50k", |b| {
-        b.iter(|| PrefixTrie::from_set(black_box(&set)))
+    let blocks = BlockSet::of(&clustered_set(50_000), 32);
+    g.bench_function("aggregate_50k", |b| {
+        b.iter(|| black_box(&blocks).aggregate())
     });
-    let trie = PrefixTrie::from_set(&set);
-    g.bench_function("aggregate_50k", |b| b.iter(|| black_box(&trie).aggregate()));
     g.finish();
 }
 
@@ -181,14 +181,11 @@ fn table3_scale_blocks() -> Vec<(Cidr, f64)> {
     blocks
 }
 
-/// Pointer trie vs frozen (flattened) trie on the serving hot path:
-/// longest-prefix-match lookups over a Table-3-scale block set with a
-/// ~50/50 hit/miss probe mix.
+/// The frozen trie on the serving hot path: longest-prefix-match lookups
+/// over a Table-3-scale block set with a ~50/50 hit/miss probe mix.
 fn bench_lpm(c: &mut Criterion) {
-    use unclean_core::frozen::{CidrTrie, FrozenTrie};
     let blocks = table3_scale_blocks();
-    let pointer = CidrTrie::from_scored(blocks.iter().copied());
-    let frozen = FrozenTrie::freeze(&pointer);
+    let frozen = FrozenTrie::from_scored(blocks.iter().copied());
     let probes: Vec<Ip> = {
         let mut probes = Vec::with_capacity(10_000);
         let mut x = 0xdead_beefu32;
@@ -203,19 +200,6 @@ fn bench_lpm(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("lpm");
     g.throughput(Throughput::Elements(probes.len() as u64));
-    g.bench_with_input(
-        BenchmarkId::new("pointer_trie", blocks.len()),
-        &probes,
-        |b, probes| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &ip in probes.iter() {
-                    hits += usize::from(pointer.lookup(black_box(ip)).is_some());
-                }
-                hits
-            })
-        },
-    );
     g.bench_with_input(
         BenchmarkId::new("frozen_trie", blocks.len()),
         &probes,

@@ -440,11 +440,11 @@ pub fn blocklist(
         ReportClass::Bots,
         Provenance::Provided,
     )?;
+    let blocks = report.blocks(prefix_len);
     let cidrs = if aggregate {
-        // Minimal cover: merge adjacent sibling blocks into parents.
-        merge_siblings(report.blocks(prefix_len).to_cidrs())
+        blocks.aggregate()
     } else {
-        report.blocks(prefix_len).to_cidrs()
+        blocks.to_cidrs()
     };
     Ok(unclean_core::blocklist::render(
         &cidrs,
@@ -543,39 +543,6 @@ pub fn snapshot_inspect(path: &Path) -> Result<String, String> {
         ));
     }
     Ok(out)
-}
-
-/// Merge adjacent sibling blocks into their parents, repeatedly.
-fn merge_siblings(mut blocks: Vec<Cidr>) -> Vec<Cidr> {
-    loop {
-        blocks.sort();
-        let mut merged = Vec::with_capacity(blocks.len());
-        let mut changed = false;
-        let mut i = 0;
-        while i < blocks.len() {
-            if i + 1 < blocks.len() {
-                let (a, b) = (blocks[i], blocks[i + 1]);
-                if let Some(parent) = a.parent() {
-                    if b.parent() == Some(parent)
-                        && a.len() == b.len()
-                        && a != b
-                        && parent.len() + 1 == a.len()
-                    {
-                        merged.push(parent);
-                        changed = true;
-                        i += 2;
-                        continue;
-                    }
-                }
-            }
-            merged.push(blocks[i]);
-            i += 1;
-        }
-        blocks = merged;
-        if !changed {
-            return blocks;
-        }
-    }
 }
 
 /// `unclean score --report class=path ...`: rank networks by combined
@@ -1297,20 +1264,6 @@ mod tests {
         )
         .expect("loadable");
         assert!(control.len() > bot.len());
-    }
-
-    #[test]
-    fn merge_siblings_collapses_pairs() {
-        let blocks: Vec<Cidr> = vec![
-            "9.1.0.0/24".parse().expect("ok"),
-            "9.1.1.0/24".parse().expect("ok"),
-            "9.1.2.0/24".parse().expect("ok"),
-            "9.1.3.0/24".parse().expect("ok"),
-            "9.9.0.0/24".parse().expect("ok"),
-        ];
-        let merged = merge_siblings(blocks);
-        let strs: Vec<String> = merged.iter().map(|c| c.to_string()).collect();
-        assert_eq!(strs, vec!["9.1.0.0/22", "9.9.0.0/24"]);
     }
 
     fn sample_registry() -> unclean_telemetry::Registry {

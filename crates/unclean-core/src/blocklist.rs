@@ -2,7 +2,7 @@
 //!
 //! §6's conclusion is operational: "spatial and temporal uncleanliness …
 //! can be effectively used to block hostile traffic". This module turns a
-//! set of CIDR blocks (typically `C_24(R_bot-test)` or a trie-aggregated
+//! set of CIDR blocks (typically `C_24(R_bot-test)` or its aggregated
 //! cover) into the formats an operator would actually deploy — and parses
 //! the plain format back, so lists survive a round trip through version
 //! control.
@@ -27,7 +27,7 @@ pub enum BlocklistFormat {
 ///
 /// `name` labels the list (ACL number/name, comment header). Blocks are
 /// emitted in the order given; deduplicate or aggregate first (see
-/// [`crate::trie::PrefixTrie::aggregate`]) if the source may overlap.
+/// [`crate::blocks::BlockSet::aggregate`]) if the source may overlap.
 pub fn render(blocks: &[Cidr], format: BlocklistFormat, name: &str) -> String {
     let mut out = String::new();
     match format {

@@ -11,7 +11,8 @@
 //!   lengths and 1000 trials) runs on.
 //! * [`BlockSet`] materializes `C_n(S)` at a fixed n as a sorted prefix
 //!   vector, supporting intersection counting (the temporal analysis,
-//!   Eq. 5) and conversion to concrete [`Cidr`] lists (the §6 block lists).
+//!   Eq. 5) and conversion to concrete [`Cidr`] lists (the §6 block lists),
+//!   either one per block or as the minimal covering list.
 
 use crate::cidr::{mask, Cidr};
 use crate::ip::Ip;
@@ -181,6 +182,28 @@ impl BlockSet {
                 Cidr::new(Ip(base), self.len).expect("shifted prefixes are aligned")
             })
             .collect()
+    }
+
+    /// The minimal CIDR list covering exactly these blocks, in address
+    /// order: sibling blocks merge into their parent, repeatedly. This is
+    /// what a router block list wants. One pass with a stack suffices —
+    /// the blocks arrive sorted, so each can only merge with the block on
+    /// top of the stack, and each merge may cascade.
+    pub fn aggregate(&self) -> Vec<Cidr> {
+        let mut out: Vec<Cidr> = Vec::new();
+        for mut block in self.to_cidrs() {
+            while let Some(&top) = out.last() {
+                match block.parent() {
+                    Some(parent) if top.parent() == Some(parent) => {
+                        out.pop();
+                        block = parent;
+                    }
+                    _ => break,
+                }
+            }
+            out.push(block);
+        }
+        out
     }
 
     /// Total addresses spanned by the blocks: `len() * 2^(32-n)`. The §6.2
@@ -416,6 +439,69 @@ mod tests {
         assert_eq!(strs, vec!["10.1.2.0/24", "192.168.0.0/24"]);
         let zero = BlockSet::of(&s, 0).to_cidrs();
         assert_eq!(zero[0].to_string(), "0.0.0.0/0");
+    }
+
+    fn aggregated(set: &IpSet, n: u8) -> Vec<String> {
+        BlockSet::of(set, n)
+            .aggregate()
+            .iter()
+            .map(|c| c.to_string())
+            .collect()
+    }
+
+    #[test]
+    fn aggregate_merges_complete_blocks() {
+        // A full /30 (4 addresses) collapses to one block.
+        let set = ipset(&["10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3"]);
+        assert_eq!(aggregated(&set, 32), vec!["10.0.0.0/30"]);
+    }
+
+    #[test]
+    fn aggregate_emits_singletons_as_slash32() {
+        let set = ipset(&["10.0.0.0", "10.0.0.2"]);
+        assert_eq!(aggregated(&set, 32), vec!["10.0.0.0/32", "10.0.0.2/32"]);
+    }
+
+    #[test]
+    fn aggregate_mixed() {
+        // A complete pair + a lone address.
+        let set = ipset(&["10.0.0.0", "10.0.0.1", "10.0.0.5"]);
+        assert_eq!(aggregated(&set, 32), vec!["10.0.0.0/31", "10.0.0.5/32"]);
+    }
+
+    #[test]
+    fn aggregate_collapses_sibling_pairs() {
+        // Four adjacent /24s cascade into one /22; a lone /24 stays.
+        let set = ipset(&["9.1.0.1", "9.1.1.1", "9.1.2.1", "9.1.3.1", "9.9.0.1"]);
+        assert_eq!(aggregated(&set, 24), vec!["9.1.0.0/22", "9.9.0.0/24"]);
+        // Adjacent blocks with different parents do not merge.
+        let set = ipset(&["9.1.1.1", "9.1.2.1"]);
+        assert_eq!(aggregated(&set, 24), vec!["9.1.1.0/24", "9.1.2.0/24"]);
+    }
+
+    #[test]
+    fn aggregate_covers_exactly_the_set() {
+        // Property-style check on a deterministic pseudo-random set.
+        let set = IpSet::from_raw(
+            (0..200u32)
+                .map(|i| i.wrapping_mul(0x9e3779b9) >> 8)
+                .collect(),
+        );
+        let agg = BlockSet::of(&set, 32).aggregate();
+        // Every member covered by exactly one block.
+        for m in set.iter() {
+            let covering = agg.iter().filter(|c| c.contains(m)).count();
+            assert_eq!(covering, 1, "{m} covered once");
+        }
+        // Total span equals set size (cover is exact).
+        let span: u64 = agg.iter().map(|c| c.size()).sum();
+        assert_eq!(span, set.len() as u64);
+    }
+
+    #[test]
+    fn empty_aggregate() {
+        assert!(BlockSet::of(&IpSet::empty(), 24).aggregate().is_empty());
+        assert_eq!(aggregated(&ipset(&["10.0.0.1"]), 0), vec!["0.0.0.0/0"]);
     }
 
     #[test]

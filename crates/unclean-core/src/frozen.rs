@@ -1,56 +1,30 @@
-//! Longest-prefix-match structures for *serving* block lists.
+//! Longest-prefix match for *serving* block lists.
 //!
 //! The analyses in this crate ask set-shaped questions offline; the §6
 //! consequence — "should this connection be blocked?" — is a per-packet
-//! *lookup* question. This module provides the two structures the
-//! `unclean-serve` daemon answers it with:
+//! *lookup* question. [`FrozenTrie`] answers it for the `unclean-serve`
+//! daemon and every other caller: an immutable, path-compressed binary
+//! trie over scored CIDR blocks whose one storage is the [`crate::snap`]
+//! byte image — a header page, 16-byte node records numbered
+//! breadth-first, and 16-byte entry records sorted by `(base, len)`.
 //!
-//! * [`CidrTrie`] — a mutable vector-backed binary trie over CIDR
-//!   blocks, each carrying an uncleanliness score. The pointer-trie
-//!   sibling of [`crate::trie::PrefixTrie`], extended with terminal
-//!   entries at interior depths so nested blocks resolve by longest
-//!   prefix.
-//! * [`FrozenTrie`] — an immutable freeze of a [`CidrTrie`]: unary
-//!   entry-less chains collapsed Patricia-style and the surviving nodes
-//!   renumbered breadth-first into one contiguous array (no per-node
-//!   allocation), which is what the serving hot path walks. Snapshots of
-//!   this type are atomically swapped on hot reload while old generations
-//!   keep serving in-flight requests.
-//!
-//! A frozen trie's storage is two arrays of plain 16-byte records, so it
-//! has two interchangeable backings: the heap `Vec`s a freeze builds, or
-//! a read-only memory map of a snapshot file written by
-//! [`FrozenTrie::freeze_to_file`] and opened with
-//! [`FrozenTrie::open_mmap`] (format in [`crate::snap`]). The mapped
-//! form starts in O(1) — no parse, no proportional allocation — and N
-//! processes mapping the same file share one page-cache copy. Lookups
-//! are identical over both; because a mapped snapshot is external input,
-//! the walk is bounds-checked and depth-bounded so corrupt bytes can
-//! only answer wrong, never crash or loop.
-//!
-//! Both structures answer [`lookup`](FrozenTrie::lookup) identically — a
-//! property test in `tests/properties.rs` and a Criterion bench in
-//! `unclean-bench` hold them to that and compare their throughput.
+//! [`FrozenTrie::from_scored`] builds that image straight from the sorted
+//! blocks into an aligned heap buffer; [`FrozenTrie::freeze_to_file`]
+//! writes it verbatim and [`FrozenTrie::open_mmap`] maps it back. The
+//! mapped form starts in O(1) — no parse, no proportional allocation —
+//! and N processes mapping the same file share one page-cache copy.
+//! Every trie answers through one lookup walk; because a mapped snapshot
+//! is external input, that walk is bounds-checked and depth-bounded so
+//! corrupt bytes can only answer wrong, never crash or loop.
 
 use crate::cidr::{mask, Cidr};
 use crate::ip::Ip;
 use crate::snap::{self, SnapError, SnapshotMeta};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Index of a node in a node vector; `NONE` marks an absent child or entry.
+/// Index of a node or entry record; `NONE` marks an absent child or entry.
 type Idx = u32;
 const NONE: Idx = u32::MAX;
-
-/// One block in a serving trie: the CIDR plus its uncleanliness score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BlockEntry {
-    /// The blocked CIDR.
-    pub cidr: Cidr,
-    /// The block's uncleanliness score (0 when the source list carries
-    /// none).
-    pub score: f64,
-}
 
 /// A successful longest-prefix-match: which block matched and its score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,123 +33,6 @@ pub struct LpmMatch {
     pub cidr: Cidr,
     /// That block's uncleanliness score.
     pub score: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    children: [Idx; 2],
-    entry: Idx,
-}
-
-impl Node {
-    fn empty() -> Node {
-        Node {
-            children: [NONE, NONE],
-            entry: NONE,
-        }
-    }
-}
-
-/// A mutable vector-backed binary trie mapping CIDR blocks to scored
-/// entries, answering longest-prefix-match lookups.
-#[derive(Debug, Clone, Default)]
-pub struct CidrTrie {
-    nodes: Vec<Node>,
-    entries: Vec<BlockEntry>,
-}
-
-impl CidrTrie {
-    /// An empty trie (just the root).
-    pub fn new() -> CidrTrie {
-        CidrTrie {
-            nodes: vec![Node::empty()],
-            entries: Vec::new(),
-        }
-    }
-
-    /// Build from scored blocks (e.g. a parsed
-    /// [`crate::blocklist::parse_scored`] list). Duplicate CIDRs keep the
-    /// last score.
-    pub fn from_scored(blocks: impl IntoIterator<Item = (Cidr, f64)>) -> CidrTrie {
-        let mut t = CidrTrie::new();
-        for (cidr, score) in blocks {
-            t.insert(cidr, score);
-        }
-        t
-    }
-
-    /// Build from bare blocks, all at score 0.
-    pub fn from_cidrs(blocks: impl IntoIterator<Item = Cidr>) -> CidrTrie {
-        CidrTrie::from_scored(blocks.into_iter().map(|c| (c, 0.0)))
-    }
-
-    /// Insert (or re-score) one block; returns whether it was new.
-    pub fn insert(&mut self, cidr: Cidr, score: f64) -> bool {
-        let mut idx: usize = 0;
-        let base = cidr.base().raw();
-        for depth in 0..cidr.len() {
-            let bit = ((base >> (31 - depth)) & 1) as usize;
-            let child = self.nodes[idx].children[bit];
-            idx = if child == NONE {
-                let new_idx = self.nodes.len() as Idx;
-                self.nodes.push(Node::empty());
-                self.nodes[idx].children[bit] = new_idx;
-                new_idx as usize
-            } else {
-                child as usize
-            };
-        }
-        match self.nodes[idx].entry {
-            NONE => {
-                self.nodes[idx].entry = self.entries.len() as Idx;
-                self.entries.push(BlockEntry { cidr, score });
-                true
-            }
-            e => {
-                self.entries[e as usize].score = score;
-                false
-            }
-        }
-    }
-
-    /// The most specific block containing `ip`, if any.
-    pub fn lookup(&self, ip: Ip) -> Option<LpmMatch> {
-        let mut idx: usize = 0;
-        let mut best = self.nodes[0].entry;
-        for depth in 0..32 {
-            let bit = ((ip.raw() >> (31 - depth)) & 1) as usize;
-            let child = self.nodes[idx].children[bit];
-            if child == NONE {
-                break;
-            }
-            idx = child as usize;
-            if self.nodes[idx].entry != NONE {
-                best = self.nodes[idx].entry;
-            }
-        }
-        (best != NONE).then(|| {
-            let e = &self.entries[best as usize];
-            LpmMatch {
-                cidr: e.cidr,
-                score: e.score,
-            }
-        })
-    }
-
-    /// Number of distinct blocks inserted.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no blocks were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The inserted blocks, in insertion order.
-    pub fn entries(&self) -> &[BlockEntry] {
-        &self.entries
-    }
 }
 
 /// One frozen trie node, exactly 16 bytes, identical in memory and on
@@ -209,19 +66,19 @@ impl snap::Record for FrozenNode {}
 impl snap::Record for DiskEntry {}
 
 impl DiskEntry {
-    fn from_block(e: &BlockEntry) -> DiskEntry {
+    fn new(cidr: Cidr, score: f64) -> DiskEntry {
         DiskEntry {
-            base: e.cidr.base().raw(),
-            plen: e.cidr.len() as u32,
-            score: e.score,
+            base: cidr.base().raw(),
+            plen: cidr.len() as u32,
+            score,
         }
     }
 
-    /// Reconstruct the public entry. `plen` is clamped and `base` masked
-    /// via [`Cidr::of`] so even a corrupt mapped record yields a
-    /// well-formed (if wrong) CIDR instead of a panic.
-    fn to_block(self) -> BlockEntry {
-        BlockEntry {
+    /// The public match. `plen` is clamped and `base` masked via
+    /// [`Cidr::of`] so even a corrupt mapped record yields a well-formed
+    /// (if wrong) CIDR instead of a panic.
+    fn to_match(self) -> LpmMatch {
+        LpmMatch {
             cidr: Cidr::of(Ip(self.base), self.plen.min(32) as u8),
             score: self.score,
         }
@@ -233,109 +90,106 @@ impl DiskEntry {
     }
 }
 
-/// Which storage a [`FrozenTrie`] walks: heap `Vec`s built by
-/// [`FrozenTrie::freeze`], or sections borrowed from a mapped snapshot.
-#[derive(Debug)]
-enum Backing {
-    Heap {
-        nodes: Vec<FrozenNode>,
-        entries: Vec<DiskEntry>,
-    },
-    Mapped(snap::MappedSnapshot),
+/// Lay out, breadth-first, the path-compressed trie over `entries`
+/// (sorted by `(base, len)`, no duplicate CIDRs). A node is kept if it is
+/// the root, carries an entry, or branches; each queue item is a kept
+/// node's depth and the entries of its subtree, `entries[lo..hi]`, and
+/// its index is its queue slot.
+fn layout(entries: &[DiskEntry]) -> Vec<FrozenNode> {
+    let mut queue: Vec<(u32, usize, usize)> = vec![(0, 0, entries.len())];
+    let mut nodes = Vec::new();
+    let mut head = 0;
+    while head < queue.len() {
+        let (plen, mut lo, hi) = queue[head];
+        head += 1;
+        let mut node = FrozenNode {
+            children: [NONE, NONE],
+            entry: NONE,
+            plen,
+        };
+        // The node's own block, if listed, sorts first in its subtree.
+        if lo < hi && entries[lo].plen == plen {
+            node.entry = lo as Idx;
+            lo += 1;
+        }
+        if lo < hi {
+            // Everything left is longer than `plen` (so `plen < 32`):
+            // split it on bit `plen`. Each child sits where its blocks'
+            // bases first diverge or its shortest block ends, whichever
+            // comes first — the chain above it is unary and entry-less.
+            let split = lo + entries[lo..hi].partition_point(|e| (e.base >> (31 - plen)) & 1 == 0);
+            for (bit, (a, b)) in [(lo, split), (split, hi)].into_iter().enumerate() {
+                if a == b {
+                    continue;
+                }
+                let diverge = (entries[a].base ^ entries[b - 1].base).leading_zeros();
+                let shortest = entries[a..b].iter().map(|e| e.plen).min().unwrap_or(32);
+                node.children[bit] = queue.len() as Idx;
+                queue.push((diverge.min(shortest), a, b));
+            }
+        }
+        nodes.push(node);
+    }
+    nodes
 }
 
-/// An immutable, flattened, path-compressed freeze of a [`CidrTrie`].
+/// An immutable, path-compressed longest-prefix-match trie over scored
+/// CIDR blocks.
 ///
-/// The builder trie spends one node per bit, so with a few thousand
-/// blocks scattered over the 2³² address space most of every lookup walks
-/// a unary, entry-less chain. Freezing collapses those chains
-/// Patricia-style — a kept node is the root, carries an entry, or
-/// branches — and records only the *depth* at which each survivor sits.
-/// A lookup therefore tests just the branch bits on the way down
-/// (collecting candidate entries) and verifies the skipped bits once at
-/// the end against the candidates' own CIDRs, deepest first. Kept nodes
-/// are renumbered breadth-first into one contiguous 16-byte-node array:
-/// the walk is O(branching nodes) ≈ log₂(blocks), not O(prefix bits),
-/// and the whole structure is two allocations regardless of size. There
-/// is no interior mutability: hot reload builds a *new* trie off the
-/// serving path and swaps the `Arc` holding it.
+/// A one-node-per-bit trie spends most of every lookup on unary,
+/// entry-less chains when a few thousand blocks are scattered over the
+/// 2³² address space. This layout keeps only the nodes that matter — the
+/// root, nodes that carry an entry, and nodes that branch — and records
+/// the *depth* at which each sits. A lookup therefore tests just the
+/// branch bits on the way down (collecting candidate entries) and
+/// verifies the skipped bits once at the end against the candidates' own
+/// CIDRs, deepest first. The walk is O(branching nodes) ≈ log₂(blocks),
+/// not O(prefix bits). There is no interior mutability: hot reload builds
+/// a *new* trie off the serving path and swaps the `Arc` holding it.
 ///
-/// The node and entry arrays live either on the heap (after a freeze) or
-/// inside a read-only memory map of a snapshot file ([`open_mmap`]
-/// (FrozenTrie::open_mmap)); lookups are oblivious to the difference.
+/// The image depends only on the block set: the same blocks in any input
+/// order give the same bytes (order only decides which score a duplicate
+/// CIDR keeps).
 #[derive(Debug)]
 pub struct FrozenTrie {
-    backing: Backing,
+    image: snap::Image,
+    /// Whether the image came from a snapshot file (and so carries its
+    /// provenance) rather than from [`FrozenTrie::from_scored`].
+    opened: bool,
 }
 
 impl FrozenTrie {
-    /// Freeze a pointer trie: collapse unary entry-less chains and
-    /// BFS-renumber the surviving nodes into a contiguous array, copying
-    /// entries in the builder's order.
-    pub fn freeze(trie: &CidrTrie) -> FrozenTrie {
-        // BFS over *kept* nodes. Each queue item is (old index, plen)
-        // after chain-collapsing; its new index is its queue slot.
-        let mut queue: Vec<(u32, u8)> = vec![(0, 0)];
-        let mut nodes: Vec<FrozenNode> = Vec::new();
-        let mut head = 0;
-        while head < queue.len() {
-            let (old_idx, plen) = queue[head];
-            head += 1;
-            let node = &trie.nodes[old_idx as usize];
-            let mut frozen = FrozenNode {
-                children: [NONE, NONE],
-                entry: node.entry,
-                plen: plen as u32,
-            };
-            for bit in 0..2usize {
-                let child = node.children[bit];
-                if child == NONE {
-                    continue;
-                }
-                // Descend into the child, then skip down the unary
-                // entry-less chain below it.
-                let mut c_idx = child;
-                let mut c_plen = plen + 1;
-                loop {
-                    let c = &trie.nodes[c_idx as usize];
-                    if c.entry != NONE || c_plen == 32 {
-                        break;
-                    }
-                    let only = match c.children {
-                        [only, NONE] | [NONE, only] => only,
-                        _ => break,
-                    };
-                    c_idx = only;
-                    c_plen += 1;
-                }
-                frozen.children[bit] = queue.len() as Idx;
-                queue.push((c_idx, c_plen));
-            }
-            nodes.push(frozen);
-        }
-        FrozenTrie {
-            backing: Backing::Heap {
-                nodes,
-                entries: trie.entries.iter().map(DiskEntry::from_block).collect(),
-            },
-        }
-    }
-
-    /// Build directly from scored blocks (a temporary [`CidrTrie`] is the
-    /// builder).
+    /// Build from scored blocks (e.g. a parsed
+    /// [`crate::blocklist::parse_scored`] list) in an aligned heap
+    /// buffer. Duplicate CIDRs keep the last score.
     pub fn from_scored(blocks: impl IntoIterator<Item = (Cidr, f64)>) -> FrozenTrie {
-        FrozenTrie::freeze(&CidrTrie::from_scored(blocks))
+        let mut entries: Vec<DiskEntry> = blocks
+            .into_iter()
+            .map(|(cidr, score)| DiskEntry::new(cidr, score))
+            .collect();
+        // A stable sort keeps duplicates in input order, so the kept
+        // (first) record takes the score of the last.
+        entries.sort_by_key(|e| (e.base, e.plen));
+        entries.dedup_by(|later, kept| {
+            let duplicate = (later.base, later.plen) == (kept.base, kept.plen);
+            if duplicate {
+                kept.score = later.score;
+            }
+            duplicate
+        });
+        let nodes = layout(&entries);
+        FrozenTrie {
+            image: snap::Image::build(snap::record_bytes(&nodes), snap::record_bytes(&entries)),
+            opened: false,
+        }
     }
 
     #[inline]
     fn sections(&self) -> (&[FrozenNode], &[DiskEntry]) {
-        match &self.backing {
-            Backing::Heap { nodes, entries } => (nodes, entries),
-            Backing::Mapped(m) => (
-                snap::cast_records(m.node_bytes()),
-                snap::cast_records(m.entry_bytes()),
-            ),
-        }
+        (
+            snap::cast_records(self.image.node_bytes()),
+            snap::cast_records(self.image.entry_bytes()),
+        )
     }
 
     /// The most specific block containing `ip`, if any.
@@ -376,11 +230,7 @@ impl FrozenTrie {
                 continue;
             };
             if e.contains(raw) {
-                let b = e.to_block();
-                return Some(LpmMatch {
-                    cidr: b.cidr,
-                    score: b.score,
-                });
+                return Some(e.to_match());
             }
         }
         None
@@ -402,34 +252,19 @@ impl FrozenTrie {
         self.len() == 0
     }
 
-    /// The frozen blocks, in the builder's insertion order. Materialized
-    /// on demand (the storage keeps them as raw 16-byte records).
-    pub fn entries(&self) -> Vec<BlockEntry> {
-        self.sections().1.iter().map(|e| e.to_block()).collect()
-    }
-
-    /// Resident footprint in bytes: heap (nodes + entries) for a frozen
-    /// build, the mapped file length for a snapshot (shared,
-    /// demand-paged).
+    /// Footprint in bytes: the image's length — heap for a trie built in
+    /// memory, the mapped file (shared, demand-paged) for a snapshot.
     pub fn memory_bytes(&self) -> usize {
-        match &self.backing {
-            Backing::Heap { nodes, entries } => (nodes.len() + entries.len()) * snap::RECORD_BYTES,
-            Backing::Mapped(m) => m.file_len(),
-        }
+        self.image.len()
     }
 
     /// Write this trie as an mmap-able snapshot file (format in
-    /// [`crate::snap`]): `.tmp` sibling, fsync, atomic rename, so a
+    /// [`crate::snap`]): the image verbatim, its header re-rendered to
+    /// carry `meta`; `.tmp` sibling, fsync, atomic rename, so a
     /// concurrent [`open_mmap`](FrozenTrie::open_mmap) never sees a torn
     /// file.
     pub fn freeze_to_file(&self, path: &Path, meta: SnapshotMeta) -> Result<(), SnapError> {
-        let (nodes, entries) = self.sections();
-        snap::write_snapshot(
-            path,
-            snap::record_bytes(nodes),
-            snap::record_bytes(entries),
-            meta,
-        )
+        self.image.write(path, meta)
     }
 
     /// Open a snapshot by memory-mapping it — O(1) in the snapshot size:
@@ -441,7 +276,8 @@ impl FrozenTrie {
     /// corrupt sections without crashing.
     pub fn open_mmap(path: &Path) -> Result<FrozenTrie, SnapError> {
         Ok(FrozenTrie {
-            backing: Backing::Mapped(snap::open(path)?),
+            image: snap::open(path)?,
+            opened: true,
         })
     }
 
@@ -449,26 +285,21 @@ impl FrozenTrie {
     /// verification — O(file size), for tools and tests.
     pub fn open_mmap_verified(path: &Path) -> Result<FrozenTrie, SnapError> {
         Ok(FrozenTrie {
-            backing: Backing::Mapped(snap::open_verified(path)?),
+            image: snap::open_verified(path)?,
+            opened: true,
         })
     }
 
-    /// Provenance from the snapshot header, when this trie is a mapped
-    /// snapshot (`None` for heap-built tries).
+    /// Provenance from the snapshot header, when this trie was opened
+    /// from a snapshot file (`None` for tries built in memory).
     pub fn snapshot_meta(&self) -> Option<SnapshotMeta> {
-        match &self.backing {
-            Backing::Heap { .. } => None,
-            Backing::Mapped(m) => Some(m.meta()),
-        }
+        self.opened.then(|| self.image.meta())
     }
 
-    /// Whether the storage is a true shared memory map (false for
-    /// heap-built tries and for the non-unix read-into-memory fallback).
+    /// Whether the storage is a true shared memory map (false for tries
+    /// built in memory and for the non-unix read-into-memory fallback).
     pub fn is_mapped(&self) -> bool {
-        match &self.backing {
-            Backing::Heap { .. } => false,
-            Backing::Mapped(m) => m.is_mmap(),
-        }
+        self.image.is_mmap()
     }
 }
 
@@ -484,25 +315,16 @@ mod tests {
         s.parse().expect("valid ip")
     }
 
-    fn both(blocks: &[(&str, f64)]) -> (CidrTrie, FrozenTrie) {
-        let scored: Vec<(Cidr, f64)> = blocks.iter().map(|(s, w)| (cidr(s), *w)).collect();
-        let pointer = CidrTrie::from_scored(scored);
-        let frozen = FrozenTrie::freeze(&pointer);
-        (pointer, frozen)
+    fn trie(blocks: &[(&str, f64)]) -> FrozenTrie {
+        FrozenTrie::from_scored(blocks.iter().map(|(s, w)| (cidr(s), *w)))
     }
 
     #[test]
     fn lookup_hits_and_misses() {
-        let (pointer, frozen) = both(&[("9.1.0.0/16", 2.5), ("203.0.113.0/24", 1.0)]);
-        for t in [
-            &pointer.lookup(ip("9.1.200.7")),
-            &frozen.lookup(ip("9.1.200.7")),
-        ] {
-            let m = t.expect("inside 9.1/16");
-            assert_eq!(m.cidr, cidr("9.1.0.0/16"));
-            assert_eq!(m.score, 2.5);
-        }
-        assert!(pointer.lookup(ip("9.2.0.0")).is_none());
+        let frozen = trie(&[("9.1.0.0/16", 2.5), ("203.0.113.0/24", 1.0)]);
+        let m = frozen.lookup(ip("9.1.200.7")).expect("inside 9.1/16");
+        assert_eq!(m.cidr, cidr("9.1.0.0/16"));
+        assert_eq!(m.score, 2.5);
         assert!(frozen.lookup(ip("9.2.0.0")).is_none());
         assert!(frozen.contains(ip("203.0.113.255")));
         assert!(!frozen.contains(ip("203.0.114.0")));
@@ -510,14 +332,10 @@ mod tests {
 
     #[test]
     fn longest_prefix_wins_for_nested_blocks() {
-        let (pointer, frozen) = both(&[("10.0.0.0/8", 0.5), ("10.5.0.0/16", 3.0)]);
-        for m in [
-            pointer.lookup(ip("10.5.1.1")).expect("nested"),
-            frozen.lookup(ip("10.5.1.1")).expect("nested"),
-        ] {
-            assert_eq!(m.cidr, cidr("10.5.0.0/16"), "most specific block wins");
-            assert_eq!(m.score, 3.0);
-        }
+        let frozen = trie(&[("10.0.0.0/8", 0.5), ("10.5.0.0/16", 3.0)]);
+        let m = frozen.lookup(ip("10.5.1.1")).expect("nested");
+        assert_eq!(m.cidr, cidr("10.5.0.0/16"), "most specific block wins");
+        assert_eq!(m.score, 3.0);
         // Outside the nested /16, the /8 still matches.
         assert_eq!(
             frozen.lookup(ip("10.6.0.0")).expect("outer").cidr,
@@ -527,7 +345,7 @@ mod tests {
 
     #[test]
     fn boundary_addresses() {
-        let (_, frozen) = both(&[("192.168.4.0/22", 1.0)]);
+        let frozen = trie(&[("192.168.4.0/22", 1.0)]);
         assert!(frozen.contains(ip("192.168.4.0")), "first address");
         assert!(frozen.contains(ip("192.168.7.255")), "last address");
         assert!(!frozen.contains(ip("192.168.3.255")), "one below");
@@ -536,7 +354,7 @@ mod tests {
 
     #[test]
     fn zero_prefix_matches_everything() {
-        let (_, frozen) = both(&[("0.0.0.0/0", 0.1)]);
+        let frozen = trie(&[("0.0.0.0/0", 0.1)]);
         for probe in ["0.0.0.0", "127.0.0.1", "255.255.255.255"] {
             assert_eq!(frozen.lookup(ip(probe)).expect("universal").score, 0.1);
         }
@@ -544,7 +362,7 @@ mod tests {
 
     #[test]
     fn slash32_matches_exactly_one_address() {
-        let (_, frozen) = both(&[("203.0.113.7/32", 9.0)]);
+        let frozen = trie(&[("203.0.113.7/32", 9.0)]);
         assert!(frozen.contains(ip("203.0.113.7")));
         assert!(!frozen.contains(ip("203.0.113.6")));
         assert!(!frozen.contains(ip("203.0.113.8")));
@@ -552,41 +370,95 @@ mod tests {
 
     #[test]
     fn duplicate_insert_rescores() {
-        let mut t = CidrTrie::new();
-        assert!(t.insert(cidr("9.1.0.0/16"), 1.0));
-        assert!(!t.insert(cidr("9.1.0.0/16"), 7.0), "duplicate re-scores");
-        assert_eq!(t.len(), 1);
-        let frozen = FrozenTrie::freeze(&t);
-        assert_eq!(frozen.lookup(ip("9.1.1.1")).expect("hit").score, 7.0);
+        let frozen = trie(&[
+            ("9.1.0.0/16", 1.0),
+            ("9.2.0.0/16", 2.0),
+            ("9.1.0.0/16", 7.0),
+        ]);
+        assert_eq!(frozen.len(), 2);
+        assert_eq!(
+            frozen.lookup(ip("9.1.1.1")).expect("hit").score,
+            7.0,
+            "the last score wins"
+        );
     }
 
     #[test]
     fn empty_tries_answer_none() {
-        let pointer = CidrTrie::new();
-        let frozen = FrozenTrie::freeze(&pointer);
-        assert!(pointer.is_empty() && frozen.is_empty());
-        assert!(pointer.lookup(ip("1.2.3.4")).is_none());
+        let frozen = FrozenTrie::from_scored([]);
+        assert!(frozen.is_empty());
         assert!(frozen.lookup(ip("1.2.3.4")).is_none());
         assert!(frozen.memory_bytes() > 0, "root node still accounted");
+        assert_eq!(frozen.snapshot_meta(), None, "built in memory");
     }
 
     #[test]
     fn freeze_preserves_entries_and_len() {
-        let (pointer, frozen) = both(&[("9.1.0.0/16", 2.0), ("9.2.0.0/16", 1.0)]);
-        assert_eq!(pointer.len(), frozen.len());
-        assert_eq!(pointer.entries(), frozen.entries());
+        let frozen = trie(&[
+            ("9.2.0.0/16", 1.0),
+            ("9.1.0.0/24", 3.0),
+            ("9.1.0.0/16", 2.0),
+        ]);
+        assert_eq!(frozen.len(), 3);
+        let kept: Vec<(Cidr, f64)> = frozen
+            .sections()
+            .1
+            .iter()
+            .map(|e| (e.to_match().cidr, e.score))
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                (cidr("9.1.0.0/16"), 2.0),
+                (cidr("9.1.0.0/24"), 3.0),
+                (cidr("9.2.0.0/16"), 1.0)
+            ],
+            "entries sorted by (base, len)"
+        );
+    }
+
+    #[test]
+    fn image_depends_only_on_the_block_set() {
+        let blocks: Vec<(Cidr, f64)> = [
+            ("10.0.0.0/8", 0.5),
+            ("203.0.113.7/32", 9.0),
+            ("10.5.0.0/16", 3.0),
+            ("0.0.0.0/2", 0.125),
+            ("203.0.113.0/24", 1.25),
+        ]
+        .iter()
+        .map(|(s, w)| (cidr(s), *w))
+        .collect();
+        let forward = FrozenTrie::from_scored(blocks.iter().copied());
+        let reversed = FrozenTrie::from_scored(blocks.iter().rev().copied());
+        assert_eq!(forward.image.node_bytes(), reversed.image.node_bytes());
+        assert_eq!(forward.image.entry_bytes(), reversed.image.entry_bytes());
     }
 
     #[test]
     fn bfs_layout_is_contiguous_from_the_root() {
-        // The two /1 children of the root must be nodes 1 and 2 after
-        // freezing, whatever order the builder allocated them in.
-        let mut t = CidrTrie::new();
-        t.insert(cidr("128.0.0.0/1"), 1.0);
-        t.insert(cidr("0.0.0.0/1"), 2.0);
-        let frozen = FrozenTrie::freeze(&t);
+        // The two /1 children of the root must be nodes 1 and 2, whatever
+        // order the blocks were given in.
+        let frozen = trie(&[("128.0.0.0/1", 1.0), ("0.0.0.0/1", 2.0)]);
         let (nodes, _) = frozen.sections();
         assert_eq!(nodes[0].children, [1, 2]);
+    }
+
+    #[test]
+    fn freeze_serves_exactly_the_inserted_set() {
+        // A full /30 plus a lone host: the aggregated cover freezes to
+        // two blocks covering exactly those five addresses.
+        let set = crate::ipset::IpSet::from_ips(
+            ["10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.8"].map(ip),
+        );
+        let cover = crate::blocks::BlockSet::of(&set, 32).aggregate();
+        let frozen = FrozenTrie::from_scored(cover.into_iter().map(|c| (c, 1.5)));
+        assert_eq!(frozen.len(), 2, "/30 cover + /32 singleton");
+        for member in set.iter() {
+            assert_eq!(frozen.lookup(member).expect("member covered").score, 1.5);
+        }
+        assert!(!frozen.contains(ip("10.0.0.4")));
+        assert!(!frozen.contains(ip("10.0.0.9")));
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -619,7 +491,6 @@ mod tests {
         let mapped = FrozenTrie::open_mmap_verified(&path).expect("open");
         assert_eq!(mapped.len(), heap.len());
         assert_eq!(mapped.snapshot_meta(), Some(meta));
-        assert_eq!(heap.entries(), mapped.entries());
         for probe in [
             "10.5.1.1",
             "10.6.0.0",
@@ -712,7 +583,7 @@ mod tests {
 
     #[test]
     fn empty_trie_snapshot_roundtrips() {
-        let heap = FrozenTrie::freeze(&CidrTrie::new());
+        let heap = FrozenTrie::from_scored([]);
         let path = tmp_path("empty");
         heap.freeze_to_file(
             &path,

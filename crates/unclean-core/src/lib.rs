@@ -32,10 +32,9 @@
 //! | [`cidr`] | CIDR blocks; the masking function `C_n(i)` |
 //! | [`clusters`] | heterogeneous network-aware clustering (the §4.1 alternative) |
 //! | [`ipset`] | sorted-vector address sets; set algebra; random subsets |
-//! | [`blocks`] | `C_n(S)` block sets; one-pass all-prefix block counting |
-//! | [`trie`] | binary prefix trie; minimal CIDR aggregation |
-//! | [`frozen`] | scored CIDR tries and their frozen (flattened, immutable) serving form |
-//! | [`snap`] | the mmap-able on-disk snapshot format behind `FrozenTrie::open_mmap` |
+//! | [`blocks`] | `C_n(S)` block sets; one-pass all-prefix block counting; minimal CIDR aggregation |
+//! | [`frozen`] | the longest-prefix-match trie every scored block list is served from |
+//! | [`snap`] | the trie's byte image (heap-built or mmapped snapshot file); CRC-32 |
 //! | [`time`] | calendar days and report periods |
 //! | [`report`] | tagged/classed/dated reports and their filtering |
 //! | [`overlap`] | cross-indicator overlap matrices (address and /24 level) |
@@ -95,7 +94,6 @@ pub mod sampling;
 pub mod score;
 pub mod snap;
 pub mod time;
-pub mod trie;
 
 /// Convenience re-exports of the types almost every consumer needs.
 pub mod prelude {
@@ -112,7 +110,7 @@ pub mod prelude {
         density_curve, DensityAnalysis, DensityConfig, DensityResult, PrefixRange,
     };
     pub use crate::error::Error;
-    pub use crate::frozen::{BlockEntry, CidrTrie, FrozenTrie, LpmMatch};
+    pub use crate::frozen::{FrozenTrie, LpmMatch};
     pub use crate::ip::{Ip, ReservedClass};
     pub use crate::ipset::IpSet;
     pub use crate::overlap::{OverlapCell, OverlapMatrix};
@@ -122,7 +120,6 @@ pub mod prelude {
     pub use crate::score::{NetworkScore, ScoreWeights, UncleanlinessScorer};
     pub use crate::snap::{SnapError, SnapshotInfo, SnapshotMeta};
     pub use crate::time::{DateRange, Day};
-    pub use crate::trie::PrefixTrie;
 }
 
 pub use prelude::*;

@@ -5,10 +5,10 @@
 //! border processes sharing one box both want the same two properties
 //! from a blocklist artifact: *O(1) cold start* (no parse, no
 //! allocation proportional to the list) and *one page-cache copy*
-//! shared between processes. The frozen trie already stores its nodes
-//! and entries as contiguous 16-byte records, so the snapshot format is
-//! little more than those two arrays written verbatim behind a
-//! self-describing header:
+//! shared between processes. So a frozen trie has exactly one storage,
+//! this byte image — two arrays of 16-byte records behind a
+//! self-describing header — whether it was built in memory or mapped
+//! from a file:
 //!
 //! ```text
 //! offset 0        header page (4096 bytes, zero-padded)
@@ -24,23 +24,26 @@
 //!   [64..68)      nodes_crc      u32 (CRC-32 of the node section)
 //!   [68..72)      entries_crc    u32 (CRC-32 of the entry section)
 //!   [72..76)      header_crc     u32 (CRC-32 of bytes [0..72))
-//! nodes_off       node_count   x 16-byte FrozenNode records
-//! entries_off     entry_count  x 16-byte entry records {base, plen, score}
+//! nodes_off       node_count   x 16-byte FrozenNode records (breadth-first)
+//! entries_off     entry_count  x 16-byte entry records {base, plen, score},
+//!                 sorted by (base, plen)
 //! ```
 //!
-//! [`open`] maps the file and borrows both sections straight from the
-//! mapping: the only work before the first lookup is the header parse
-//! and bounds checks — the kernel pages node records in on demand, and
-//! N processes mapping the same snapshot share one physical copy.
-//! Section CRCs are *not* verified on the O(1) path (that would read
-//! the whole file); [`open_verified`] and `unclean snapshot inspect`
-//! check them, and the serving lookup walk is bounds-checked and
-//! depth-bounded so even a corrupt unverified snapshot can only answer
-//! wrong, never crash or loop.
+//! A trie built in memory holds the image in an aligned heap buffer,
+//! laid out exactly as above. [`open`] maps a file and borrows both
+//! sections straight from the mapping: the only work before the first
+//! lookup is the header parse and bounds checks — the kernel pages node
+//! records in on demand, and N processes mapping the same snapshot share
+//! one physical copy. Section CRCs are *not* verified on the O(1) path
+//! (that would read the whole file); [`open_verified`] and `unclean
+//! snapshot inspect` check them, and the lookup walk is bounds-checked
+//! and depth-bounded so even a corrupt unverified snapshot can only
+//! answer wrong, never crash or loop.
 //!
-//! Publication is atomic: [`write_snapshot`] writes to a `.tmp` sibling,
-//! fsyncs, and renames into place, so a watcher that triggers on the
-//! destination path can never map a torn file. Numbers are
+//! Publication is atomic: [`Image::write`] writes the image verbatim
+//! (only the header is re-rendered, for its provenance) to a `.tmp`
+//! sibling, fsyncs, and renames into place, so a watcher that triggers on
+//! the destination path can never map a torn file. Numbers are
 //! little-endian (the header `version` doubles as the check: a
 //! big-endian reader sees 0x01000000 and rejects the snapshot).
 
@@ -49,7 +52,7 @@
 // argument at the use site. The rest of the crate stays deny(unsafe).
 #![allow(unsafe_code)]
 
-use std::io::{Read, Seek, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// First bytes of every snapshot file.
@@ -182,17 +185,65 @@ impl From<std::io::Error> for SnapError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the same polynomial the v2 flow archive uses).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Byte-at-a-time lookup table for the reflected IEEE polynomial.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
+        table[i] = c;
+        i += 1;
     }
-    crc ^ 0xFFFF_FFFF
+    table
+};
+
+/// Incremental CRC-32 (IEEE 802.3 polynomial, the zlib/`cksum -o 3`
+/// one): the checksum of snapshots here and of the flow archive, spool
+/// and WAL in `unclean-flowgen`.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// A fresh accumulator.
+    pub fn new() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Feed bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut c = self.0;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// Finalize to the checksum value.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
+}
+
+/// CRC-32 of a whole buffer.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.finish()
 }
 
 /// Provenance carried inside the snapshot header.
@@ -247,7 +298,8 @@ pub(crate) struct Header {
 }
 
 impl Header {
-    fn render(&self) -> [u8; HEADER_BYTES] {
+    /// The header's on-disk bytes; records their CRC in `header_crc`.
+    fn render(&mut self) -> [u8; HEADER_BYTES] {
         let mut out = [0u8; HEADER_BYTES];
         out[0..8].copy_from_slice(&MAGIC);
         out[8..12].copy_from_slice(&VERSION.to_le_bytes());
@@ -260,8 +312,8 @@ impl Header {
         out[56..64].copy_from_slice(&self.source_generation.to_le_bytes());
         out[64..68].copy_from_slice(&self.nodes_crc.to_le_bytes());
         out[68..72].copy_from_slice(&self.entries_crc.to_le_bytes());
-        let crc = crc32(&out[0..72]);
-        out[72..76].copy_from_slice(&crc.to_le_bytes());
+        self.header_crc = crc32(&out[0..72]);
+        out[72..76].copy_from_slice(&self.header_crc.to_le_bytes());
         out
     }
 
@@ -317,70 +369,19 @@ const fn align_up(v: u64, to: u64) -> u64 {
     v.div_ceil(to) * to
 }
 
-/// Write a snapshot from raw node / entry record bytes, atomically:
-/// `.tmp` sibling, fsync, rename. Called by
-/// [`FrozenTrie::freeze_to_file`](crate::frozen::FrozenTrie::freeze_to_file).
-pub(crate) fn write_snapshot(
-    path: &Path,
-    node_bytes: &[u8],
-    entry_bytes: &[u8],
-    meta: SnapshotMeta,
-) -> Result<(), SnapError> {
-    debug_assert_eq!(node_bytes.len() % RECORD_BYTES, 0);
-    debug_assert_eq!(entry_bytes.len() % RECORD_BYTES, 0);
-    let nodes_off = PAGE;
-    let entries_off = align_up(nodes_off + node_bytes.len() as u64, PAGE);
-    let header = Header {
-        node_count: (node_bytes.len() / RECORD_BYTES) as u64,
-        entry_count: (entry_bytes.len() / RECORD_BYTES) as u64,
-        nodes_off,
-        entries_off,
-        built_unix_ms: meta.built_unix_ms,
-        source_generation: meta.source_generation.unwrap_or(u64::MAX),
-        nodes_crc: crc32(node_bytes),
-        entries_crc: crc32(entry_bytes),
-        header_crc: 0, // filled by render()
-    };
-    let tmp = path.with_extension("snap.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&header.render())?;
-        f.seek(std::io::SeekFrom::Start(nodes_off))?;
-        f.write_all(node_bytes)?;
-        f.seek(std::io::SeekFrom::Start(entries_off))?;
-        f.write_all(entry_bytes)?;
-        // The entry section may be empty; make sure the file still spans
-        // the full entries_off so bounds checks hold.
-        let want = entries_off + entry_bytes.len() as u64;
-        if f.metadata()?.len() < want {
-            f.set_len(want)?;
-        }
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    // Publish durability: fsync the directory so the rename survives a
-    // crash (best-effort — some filesystems refuse O_RDONLY dir fsync).
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Memory mapping
 // ---------------------------------------------------------------------
 
-/// A read-only mapping of a whole snapshot file.
+/// The buffer an image lives in.
 ///
-/// On unix this is a real `mmap(PROT_READ, MAP_SHARED)` — the FFI
-/// declarations bind the libc the process is already linked against, no
-/// crate needed — so every process serving the same snapshot shares one
-/// page-cache copy and nothing is read until a lookup touches it.
-/// Elsewhere (or if the map fails) the file is read into an 8-byte
-/// aligned heap buffer: same bytes, same lifetime discipline, just not
-/// shared or lazy.
+/// For a snapshot file on unix this is a real `mmap(PROT_READ,
+/// MAP_SHARED)` — the FFI declarations bind the libc the process is
+/// already linked against, no crate needed — so every process serving
+/// the same snapshot shares one page-cache copy and nothing is read until
+/// a lookup touches it. An image built in memory, or a file elsewhere
+/// (or one the map fails on), lives in an 8-byte aligned heap buffer:
+/// same bytes, same lifetime discipline, just not shared or lazy.
 #[derive(Debug)]
 pub(crate) enum MapBuf {
     #[cfg(unix)]
@@ -416,18 +417,28 @@ pub(crate) struct AlignedBuf {
 }
 
 impl AlignedBuf {
+    fn zeroed(len: usize) -> AlignedBuf {
+        AlignedBuf {
+            words: vec![0u64; len.div_ceil(8)],
+            len,
+        }
+    }
+
     fn read_from(f: &mut std::fs::File, len: usize) -> std::io::Result<AlignedBuf> {
-        let mut words = vec![0u64; len.div_ceil(8)];
-        // SAFETY: u64 -> u8 reinterpretation of an owned, initialized
-        // buffer; the byte view covers exactly the allocation.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
-        f.read_exact(bytes)?;
-        Ok(AlignedBuf { words, len })
+        let mut buf = AlignedBuf::zeroed(len);
+        f.read_exact(buf.bytes_mut())?;
+        Ok(buf)
     }
 
     fn bytes(&self) -> &[u8] {
-        // SAFETY: same reinterpretation as in read_from.
+        // SAFETY: u64 -> u8 reinterpretation of an owned, initialized
+        // buffer; `len` never exceeds its `8 * words.len()` bytes.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `bytes`, borrowed mutably through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut u8, self.len) }
     }
 }
 
@@ -514,20 +525,77 @@ impl Drop for Mmap {
     }
 }
 
-/// A validated, mapped snapshot: the buffer plus parsed header. The
-/// section accessors reinterpret the mapped bytes in place.
+/// A validated snapshot image: the buffer plus its parsed header. The
+/// section accessors borrow the records in place.
 #[derive(Debug)]
-pub(crate) struct MappedSnapshot {
+pub(crate) struct Image {
     buf: MapBuf,
     header: Header,
 }
 
-impl MappedSnapshot {
+impl Image {
+    /// Lay record sections out in a fresh heap image, at the offsets a
+    /// snapshot file holds them, with no provenance (built at 0, no
+    /// generation) until [`Image::write`] stamps some.
+    pub(crate) fn build(node_bytes: &[u8], entry_bytes: &[u8]) -> Image {
+        debug_assert_eq!(node_bytes.len() % RECORD_BYTES, 0);
+        debug_assert_eq!(entry_bytes.len() % RECORD_BYTES, 0);
+        let nodes_off = PAGE;
+        let entries_off = align_up(nodes_off + node_bytes.len() as u64, PAGE);
+        let mut header = Header {
+            node_count: (node_bytes.len() / RECORD_BYTES) as u64,
+            entry_count: (entry_bytes.len() / RECORD_BYTES) as u64,
+            nodes_off,
+            entries_off,
+            built_unix_ms: 0,
+            source_generation: u64::MAX,
+            nodes_crc: crc32(node_bytes),
+            entries_crc: crc32(entry_bytes),
+            header_crc: 0, // set by render()
+        };
+        let mut buf = AlignedBuf::zeroed(entries_off as usize + entry_bytes.len());
+        let bytes = buf.bytes_mut();
+        bytes[..HEADER_BYTES].copy_from_slice(&header.render());
+        bytes[nodes_off as usize..][..node_bytes.len()].copy_from_slice(node_bytes);
+        bytes[entries_off as usize..][..entry_bytes.len()].copy_from_slice(entry_bytes);
+        Image {
+            buf: MapBuf::Heap(buf),
+            header,
+        }
+    }
+
+    /// Write the image to `path` verbatim, its header re-rendered to
+    /// carry `meta`, atomically: `.tmp` sibling, fsync, rename.
+    pub(crate) fn write(&self, path: &Path, meta: SnapshotMeta) -> Result<(), SnapError> {
+        let mut header = Header {
+            built_unix_ms: meta.built_unix_ms,
+            source_generation: meta.source_generation.unwrap_or(u64::MAX),
+            ..self.header
+        };
+        let tmp = path.with_extension("snap.tmp");
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&header.render())?;
+            f.write_all(&self.buf.bytes()[HEADER_BYTES..])?;
+            f.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        // Publish durability: fsync the directory so the rename survives a
+        // crash (best-effort — some filesystems refuse O_RDONLY dir fsync).
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            if let Ok(d) = std::fs::File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
+    }
+
     pub(crate) fn meta(&self) -> SnapshotMeta {
         self.header.meta()
     }
 
-    pub(crate) fn file_len(&self) -> usize {
+    /// The image's length in bytes (a snapshot file's length).
+    pub(crate) fn len(&self) -> usize {
         self.buf.bytes().len()
     }
 
@@ -552,7 +620,7 @@ impl MappedSnapshot {
 /// that both sections lie inside the file at aligned offsets. O(1) in
 /// the snapshot size — section CRCs are NOT checked (see
 /// [`open_verified`]).
-pub(crate) fn open(path: &Path) -> Result<MappedSnapshot, SnapError> {
+pub(crate) fn open(path: &Path) -> Result<Image, SnapError> {
     let mut f = std::fs::File::open(path)?;
     let file_len = f.metadata()?.len();
     let buf = {
@@ -598,12 +666,12 @@ pub(crate) fn open(path: &Path) -> Result<MappedSnapshot, SnapError> {
     if header.node_count == 0 {
         return Err(SnapError::Malformed("zero nodes (no root)".into()));
     }
-    Ok(MappedSnapshot { buf, header })
+    Ok(Image { buf, header })
 }
 
 /// [`open`], plus full CRC verification of both sections — O(file size),
 /// for tools and tests rather than the serving cold-start path.
-pub(crate) fn open_verified(path: &Path) -> Result<MappedSnapshot, SnapError> {
+pub(crate) fn open_verified(path: &Path) -> Result<Image, SnapError> {
     let snap = open(path)?;
     for (section, bytes, stored) in [
         ("nodes", snap.node_bytes(), snap.header.nodes_crc),
@@ -632,7 +700,7 @@ pub fn inspect(path: &Path) -> Result<SnapshotInfo, SnapError> {
         entry_count: snap.header.entry_count,
         nodes_off: snap.header.nodes_off,
         entries_off: snap.header.entries_off,
-        file_len: snap.file_len() as u64,
+        file_len: snap.len() as u64,
         meta: snap.meta(),
         nodes_crc: snap.header.nodes_crc,
         entries_crc: snap.header.entries_crc,
@@ -658,14 +726,25 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        // Same check value the v2 archive CRC asserts.
+        // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
+    fn crc32_streaming_equals_one_shot() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 37 % 251) as u8).collect();
+        for split in [0, 1, 7, 500, 999, 1000] {
+            let mut c = Crc32::new();
+            c.update(&bytes[..split]);
+            c.update(&bytes[split..]);
+            assert_eq!(c.finish(), crc32(&bytes), "split at {split}");
+        }
+    }
+
+    #[test]
     fn header_roundtrip_and_crc() {
-        let h = Header {
+        let mut h = Header {
             node_count: 3,
             entry_count: 2,
             nodes_off: PAGE,

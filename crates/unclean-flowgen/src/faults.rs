@@ -545,7 +545,8 @@ mod tests {
 
     #[test]
     fn archive_fault_helpers_damage_exactly_one_segment() {
-        use crate::indexed::{crc32, IndexedArchive, IndexedArchiveWriter};
+        use crate::indexed::{IndexedArchive, IndexedArchiveWriter};
+        use unclean_core::snap::crc32;
         let mut w = IndexedArchiveWriter::new(Vec::new(), EPOCH_UNIX_SECS);
         for day in 0..3 {
             for i in 0..50u32 {

@@ -40,6 +40,7 @@ use crate::session::Flow;
 use crossbeam::executor::Executor;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use unclean_core::snap::{crc32, Crc32};
 use unclean_core::{DateRange, Day};
 
 /// Trailing magic identifying an indexed archive.
@@ -48,66 +49,6 @@ pub const ARCHIVE_MAGIC: &[u8; 7] = b"UNCLARC";
 pub const ARCHIVE_VERSION: u8 = 2;
 /// Fixed trailer size: footer length (4) + version (1) + magic (7).
 pub const TRAILER_LEN: usize = 12;
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// Incremental CRC-32 (IEEE 802.3 polynomial, the zlib/`cksum -o 3` one).
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// A fresh accumulator.
-    pub fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Feed bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    /// Finalize to the checksum value.
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
-    }
-}
-
-/// CRC-32 of a whole buffer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
 
 /// One footer index entry: where a day's run of datagrams lives and what
 /// it should contain.
@@ -997,13 +938,6 @@ mod tests {
         }
         let (bytes, index) = w.finish().expect("finish");
         (bytes, index, all)
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -25,13 +25,14 @@
 //! loop replays the WAL through the ordinary [`crate::IndexedArchive`]
 //! readers (CRC checks, day-range selection, parallel replay) unchanged.
 
-use crate::indexed::{crc32, ArchiveIndex, Crc32, SegmentInfo};
+use crate::indexed::{ArchiveIndex, SegmentInfo};
 use crate::record::{encode_datagram_v2, get_uvarint, put_uvarint, unzigzag32, zigzag32};
 use crate::record::{V5Header, V5Record, V5_MAX_RECORDS};
 use crate::session::Flow;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use unclean_core::snap::{crc32, Crc32};
 use unclean_core::Day;
 use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 

@@ -2,7 +2,7 @@
 //! them atomically.
 //!
 //! A [`ServingSnapshot`] is immutable: the frozen trie plus its build
-//! provenance. The [`SnapshotStore`] hands out `Arc` clones to request
+//! provenance. A [`GenerationStore`] hands out `Arc` clones to request
 //! handlers; installing a new generation swaps the `Arc` under a lock
 //! held for nanoseconds, so in-flight requests keep answering from the
 //! generation they loaded — a hot reload under load loses nothing.
@@ -79,38 +79,33 @@ pub fn build_snapshot(
     let mut span = registry.span("build");
     span.field("generation", generation);
     let t0 = Instant::now();
-    if unclean_core::snap::is_snapshot(source) {
-        let trie = FrozenTrie::open_mmap(source)
-            .map_err(|e| ServeError::Source(format!("cannot map {}: {e}", source.display())))?;
-        let meta = trie.snapshot_meta();
-        span.field("entries", trie.len());
-        span.field("mmap", 1u64);
-        let source_generation = meta.and_then(|m| m.source_generation);
-        if let Some(source_generation) = source_generation {
-            span.field("source_generation", source_generation);
-        }
-        return Ok(ServingSnapshot {
-            generation,
-            source: source.display().to_string(),
-            build_micros: t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            built_unix_ms: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-                .unwrap_or(0),
-            source_generation,
-            source_published_unix_ms: meta.map(|m| m.built_unix_ms),
-            trie,
-        });
-    }
-    let text = std::fs::read_to_string(source)
-        .map_err(|e| ServeError::Source(format!("cannot read {}: {e}", source.display())))?;
-    let scored = unclean_core::blocklist::parse_scored(&text)
-        .map_err(|e| ServeError::Source(format!("cannot parse {}: {e}", source.display())))?;
-    let meta = unclean_core::blocklist::parse_header_meta(&text)
-        .map_err(|e| ServeError::Source(format!("corrupt header in {}: {e}", source.display())))?;
-    let source_generation = meta.get("generation").and_then(|g| g.parse().ok());
-    let source_published_unix_ms = meta.get("published_unix_ms").and_then(|t| t.parse().ok());
-    let trie = FrozenTrie::from_scored(scored);
+    let (trie, source_generation, source_published_unix_ms) =
+        if unclean_core::snap::is_snapshot(source) {
+            let trie = FrozenTrie::open_mmap(source)
+                .map_err(|e| ServeError::Source(format!("cannot map {}: {e}", source.display())))?;
+            span.field("mmap", 1u64);
+            let meta = trie.snapshot_meta();
+            (
+                trie,
+                meta.and_then(|m| m.source_generation),
+                meta.map(|m| m.built_unix_ms),
+            )
+        } else {
+            let text = std::fs::read_to_string(source).map_err(|e| {
+                ServeError::Source(format!("cannot read {}: {e}", source.display()))
+            })?;
+            let scored = unclean_core::blocklist::parse_scored(&text).map_err(|e| {
+                ServeError::Source(format!("cannot parse {}: {e}", source.display()))
+            })?;
+            let meta = unclean_core::blocklist::parse_header_meta(&text).map_err(|e| {
+                ServeError::Source(format!("corrupt header in {}: {e}", source.display()))
+            })?;
+            (
+                FrozenTrie::from_scored(scored),
+                meta.get("generation").and_then(|g| g.parse().ok()),
+                meta.get("published_unix_ms").and_then(|t| t.parse().ok()),
+            )
+        };
     span.field("entries", trie.len());
     if let Some(source_generation) = source_generation {
         span.field("source_generation", source_generation);
@@ -131,7 +126,8 @@ pub fn build_snapshot(
 
 /// One immutable generation of the forecast serving state: a parsed
 /// [`unclean_forecast::ForecastArtifact`] plus build provenance, the
-/// same shape [`ServingSnapshot`] gives the blocklist.
+/// same shape [`ServingSnapshot`] gives the blocklist, held in a
+/// [`ForecastStore`].
 #[derive(Debug)]
 pub struct ForecastSnapshot {
     /// Monotone generation number (1 for the boot snapshot).
@@ -176,58 +172,42 @@ pub fn build_forecast_snapshot(
     })
 }
 
-/// [`SnapshotStore`]'s twin for forecast generations: `Arc` clones out,
-/// forward-only installs in.
-#[derive(Debug)]
-pub struct ForecastStore {
-    current: Mutex<Arc<ForecastSnapshot>>,
-    next_generation: AtomicU64,
+/// A generation of serving state a [`GenerationStore`] can hold.
+pub trait Generation {
+    /// The monotone generation number.
+    fn generation(&self) -> u64;
 }
 
-impl ForecastStore {
-    /// A store serving `boot` as generation `boot.generation`.
-    pub fn new(boot: ForecastSnapshot) -> ForecastStore {
-        let next = boot.generation + 1;
-        ForecastStore {
-            current: Mutex::new(Arc::new(boot)),
-            next_generation: AtomicU64::new(next),
-        }
+impl Generation for ServingSnapshot {
+    fn generation(&self) -> u64 {
+        self.generation
     }
+}
 
-    /// The current generation, shared.
-    pub fn load(&self) -> Arc<ForecastSnapshot> {
-        Arc::clone(&self.current.lock().expect("forecast store"))
-    }
-
-    /// Claim the next generation number (for a build about to start).
-    pub fn claim_generation(&self) -> u64 {
-        self.next_generation.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Install a newly built generation; refuses to go backwards.
-    pub fn install(&self, snapshot: ForecastSnapshot) -> bool {
-        let mut current = self.current.lock().expect("forecast store");
-        if snapshot.generation <= current.generation {
-            return false;
-        }
-        *current = Arc::new(snapshot);
-        true
+impl Generation for ForecastSnapshot {
+    fn generation(&self) -> u64 {
+        self.generation
     }
 }
 
 /// Holds the current generation; hands out `Arc` clones and swaps in new
-/// generations atomically.
+/// generations atomically, forward only.
 #[derive(Debug)]
-pub struct SnapshotStore {
-    current: Mutex<Arc<ServingSnapshot>>,
+pub struct GenerationStore<T> {
+    current: Mutex<Arc<T>>,
     next_generation: AtomicU64,
 }
 
-impl SnapshotStore {
-    /// A store serving `boot` as generation `boot.generation`.
-    pub fn new(boot: ServingSnapshot) -> SnapshotStore {
-        let next = boot.generation + 1;
-        SnapshotStore {
+/// The blocklist snapshot store.
+pub type SnapshotStore = GenerationStore<ServingSnapshot>;
+/// The forecast snapshot store.
+pub type ForecastStore = GenerationStore<ForecastSnapshot>;
+
+impl<T: Generation> GenerationStore<T> {
+    /// A store serving `boot` as generation `boot.generation()`.
+    pub fn new(boot: T) -> GenerationStore<T> {
+        let next = boot.generation() + 1;
+        GenerationStore {
             current: Mutex::new(Arc::new(boot)),
             next_generation: AtomicU64::new(next),
         }
@@ -235,8 +215,8 @@ impl SnapshotStore {
 
     /// The current generation, shared. Callers keep answering from their
     /// clone even if a newer generation is installed mid-request.
-    pub fn load(&self) -> Arc<ServingSnapshot> {
-        Arc::clone(&self.current.lock().expect("snapshot store"))
+    pub fn load(&self) -> Arc<T> {
+        Arc::clone(&self.current.lock().expect("generation store"))
     }
 
     /// Claim the next generation number (for a build about to start).
@@ -247,9 +227,9 @@ impl SnapshotStore {
     /// Install a newly built generation. Refuses to go backwards: if a
     /// newer generation was installed while this one built, it is dropped
     /// and `false` is returned.
-    pub fn install(&self, snapshot: ServingSnapshot) -> bool {
-        let mut current = self.current.lock().expect("snapshot store");
-        if snapshot.generation <= current.generation {
+    pub fn install(&self, snapshot: T) -> bool {
+        let mut current = self.current.lock().expect("generation store");
+        if snapshot.generation() <= current.generation() {
             return false;
         }
         *current = Arc::new(snapshot);

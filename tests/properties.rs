@@ -94,25 +94,52 @@ proptest! {
     }
 
     #[test]
-    fn trie_and_flat_paths_agree(set in ipset_strategy(), n in 0u8..=32) {
-        let trie = PrefixTrie::from_set(&set);
-        prop_assert_eq!(trie.len(), set.len());
-        prop_assert_eq!(trie.block_count(n), BlockCounts::of(&set).at(n));
-        for ip in set.iter().take(50) {
-            prop_assert!(trie.contains(ip));
-            prop_assert!(trie.contains_prefix(ip, n));
+    fn trie_and_flat_paths_agree(
+        set in ipset_strategy(),
+        n in 0u8..=32,
+        probes in vec(any::<u32>(), 0..64),
+    ) {
+        // C_n(S) three ways: the sorted block set, the naive hash count,
+        // and a frozen trie served from the block set's CIDRs.
+        let blocks = BlockSet::of(&set, n);
+        prop_assert_eq!(blocks.len() as u64, block_count_naive(&set, n));
+        let trie = FrozenTrie::from_scored(blocks.to_cidrs().into_iter().map(|c| (c, 1.0)));
+        prop_assert_eq!(trie.len(), blocks.len());
+        for ip in set.iter().take(50).chain(probes.into_iter().map(Ip)) {
+            prop_assert_eq!(trie.contains(ip), blocks.contains(ip), "{} at /{}", ip, n);
+            prop_assert_eq!(blocks.contains(ip), set.contains_block(ip, n));
         }
     }
 
     #[test]
-    fn trie_aggregate_is_an_exact_disjoint_cover(raw in vec(any::<u32>(), 1..200)) {
-        let set = IpSet::from_raw(raw);
-        let trie = PrefixTrie::from_set(&set);
-        let cover = trie.aggregate();
+    fn aggregate_is_a_minimal_exact_disjoint_cover(
+        raw in vec(any::<u32>(), 1..200),
+        n in 8u8..=32,
+    ) {
+        // Clustered addresses, so sibling blocks actually occur.
+        let set = IpSet::from_raw(raw.into_iter().map(|v| v & 0xff00_ffff).collect());
+        let blocks = BlockSet::of(&set, n);
+        let cover = blocks.aggregate();
         let span: u64 = cover.iter().map(|c| c.size()).sum();
-        prop_assert_eq!(span, set.len() as u64, "cover size equals set size");
+        prop_assert_eq!(span, blocks.address_span(), "cover size equals block span");
         for ip in set.iter().take(100) {
             prop_assert_eq!(cover.iter().filter(|c| c.contains(ip)).count(), 1);
+        }
+        // Exact: the cover's n-bit blocks are the block set's.
+        let mut expanded = Vec::new();
+        for c in &cover {
+            for k in 0..(1u64 << (n - c.len())) {
+                expanded.push(Ip(c.base().raw() + (k << (32 - n)) as u32));
+            }
+        }
+        prop_assert_eq!(&BlockSet::of(&IpSet::from_ips(expanded), n), &blocks);
+        // Minimal: sorted, and no two blocks are mergeable siblings.
+        for w in cover.windows(2) {
+            prop_assert!(w[0] < w[1]);
+            prop_assert!(
+                w[0].parent().is_none() || w[0].parent() != w[1].parent(),
+                "{} and {} merge", w[0], w[1]
+            );
         }
     }
 
@@ -334,15 +361,13 @@ fn contains_block_is_equivalent_to_blockset_contains() {
 
 proptest! {
     #[test]
-    fn frozen_trie_is_equivalent_to_pointer_trie_and_linear_scan(
+    fn frozen_trie_is_equivalent_to_linear_scan(
         raw in vec(any::<u64>(), 1..80),
         extra_probes in vec(any::<u32>(), 0..64),
     ) {
-        // The daemon's frozen (flattened) trie must answer exactly like
-        // the pointer trie it was frozen from, and both must agree with
-        // a brute-force longest-prefix scan — including at and just
-        // outside block boundaries, where off-by-one bit walks hide.
-        use unclean_core::frozen::{CidrTrie, FrozenTrie};
+        // The daemon's frozen trie must agree with a brute-force
+        // longest-prefix scan — including at and just outside block
+        // boundaries, where off-by-one bit walks hide.
         let blocks: Vec<(Cidr, f64)> = raw
             .iter()
             .map(|&x| {
@@ -354,9 +379,7 @@ proptest! {
                 (Cidr::of(Ip(ip), len), score)
             })
             .collect();
-        let pointer = CidrTrie::from_scored(blocks.iter().copied());
-        let frozen = FrozenTrie::freeze(&pointer);
-        prop_assert_eq!(pointer.len(), frozen.len());
+        let frozen = FrozenTrie::from_scored(blocks.iter().copied());
 
         // Reference: scan every block, keep the longest-prefix hit. On a
         // duplicate CIDR the trie keeps the *last* score inserted, so
@@ -387,9 +410,7 @@ proptest! {
 
         for ip in probes {
             let expect = reference(ip);
-            let from_pointer = pointer.lookup(ip).map(|m| (m.cidr, m.score));
             let from_frozen = frozen.lookup(ip).map(|m| (m.cidr, m.score));
-            prop_assert_eq!(from_pointer, expect, "pointer trie at {}", ip);
             prop_assert_eq!(from_frozen, expect, "frozen trie at {}", ip);
             prop_assert_eq!(frozen.contains(ip), expect.is_some());
         }
@@ -400,12 +421,12 @@ proptest! {
         raw in vec(any::<u64>(), 1..80),
         extra_probes in vec(any::<u32>(), 0..64),
     ) {
-        // A frozen trie written with freeze_to_file and mapped back from
-        // disk must answer every lookup — verdict, matched prefix, AND
-        // score — exactly like the heap-backed trie it serialized, and
-        // the round trip must preserve the snapshot metadata.
+        // Freezing is a fixed point: a trie built in memory, written with
+        // freeze_to_file, mapped back and written again with the same
+        // meta gives the same bytes — and the mapped trie answers every
+        // lookup (verdict, matched prefix, AND score) exactly like the
+        // heap-built one, with the snapshot metadata preserved.
         use std::sync::atomic::{AtomicU64, Ordering};
-        use unclean_core::frozen::FrozenTrie;
         use unclean_core::snap::SnapshotMeta;
         static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -430,7 +451,11 @@ proptest! {
         // Full-CRC open: the strictest read path must accept its own
         // writer's output bit-for-bit.
         let mapped = FrozenTrie::open_mmap_verified(&path).expect("open_mmap_verified");
+        let first = std::fs::read(&path).expect("read snapshot");
+        mapped.freeze_to_file(&path, meta).expect("refreeze");
+        let second = std::fs::read(&path).expect("read refrozen snapshot");
         let _ = std::fs::remove_file(&path);
+        prop_assert!(first == second, "refreezing a mapped snapshot changed its bytes");
 
         prop_assert!(mapped.is_mapped());
         prop_assert_eq!(mapped.len(), heap.len());
@@ -461,8 +486,9 @@ proptest! {
     ) {
         // Any single flipped byte or truncation must be caught: header
         // damage by the O(1) open, section damage by the verified open.
+        // A flip the O(1) open lets through must still leave every
+        // lookup answering (wrongly, perhaps) without a panic.
         use std::sync::atomic::{AtomicU64, Ordering};
-        use unclean_core::frozen::FrozenTrie;
         use unclean_core::snap::SnapshotMeta;
         static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -508,6 +534,14 @@ proptest! {
             FrozenTrie::open_mmap_verified(&path).is_err(),
             "flipped byte at {} accepted", at
         );
+        if let Ok(unverified) = FrozenTrie::open_mmap(&path) {
+            for (cidr, _) in &blocks {
+                let (first, last) = (cidr.first().raw(), cidr.last().raw());
+                for raw in [first, last, first.wrapping_sub(1), last.wrapping_add(1)] {
+                    let _ = unverified.lookup(Ip(raw));
+                }
+            }
+        }
 
         // Truncate anywhere strictly inside the file: must be rejected
         // even by the cheap open (bounds check against the header).
@@ -519,4 +553,58 @@ proptest! {
         );
         let _ = std::fs::remove_file(&path);
     }
+}
+
+#[test]
+fn golden_snapshot_is_reproduced_byte_for_byte() {
+    // `tests/data/golden.snap` pins the snapshot format: a small fixed
+    // list in (base, len) order, with nested blocks, /0, /32s and a
+    // duplicate CIDR whose later score wins. Rebuilding it from the same
+    // list and meta must give the same bytes, and it must open verified.
+    use unclean_core::snap::SnapshotMeta;
+    let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("data/golden.snap");
+    let golden = std::fs::read(&golden_path).expect("read golden snapshot");
+    let list = [
+        ("0.0.0.0/0", 0.125),
+        ("9.1.0.0/16", 2.5),
+        ("9.1.2.0/24", 1.0),
+        ("9.1.2.0/24", 4.0),
+        ("9.1.3.0/24", 1.5),
+        ("10.0.0.0/8", 0.5),
+        ("10.5.0.0/16", 3.0),
+        ("10.5.7.7/32", 9.0),
+        ("128.0.0.0/1", 0.25),
+        ("192.168.4.0/22", 1.0),
+        ("203.0.113.0/24", 1.25),
+        ("203.0.113.7/32", 9.0),
+        ("255.255.255.255/32", 7.5),
+    ];
+    let meta = SnapshotMeta {
+        built_unix_ms: 1_754_700_000_000,
+        source_generation: Some(13),
+    };
+    let path = std::env::temp_dir().join(format!("unclean-golden-{}.snap", std::process::id()));
+    FrozenTrie::from_scored(list.map(|(s, w)| (s.parse::<Cidr>().expect("cidr"), w)))
+        .freeze_to_file(&path, meta)
+        .expect("freeze_to_file");
+    let rebuilt = std::fs::read(&path).expect("read rebuilt snapshot");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        rebuilt == golden,
+        "rebuilt snapshot differs from {}",
+        golden_path.display()
+    );
+
+    let trie = FrozenTrie::open_mmap_verified(&golden_path).expect("golden opens verified");
+    assert_eq!(trie.snapshot_meta(), Some(meta));
+    assert_eq!(trie.len(), 12, "the duplicate collapses");
+    let hit = |s: &str| {
+        let m = trie.lookup(s.parse().expect("ip")).expect("covered by /0");
+        (m.cidr.to_string(), m.score)
+    };
+    assert_eq!(hit("9.1.2.9"), ("9.1.2.0/24".into(), 4.0));
+    assert_eq!(hit("10.5.7.7"), ("10.5.7.7/32".into(), 9.0));
+    assert_eq!(hit("10.5.7.8"), ("10.5.0.0/16".into(), 3.0));
+    assert_eq!(hit("192.168.8.0"), ("128.0.0.0/1".into(), 0.25));
+    assert_eq!(hit("100.0.0.1"), ("0.0.0.0/0".into(), 0.125));
 }
