@@ -158,9 +158,7 @@ fn main() -> ExitCode {
     }
     let (v1_bytes, _) = v1.finish().expect("in-memory v1 spool");
     let (v2_bytes, index) = v2.finish().expect("in-memory v2 spool");
-    let archive = IndexedArchive::open(&v2_bytes)
-        .expect("fresh spool indexes")
-        .expect("fresh spool is v2");
+    let archive = IndexedArchive::open(&v2_bytes).expect("fresh spool indexes");
     eprintln!(
         "[archive_bench] spooled {spooled} flows over {} day(s): v1 {} bytes, v2 {} bytes ({} segments)",
         window.len_days(),

@@ -30,7 +30,7 @@
 use crate::{BenchOpts, ExperimentContext, ExperimentSlot};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -115,31 +115,19 @@ pub fn hash_file(path: &Path) -> Result<String, RunError> {
     Ok(format!("{:016x}", fnv1a(&bytes)))
 }
 
-/// Write `bytes` to `path` atomically: spill to `path + ".tmp"`, fsync,
-/// rename over the destination. A crash at any point leaves either the old
-/// file or the new one — never a truncated hybrid. Returns the content
-/// hash in manifest form.
+/// Write `bytes` to `path` atomically (spill to `path + ".tmp"`, fsync,
+/// rename, fsync the directory; see [`unclean_core::publish_atomic`]),
+/// creating missing parent directories. A crash at any point leaves
+/// either the old file or the new one — never a truncated hybrid.
+/// Returns the content hash in manifest form.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<String, RunError> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| RunError::io(dir, e))?;
         }
     }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(|e| RunError::io(&tmp, e))?;
-        std::io::Write::write_all(&mut file, bytes).map_err(|e| RunError::io(&tmp, e))?;
-        file.sync_all().map_err(|e| RunError::io(&tmp, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| RunError::io(path, e))?;
-    // Best-effort directory fsync so the rename itself survives power loss.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    unclean_core::publish_atomic(path, |f| std::io::Write::write_all(f, bytes))
+        .map_err(|e| RunError::io(path, e))?;
     Ok(format!("{:016x}", fnv1a(bytes)))
 }
 
@@ -571,9 +559,7 @@ pub fn flow_audit(scenario: &Scenario, registry: &Registry) -> Result<FlowAudit,
         return Err(spool_err(&e));
     }
     let (bytes, _) = writer.finish().map_err(|e| spool_err(&e))?;
-    let archive = IndexedArchive::open(&bytes)
-        .map_err(|e| spool_err(&e))?
-        .ok_or_else(|| spool_err(&"fresh spool missing v2 index"))?;
+    let archive = IndexedArchive::open(&bytes).map_err(|e| spool_err(&e))?;
     let replay = archive
         .replay_with(&Executor::new(1), None, false, |_, cursor| {
             cursor.for_each_flow(|_| {})?;
@@ -921,6 +907,7 @@ pub fn single_main(id: &str) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("unclean-runner-unit").join(name);

@@ -17,59 +17,39 @@ use unclean_stats::SeedTree;
 /// lines — or, for a v2 archive, damaged segments — and reports them
 /// instead of aborting.
 pub fn inspect(path: &Path, mode: ParseMode, verbose: bool) -> Result<String, String> {
-    if sniff_v2_archive(path)? {
-        return inspect_archive_v2(path, mode, verbose);
-    }
-    inspect_report(path, mode)
-}
-
-/// Cheap archive sniff: `true` on the v2 trailer magic, an error naming
-/// `unclean archive index` on a plausible v1 frame leading with the V5
-/// version word, `false` otherwise. Reads at most a few bytes.
-fn sniff_v2_archive(path: &Path) -> Result<bool, String> {
-    use std::io::{Read as _, Seek as _, SeekFrom};
+    use std::io::{Read as _, Seek as _};
+    use unclean_flowgen::indexed::{looks_like_v1, V1_SNIFF_LEN};
+    use unclean_flowgen::{IndexedError, SegmentReader};
     let mut file =
         std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let len = file
-        .seek(SeekFrom::End(0))
-        .map_err(|e| format!("cannot seek {}: {e}", path.display()))?;
-    let read_at = |file: &mut std::fs::File, at: u64, buf: &mut [u8]| -> Result<(), String> {
-        file.seek(SeekFrom::Start(at))
-            .and_then(|_| file.read_exact(buf))
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))
-    };
-    let magic_len = unclean_flowgen::indexed::ARCHIVE_MAGIC.len() as u64;
-    if len >= magic_len {
-        let mut tail = [0u8; 7];
-        read_at(&mut file, len - magic_len, &mut tail)?;
-        if tail == *unclean_flowgen::indexed::ARCHIVE_MAGIC {
-            return Ok(true);
-        }
+    match SegmentReader::open(&mut file) {
+        Ok(reader) => return inspect_archive_v2(path, reader, mode, verbose),
+        Err(IndexedError::NotIndexed) => {}
+        Err(e) => return Err(format!("{}: {e}", path.display())),
     }
-    if len >= 4 {
-        let mut head = [0u8; 4];
-        read_at(&mut file, 0, &mut head)?;
-        let frame = u16::from_be_bytes([head[0], head[1]]) as u64;
-        if head[2] == 0 && head[3] == 5 && frame >= 24 && 2 + frame <= len {
-            return Err(format!(
-                "{}: v1 framed flow archive; upgrade it with `unclean archive index` first",
-                path.display()
-            ));
-        }
+    let mut head = Vec::new();
+    file.rewind()
+        .and_then(|()| file.take(V1_SNIFF_LEN as u64).read_to_end(&mut head))
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    if looks_like_v1(&head) {
+        return Err(format!(
+            "{}: v1 framed flow archive; upgrade it with `unclean archive index` first",
+            path.display()
+        ));
     }
-    Ok(false)
+    inspect_report(path, mode)
 }
 
 /// Streaming per-day summary of a v2 indexed archive: one bounded buffer,
 /// one row per segment. `--lenient` quarantines damaged segments (up to
 /// the `--max-bad` budget) and keeps going.
-fn inspect_archive_v2(path: &Path, mode: ParseMode, verbose: bool) -> Result<String, String> {
-    use unclean_flowgen::{ArchiveTelemetry, SegmentCursor, SegmentReader};
-    let file =
-        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let mut reader = SegmentReader::open(file)
-        .map_err(|e| format!("{}: {e}", path.display()))?
-        .ok_or_else(|| format!("{}: trailer vanished mid-read", path.display()))?;
+fn inspect_archive_v2<R: std::io::Read + std::io::Seek>(
+    path: &Path,
+    mut reader: unclean_flowgen::SegmentReader<R>,
+    mode: ParseMode,
+    verbose: bool,
+) -> Result<String, String> {
+    use unclean_flowgen::ArchiveTelemetry;
     let index = reader.index().clone();
     let budget = match mode {
         ParseMode::Strict => None,
@@ -95,22 +75,17 @@ fn inspect_archive_v2(path: &Path, mode: ParseMode, verbose: bool) -> Result<Str
     // decoded one segment at a time, so this — not the day's total
     // bytes — is the replay memory a day costs.
     let mut day_peak: std::collections::BTreeMap<i32, u64> = std::collections::BTreeMap::new();
-    for (i, info) in index.segments.iter().enumerate() {
+    for (i, entry) in index.select(None) {
+        let info = &index.segments[i];
         let peak = day_peak.entry(info.day.0).or_insert(0);
         *peak = (*peak).max(info.len);
-        // Contiguous walk: carry the previous segment's exit sequence so
-        // gap accounting matches a sequential v1-style read.
-        let entry = (i > 0).then(|| index.segments[i - 1].end_seq);
-        let walked: Result<ArchiveTelemetry, String> = reader
-            .load_segment(i)
-            .map_err(|e| e.to_string())
-            .and_then(|seg| {
-                let mut cursor = SegmentCursor::new(seg, index.boot_unix_secs, entry);
-                cursor
-                    .for_each_flow(|_| {})
-                    .map_err(|e| e.to_string())
-                    .map(|()| cursor.telemetry())
-            });
+        let walked = reader
+            .load_segment(i, entry)
+            .and_then(|mut cursor| {
+                cursor.for_each_flow(|_| {})?;
+                Ok(cursor.telemetry())
+            })
+            .map_err(|e| e.to_string());
         match walked {
             Ok(t) => {
                 totals.accumulate(&t);
@@ -222,12 +197,12 @@ fn inspect_report(path: &Path, mode: ParseMode) -> Result<String, String> {
 /// footer index, or upgrade a v1 archive to v2 (writing to `--out`,
 /// default `<file>.v2`) and print the index it gained.
 pub fn archive_index(path: &Path, out_path: Option<&Path>) -> Result<String, String> {
-    use unclean_flowgen::indexed::upgrade_v1;
-    use unclean_flowgen::{FlowArchive, IndexedArchive};
+    use unclean_flowgen::indexed::{looks_like_v1, upgrade_v1};
+    use unclean_flowgen::{IndexedArchive, IndexedError};
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let mut out = String::new();
-    match FlowArchive::open(&bytes).map_err(|e| format!("{}: {e}", path.display()))? {
-        FlowArchive::V2(archive) => {
+    match IndexedArchive::open(&bytes) {
+        Ok(archive) => {
             if out_path.is_some() {
                 return Err(format!(
                     "{} is already a v2 indexed archive",
@@ -237,13 +212,10 @@ pub fn archive_index(path: &Path, out_path: Option<&Path>) -> Result<String, Str
             let _ = writeln!(out, "{}: v2 indexed flow archive", path.display());
             out.push_str(&index_table(&archive));
         }
-        FlowArchive::V1(data) => {
-            if !unclean_flowgen::indexed::looks_like_v1(data) {
-                return Err(format!("{}: not a flow archive", path.display()));
-            }
-            let boot = u32::from_be_bytes([data[10], data[11], data[12], data[13]]);
+        Err(IndexedError::NotIndexed) if looks_like_v1(&bytes) => {
+            let boot = u32::from_be_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]);
             let (v2, _, telemetry) =
-                upgrade_v1(data, boot).map_err(|e| format!("{}: {e}", path.display()))?;
+                upgrade_v1(&bytes, boot).map_err(|e| format!("{}: {e}", path.display()))?;
             let default_out = path.with_extension(match path.extension() {
                 Some(ext) => format!("{}.v2", ext.to_string_lossy()),
                 None => "v2".to_string(),
@@ -260,11 +232,14 @@ pub fn archive_index(path: &Path, out_path: Option<&Path>) -> Result<String, Str
                 telemetry.datagrams,
                 telemetry.lost_flows
             );
-            let archive = IndexedArchive::open(&v2)
-                .map_err(|e| format!("{}: {e}", target.display()))?
-                .ok_or_else(|| "upgrade produced no index".to_string())?;
+            let archive =
+                IndexedArchive::open(&v2).map_err(|e| format!("{}: {e}", target.display()))?;
             out.push_str(&index_table(&archive));
         }
+        Err(IndexedError::NotIndexed) => {
+            return Err(format!("{}: not a flow archive", path.display()));
+        }
+        Err(e) => return Err(format!("{}: {e}", path.display())),
     }
     Ok(out)
 }

@@ -10,13 +10,14 @@
 //! over it.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crossbeam::executor::Executor;
+use unclean_core::publish_atomic;
 use unclean_forecast::{
-    evaluate, publish_atomic, DailySeries, ForecastArtifact, ForecastConfig, ForecastModel,
-    SimulateConfig,
+    evaluate, DailySeries, ForecastArtifact, ForecastConfig, ForecastModel, SimulateConfig,
 };
 use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 
@@ -104,9 +105,9 @@ pub fn fit(opts: &FitOpts) -> Result<String, String> {
     artifact.generation = Some(opts.generation);
     artifact.published_unix_ms = Some(unix_ms_now());
     let text = artifact.render();
-    publish_atomic(&opts.out, text.as_bytes()).map_err(|e| {
+    publish_atomic(&opts.out, |f| f.write_all(text.as_bytes())).map_err(|e| {
         publish_errors.inc();
-        format!("cannot publish {}: {e}", opts.out.display())
+        format!("cannot publish: {e}")
     })?;
     publishes.inc();
     if let Some(ring) = &ring {
@@ -321,8 +322,7 @@ pub fn synth(opts: &SynthOpts) -> Result<String, String> {
     let (bytes, index) = writer
         .finish()
         .map_err(|e| format!("archive finish: {e}"))?;
-    publish_atomic(&opts.out, &bytes)
-        .map_err(|e| format!("cannot write {}: {e}", opts.out.display()))?;
+    publish_atomic(&opts.out, |f| f.write_all(&bytes)).map_err(|e| format!("cannot write {e}"))?;
     Ok(format!(
         "synthesized {} flows across {} day segment(s) ({} bytes) to {}\n",
         flows,

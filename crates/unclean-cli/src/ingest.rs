@@ -32,12 +32,12 @@
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use unclean_core::blocklist::render_scored_with_meta;
-use unclean_core::Ip;
+use unclean_core::{publish_atomic, Ip};
 use unclean_detect::{rescore_window, LiveScanConfig};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
@@ -546,7 +546,9 @@ impl Publisher {
                 ("published_unix_ms", published_ms.to_string()),
             ],
         );
-        atomic_publish(&self.out, text.as_bytes()).map_err(fail)?;
+        // A watcher never observes a half-written blocklist.
+        publish_atomic(&self.out, |f| f.write_all(text.as_bytes()))
+            .map_err(|e| fail(format!("cannot publish: {e}")))?;
         self.last_sealed_flows = Some(checkpoint.sealed_flows);
         shared.generation.store(generation, Ordering::SeqCst);
         shared.last_publish_ms.store(published_ms, Ordering::SeqCst);
@@ -571,21 +573,6 @@ impl Publisher {
         shared.record_checkpoint(&checkpoint);
         Ok(true)
     }
-}
-
-/// Write `bytes` to `path` via a same-directory temp file, fsync, rename —
-/// a watcher never observes a half-written blocklist.
-fn atomic_publish(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)
-            .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-        file.write_all(bytes)
-            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        file.sync_all()
-            .map_err(|e| format!("cannot sync {}: {e}", tmp.display()))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot publish {}: {e}", path.display()))
 }
 
 /// `unclean ingest`: run the supervised live-ingest daemon until SIGTERM,
@@ -1083,6 +1070,7 @@ pub fn replay(opts: &ReplayOpts) -> Result<String, String> {
 mod tests {
     use super::*;
     use std::io::Read as _;
+    use std::path::Path;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("unclean-cli-ingest").join(name);

@@ -481,9 +481,7 @@ mod tests {
         // quarantined under --lenient.
         let mut damaged = v2_bytes.clone();
         let seg1 = {
-            let archive = unclean_flowgen::IndexedArchive::open(&v2_bytes)
-                .expect("open")
-                .expect("v2");
+            let archive = unclean_flowgen::IndexedArchive::open(&v2_bytes).expect("v2");
             archive.segments()[1]
         };
         damaged[seg1.offset as usize] ^= 0xff;

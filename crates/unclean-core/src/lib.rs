@@ -44,6 +44,7 @@
 //! | [`predict`] | the temporal uncleanliness analysis |
 //! | [`blocking`] | the §6 candidate partition and blocking table |
 //! | [`blocklist`] | router-ready block-list rendering (plain / Cisco ACL / iptables) |
+//! | [`publish`] | atomic file publication (tmp, fsync, rename, directory fsync) |
 //!
 //! ## Quick start
 //!
@@ -89,6 +90,7 @@ pub mod ip;
 pub mod ipset;
 pub mod overlap;
 pub mod predict;
+pub mod publish;
 pub mod report;
 pub mod sampling;
 pub mod score;
@@ -123,3 +125,4 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+pub use publish::publish_atomic;

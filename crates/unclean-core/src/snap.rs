@@ -565,28 +565,17 @@ impl Image {
     }
 
     /// Write the image to `path` verbatim, its header re-rendered to
-    /// carry `meta`, atomically: `.tmp` sibling, fsync, rename.
+    /// carry `meta`, atomically (see [`crate::publish_atomic`]).
     pub(crate) fn write(&self, path: &Path, meta: SnapshotMeta) -> Result<(), SnapError> {
         let mut header = Header {
             built_unix_ms: meta.built_unix_ms,
             source_generation: meta.source_generation.unwrap_or(u64::MAX),
             ..self.header
         };
-        let tmp = path.with_extension("snap.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
+        crate::publish_atomic(path, |f| {
             f.write_all(&header.render())?;
-            f.write_all(&self.buf.bytes()[HEADER_BYTES..])?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Publish durability: fsync the directory so the rename survives a
-        // crash (best-effort — some filesystems refuse O_RDONLY dir fsync).
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+            f.write_all(&self.buf.bytes()[HEADER_BYTES..])
+        })?;
         Ok(())
     }
 

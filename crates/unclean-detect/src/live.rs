@@ -25,7 +25,7 @@ use unclean_core::{
     Cidr, DateRange, Day, NetworkScore, Provenance, Report, ReportClass, ScoreWeights,
     UncleanlinessScorer,
 };
-use unclean_flowgen::{ArchiveTelemetry, IndexedArchive, IndexedError, SegmentCursor};
+use unclean_flowgen::{ArchiveIndex, ArchiveTelemetry, IndexedArchive, IndexedError};
 use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 
 /// Settings for a live window rescore.
@@ -80,10 +80,8 @@ pub struct WindowScan {
     pub blocklist: Vec<(Cidr, f64)>,
 }
 
-/// One day's worth of work for a rescore worker: the day plus each
-/// selected segment's index and entry sequence (the previous
-/// *file-adjacent* segment's `end_seq`, the same continuity rule the
-/// indexed readers use).
+/// One day's worth of work for a rescore worker: the day plus its
+/// `(segment, entry_sequence)` pairs from [`ArchiveIndex::select`].
 type DayGroup = (Day, Vec<(usize, Option<u32>)>);
 
 /// One rescore chunk's state: its detectors plus the replay accounting
@@ -99,17 +97,11 @@ impl DayShard for RescoreShard {
     }
 }
 
-/// Selected segment indexes grouped into runs of equal day.
-fn day_groups(archive: &IndexedArchive<'_>, range: Option<DateRange>) -> Vec<DayGroup> {
-    let selected = archive.index().select(range);
+/// Selected segments grouped into runs of equal day.
+fn day_groups(index: &ArchiveIndex, range: Option<DateRange>) -> Vec<DayGroup> {
     let mut groups: Vec<DayGroup> = Vec::new();
-    for (k, &i) in selected.iter().enumerate() {
-        let entry = if k > 0 && selected[k - 1] == i - 1 {
-            Some(archive.segments()[i - 1].end_seq)
-        } else {
-            None
-        };
-        let day = archive.segments()[i].day;
+    for (i, entry) in index.select(range) {
+        let day = index.segments[i].day;
         match groups.last_mut() {
             Some((d, run)) if *d == day => run.push((i, entry)),
             _ => groups.push((day, vec![(i, entry)])),
@@ -131,19 +123,12 @@ pub fn rescore_window(
 ) -> Result<WindowScan, IndexedError> {
     let t0 = std::time::Instant::now();
     let mut span = registry.span("live/rescore");
-    let archive = match IndexedArchive::open(data)? {
-        Some(archive) => archive,
-        None if data.is_empty() => {
-            // A spool with nothing sealed yet: an empty, well-formed scan.
-            return Ok(empty_scan(cfg));
-        }
-        None => {
-            return Err(IndexedError::Corrupt(
-                "live rescore needs a v2 indexed archive".to_string(),
-            ));
-        }
-    };
-    let groups = day_groups(&archive, range);
+    if data.is_empty() {
+        // A spool with nothing sealed yet: an empty, well-formed scan.
+        return Ok(empty_scan(cfg));
+    }
+    let archive = IndexedArchive::open(data)?;
+    let groups = day_groups(archive.index(), range);
     span.field("days", groups.len() as u64);
     let pool = Executor::new(cfg.threads);
     span.field("threads", pool.threads() as u64);
@@ -153,9 +138,7 @@ pub fn rescore_window(
     };
     let shards = day_sweep(&pool, &groups, new_shard, |(_, segments), shard| {
         for &(i, entry) in segments {
-            archive.verify_segment(i)?;
-            let mut cursor =
-                SegmentCursor::new(archive.segment_bytes(i), archive.boot_unix_secs(), entry);
+            let mut cursor = archive.cursor(i, entry)?;
             cursor.for_each_flow(|f| shard.detectors.observe(f))?;
             shard.telemetry.accumulate(&cursor.telemetry());
         }

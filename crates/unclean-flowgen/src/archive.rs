@@ -1,4 +1,4 @@
-//! Flow archives: persisting V5 export streams.
+//! Flow archives v1: persisting V5 export streams.
 //!
 //! Operational collectors spool NetFlow to disk and analyses replay the
 //! spool. [`ArchiveWriter`] packs flows into maximal V5 datagrams
@@ -6,6 +6,11 @@
 //! with a 2-byte length prefix; [`ArchiveReader`] replays an archive,
 //! detecting sequence gaps (lost export datagrams) the way a real
 //! collector does.
+//!
+//! Everything reads v2 ([`crate::indexed`]) at run time. v1 is read only
+//! by [`crate::indexed::upgrade_v1`] (`unclean archive index`), and the
+//! writer stays for `archive_bench`'s v1-vs-v2 comparison. The loss
+//! accounting, [`ArchiveTelemetry`], is shared by both formats.
 
 use crate::record::{
     decode_datagram, encode_datagram, DecodeError, V5Header, V5Record, V5_MAX_RECORDS,
@@ -14,7 +19,7 @@ use crate::seq::{SeqObservation, SequenceTracker};
 use crate::session::Flow;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
-use unclean_telemetry::{Counter, Registry};
+use unclean_telemetry::Registry;
 
 /// Packs flows into framed V5 datagrams on any `Write`.
 #[derive(Debug)]
@@ -141,59 +146,21 @@ impl ArchiveTelemetry {
         self.recovered_flows += obs.recovered_flows;
     }
 
-    /// Record this accounting onto `registry` under the same `archive.*`
-    /// counter names a live [`ArchiveReader`] uses, so indexed replays
-    /// feed the manifest audit and Prometheus export identically.
+    /// Add this accounting onto `registry`'s `archive.*` counters, so
+    /// v1 and v2 replays feed the manifest audit and Prometheus export
+    /// identically.
     pub fn record(&self, registry: &Registry) {
-        let counters = ArchiveCounters::new(registry);
-        counters.datagrams.add(self.datagrams);
-        counters.flows.add(self.flows);
-        counters.lost_flows.add(self.lost_flows);
-        counters.sequence_gaps.add(self.sequence_gaps);
-        counters.reordered.add(self.reordered);
-        counters.duplicates.add(self.duplicates);
-        counters.recovered_flows.add(self.recovered_flows);
-    }
-}
-
-/// The registry counters an [`ArchiveReader`] records into. The reader's
-/// loss accounting lives in these counters — [`ArchiveReader::telemetry`]
-/// reads them back — so a registry-bound reader feeds the manifest's
-/// archive audit and `metrics.prom` from one source of truth.
-#[derive(Debug, Clone)]
-struct ArchiveCounters {
-    datagrams: Counter,
-    flows: Counter,
-    lost_flows: Counter,
-    sequence_gaps: Counter,
-    reordered: Counter,
-    duplicates: Counter,
-    recovered_flows: Counter,
-}
-
-impl ArchiveCounters {
-    /// Counters bound to `registry` under `archive.*` names, or private
-    /// standalone cells when the registry is disabled (a reader must keep
-    /// loss accounting regardless of telemetry level).
-    fn new(registry: &Registry) -> ArchiveCounters {
-        ArchiveCounters {
-            datagrams: registry.counter_or_standalone("archive.datagrams"),
-            flows: registry.counter_or_standalone("archive.flows"),
-            lost_flows: registry.counter_or_standalone("archive.lost_flows"),
-            sequence_gaps: registry.counter_or_standalone("archive.sequence_gaps"),
-            reordered: registry.counter_or_standalone("archive.reordered"),
-            duplicates: registry.counter_or_standalone("archive.duplicates"),
-            recovered_flows: registry.counter_or_standalone("archive.recovered_flows"),
+        for (name, value) in [
+            ("archive.datagrams", self.datagrams),
+            ("archive.flows", self.flows),
+            ("archive.lost_flows", self.lost_flows),
+            ("archive.sequence_gaps", self.sequence_gaps),
+            ("archive.reordered", self.reordered),
+            ("archive.duplicates", self.duplicates),
+            ("archive.recovered_flows", self.recovered_flows),
+        ] {
+            registry.counter(name).add(value);
         }
-    }
-
-    /// Apply one datagram's observation deltas (all but `flows`).
-    fn apply(&self, obs: &SeqObservation) {
-        self.lost_flows.add(obs.lost_flows);
-        self.sequence_gaps.add(obs.sequence_gaps);
-        self.reordered.add(obs.reordered);
-        self.duplicates.add(obs.duplicates);
-        self.recovered_flows.add(obs.recovered_flows);
     }
 }
 
@@ -203,7 +170,7 @@ pub struct ArchiveReader<R: Read> {
     input: R,
     boot_unix_secs: u32,
     tracker: SequenceTracker,
-    counters: ArchiveCounters,
+    telemetry: ArchiveTelemetry,
 }
 
 /// Errors while reading an archive.
@@ -227,39 +194,19 @@ impl std::fmt::Display for ArchiveError {
 impl std::error::Error for ArchiveError {}
 
 impl<R: Read> ArchiveReader<R> {
-    /// A reader over a framed archive written with the same boot anchor,
-    /// counting into private cells. Use [`ArchiveReader::with_telemetry`]
-    /// to expose the same counts on a shared registry.
+    /// A reader over a framed archive written with the same boot anchor.
     pub fn new(input: R, boot_unix_secs: u32) -> ArchiveReader<R> {
-        ArchiveReader::with_telemetry(input, boot_unix_secs, &Registry::off())
-    }
-
-    /// A reader whose loss accounting records onto `registry` as the
-    /// `archive.datagrams` / `archive.flows` / `archive.lost_flows` /
-    /// `archive.sequence_gaps` / `archive.reordered` counters — the same
-    /// cells [`ArchiveReader::telemetry`] reads back, so the manifest
-    /// audit and Prometheus export cannot disagree.
-    pub fn with_telemetry(input: R, boot_unix_secs: u32, registry: &Registry) -> ArchiveReader<R> {
         ArchiveReader {
             input,
             boot_unix_secs,
             tracker: SequenceTracker::new(None),
-            counters: ArchiveCounters::new(registry),
+            telemetry: ArchiveTelemetry::default(),
         }
     }
 
-    /// Loss and delivery accounting so far (read back from the counters,
-    /// registry-bound or standalone).
+    /// Loss and delivery accounting so far.
     pub fn telemetry(&self) -> ArchiveTelemetry {
-        ArchiveTelemetry {
-            datagrams: self.counters.datagrams.get(),
-            flows: self.counters.flows.get(),
-            lost_flows: self.counters.lost_flows.get(),
-            sequence_gaps: self.counters.sequence_gaps.get(),
-            reordered: self.counters.reordered.get(),
-            duplicates: self.counters.duplicates.get(),
-            recovered_flows: self.counters.recovered_flows.get(),
-        }
+        self.telemetry
     }
 
     /// Read the next datagram's admitted flows; `Ok(None)` at clean
@@ -285,15 +232,15 @@ impl<R: Read> ArchiveReader<R> {
         let obs = self
             .tracker
             .observe(header.flow_sequence, records.len() as u32);
-        self.counters.apply(&obs);
-        self.counters.datagrams.inc();
+        self.telemetry.apply(&obs);
+        self.telemetry.datagrams += 1;
         let flows: Vec<Flow> = records
             .iter()
             .enumerate()
             .filter(|(k, _)| obs.admit.admits(*k as u32))
             .map(|(_, r)| Flow::from_v5(r, self.boot_unix_secs))
             .collect();
-        self.counters.flows.add(flows.len() as u64);
+        self.telemetry.flows += flows.len() as u64;
         Ok(Some(flows))
     }
 
@@ -304,17 +251,6 @@ impl<R: Read> ArchiveReader<R> {
             out.extend(batch);
         }
         Ok(out)
-    }
-}
-
-impl<'a> ArchiveReader<&'a [u8]> {
-    /// Sniff an archive image: a v2 trailer yields an
-    /// [`crate::indexed::IndexedArchive`] with seekable per-day segments;
-    /// anything else falls back to the sequential v1 representation.
-    pub fn open_indexed(
-        data: &'a [u8],
-    ) -> Result<crate::indexed::FlowArchive<'a>, crate::indexed::IndexedError> {
-        crate::indexed::FlowArchive::open(data)
     }
 }
 
@@ -484,10 +420,11 @@ mod tests {
         let mut spliced = Vec::new();
         spliced.extend_from_slice(&bytes[..dg_len]);
         spliced.extend_from_slice(&bytes[2 * dg_len..]);
-        let registry = Registry::new(TelemetryLevel::Summary);
-        let mut r = ArchiveReader::with_telemetry(spliced.as_slice(), boot(), &registry);
+        let mut r = ArchiveReader::new(spliced.as_slice(), boot());
         r.read_all().expect("well-formed");
         let t = r.telemetry();
+        let registry = Registry::new(TelemetryLevel::Summary);
+        t.record(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["archive.datagrams"], t.datagrams);
         assert_eq!(snap.counters["archive.flows"], t.flows);

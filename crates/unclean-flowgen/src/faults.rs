@@ -561,12 +561,10 @@ mod tests {
         // Truncation helper: only the last segment's CRC breaks.
         let mut truncated = bytes.clone();
         truncate_segment_tail(&mut truncated, &index.segments[2], 16);
-        let archive = IndexedArchive::open(&truncated)
-            .expect("trailer intact")
-            .expect("v2");
-        assert!(archive.verify_segment(0).is_ok());
-        assert!(archive.verify_segment(1).is_ok());
-        assert!(archive.verify_segment(2).is_err());
+        let archive = IndexedArchive::open(&truncated).expect("trailer intact");
+        assert!(archive.cursor(0, None).is_ok());
+        assert!(archive.cursor(1, None).is_ok());
+        assert!(archive.cursor(2, None).is_err());
         // Corruption helper: deterministic, and only the target segment.
         let mut bitrot = bytes.clone();
         corrupt_segment_byte(&mut bitrot, &index.segments[1], &SeedTree::new(9), 1);

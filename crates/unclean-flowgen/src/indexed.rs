@@ -11,24 +11,36 @@
 //!
 //! v2:  ├── segment (day d0) ──┤├── segment (day d1) ──┤
 //!      [uv len][v2 datagram]...[uv len][v2 datagram]...[footer][trailer] EOF
-//!       footer  = boot, per-segment {day, offset, len, datagrams, flows,
-//!                 first_seq, end_seq, crc32}
+//!       footer  = boot, count, per-segment entry {day, offset, len,
+//!                 datagrams, flows, first_seq, end_seq, crc32}
 //!       trailer = [footer_len u32-le][version 2][magic "UNCLARC"]
 //! ```
 //!
+//! * **One encoder, two index containers.** Every v2 segment — here and in
+//!   the WAL spooler ([`crate::spool`]) — is written by one crate-private
+//!   segment encoder. [`IndexedArchiveWriter`] is that encoder plus the
+//!   footer at `finish`; the WAL is that encoder plus one `index.wal`
+//!   record per sealed segment. Both containers carry the same
+//!   [`SegmentInfo`] encoding (a WAL record adds a length and a CRC).
 //! * **Segments** break on day boundaries, so a consumer seeks straight to
 //!   the days it needs and an executor replays one worker per segment.
 //! * **v2 datagrams** are varint delta-encoded ([`encode_datagram_v2`]):
 //!   IPs and timestamps of consecutive records compress to their deltas,
 //!   and the varint frame removes the v1 u16 ceiling.
+//! * **One segment walk.** [`ArchiveIndex::select`] yields the
+//!   `(segment, entry_sequence)` pairs of a scan and
+//!   [`ArchiveIndex::cursor`] opens a CRC-checked [`SegmentCursor`] for
+//!   each; sequential reads, parallel replay, the live rescore and
+//!   `unclean inspect` all walk segments this way.
 //! * **Decoding is zero-copy**: [`SegmentCursor`] walks a borrowed
 //!   segment buffer and [`FlowView`] yields `Flow`s straight off the
 //!   wire — no `Vec<V5Record>` per datagram, no per-flow allocation.
 //! * **Per-segment CRCs** make corruption local: with lenient replay a
 //!   bad segment is quarantined and every other segment still lands,
 //!   where a corrupt v1 frame poisons the rest of the spool.
-//! * A file without the trailer is read as v1 ([`FlowArchive::open`]
-//!   falls back to the sequential [`ArchiveReader`] path).
+//! * v1 is read only by [`upgrade_v1`] (`unclean archive index`); every
+//!   v2 reader refuses a file without the trailer with
+//!   [`IndexedError::NotIndexed`].
 
 use crate::archive::{ArchiveError, ArchiveReader, ArchiveTelemetry};
 use crate::record::{
@@ -50,8 +62,8 @@ pub const ARCHIVE_VERSION: u8 = 2;
 /// Fixed trailer size: footer length (4) + version (1) + magic (7).
 pub const TRAILER_LEN: usize = 12;
 
-/// One footer index entry: where a day's run of datagrams lives and what
-/// it should contain.
+/// One index entry: where a day's run of datagrams lives and what it
+/// should contain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentInfo {
     /// Day every flow in the segment started on.
@@ -74,6 +86,56 @@ pub struct SegmentInfo {
     pub crc: u32,
 }
 
+impl SegmentInfo {
+    /// Fewest bytes an encoded entry takes: seven one-byte varints and the
+    /// 4-byte CRC. Bounds how many entries a claimed count can be.
+    const MIN_ENCODED_LEN: usize = 11;
+
+    /// Append the entry's encoding — footer entries and `index.wal`
+    /// records alike: seven varints, then the segment CRC.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_uvarint(out, zigzag32(self.day.0));
+        put_uvarint(out, self.offset);
+        put_uvarint(out, self.len);
+        put_uvarint(out, self.datagrams);
+        put_uvarint(out, self.flows);
+        put_uvarint(out, u64::from(self.first_seq));
+        put_uvarint(out, u64::from(self.end_seq));
+        out.extend_from_slice(&self.crc.to_le_bytes());
+    }
+
+    /// Decode one entry at `*pos`, advancing past it.
+    pub(crate) fn decode(bytes: &[u8], pos: &mut usize) -> Result<SegmentInfo, DecodeError> {
+        Ok(SegmentInfo {
+            day: Day(unzigzag32(get_uvarint(bytes, pos)?)?),
+            offset: get_uvarint(bytes, pos)?,
+            len: get_uvarint(bytes, pos)?,
+            datagrams: get_uvarint(bytes, pos)?,
+            flows: get_uvarint(bytes, pos)?,
+            first_seq: get_u32(bytes, pos)?,
+            end_seq: get_u32(bytes, pos)?,
+            crc: get_u32_le(bytes, pos)?,
+        })
+    }
+}
+
+/// A varint that must fit 32 bits.
+fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
+    u32::try_from(get_uvarint(bytes, pos)?).map_err(|_| DecodeError::BadVarint)
+}
+
+/// A little-endian u32 at `*pos` (CRCs), advancing past it.
+pub(crate) fn get_u32_le(bytes: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
+    let b = bytes
+        .get(*pos..pos.saturating_add(4))
+        .ok_or(DecodeError::Truncated {
+            needed: pos.saturating_add(4),
+            got: bytes.len(),
+        })?;
+    *pos += 4;
+    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
 /// Errors from the indexed archive layer.
 #[derive(Debug)]
 pub enum IndexedError {
@@ -94,6 +156,9 @@ pub enum IndexedError {
     },
     /// The trailer magic matched but the version is unknown.
     UnsupportedVersion(u8),
+    /// No v2 trailer: a v1 archive (upgrade it with [`upgrade_v1`]) or
+    /// not an archive at all.
+    NotIndexed,
 }
 
 impl std::fmt::Display for IndexedError {
@@ -113,6 +178,10 @@ impl std::fmt::Display for IndexedError {
             IndexedError::UnsupportedVersion(v) => {
                 write!(f, "unsupported indexed archive version {v}")
             }
+            IndexedError::NotIndexed => write!(
+                f,
+                "not a v2 indexed flow archive (upgrade a v1 archive with `unclean archive index`)"
+            ),
         }
     }
 }
@@ -141,30 +210,9 @@ pub struct ArchiveIndex {
 }
 
 impl ArchiveIndex {
-    /// Parse the footer out of a complete archive. `Ok(None)` means the
-    /// trailer magic is absent — a v1 archive (or empty file), to be read
-    /// sequentially.
-    pub fn parse(data: &[u8]) -> Result<Option<ArchiveIndex>, IndexedError> {
-        if data.len() < TRAILER_LEN {
-            return Ok(None);
-        }
-        let trailer = &data[data.len() - TRAILER_LEN..];
-        let Some(footer_len) = trailer_footer_len(trailer)? else {
-            return Ok(None);
-        };
-        let footer_len = footer_len as usize;
-        let data_end = data
-            .len()
-            .checked_sub(TRAILER_LEN + footer_len)
-            .ok_or_else(|| {
-                IndexedError::Corrupt(format!(
-                    "footer of {footer_len} bytes larger than the {}-byte file",
-                    data.len()
-                ))
-            })?;
-        let footer = &data[data_end..data.len() - TRAILER_LEN];
-        let index = parse_footer(footer, data_end as u64)?;
-        Ok(Some(index))
+    /// Parse the footer out of a complete archive image.
+    pub fn parse(data: &[u8]) -> Result<ArchiveIndex, IndexedError> {
+        read_index(&mut io::Cursor::new(data))
     }
 
     /// Total flows recorded across all segments.
@@ -183,63 +231,97 @@ impl ArchiveIndex {
         self.segments.iter().map(|s| s.len).max().unwrap_or(0)
     }
 
-    /// Indexes of segments whose day falls in `range` (all when `None`).
-    pub fn select(&self, range: Option<DateRange>) -> Vec<usize> {
-        (0..self.segments.len())
-            .filter(|&i| range.is_none_or(|r| r.contains(self.segments[i].day)))
-            .collect()
+    /// The segments whose day falls in `range` (all when `None`), in file
+    /// order, each with its entry sequence: the previous segment's
+    /// `end_seq` when that segment is part of the same scan, `None` when
+    /// the scan starts here — so a mid-archive scan never books the
+    /// skipped prefix as loss, and a contiguous one reproduces the
+    /// sequential gap accounting exactly.
+    pub fn select(&self, range: Option<DateRange>) -> Vec<(usize, Option<u32>)> {
+        let mut prev: Option<&SegmentInfo> = None;
+        let mut selected = Vec::new();
+        for (i, s) in self.segments.iter().enumerate() {
+            let wanted = range.is_none_or(|r| r.contains(s.day));
+            if wanted {
+                selected.push((i, prev.map(|p| p.end_seq)));
+            }
+            prev = wanted.then_some(s);
+        }
+        selected
     }
 
-    /// Append this index's footer and trailer to `data`, turning a raw
-    /// segment data region (segment offsets tiling `data` exactly from 0)
-    /// into a complete v2 archive image that [`IndexedArchive::open`]
-    /// accepts. The WAL spooler's recovery path uses this to replay its
-    /// sealed prefix through the ordinary indexed readers.
-    pub fn seal_image(&self, data: &mut Vec<u8>) {
-        debug_assert_eq!(
-            self.segments.iter().map(|s| s.len).sum::<u64>(),
-            data.len() as u64,
-            "index must tile the data region exactly"
-        );
-        let mut footer = Vec::new();
-        self.encode_footer(&mut footer);
-        data.extend_from_slice(&footer);
-        let mut trailer = [0u8; TRAILER_LEN];
-        trailer[..4].copy_from_slice(&(footer.len() as u32).to_le_bytes());
-        trailer[4] = ARCHIVE_VERSION;
-        trailer[5..].copy_from_slice(ARCHIVE_MAGIC);
-        data.extend_from_slice(&trailer);
+    /// Open a [`SegmentCursor`] over segment `i`'s `bytes` entering at
+    /// `entry_sequence` (a pair from [`ArchiveIndex::select`]), after
+    /// checking them against the entry's CRC.
+    pub fn cursor<'a>(
+        &self,
+        i: usize,
+        bytes: &'a [u8],
+        entry_sequence: Option<u32>,
+    ) -> Result<SegmentCursor<'a>, IndexedError> {
+        let expected = self.segments[i].crc;
+        let actual = crc32(bytes);
+        if actual != expected {
+            return Err(IndexedError::CrcMismatch {
+                segment: i,
+                expected,
+                actual,
+            });
+        }
+        Ok(SegmentCursor {
+            data: bytes,
+            pos: 0,
+            boot_unix_secs: self.boot_unix_secs,
+            tracker: SequenceTracker::new(entry_sequence),
+            telemetry: ArchiveTelemetry::default(),
+        })
     }
 
-    fn encode_footer(&self, out: &mut Vec<u8>) {
+    /// Append this index's footer and trailer: behind a segment data
+    /// region that the entries tile exactly from 0, the result is a
+    /// complete v2 archive.
+    pub(crate) fn encode_tail(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         put_uvarint(out, u64::from(self.boot_unix_secs));
         put_uvarint(out, self.segments.len() as u64);
         for s in &self.segments {
-            put_uvarint(out, zigzag32(s.day.0));
-            put_uvarint(out, s.offset);
-            put_uvarint(out, s.len);
-            put_uvarint(out, s.datagrams);
-            put_uvarint(out, s.flows);
-            put_uvarint(out, u64::from(s.first_seq));
-            put_uvarint(out, u64::from(s.end_seq));
-            out.extend_from_slice(&s.crc.to_le_bytes());
+            s.encode(out);
         }
+        let footer_len = (out.len() - start) as u32;
+        out.extend_from_slice(&footer_len.to_le_bytes());
+        out.push(ARCHIVE_VERSION);
+        out.extend_from_slice(ARCHIVE_MAGIC);
     }
 }
 
-/// Interpret a 12-byte trailer: `Ok(None)` when the magic is absent (v1),
-/// the footer length when it is, an error on a magic-but-unknown version.
-fn trailer_footer_len(trailer: &[u8]) -> Result<Option<u32>, IndexedError> {
-    debug_assert_eq!(trailer.len(), TRAILER_LEN);
+/// Read the index of a seekable v2 archive: check the trailer's magic and
+/// version, then parse the footer it points at.
+fn read_index<R: Read + Seek>(inner: &mut R) -> Result<ArchiveIndex, IndexedError> {
+    let len = inner.seek(SeekFrom::End(0))?;
+    let trailer_at = len
+        .checked_sub(TRAILER_LEN as u64)
+        .ok_or(IndexedError::NotIndexed)?;
+    inner.seek(SeekFrom::Start(trailer_at))?;
+    let mut trailer = [0u8; TRAILER_LEN];
+    inner.read_exact(&mut trailer)?;
     if &trailer[5..] != ARCHIVE_MAGIC {
-        return Ok(None);
+        return Err(IndexedError::NotIndexed);
     }
     if trailer[4] != ARCHIVE_VERSION {
         return Err(IndexedError::UnsupportedVersion(trailer[4]));
     }
-    Ok(Some(u32::from_le_bytes([
+    let footer_len = u64::from(u32::from_le_bytes([
         trailer[0], trailer[1], trailer[2], trailer[3],
-    ])))
+    ]));
+    let data_end = trailer_at.checked_sub(footer_len).ok_or_else(|| {
+        IndexedError::Corrupt(format!(
+            "footer of {footer_len} bytes larger than the {len}-byte file"
+        ))
+    })?;
+    inner.seek(SeekFrom::Start(data_end))?;
+    let mut footer = vec![0u8; footer_len as usize];
+    inner.read_exact(&mut footer)?;
+    parse_footer(&footer, data_end)
 }
 
 /// Parse footer bytes; `data_end` is where segment data stops (= the
@@ -247,44 +329,27 @@ fn trailer_footer_len(trailer: &[u8]) -> Result<Option<u32>, IndexedError> {
 /// region exactly.
 fn parse_footer(footer: &[u8], data_end: u64) -> Result<ArchiveIndex, IndexedError> {
     let mut pos = 0;
-    let get_u32 = |footer: &[u8], pos: &mut usize| -> Result<u32, IndexedError> {
-        u32::try_from(get_uvarint(footer, pos)?)
-            .map_err(|_| IndexedError::Decode(DecodeError::BadVarint))
-    };
     let boot_unix_secs = get_u32(footer, &mut pos)?;
     let count = get_uvarint(footer, &mut pos)?;
-    if count > data_end.max(1) {
-        // Each segment holds at least one byte: a count beyond the data
-        // region is garbage, not a huge allocation request.
+    let room = footer.len() - pos;
+    if count > (room / SegmentInfo::MIN_ENCODED_LEN) as u64 {
+        // A count the footer cannot hold is garbage, not a huge
+        // allocation request.
         return Err(IndexedError::Corrupt(format!(
-            "footer claims {count} segments in {data_end} bytes of data"
+            "footer claims {count} segments in {room} bytes of entries"
         )));
     }
     let mut segments = Vec::with_capacity(count as usize);
     let mut expected_offset = 0u64;
     for i in 0..count {
-        let day = Day(unzigzag32(get_uvarint(footer, &mut pos)?)?);
-        let offset = get_uvarint(footer, &mut pos)?;
-        let len = get_uvarint(footer, &mut pos)?;
-        let datagrams = get_uvarint(footer, &mut pos)?;
-        let flows = get_uvarint(footer, &mut pos)?;
-        let first_seq = get_u32(footer, &mut pos)?;
-        let end_seq = get_u32(footer, &mut pos)?;
-        let crc_bytes =
-            footer
-                .get(pos..pos + 4)
-                .ok_or(IndexedError::Decode(DecodeError::Truncated {
-                    needed: pos + 4,
-                    got: footer.len(),
-                }))?;
-        pos += 4;
-        let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if offset != expected_offset {
+        let s = SegmentInfo::decode(footer, &mut pos)?;
+        if s.offset != expected_offset {
             return Err(IndexedError::Corrupt(format!(
-                "segment {i} starts at {offset}, expected {expected_offset}"
+                "segment {i} starts at {}, expected {expected_offset}",
+                s.offset
             )));
         }
-        expected_offset = offset.checked_add(len).ok_or_else(|| {
+        expected_offset = s.offset.checked_add(s.len).ok_or_else(|| {
             IndexedError::Corrupt(format!("segment {i} length overflows the file"))
         })?;
         if expected_offset > data_end {
@@ -292,16 +357,7 @@ fn parse_footer(footer: &[u8], data_end: u64) -> Result<ArchiveIndex, IndexedErr
                 "segment {i} runs to {expected_offset}, past the footer at {data_end}"
             )));
         }
-        segments.push(SegmentInfo {
-            day,
-            offset,
-            len,
-            datagrams,
-            flows,
-            first_seq,
-            end_seq,
-            crc,
-        });
+        segments.push(s);
     }
     if pos != footer.len() {
         return Err(IndexedError::Corrupt(format!(
@@ -331,51 +387,52 @@ struct OpenSegment {
     crc: Crc32,
 }
 
-/// Writes flows into a v2 indexed archive: per-day segments of
-/// varint-framed delta-compressed datagrams, a footer index, and the
-/// magic trailer.
+/// The one v2 segment encoder, behind both [`IndexedArchiveWriter`] and
+/// the WAL spooler: packs flows into varint-framed datagrams of up to 30
+/// records and tracks the open segment's index entry. Sequence, offset
+/// and CRC advance only once `out` has accepted a whole frame, so a
+/// failed write leaves the records queued and the entry describing only
+/// bytes that landed.
 #[derive(Debug)]
-pub struct IndexedArchiveWriter<W: Write> {
+pub(crate) struct SegmentEncoder<W> {
     out: W,
     boot_unix_secs: u32,
     pending: Vec<V5Record>,
     sequence: u32,
     offset: u64,
     body: Vec<u8>,
-    frame_len: Vec<u8>,
-    segments: Vec<SegmentInfo>,
+    frame: Vec<u8>,
     open: Option<OpenSegment>,
 }
 
-impl<W: Write> IndexedArchiveWriter<W> {
-    /// A writer exporting against the given boot anchor (same lossless
-    /// round-trip horizon as [`crate::ArchiveWriter`]: flows must start
-    /// within ~49 days of it).
-    pub fn new(out: W, boot_unix_secs: u32) -> IndexedArchiveWriter<W> {
-        IndexedArchiveWriter {
+impl<W: Write> SegmentEncoder<W> {
+    /// An encoder appending to `out`, whose next byte lands at `offset`,
+    /// numbering flows from `sequence`.
+    pub(crate) fn new(out: W, boot_unix_secs: u32, sequence: u32, offset: u64) -> Self {
+        SegmentEncoder {
             out,
             boot_unix_secs,
             pending: Vec::with_capacity(V5_MAX_RECORDS),
-            sequence: 0,
-            offset: 0,
+            sequence,
+            offset,
             body: Vec::new(),
-            frame_len: Vec::new(),
-            segments: Vec::new(),
+            frame: Vec::new(),
             open: None,
         }
     }
 
-    /// Queue one flow. A day change closes the current segment; 30 queued
-    /// records flush a datagram.
-    pub fn push(&mut self, flow: &Flow) -> io::Result<()> {
-        let day = flow.day();
-        if self.open.as_ref().is_some_and(|s| s.day != day) {
-            self.flush_datagram()?;
-            self.close_segment();
-        }
+    /// Whether `flow` starts on another day than the open segment: the
+    /// caller closes the segment before pushing it.
+    pub(crate) fn ends_segment(&self, flow: &Flow) -> bool {
+        self.open.as_ref().is_some_and(|s| s.day != flow.day())
+    }
+
+    /// Queue one flow, opening a segment on its day if none is open; a
+    /// 30th queued record flushes a datagram.
+    pub(crate) fn push(&mut self, flow: &Flow) -> io::Result<()> {
         if self.open.is_none() {
             self.open = Some(OpenSegment {
-                day,
+                day: flow.day(),
                 start: self.offset,
                 datagrams: 0,
                 flows: 0,
@@ -390,15 +447,11 @@ impl<W: Write> IndexedArchiveWriter<W> {
         Ok(())
     }
 
-    /// Flush any partial datagram into the open segment.
-    pub fn flush_datagram(&mut self) -> io::Result<()> {
+    /// Write the queued records as one frame of the open segment.
+    pub(crate) fn flush_datagram(&mut self) -> io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let open = self
-            .open
-            .as_mut()
-            .expect("pending records imply an open segment");
         let header = V5Header {
             count: self.pending.len() as u16,
             sys_uptime_ms: 0,
@@ -411,54 +464,106 @@ impl<W: Write> IndexedArchiveWriter<W> {
         };
         self.body.clear();
         encode_datagram_v2(&header, &self.pending, &mut self.body);
-        self.frame_len.clear();
-        put_uvarint(&mut self.frame_len, self.body.len() as u64);
-        self.out.write_all(&self.frame_len)?;
-        self.out.write_all(&self.body)?;
-        open.crc.update(&self.frame_len);
-        open.crc.update(&self.body);
-        self.offset += (self.frame_len.len() + self.body.len()) as u64;
+        self.frame.clear();
+        put_uvarint(&mut self.frame, self.body.len() as u64);
+        self.frame.extend_from_slice(&self.body);
+        self.out.write_all(&self.frame)?;
+        let open = self
+            .open
+            .as_mut()
+            .expect("pending records imply an open segment");
+        open.crc.update(&self.frame);
         open.datagrams += 1;
         open.flows += self.pending.len() as u64;
+        self.offset += self.frame.len() as u64;
         self.sequence = self.sequence.wrapping_add(self.pending.len() as u32);
         self.pending.clear();
         Ok(())
     }
 
-    fn close_segment(&mut self) {
-        if let Some(open) = self.open.take() {
-            self.segments.push(SegmentInfo {
-                day: open.day,
-                offset: open.start,
-                len: self.offset - open.start,
-                datagrams: open.datagrams,
-                flows: open.flows,
-                first_seq: open.first_seq,
+    /// Flush, then close the open segment and return its entry (`None`
+    /// when no segment holds flows).
+    pub(crate) fn close(&mut self) -> io::Result<Option<SegmentInfo>> {
+        self.flush_datagram()?;
+        Ok(self
+            .open
+            .take()
+            .filter(|o| o.flows > 0)
+            .map(|o| SegmentInfo {
+                day: o.day,
+                offset: o.start,
+                len: self.offset - o.start,
+                datagrams: o.datagrams,
+                flows: o.flows,
+                first_seq: o.first_seq,
                 end_seq: self.sequence,
-                crc: open.crc.finish(),
-            });
+                crc: o.crc.finish(),
+            }))
+    }
+
+    /// The sequence number the next pushed flow will carry.
+    pub(crate) fn next_seq(&self) -> u32 {
+        self.sequence.wrapping_add(self.pending.len() as u32)
+    }
+
+    /// Flows pushed since the last close.
+    pub(crate) fn open_flows(&self) -> u64 {
+        self.open.as_ref().map_or(0, |o| o.flows) + self.pending.len() as u64
+    }
+
+    /// The exporter boot anchor flows are encoded against.
+    pub(crate) fn boot_unix_secs(&self) -> u32 {
+        self.boot_unix_secs
+    }
+
+    /// The sink.
+    pub(crate) fn get_mut(&mut self) -> &mut W {
+        &mut self.out
+    }
+}
+
+/// Writes flows into a v2 indexed archive: the segment encoder, plus the
+/// footer index and trailer at [`IndexedArchiveWriter::finish`].
+#[derive(Debug)]
+pub struct IndexedArchiveWriter<W: Write> {
+    enc: SegmentEncoder<W>,
+    segments: Vec<SegmentInfo>,
+}
+
+impl<W: Write> IndexedArchiveWriter<W> {
+    /// A writer exporting against the given boot anchor (same lossless
+    /// round-trip horizon as [`crate::ArchiveWriter`]: flows must start
+    /// within ~49 days of it).
+    pub fn new(out: W, boot_unix_secs: u32) -> IndexedArchiveWriter<W> {
+        IndexedArchiveWriter {
+            enc: SegmentEncoder::new(out, boot_unix_secs, 0, 0),
+            segments: Vec::new(),
         }
     }
 
-    /// Finish: flush, close the last segment, write footer + trailer, and
-    /// return the inner writer with the index that was persisted.
+    /// Queue one flow. A day change closes the current segment; 30 queued
+    /// records flush a datagram.
+    pub fn push(&mut self, flow: &Flow) -> io::Result<()> {
+        if self.enc.ends_segment(flow) {
+            self.segments.extend(self.enc.close()?);
+        }
+        self.enc.push(flow)
+    }
+
+    /// Finish: close the last segment, write footer + trailer, and return
+    /// the inner writer with the index that was persisted.
     pub fn finish(mut self) -> io::Result<(W, ArchiveIndex)> {
-        self.flush_datagram()?;
-        self.close_segment();
+        self.segments.extend(self.enc.close()?);
         let index = ArchiveIndex {
-            boot_unix_secs: self.boot_unix_secs,
-            segments: std::mem::take(&mut self.segments),
+            boot_unix_secs: self.enc.boot_unix_secs(),
+            segments: self.segments,
         };
-        let mut footer = Vec::new();
-        index.encode_footer(&mut footer);
-        self.out.write_all(&footer)?;
-        let mut trailer = [0u8; TRAILER_LEN];
-        trailer[..4].copy_from_slice(&(footer.len() as u32).to_le_bytes());
-        trailer[4] = ARCHIVE_VERSION;
-        trailer[5..].copy_from_slice(ARCHIVE_MAGIC);
-        self.out.write_all(&trailer)?;
-        self.out.flush()?;
-        Ok((self.out, index))
+        let mut tail = Vec::new();
+        index.encode_tail(&mut tail);
+        let mut out = self.enc.out;
+        out.write_all(&tail)?;
+        out.flush()?;
+        Ok((out, index))
     }
 }
 
@@ -506,7 +611,8 @@ impl Iterator for FlowView<'_> {
 /// Streaming decoder over one segment's bytes, with the same
 /// sequence-gap/reorder accounting as the v1 [`ArchiveReader`] — kept in
 /// a plain [`ArchiveTelemetry`] so parallel per-segment cursors sum
-/// without shared counters.
+/// without shared counters. Opened, CRC-checked, by
+/// [`ArchiveIndex::cursor`].
 #[derive(Debug)]
 pub struct SegmentCursor<'a> {
     data: &'a [u8],
@@ -517,25 +623,6 @@ pub struct SegmentCursor<'a> {
 }
 
 impl<'a> SegmentCursor<'a> {
-    /// A cursor over `data` (exactly one segment). `entry_sequence` is the
-    /// sequence number expected at the segment's first datagram —
-    /// `Some(prev_segment.end_seq)` when replaying contiguously, `None`
-    /// at the start of a scan — so per-segment accounting reproduces the
-    /// sequential reader's gap bookkeeping exactly.
-    pub fn new(
-        data: &'a [u8],
-        boot_unix_secs: u32,
-        entry_sequence: Option<u32>,
-    ) -> SegmentCursor<'a> {
-        SegmentCursor {
-            data,
-            pos: 0,
-            boot_unix_secs,
-            tracker: SequenceTracker::new(entry_sequence),
-            telemetry: ArchiveTelemetry::default(),
-        }
-    }
-
     /// Loss and delivery accounting so far.
     pub fn telemetry(&self) -> ArchiveTelemetry {
         self.telemetry
@@ -633,10 +720,13 @@ pub struct IndexedArchive<'a> {
 }
 
 impl<'a> IndexedArchive<'a> {
-    /// Open a complete archive image. `Ok(None)` means no v2 trailer —
-    /// treat the bytes as a v1 archive.
-    pub fn open(data: &'a [u8]) -> Result<Option<IndexedArchive<'a>>, IndexedError> {
-        Ok(ArchiveIndex::parse(data)?.map(|index| IndexedArchive { data, index }))
+    /// Open a complete archive image; [`IndexedError::NotIndexed`] when
+    /// it has no v2 trailer.
+    pub fn open(data: &'a [u8]) -> Result<IndexedArchive<'a>, IndexedError> {
+        Ok(IndexedArchive {
+            data,
+            index: ArchiveIndex::parse(data)?,
+        })
     }
 
     /// The exporter boot anchor recorded in the footer.
@@ -660,28 +750,13 @@ impl<'a> IndexedArchive<'a> {
         &self.data[s.offset as usize..(s.offset + s.len) as usize]
     }
 
-    /// Check segment `i` against its indexed CRC.
-    pub fn verify_segment(&self, i: usize) -> Result<(), IndexedError> {
-        let expected = self.index.segments[i].crc;
-        let actual = crc32(self.segment_bytes(i));
-        if actual != expected {
-            return Err(IndexedError::CrcMismatch {
-                segment: i,
-                expected,
-                actual,
-            });
-        }
-        Ok(())
-    }
-
-    /// Expected entry sequence for segment `i` given that `prev_selected`
-    /// says whether segment `i - 1` is part of the same scan.
-    fn entry_sequence(&self, i: usize, prev_selected: bool) -> Option<u32> {
-        if i == 0 || !prev_selected {
-            None
-        } else {
-            Some(self.index.segments[i - 1].end_seq)
-        }
+    /// A CRC-checked cursor over segment `i` (see [`ArchiveIndex::cursor`]).
+    pub fn cursor(
+        &self,
+        i: usize,
+        entry_sequence: Option<u32>,
+    ) -> Result<SegmentCursor<'a>, IndexedError> {
+        self.index.cursor(i, self.segment_bytes(i), entry_sequence)
     }
 
     /// Sequentially read the flows of the days in `range` (the whole
@@ -690,18 +765,12 @@ impl<'a> IndexedArchive<'a> {
         &self,
         range: Option<DateRange>,
     ) -> Result<(Vec<Flow>, ArchiveTelemetry), IndexedError> {
-        let selected = self.index.select(range);
         let mut flows = Vec::new();
         let mut telemetry = ArchiveTelemetry::default();
-        let mut prev: Option<usize> = None;
-        for &i in &selected {
-            self.verify_segment(i)?;
-            let entry = self.entry_sequence(i, prev == Some(i.wrapping_sub(1)));
-            let mut cursor =
-                SegmentCursor::new(self.segment_bytes(i), self.index.boot_unix_secs, entry);
+        for (i, entry) in self.index.select(range) {
+            let mut cursor = self.cursor(i, entry)?;
             cursor.for_each_flow(|f| flows.push(*f))?;
             telemetry.accumulate(&cursor.telemetry());
-            prev = Some(i);
         }
         Ok((flows, telemetry))
     }
@@ -728,11 +797,8 @@ impl<'a> IndexedArchive<'a> {
     {
         let selected = self.index.select(range);
         let results = pool.run_indexed(selected.len(), |k| {
-            let i = selected[k];
-            self.verify_segment(i)?;
-            let entry = self.entry_sequence(i, k > 0 && selected[k - 1] == i - 1);
-            let mut cursor =
-                SegmentCursor::new(self.segment_bytes(i), self.index.boot_unix_secs, entry);
+            let (i, entry) = selected[k];
+            let mut cursor = self.cursor(i, entry)?;
             let output = f(&self.index.segments[i], &mut cursor)?;
             Ok::<_, IndexedError>((output, cursor.telemetry()))
         });
@@ -741,8 +807,7 @@ impl<'a> IndexedArchive<'a> {
             telemetry: ArchiveTelemetry::default(),
             quarantined: Vec::new(),
         };
-        for (k, result) in results.into_iter().enumerate() {
-            let i = selected[k];
+        for ((i, _), result) in selected.into_iter().zip(results) {
             let info = self.index.segments[i];
             match result {
                 Ok((output, telemetry)) => {
@@ -772,28 +837,9 @@ impl<'a> IndexedArchive<'a> {
     }
 }
 
-/// An archive of either vintage, sniffed from its bytes.
-#[derive(Debug)]
-pub enum FlowArchive<'a> {
-    /// v2: trailer present, indexed access available.
-    V2(IndexedArchive<'a>),
-    /// v1 (no trailer): read sequentially with [`ArchiveReader`].
-    V1(&'a [u8]),
-}
-
-impl<'a> FlowArchive<'a> {
-    /// Sniff and open: v2 when the trailer magic is present, v1 fallback
-    /// otherwise.
-    pub fn open(data: &'a [u8]) -> Result<FlowArchive<'a>, IndexedError> {
-        Ok(match IndexedArchive::open(data)? {
-            Some(archive) => FlowArchive::V2(archive),
-            None => FlowArchive::V1(data),
-        })
-    }
-}
-
 /// Whether bytes look like a v1 framed archive: a plausible u16 frame
-/// whose payload leads with the V5 version word.
+/// whose payload leads with the V5 version word. A prefix of at least
+/// [`V1_SNIFF_LEN`] bytes answers the same as the whole file.
 pub fn looks_like_v1(data: &[u8]) -> bool {
     if data.len() < 4 {
         return false;
@@ -801,6 +847,10 @@ pub fn looks_like_v1(data: &[u8]) -> bool {
     let frame = u16::from_be_bytes([data[0], data[1]]) as usize;
     frame >= crate::record::V5_HEADER_LEN && 2 + frame <= data.len() && data[2] == 0 && data[3] == 5
 }
+
+/// The longest prefix [`looks_like_v1`] reads: a u16 length and the
+/// largest frame it can announce.
+pub const V1_SNIFF_LEN: usize = 2 + u16::MAX as usize;
 
 /// Re-encode a v1 archive as v2 (the `unclean archive index` upgrade).
 /// Returns the v2 bytes, the index, and the v1 read's loss accounting —
@@ -832,37 +882,16 @@ pub struct SegmentReader<R> {
 }
 
 impl<R: Read + Seek> SegmentReader<R> {
-    /// Open a seekable v2 archive; `Ok(None)` when the trailer is absent
-    /// (v1 — read it sequentially instead).
-    pub fn open(mut inner: R) -> Result<Option<SegmentReader<R>>, IndexedError> {
-        let len = inner.seek(SeekFrom::End(0))?;
-        if len < TRAILER_LEN as u64 {
-            return Ok(None);
-        }
-        inner.seek(SeekFrom::Start(len - TRAILER_LEN as u64))?;
-        let mut trailer = [0u8; TRAILER_LEN];
-        inner.read_exact(&mut trailer)?;
-        let Some(footer_len) = trailer_footer_len(&trailer)? else {
-            return Ok(None);
-        };
-        let footer_len = footer_len as u64;
-        let data_end = len
-            .checked_sub(TRAILER_LEN as u64 + footer_len)
-            .ok_or_else(|| {
-                IndexedError::Corrupt(format!(
-                    "footer of {footer_len} bytes larger than the {len}-byte file"
-                ))
-            })?;
-        inner.seek(SeekFrom::Start(data_end))?;
-        let mut footer = vec![0u8; footer_len as usize];
-        inner.read_exact(&mut footer)?;
-        let index = parse_footer(&footer, data_end)?;
-        Ok(Some(SegmentReader {
+    /// Open a seekable v2 archive; [`IndexedError::NotIndexed`] when the
+    /// trailer is absent.
+    pub fn open(mut inner: R) -> Result<SegmentReader<R>, IndexedError> {
+        let index = read_index(&mut inner)?;
+        Ok(SegmentReader {
             inner,
             index,
             buf: Vec::new(),
             peak: 0,
-        }))
+        })
     }
 
     /// The parsed footer.
@@ -870,33 +899,25 @@ impl<R: Read + Seek> SegmentReader<R> {
         &self.index
     }
 
-    /// Load segment `i` into the reusable buffer and CRC-verify it.
-    pub fn load_segment(&mut self, i: usize) -> Result<&[u8], IndexedError> {
+    /// Load segment `i` into the reusable buffer and open a CRC-checked
+    /// cursor over it, entering at `entry_sequence`.
+    pub fn load_segment(
+        &mut self,
+        i: usize,
+        entry_sequence: Option<u32>,
+    ) -> Result<SegmentCursor<'_>, IndexedError> {
         let info = self.index.segments[i];
         self.inner.seek(SeekFrom::Start(info.offset))?;
         self.buf.resize(info.len as usize, 0);
         self.inner.read_exact(&mut self.buf)?;
         self.peak = self.peak.max(self.buf.len());
-        let actual = crc32(&self.buf);
-        if actual != info.crc {
-            return Err(IndexedError::CrcMismatch {
-                segment: i,
-                expected: info.crc,
-                actual,
-            });
-        }
-        Ok(&self.buf)
+        self.index.cursor(i, &self.buf, entry_sequence)
     }
 
     /// Largest buffer held so far — the reader's RSS-relevant high-water
     /// mark.
     pub fn peak_buffer_bytes(&self) -> usize {
         self.peak
-    }
-
-    /// Give back the underlying source.
-    pub fn into_inner(self) -> R {
-        self.inner
     }
 }
 
@@ -946,9 +967,7 @@ mod tests {
         assert_eq!(index.segments.len(), 3, "one segment per day");
         assert_eq!(index.total_flows(), all.len() as u64);
         assert_eq!(index.total_datagrams(), 3 * 4, "95 flows = 4 datagrams/day");
-        let parsed = ArchiveIndex::parse(&bytes)
-            .expect("well-formed")
-            .expect("v2");
+        let parsed = ArchiveIndex::parse(&bytes).expect("well-formed");
         assert_eq!(parsed, index);
         let days: Vec<i32> = index.segments.iter().map(|s| s.day.0).collect();
         assert_eq!(days, vec![273, 274, 275]);
@@ -961,7 +980,7 @@ mod tests {
     #[test]
     fn sequential_read_matches_original() {
         let (bytes, _, all) = write_archive(95);
-        let archive = IndexedArchive::open(&bytes).expect("ok").expect("v2");
+        let archive = IndexedArchive::open(&bytes).expect("v2");
         let (flows, telemetry) = archive.read_day_range(None).expect("clean");
         assert_eq!(flows, all);
         assert_eq!(telemetry.flows, all.len() as u64);
@@ -973,7 +992,7 @@ mod tests {
     #[test]
     fn parallel_replay_equals_sequential_at_any_thread_count() {
         let (bytes, _, all) = write_archive(200);
-        let archive = IndexedArchive::open(&bytes).expect("ok").expect("v2");
+        let archive = IndexedArchive::open(&bytes).expect("v2");
         let (seq_flows, seq_t) = archive.read_day_range(None).expect("clean");
         for threads in [1, 2, 7] {
             let pool = Executor::new(threads);
@@ -999,7 +1018,7 @@ mod tests {
     #[test]
     fn day_range_seeks_only_the_asked_days() {
         let (bytes, _, all) = write_archive(50);
-        let archive = IndexedArchive::open(&bytes).expect("ok").expect("v2");
+        let archive = IndexedArchive::open(&bytes).expect("v2");
         let range = DateRange::new(Day(274), Day(274));
         let (flows, telemetry) = archive.read_day_range(Some(range)).expect("clean");
         let expected: Vec<Flow> = all
@@ -1020,7 +1039,7 @@ mod tests {
         // Flip a byte in the middle segment's data.
         let mid = &index.segments[1];
         bytes[(mid.offset + mid.len / 2) as usize] ^= 0xff;
-        let archive = IndexedArchive::open(&bytes).expect("ok").expect("v2");
+        let archive = IndexedArchive::open(&bytes).expect("v2");
         // Strict replay fails with the CRC mismatch…
         let pool = Executor::new(2);
         let strict = archive.replay_with(&pool, None, false, |_, cursor| {
@@ -1049,21 +1068,45 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_fall_back() {
+    fn v1_bytes_are_not_indexed() {
         let mut w = crate::ArchiveWriter::new(Vec::new(), boot());
         for i in 0..40 {
             w.push(&flow(273, i)).expect("write");
         }
         let (bytes, _) = w.finish().expect("finish");
-        assert!(ArchiveIndex::parse(&bytes).expect("ok").is_none());
-        match FlowArchive::open(&bytes).expect("ok") {
-            FlowArchive::V1(data) => {
-                assert!(looks_like_v1(data));
-                let mut r = ArchiveReader::new(data, boot());
-                assert_eq!(r.read_all().expect("ok").len(), 40);
-            }
-            FlowArchive::V2(_) => panic!("v1 bytes must not open as v2"),
-        }
+        assert!(looks_like_v1(&bytes));
+        assert!(looks_like_v1(&bytes[..bytes.len().min(V1_SNIFF_LEN)]));
+        assert!(matches!(
+            ArchiveIndex::parse(&bytes),
+            Err(IndexedError::NotIndexed)
+        ));
+        assert!(matches!(
+            IndexedArchive::open(&bytes),
+            Err(IndexedError::NotIndexed)
+        ));
+        assert!(matches!(
+            SegmentReader::open(io::Cursor::new(&bytes)),
+            Err(IndexedError::NotIndexed)
+        ));
+        let (v2, _, _) = write_archive(10);
+        assert!(!looks_like_v1(&v2));
+    }
+
+    #[test]
+    fn select_enters_at_the_previous_selected_segment() {
+        let (_, index, _) = write_archive(40);
+        let ends: Vec<u32> = index.segments.iter().map(|s| s.end_seq).collect();
+        assert_eq!(
+            index.select(None),
+            vec![(0, None), (1, Some(ends[0])), (2, Some(ends[1]))]
+        );
+        // A scan starting mid-archive enters fresh, then runs contiguous.
+        let tail = DateRange::new(Day(274), Day(275));
+        assert_eq!(
+            index.select(Some(tail)),
+            vec![(1, None), (2, Some(ends[1]))]
+        );
+        assert!(index.select(Some(DateRange::single(Day(9)))).is_empty());
     }
 
     #[test]
@@ -1072,7 +1115,7 @@ mod tests {
             .finish()
             .expect("ok");
         assert!(index.segments.is_empty());
-        let archive = IndexedArchive::open(&bytes).expect("ok").expect("v2");
+        let archive = IndexedArchive::open(&bytes).expect("v2");
         let (flows, telemetry) = archive.read_day_range(None).expect("ok");
         assert!(flows.is_empty());
         assert_eq!(telemetry, ArchiveTelemetry::default());
@@ -1097,19 +1140,50 @@ mod tests {
         let data_end: u64 = index.segments.iter().map(|s| s.len).sum();
         let mut bad_index = index.clone();
         bad_index.segments[0].offset += 1;
-        let mut footer = Vec::new();
-        bad_index.encode_footer(&mut footer);
         let mut bad = bytes[..data_end as usize].to_vec();
-        bad.extend_from_slice(&footer);
-        let mut trailer = [0u8; TRAILER_LEN];
-        trailer[..4].copy_from_slice(&(footer.len() as u32).to_le_bytes());
-        trailer[4] = ARCHIVE_VERSION;
-        trailer[5..].copy_from_slice(ARCHIVE_MAGIC);
-        bad.extend_from_slice(&trailer);
+        bad_index.encode_tail(&mut bad);
         assert!(matches!(
             ArchiveIndex::parse(&bad),
             Err(IndexedError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn footer_count_is_bounded_by_the_footer_length() {
+        let (bytes, index, _) = write_archive(10);
+        let data_end: u64 = index.segments.iter().map(|s| s.len).sum();
+        // Re-encode the footer claiming one entry more than its bytes can
+        // hold: rejected before any per-entry allocation.
+        let mut footer = Vec::new();
+        put_uvarint(&mut footer, u64::from(index.boot_unix_secs));
+        put_uvarint(&mut footer, data_end);
+        for s in &index.segments {
+            s.encode(&mut footer);
+        }
+        let mut bad = bytes[..data_end as usize].to_vec();
+        bad.extend_from_slice(&footer);
+        bad.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        bad.push(ARCHIVE_VERSION);
+        bad.extend_from_slice(ARCHIVE_MAGIC);
+        match ArchiveIndex::parse(&bad) {
+            Err(IndexedError::Corrupt(detail)) => assert!(detail.contains("claims"), "{detail}"),
+            other => panic!("expected a corrupt count, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn segment_info_codec_round_trips() {
+        let (_, index, _) = write_archive(33);
+        for s in &index.segments {
+            let mut bytes = Vec::new();
+            s.encode(&mut bytes);
+            let mut pos = 0;
+            assert_eq!(SegmentInfo::decode(&bytes, &mut pos).expect("decodes"), *s);
+            assert_eq!(pos, bytes.len());
+            assert!(bytes.len() >= SegmentInfo::MIN_ENCODED_LEN);
+            let mut pos = 0;
+            assert!(SegmentInfo::decode(&bytes[..bytes.len() - 1], &mut pos).is_err());
+        }
     }
 
     #[test]
@@ -1127,7 +1201,7 @@ mod tests {
         let (v2, index, telemetry) = upgrade_v1(&v1, boot()).expect("upgrade");
         assert_eq!(telemetry.flows, 70);
         assert_eq!(index.segments.len(), 2);
-        let archive = IndexedArchive::open(&v2).expect("ok").expect("v2");
+        let archive = IndexedArchive::open(&v2).expect("v2");
         let (flows, _) = archive.read_day_range(None).expect("clean");
         assert_eq!(flows, all);
     }
@@ -1135,18 +1209,11 @@ mod tests {
     #[test]
     fn segment_reader_streams_with_bounded_buffer() {
         let (bytes, index, all) = write_archive(64);
-        let mut reader = SegmentReader::open(io::Cursor::new(&bytes))
-            .expect("ok")
-            .expect("v2");
+        let mut reader = SegmentReader::open(io::Cursor::new(&bytes)).expect("v2");
         assert_eq!(reader.index(), &index);
         let mut flows = Vec::new();
-        let mut prev: Option<u32> = None;
-        for i in 0..reader.index().segments.len() {
-            let entry = prev;
-            prev = Some(reader.index().segments[i].end_seq);
-            let boot = reader.index().boot_unix_secs;
-            let seg = reader.load_segment(i).expect("crc ok");
-            let mut cursor = SegmentCursor::new(seg, boot, entry);
+        for (i, entry) in index.select(None) {
+            let mut cursor = reader.load_segment(i, entry).expect("crc ok");
             cursor.for_each_flow(|f| flows.push(*f)).expect("clean");
         }
         assert_eq!(flows, all);
@@ -1190,6 +1257,9 @@ mod tests {
         assert!(IndexedError::Decode(DecodeError::BadVarint)
             .to_string()
             .contains("varint"));
+        assert!(IndexedError::NotIndexed
+            .to_string()
+            .contains("unclean archive index"));
         assert!(IndexedError::Io(io::Error::other("y"))
             .to_string()
             .contains("I/O"));

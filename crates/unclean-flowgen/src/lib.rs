@@ -17,11 +17,19 @@
 //!   for the §6 partition, plus a capped raw-flow store for inspection;
 //! * [`faults`] — seeded drop/duplicate/corrupt fault injection, for
 //!   proving the analyses degrade gracefully under real telemetry loss;
-//! * [`archive`] — framed on-disk spooling of V5 export streams with
-//!   sequence-gap accounting on replay (the v1 format);
-//! * [`indexed`] — archive format v2: per-day CRC'd segments of varint
-//!   delta-compressed datagrams behind a footer index, zero-copy segment
-//!   cursors, and executor-parallel replay with per-segment quarantine.
+//! * [`indexed`] — archive format v2, the one run-time format: the
+//!   segment encoder (per-day CRC'd segments of varint delta-compressed
+//!   datagrams), the [`SegmentInfo`] entry codec, the footer index,
+//!   zero-copy segment cursors, and executor-parallel replay with
+//!   per-segment quarantine;
+//! * [`spool`] — the durable WAL spooler: the same segment encoder, with
+//!   one `index.wal` record (a footer entry plus a length and a CRC) per
+//!   sealed segment instead of a footer;
+//! * [`archive`] — the legacy v1 format (u16-framed V5 datagrams), read
+//!   only by [`indexed::upgrade_v1`], and the [`ArchiveTelemetry`] loss
+//!   accounting both formats share;
+//! * [`source`] — archive replay and the UDP collector behind one
+//!   [`FlowSource`] interface, with a bounded shedding ring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +50,8 @@ pub use collector::{CandidateCollector, FlowStore, SrcEvidence};
 pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use generator::{FlowGenerator, GeneratorConfig};
 pub use indexed::{
-    ArchiveIndex, FlowArchive, FlowView, IndexedArchive, IndexedArchiveWriter, IndexedError,
-    QuarantinedSegment, Replay, SegmentCursor, SegmentInfo, SegmentOutput, SegmentReader,
+    ArchiveIndex, FlowView, IndexedArchive, IndexedArchiveWriter, IndexedError, QuarantinedSegment,
+    Replay, SegmentCursor, SegmentInfo, SegmentOutput, SegmentReader,
 };
 pub use record::{
     decode_datagram, encode_datagram, DecodeError, V5Header, V5Record, V5_HEADER_LEN,

@@ -123,12 +123,7 @@ impl ArchiveFlowSource {
     /// segment that fails its CRC is quarantined (counted, skipped) rather
     /// than aborting the source.
     pub fn open(data: &[u8], threads: usize) -> Result<ArchiveFlowSource, SourceError> {
-        let archive = IndexedArchive::open(data)?.ok_or_else(|| {
-            SourceError::Archive(
-                "not a v2 indexed flow archive (upgrade a v1 archive with `unclean archive index`)"
-                    .to_string(),
-            )
-        })?;
+        let archive = IndexedArchive::open(data)?;
         let pool = Executor::new(threads);
         let replay = archive.replay_with(&pool, None, true, |_, cursor| {
             let mut flows = Vec::new();

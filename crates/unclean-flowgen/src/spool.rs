@@ -8,9 +8,15 @@
 //! ```text
 //! spool-dir/
 //!   segments.dat   append-only v2 segment data (varint-framed datagrams)
-//!   index.wal      "UNCLWAL1" header, then one CRC'd record per *sealed*
+//!   index.wal      "UNCLWAL1" header, then one record per *sealed*
 //!                  segment — appended only after segments.dat is fsynced
+//!     record = [uv len][footer entry][crc32 of the entry]
 //! ```
+//!
+//! The segments come from the same encoder as the indexed writer's, and
+//! a record is a footer entry ([`SegmentInfo`]'s one encoding) behind a
+//! length and a CRC: `segments.dat` plus the records' entries is an
+//! indexed archive without its footer.
 //!
 //! The seal protocol is the WAL invariant: data fsync *then* index append
 //! *then* index fsync. An index record therefore proves its segment is
@@ -25,15 +31,13 @@
 //! loop replays the WAL through the ordinary [`crate::IndexedArchive`]
 //! readers (CRC checks, day-range selection, parallel replay) unchanged.
 
-use crate::indexed::{ArchiveIndex, SegmentInfo};
-use crate::record::{encode_datagram_v2, get_uvarint, put_uvarint, unzigzag32, zigzag32};
-use crate::record::{V5Header, V5Record, V5_MAX_RECORDS};
+use crate::indexed::{get_u32_le, ArchiveIndex, SegmentEncoder, SegmentInfo};
+use crate::record::{get_uvarint, put_uvarint};
 use crate::session::Flow;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use unclean_core::snap::{crc32, Crc32};
-use unclean_core::Day;
+use unclean_core::snap::crc32;
 use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 
 /// Magic leading `index.wal`.
@@ -110,35 +114,35 @@ pub struct RecoveryReport {
 /// on demand, at byte granularity.
 pub type WriteFault = Box<dyn FnMut(u64, usize) -> io::Result<()> + Send>;
 
-/// In-progress state of the segment being written (mirrors the indexed
-/// writer's `OpenSegment`).
-#[derive(Debug)]
-struct OpenSegment {
-    day: Day,
-    start: u64,
-    datagrams: u64,
-    flows: u64,
-    first_seq: u32,
-    crc: Crc32,
+/// `segments.dat` as the segment encoder's sink, behind the fault hook.
+struct DataFile {
+    file: File,
+    written: u64,
+    fault: Option<WriteFault>,
 }
 
-/// The WAL-style durable spooler.
+impl Write for DataFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if let Some(fault) = self.fault.as_mut() {
+            fault(self.written, buf.len())?;
+        }
+        let n = self.file.write(buf)?;
+        self.written += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// The WAL-style durable spooler: the v2 segment encoder over
+/// `segments.dat`, sealing each segment into `index.wal`.
 pub struct WalSpool {
     dir: PathBuf,
-    data: File,
+    enc: SegmentEncoder<DataFile>,
     index: File,
-    boot_unix_secs: u32,
-    pending: Vec<V5Record>,
-    sequence: u32,
-    /// Total data bytes written (sealed + unsealed).
-    offset: u64,
     sealed: Vec<SegmentInfo>,
-    sealed_bytes: u64,
-    open: Option<OpenSegment>,
-    body: Vec<u8>,
-    frame_len: Vec<u8>,
-    written_total: u64,
-    fault: Option<WriteFault>,
     telemetry: Registry,
 }
 
@@ -147,8 +151,8 @@ impl std::fmt::Debug for WalSpool {
         f.debug_struct("WalSpool")
             .field("dir", &self.dir)
             .field("sealed_segments", &self.sealed.len())
-            .field("sealed_bytes", &self.sealed_bytes)
-            .field("sequence", &self.sequence)
+            .field("sealed_bytes", &self.sealed_bytes())
+            .field("next_seq", &self.next_seq())
             .finish_non_exhaustive()
     }
 }
@@ -173,23 +177,38 @@ impl WalSpool {
         put_uvarint(&mut header, u64::from(boot_unix_secs));
         index.write_all(&header)?;
         index.sync_all()?;
-        Ok(WalSpool {
-            dir: dir.to_path_buf(),
+        Ok(WalSpool::resume(
+            dir,
             data,
             index,
             boot_unix_secs,
-            pending: Vec::with_capacity(V5_MAX_RECORDS),
-            sequence: 0,
-            offset: 0,
-            sealed: Vec::new(),
-            sealed_bytes: 0,
-            open: None,
-            body: Vec::new(),
-            frame_len: Vec::new(),
-            written_total: 0,
+            Vec::new(),
+        ))
+    }
+
+    /// A spool appending to `data` after the `sealed` segments.
+    fn resume(
+        dir: &Path,
+        data: File,
+        index: File,
+        boot_unix_secs: u32,
+        sealed: Vec<SegmentInfo>,
+    ) -> WalSpool {
+        let data = DataFile {
+            file: data,
+            written: 0,
             fault: None,
+        };
+        let (end_seq, end) = sealed
+            .last()
+            .map_or((0, 0), |s| (s.end_seq, s.offset + s.len));
+        WalSpool {
+            dir: dir.to_path_buf(),
+            enc: SegmentEncoder::new(data, boot_unix_secs, end_seq, end),
+            index,
+            sealed,
             telemetry: Registry::off(),
-        })
+        }
     }
 
     /// Reopen an existing spool, recovering the sealed prefix: index
@@ -263,10 +282,9 @@ impl WalSpool {
         data.set_len(sealed_bytes)?;
         data.sync_all()?;
         let torn_index_bytes = (index_bytes.len() - valid_index_end) as u64;
-        let index = OpenOptions::new().write(true).open(&index_path)?;
+        let mut index = OpenOptions::new().write(true).open(&index_path)?;
         index.set_len(valid_index_end as u64)?;
         index.sync_all()?;
-        let mut index = index;
         index.seek(SeekFrom::End(0))?;
         data.seek(SeekFrom::End(0))?;
 
@@ -277,30 +295,16 @@ impl WalSpool {
             torn_tail_bytes,
             torn_index_bytes,
         };
-        let spool = WalSpool {
-            dir: dir.to_path_buf(),
-            data,
-            index,
-            boot_unix_secs,
-            pending: Vec::with_capacity(V5_MAX_RECORDS),
-            sequence: report.resumed_end_seq,
-            offset: sealed_bytes,
-            sealed_bytes,
-            sealed,
-            open: None,
-            body: Vec::new(),
-            frame_len: Vec::new(),
-            written_total: 0,
-            fault: None,
-            telemetry: Registry::off(),
-        };
-        Ok((spool, report))
+        Ok((
+            WalSpool::resume(dir, data, index, boot_unix_secs, sealed),
+            report,
+        ))
     }
 
     /// Install a fault hook on the data path (see [`WriteFault`]) — the
     /// injectable spool writer the crash-recovery tests drive.
     pub fn set_write_fault(&mut self, fault: WriteFault) {
-        self.fault = Some(fault);
+        self.enc.get_mut().fault = Some(fault);
     }
 
     /// Attach a telemetry registry: every durable seal from here on
@@ -316,12 +320,12 @@ impl WalSpool {
     /// two calls yields the batch's exclusive-end WAL sequence range —
     /// the causal id an ingest-batch trace event carries.
     pub fn next_seq(&self) -> u32 {
-        self.sequence.wrapping_add(self.pending.len() as u32)
+        self.enc.next_seq()
     }
 
     /// The exporter boot anchor flows are encoded against.
     pub fn boot_unix_secs(&self) -> u32 {
-        self.boot_unix_secs
+        self.enc.boot_unix_secs()
     }
 
     /// The spool directory.
@@ -334,131 +338,53 @@ impl WalSpool {
         &self.sealed
     }
 
-    /// Where the spool stands.
-    pub fn checkpoint(&self) -> WalCheckpoint {
-        let open_flows = self.open.as_ref().map_or(0, |o| o.flows);
-        WalCheckpoint {
-            sealed_segments: self.sealed.len(),
-            sealed_bytes: self.sealed_bytes,
-            end_seq: self.sealed.last().map_or(0, |s| s.end_seq),
-            sealed_flows: self.sealed.iter().map(|s| s.flows).sum(),
-            unsealed_flows: open_flows + self.pending.len() as u64,
-        }
+    /// Sealed data bytes at the head of `segments.dat`.
+    fn sealed_bytes(&self) -> u64 {
+        self.sealed.last().map_or(0, |s| s.offset + s.len)
     }
 
-    fn write_data(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if let Some(fault) = self.fault.as_mut() {
-            fault(self.written_total, bytes.len())?;
+    /// Where the spool stands.
+    pub fn checkpoint(&self) -> WalCheckpoint {
+        WalCheckpoint {
+            sealed_segments: self.sealed.len(),
+            sealed_bytes: self.sealed_bytes(),
+            end_seq: self.sealed.last().map_or(0, |s| s.end_seq),
+            sealed_flows: self.sealed.iter().map(|s| s.flows).sum(),
+            unsealed_flows: self.enc.open_flows(),
         }
-        self.data.write_all(bytes)?;
-        self.written_total += bytes.len() as u64;
-        Ok(())
     }
 
     /// Queue one flow. A day change seals the current segment durably;
     /// 30 queued records flush a datagram to the data file.
     pub fn push(&mut self, flow: &Flow) -> Result<(), SpoolError> {
-        let day = flow.day();
-        if self.open.as_ref().is_some_and(|s| s.day != day) {
+        if self.enc.ends_segment(flow) {
             self.seal()?;
         }
-        if self.open.is_none() {
-            self.open = Some(OpenSegment {
-                day,
-                start: self.offset,
-                datagrams: 0,
-                flows: 0,
-                first_seq: self.sequence,
-                crc: Crc32::new(),
-            });
-        }
-        self.pending.push(flow.to_v5(self.boot_unix_secs));
-        if self.pending.len() == V5_MAX_RECORDS {
-            self.flush_datagram()?;
-        }
-        Ok(())
+        Ok(self.enc.push(flow)?)
     }
 
     /// Flush any partial datagram into the open segment (data file only —
-    /// not yet durable; see [`WalSpool::seal`]).
+    /// not yet durable; see [`WalSpool::seal`]). A failed write may leave
+    /// a torn frame behind; that segment can never seal, and recovery
+    /// quarantines it.
     pub fn flush_datagram(&mut self) -> Result<(), SpoolError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let header = V5Header {
-            count: self.pending.len() as u16,
-            sys_uptime_ms: 0,
-            unix_secs: self.boot_unix_secs,
-            unix_nsecs: 0,
-            flow_sequence: self.sequence,
-            engine_type: 0,
-            engine_id: 0,
-            sampling_interval: 0,
-        };
-        self.body.clear();
-        let pending = std::mem::take(&mut self.pending);
-        encode_datagram_v2(&header, &pending, &mut self.body);
-        self.frame_len.clear();
-        put_uvarint(&mut self.frame_len, self.body.len() as u64);
-        let frame = std::mem::take(&mut self.frame_len);
-        let body = std::mem::take(&mut self.body);
-        let write = self
-            .write_data(&frame)
-            .and_then(|()| self.write_data(&body));
-        let open = self
-            .open
-            .as_mut()
-            .expect("pending records imply an open segment");
-        if let Err(e) = write {
-            // The data file may now hold a torn frame; the segment can
-            // never seal. Recovery will quarantine it.
-            self.frame_len = frame;
-            self.body = body;
-            self.pending = pending;
-            return Err(SpoolError::Io(e));
-        }
-        open.crc.update(&frame);
-        open.crc.update(&body);
-        self.offset += (frame.len() + body.len()) as u64;
-        open.datagrams += 1;
-        open.flows += pending.len() as u64;
-        self.sequence = self.sequence.wrapping_add(pending.len() as u32);
-        self.frame_len = frame;
-        self.body = body;
-        self.pending = pending;
-        self.pending.clear();
-        Ok(())
+        Ok(self.enc.flush_datagram()?)
     }
 
     /// Seal the open segment durably: flush the partial datagram, fsync
     /// the data file, append the segment's index record, fsync the index.
     /// Returns the sealed entry (`None` when there was nothing to seal).
     pub fn seal(&mut self) -> Result<Option<SegmentInfo>, SpoolError> {
-        self.flush_datagram()?;
-        let Some(open) = self.open.take() else {
+        let Some(info) = self.enc.close()? else {
             return Ok(None);
-        };
-        if open.flows == 0 {
-            return Ok(None);
-        }
-        let info = SegmentInfo {
-            day: open.day,
-            offset: open.start,
-            len: self.offset - open.start,
-            datagrams: open.datagrams,
-            flows: open.flows,
-            first_seq: open.first_seq,
-            end_seq: self.sequence,
-            crc: open.crc.finish(),
         };
         // WAL invariant: the data must be durable before the index record
         // that vouches for it exists.
-        self.data.sync_all()?;
+        self.enc.get_mut().file.sync_all()?;
         let mut record = Vec::with_capacity(64);
         encode_index_record(&info, &mut record);
         self.index.write_all(&record)?;
         self.index.sync_all()?;
-        self.sealed_bytes = self.offset;
         self.sealed.push(info);
         self.telemetry.trace_event(
             TraceEvent::now(TraceKind::WalSeal)
@@ -477,31 +403,22 @@ impl WalSpool {
     /// flows, ready for [`crate::IndexedArchive::open`].
     pub fn sealed_image(&self) -> Result<Vec<u8>, SpoolError> {
         let mut file = File::open(self.dir.join(SEGMENTS_FILE))?;
-        let mut data = vec![0u8; self.sealed_bytes as usize];
-        file.seek(SeekFrom::Start(0))?;
+        let mut data = vec![0u8; self.sealed_bytes() as usize];
         file.read_exact(&mut data)?;
         let index = ArchiveIndex {
-            boot_unix_secs: self.boot_unix_secs,
+            boot_unix_secs: self.boot_unix_secs(),
             segments: self.sealed.clone(),
         };
-        index.seal_image(&mut data);
+        index.encode_tail(&mut data);
         Ok(data)
     }
 }
 
-/// Serialize one sealed-segment record: varint fields, the segment CRC,
-/// then a CRC over the record itself, all behind a varint length so a
-/// torn append is detectable.
+/// Append one sealed-segment record: the entry's footer encoding and a
+/// CRC over it, behind a varint length so a torn append is detectable.
 fn encode_index_record(info: &SegmentInfo, out: &mut Vec<u8>) {
     let mut body = Vec::with_capacity(48);
-    put_uvarint(&mut body, zigzag32(info.day.0));
-    put_uvarint(&mut body, info.offset);
-    put_uvarint(&mut body, info.len);
-    put_uvarint(&mut body, info.datagrams);
-    put_uvarint(&mut body, info.flows);
-    put_uvarint(&mut body, u64::from(info.first_seq));
-    put_uvarint(&mut body, u64::from(info.end_seq));
-    body.extend_from_slice(&info.crc.to_le_bytes());
+    info.encode(&mut body);
     body.extend_from_slice(&crc32(&body).to_le_bytes());
     put_uvarint(out, body.len() as u64);
     out.extend_from_slice(&body);
@@ -510,49 +427,21 @@ fn encode_index_record(info: &SegmentInfo, out: &mut Vec<u8>) {
 /// Parse one index record at `*pos`; `None` when the bytes are exhausted,
 /// torn, or fail the record CRC (recovery stops there).
 fn parse_index_record(bytes: &[u8], pos: &mut usize) -> Option<SegmentInfo> {
-    if *pos == bytes.len() {
-        return None;
-    }
     let mut p = *pos;
-    let len = get_uvarint(bytes, &mut p).ok()? as usize;
+    let len = usize::try_from(get_uvarint(bytes, &mut p).ok()?).ok()?;
     let body = bytes.get(p..p.checked_add(len)?)?;
-    if len < 8 {
+    let mut crc_at = len.checked_sub(4)?;
+    let fields = &body[..crc_at];
+    if crc32(fields) != get_u32_le(body, &mut crc_at).ok()? {
         return None;
     }
-    let (fields, crc_bytes) = body.split_at(len - 4);
-    let record_crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc32(fields) != record_crc {
+    let mut fp = 0;
+    let info = SegmentInfo::decode(fields, &mut fp).ok()?;
+    if fp != fields.len() {
         return None;
     }
-    let mut fp = 0usize;
-    let day = Day(unzigzag32(get_uvarint(fields, &mut fp).ok()?).ok()?);
-    let offset = get_uvarint(fields, &mut fp).ok()?;
-    let seg_len = get_uvarint(fields, &mut fp).ok()?;
-    let datagrams = get_uvarint(fields, &mut fp).ok()?;
-    let flows = get_uvarint(fields, &mut fp).ok()?;
-    let first_seq = u32::try_from(get_uvarint(fields, &mut fp).ok()?).ok()?;
-    let end_seq = u32::try_from(get_uvarint(fields, &mut fp).ok()?).ok()?;
-    let seg_crc_bytes = fields.get(fp..fp + 4)?;
-    if fp + 4 != fields.len() {
-        return None;
-    }
-    let crc = u32::from_le_bytes([
-        seg_crc_bytes[0],
-        seg_crc_bytes[1],
-        seg_crc_bytes[2],
-        seg_crc_bytes[3],
-    ]);
     *pos = p + len;
-    Some(SegmentInfo {
-        day,
-        offset,
-        len: seg_len,
-        datagrams,
-        flows,
-        first_seq,
-        end_seq,
-        crc,
-    })
+    Some(info)
 }
 
 #[cfg(test)]
@@ -605,7 +494,7 @@ mod tests {
         let (expected, _) = reference.finish().expect("finish");
         let image = spool.sealed_image().expect("image");
         assert_eq!(image, expected, "WAL assembles the exact v2 image");
-        let archive = IndexedArchive::open(&image).expect("parse").expect("v2");
+        let archive = IndexedArchive::open(&image).expect("v2");
         assert_eq!(archive.index().total_flows(), 231);
     }
 
@@ -637,7 +526,7 @@ mod tests {
         assert_eq!(segs[1].first_seq, 100);
         assert_eq!(segs[1].end_seq, 150);
         let image = spool.sealed_image().expect("image");
-        let archive = IndexedArchive::open(&image).expect("parse").expect("v2");
+        let archive = IndexedArchive::open(&image).expect("v2");
         let (flows, t) = archive.read_day_range(None).expect("read");
         assert_eq!(flows.len(), 150);
         assert_eq!(t.lost_flows, 0);

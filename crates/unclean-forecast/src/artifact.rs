@@ -10,9 +10,6 @@
 //! Rust's shortest round-trip form: render → parse → render is
 //! byte-identical.
 
-use std::io::Write as _;
-use std::path::Path;
-
 use unclean_core::Cidr;
 
 use crate::model::{score_half_life, NetworkForecast};
@@ -207,19 +204,6 @@ impl ForecastArtifact {
     }
 }
 
-/// Atomically publish `bytes` at `path`: write a sibling tmp file, fsync
-/// it, rename over the target. Readers (and the serving daemon's
-/// watcher) never observe a partial artifact.
-pub fn publish_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,18 +267,6 @@ mod tests {
         assert!(ForecastArtifact::parse(missing).is_err());
         let non_numeric = "9.1.0.0/16 level=abc trend=0 sigma=0\n";
         assert!(ForecastArtifact::parse(non_numeric).is_err());
-    }
-
-    #[test]
-    fn publish_atomic_replaces_whole_file() {
-        let dir = std::env::temp_dir().join(format!("unclean-forecast-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("forecast.txt");
-        publish_atomic(&path, b"first generation\n").expect("publish");
-        publish_atomic(&path, b"second\n").expect("republish");
-        assert_eq!(std::fs::read(&path).expect("readable"), b"second\n");
-        assert!(!path.with_extension("tmp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {

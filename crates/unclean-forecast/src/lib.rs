@@ -29,7 +29,7 @@ pub mod model;
 pub mod series;
 pub mod simulate;
 
-pub use artifact::{publish_atomic, ArtifactError, ForecastArtifact};
+pub use artifact::{ArtifactError, ForecastArtifact};
 pub use eval::{evaluate, EvalError, EvalReport};
 pub use model::{ForecastConfig, ForecastModel, NetworkForecast};
 pub use series::{DailySeries, SeriesError};

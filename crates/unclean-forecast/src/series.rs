@@ -21,10 +21,8 @@ use unclean_stats::SeedTree;
 /// Errors building a series.
 #[derive(Debug)]
 pub enum SeriesError {
-    /// The archive bytes are not a v2 indexed archive (run
-    /// `unclean archive index` to upgrade a v1 stream).
-    NotIndexed,
-    /// The archive failed to open or verify.
+    /// The archive failed to open or verify (including a v1 archive, not
+    /// yet upgraded with `unclean archive index`).
     Archive(IndexedError),
     /// The archive (or requested range) contains no flows.
     Empty,
@@ -33,12 +31,6 @@ pub enum SeriesError {
 impl std::fmt::Display for SeriesError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SeriesError::NotIndexed => {
-                write!(
-                    f,
-                    "archive is not v2-indexed; run `unclean archive index` first"
-                )
-            }
             SeriesError::Archive(e) => write!(f, "archive error: {e}"),
             SeriesError::Empty => write!(f, "no flows in the selected day range"),
         }
@@ -89,7 +81,7 @@ impl DailySeries {
         data: &[u8],
         range: Option<DateRange>,
     ) -> Result<(DailySeries, ArchiveTelemetry), SeriesError> {
-        let archive = IndexedArchive::open(data)?.ok_or(SeriesError::NotIndexed)?;
+        let archive = IndexedArchive::open(data)?;
         let (flows, telemetry) = archive.read_day_range(range)?;
         let mut pairs = BTreeSet::new();
         let mut lo = i32::MAX;

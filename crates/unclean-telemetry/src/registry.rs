@@ -133,18 +133,6 @@ impl Registry {
         }
     }
 
-    /// The counter named `name`, or a private standalone cell when this
-    /// registry is disabled — for components that must keep their own
-    /// accounting (e.g. the archive reader's loss counters) regardless of
-    /// whether a registry is listening.
-    pub fn counter_or_standalone(&self, name: &str) -> Counter {
-        if self.enabled() {
-            self.counter(name)
-        } else {
-            Counter::standalone()
-        }
-    }
-
     /// Install a bounded trace-event ring of at least `capacity` events
     /// (see [`crate::trace::TraceRing`]) on this registry, replacing any
     /// previous ring. Its exact recorded/evicted totals mirror onto the
@@ -508,14 +496,6 @@ mod tests {
         let c = Counter::standalone();
         c.add(4);
         assert_eq!(c.get(), 4);
-        let r = Registry::off();
-        let via = r.counter_or_standalone("x");
-        via.inc();
-        assert_eq!(via.get(), 1, "falls back to a live private cell");
-        let live = Registry::new(TelemetryLevel::Summary);
-        let bound = live.counter_or_standalone("x");
-        bound.inc();
-        assert_eq!(live.counter_value("x"), 1, "binds to the registry");
     }
 
     #[test]

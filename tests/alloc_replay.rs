@@ -1,29 +1,43 @@
-//! Allocation accounting for the zero-copy v2 replay path.
+//! Allocation accounting for the v2 archive and WAL decoders.
 //!
-//! The acceptance contract is O(1) *amortized* allocations per replayed
-//! flow: decoding borrows the segment bytes (`FlowView`/`SegmentCursor`),
-//! yields `Copy` records, and must not allocate per datagram or per flow.
-//! This test installs a counting global allocator (its own test binary —
-//! the library crates `forbid(unsafe_code)`, a test crate root may not)
-//! and verifies the allocation count during a full replay stays flat as
-//! the flow count quadruples.
+//! Two contracts. The zero-copy replay path makes O(1) *amortized*
+//! allocations per replayed flow: decoding borrows the segment bytes
+//! (`FlowView`/`SegmentCursor`), yields `Copy` records, and must not
+//! allocate per datagram or per flow — the allocation count during a
+//! full replay stays flat as the flow count quadruples. And every
+//! decoder of outside bytes (the footer, the segments, `index.wal`)
+//! allocates in proportion to its input however the bytes are damaged:
+//! a seeded mutation property feeds flipped, truncated and spliced
+//! copies of the golden archive and spool to each decoder.
+//!
+//! This binary installs a counting global allocator (its own test binary
+//! — the library crates `forbid(unsafe_code)`, a test crate root may not)
+//! that counts allocations and sums the bytes they ask for.
 //!
 //! The counter is process-wide, so each test holds [`SERIAL`] for its
 //! whole body: another test allocating on a parallel harness thread would
 //! otherwise land in a measured walk.
 
+use crossbeam::executor::Executor;
+use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use unclean_core::{BlockSet, Ip, IpSet};
-use unclean_flowgen::record::EPOCH_UNIX_SECS;
+use unclean_flowgen::indexed::TRAILER_LEN;
+use unclean_flowgen::record::{get_uvarint, put_uvarint, EPOCH_UNIX_SECS};
+use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
-    CandidateCollector, Flow, IndexedArchive, IndexedArchiveWriter, SegmentCursor,
+    CandidateCollector, Flow, IndexedArchive, IndexedArchiveWriter, SegmentReader, WalSpool,
 };
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for by every allocation and reallocation (their new
+/// sizes), never decremented: an upper bound on what a call allocated.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Held by each test for its whole body, measured walks included.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -36,6 +50,7 @@ fn serial() -> MutexGuard<'static, ()> {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -45,6 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -78,13 +94,12 @@ fn spool(flows_per_day: u32) -> Vec<u8> {
 /// Walk every segment of `bytes` through the zero-copy cursor, returning
 /// (flows delivered, heap allocations during the walk).
 fn replay_counting(bytes: &[u8]) -> (u64, u64) {
-    let archive = IndexedArchive::open(bytes).expect("indexes").expect("v2");
-    let segments = archive.segments().to_vec();
+    let archive = IndexedArchive::open(bytes).expect("indexes");
+    let selected = archive.index().select(None);
     let mut flows = 0u64;
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for i in 0..segments.len() {
-        let entry = (i > 0).then(|| segments[i - 1].end_seq);
-        let mut cursor = SegmentCursor::new(archive.segment_bytes(i), EPOCH_UNIX_SECS, entry);
+    for &(i, entry) in &selected {
+        let mut cursor = archive.cursor(i, entry).expect("crc ok");
         cursor.for_each_flow(|_| flows += 1).expect("clean replay");
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
@@ -123,13 +138,12 @@ fn replay_allocations_do_not_scale_with_flow_count() {
 /// each flow to `collector` — the §6 candidate scan path. Returns
 /// (flows delivered, heap allocations during the walk).
 fn candidate_scan_counting(bytes: &[u8], collector: &mut CandidateCollector) -> (u64, u64) {
-    let archive = IndexedArchive::open(bytes).expect("indexes").expect("v2");
-    let segments = archive.segments().to_vec();
+    let archive = IndexedArchive::open(bytes).expect("indexes");
+    let selected = archive.index().select(None);
     let mut flows = 0u64;
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for i in 0..segments.len() {
-        let entry = (i > 0).then(|| segments[i - 1].end_seq);
-        let mut cursor = SegmentCursor::new(archive.segment_bytes(i), EPOCH_UNIX_SECS, entry);
+    for &(i, entry) in &selected {
+        let mut cursor = archive.cursor(i, entry).expect("crc ok");
         cursor
             .for_each_flow(|f| {
                 flows += 1;
@@ -173,4 +187,182 @@ fn candidate_scan_allocations_do_not_scale_with_flow_count() {
         large_allocs <= 8,
         "candidate scan of {large_flows} flows made {large_allocs} allocations"
     );
+}
+
+fn data_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("data")
+        .join(name)
+}
+
+/// The allocation budget of one decode of `input_len` outside bytes.
+fn budget(input_len: usize) -> u64 {
+    8 * input_len as u64 + 64 * 1024
+}
+
+/// Bytes the allocator was asked for while `f` ran.
+fn bytes_asked(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::SeqCst);
+    f();
+    BYTES.load(Ordering::SeqCst) - before
+}
+
+/// splitmix64 over a proptest seed: the mutations' only randomness.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    /// A value of random bit width: small, mid-sized and huge alike.
+    fn wide(&mut self) -> u64 {
+        let shift = self.below(64);
+        self.next() >> shift
+    }
+}
+
+/// One to four flipped bytes, or a truncation.
+fn flip_or_truncate(bytes: &mut Vec<u8>, mix: &mut Mix) {
+    if mix.next().is_multiple_of(2) {
+        for _ in 0..1 + mix.below(4) {
+            let at = mix.below(bytes.len());
+            bytes[at] ^= 1 + mix.below(255) as u8;
+        }
+    } else {
+        let keep = mix.below(bytes.len());
+        bytes.truncate(keep);
+    }
+}
+
+/// Replace the varint at `at` with `value`, returning the length change.
+fn splice_varint(bytes: &mut Vec<u8>, at: usize, value: u64) -> isize {
+    let mut end = at;
+    get_uvarint(bytes, &mut end).expect("a varint to splice");
+    let mut new = Vec::new();
+    put_uvarint(&mut new, value);
+    let delta = new.len() as isize - (end - at) as isize;
+    bytes.splice(at..end, new);
+    delta
+}
+
+/// One mutation of a v2 archive image: flipped bytes, a truncation, a
+/// spliced footer segment count (trailer kept consistent), or a spliced
+/// length (the trailer's footer length, or the first frame's).
+fn mutate_archive(golden: &[u8], mix: &mut Mix) -> Vec<u8> {
+    let mut bytes = golden.to_vec();
+    let trailer = bytes.len() - TRAILER_LEN;
+    let footer_len = u32::from_le_bytes(bytes[trailer..trailer + 4].try_into().expect("4 bytes"));
+    let footer_at = trailer - footer_len as usize;
+    match mix.below(4) {
+        0 => flip_or_truncate(&mut bytes, mix),
+        1 => {
+            let mut count_at = footer_at;
+            get_uvarint(&bytes, &mut count_at).expect("boot anchor");
+            // As many segments as the data region has bytes, or any.
+            let count = match mix.below(2) {
+                0 => footer_at as u64,
+                _ => mix.wide(),
+            };
+            let delta = splice_varint(&mut bytes, count_at, count);
+            let trailer = bytes.len() - TRAILER_LEN;
+            let footer_len = (footer_len as isize + delta) as u32;
+            bytes[trailer..trailer + 4].copy_from_slice(&footer_len.to_le_bytes());
+        }
+        2 => {
+            let claimed = mix.wide() as u32;
+            bytes[trailer..trailer + 4].copy_from_slice(&claimed.to_le_bytes());
+        }
+        _ => {
+            let len = mix.wide();
+            splice_varint(&mut bytes, 0, len);
+        }
+    }
+    bytes
+}
+
+/// One mutation of a spool: flipped bytes or a truncation of either
+/// file, or a spliced length of one `index.wal` record.
+fn mutate_spool(data: &mut Vec<u8>, index: &mut Vec<u8>, mix: &mut Mix) {
+    match mix.below(3) {
+        0 => flip_or_truncate(data, mix),
+        1 => flip_or_truncate(index, mix),
+        _ => {
+            let mut at = 8; // past the magic
+            get_uvarint(index, &mut at).expect("boot anchor");
+            for _ in 0..mix.below(7) {
+                let len = get_uvarint(index, &mut at).expect("record length");
+                at += len as usize;
+            }
+            let len = mix.wide();
+            splice_varint(index, at, len);
+        }
+    }
+}
+
+/// Decode `bytes` every way the readers do: open and strictly replay
+/// every segment, and stream every segment through a `SegmentReader`.
+fn decode_archive(bytes: &[u8], pool: &Executor) {
+    if let Ok(archive) = IndexedArchive::open(bytes) {
+        let _ = archive.replay_with(pool, None, false, |_, cursor| cursor.for_each_flow(|_| {}));
+    }
+    if let Ok(mut reader) = SegmentReader::open(std::io::Cursor::new(bytes)) {
+        for (i, entry) in reader.index().select(None) {
+            if let Ok(mut cursor) = reader.load_segment(i, entry) {
+                let _ = cursor.for_each_flow(|_| {});
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Damaged archives and spools: every decoder returns (no panic) and
+    /// asks for at most 8× its input plus 64 KiB. Five archive and five
+    /// spool mutations per case.
+    #[test]
+    fn mutated_archives_and_spools_decode_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        let pool = Executor::new(1);
+
+        let golden = std::fs::read(data_path("golden_v2.flows")).expect("golden v2");
+        for _ in 0..5 {
+            let bytes = mutate_archive(&golden, &mut mix);
+            let asked = bytes_asked(|| decode_archive(&bytes, &pool));
+            prop_assert!(
+                asked <= budget(bytes.len()),
+                "seed {seed}: {asked} bytes asked decoding a {}-byte archive",
+                bytes.len()
+            );
+        }
+
+        let spool = data_path("golden_spool");
+        let golden_data = std::fs::read(spool.join(SEGMENTS_FILE)).expect("golden segments");
+        let golden_index = std::fs::read(spool.join(INDEX_FILE)).expect("golden index");
+        let dir = std::env::temp_dir().join(format!("unclean-alloc-wal-{}", std::process::id()));
+        for _ in 0..5 {
+            let (mut data, mut index) = (golden_data.clone(), golden_index.clone());
+            mutate_spool(&mut data, &mut index, &mut mix);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join(SEGMENTS_FILE), &data).expect("write");
+            std::fs::write(dir.join(INDEX_FILE), &index).expect("write");
+            let asked = bytes_asked(|| drop(WalSpool::open(&dir)));
+            prop_assert!(
+                asked <= budget(data.len() + index.len()),
+                "seed {seed}: {asked} bytes asked recovering a {}+{}-byte spool",
+                data.len(),
+                index.len()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,17 +1,20 @@
 //! Cross-crate tests for the v2 indexed segment archive: round-trip
-//! properties at any thread count, the checked-in v1 golden compat
-//! contract, per-segment fault quarantine, and equivalence of the
-//! day-sharded candidate scan with direct collection.
+//! properties at any thread count, the checked-in golden v1 archive, v2
+//! archive and WAL spool (the byte-level format contract), per-segment
+//! fault quarantine, and equivalence of the day-sharded candidate scan
+//! with direct collection.
 
 use crossbeam::executor::Executor;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use unclean_core::{BlockSet, Ip};
 use unclean_detect::{build_candidates_with, PipelineConfig};
+use unclean_flowgen::indexed::{looks_like_v1, upgrade_v1};
 use unclean_flowgen::record::EPOCH_UNIX_SECS;
+use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
-    faults, ArchiveReader, ArchiveWriter, CandidateCollector, Flow, FlowArchive, FlowGenerator,
-    IndexedArchive, IndexedArchiveWriter, IndexedError,
+    faults, ArchiveReader, ArchiveWriter, CandidateCollector, Flow, FlowGenerator, IndexedArchive,
+    IndexedArchiveWriter, IndexedError, RecoveryReport, WalSpool,
 };
 use unclean_integration::fixture;
 use unclean_telemetry::Registry;
@@ -81,7 +84,7 @@ proptest! {
         // day); intra-day order is preserved as-is.
         flows.sort_by_key(|f| f.day().0);
         let bytes = spool_v2(&flows);
-        let archive = IndexedArchive::open(&bytes).expect("indexes").expect("v2");
+        let archive = IndexedArchive::open(&bytes).expect("indexes");
         let (sequential, seq_telemetry) = archive.read_day_range(None).expect("sequential");
         prop_assert_eq!(&sequential, &flows);
         prop_assert_eq!(seq_telemetry.flows, flows.len() as u64);
@@ -92,7 +95,13 @@ proptest! {
 }
 
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("data/golden_v1.flows")
+    data_path("golden_v1.flows")
+}
+
+fn data_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("data")
+        .join(name)
 }
 
 /// The deterministic flow set behind the golden archive: 3 days × 67
@@ -154,21 +163,108 @@ fn v1_golden_archive_reads_and_upgrades() {
         .expect("v1 read");
     assert_eq!(flows, golden_flows());
 
-    // No trailer ⇒ the sniffing open reports v1, the upgrader's input.
-    match FlowArchive::open(&bytes).expect("open") {
-        FlowArchive::V1(_) => {}
-        FlowArchive::V2(_) => panic!("golden v1 archive misdetected as v2"),
-    }
+    // No trailer ⇒ every v2 reader refuses it; it sniffs as the
+    // upgrader's input.
+    assert!(matches!(
+        IndexedArchive::open(&bytes),
+        Err(IndexedError::NotIndexed)
+    ));
+    assert!(looks_like_v1(&bytes));
 
     // Upgrade to v2: same flows, one segment per day, indexed reads work.
-    let (v2, index, telemetry) =
-        unclean_flowgen::indexed::upgrade_v1(&bytes, BOOT).expect("upgrade");
+    let (v2, index, telemetry) = upgrade_v1(&bytes, BOOT).expect("upgrade");
     assert_eq!(telemetry.flows, flows.len() as u64);
     assert_eq!(telemetry.lost_flows, 0);
     assert_eq!(index.segments.len(), 3);
-    let archive = IndexedArchive::open(&v2).expect("indexes").expect("v2");
+    let archive = IndexedArchive::open(&v2).expect("indexes");
     let (upgraded, _) = archive.read_day_range(None).expect("v2 read");
     assert_eq!(upgraded, flows);
+}
+
+/// The v2 format contract: `tests/data/golden_v2.flows` was written by
+/// `unclean archive index tests/data/golden_v1.flows` before the archive
+/// writer and the WAL spooler shared one segment encoder. Both the v1
+/// upgrade and the indexed writer over the golden flows must still
+/// produce it byte for byte.
+#[test]
+fn golden_v2_archive_is_reproduced_byte_for_byte() {
+    let golden = std::fs::read(data_path("golden_v2.flows")).expect("golden v2 checked in");
+    let v1 = std::fs::read(golden_path()).expect("golden v1 checked in");
+    let (upgraded, _, _) = upgrade_v1(&v1, BOOT).expect("upgrade");
+    assert!(
+        upgraded == golden,
+        "v1 upgrade drifted from golden_v2.flows"
+    );
+    assert!(
+        spool_v2(&golden_flows()) == golden,
+        "indexed writer drifted from golden_v2.flows"
+    );
+    let archive = IndexedArchive::open(&golden).expect("indexes");
+    assert_eq!(archive.segments().len(), 3);
+    let (flows, telemetry) = archive.read_day_range(None).expect("clean");
+    assert_eq!(flows, golden_flows());
+    assert_eq!(telemetry.lost_flows, 0);
+}
+
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("unclean-archive-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The WAL format contract: `tests/data/golden_spool/` holds
+/// `segments.dat` and `index.wal` of a `WalSpool` fed the golden flows
+/// and sealed every 50 flows (so each day spans several segments),
+/// written before the spooler and the archive writer shared one segment
+/// encoder and one index-entry codec.
+#[test]
+fn golden_spool_is_reproduced_byte_for_byte() {
+    let dir = scratch_dir("golden-spool-write");
+    let mut spool = WalSpool::create(&dir, BOOT).expect("create");
+    for (k, f) in golden_flows().iter().enumerate() {
+        spool.push(f).expect("push");
+        if (k + 1) % 50 == 0 {
+            spool.seal().expect("seal");
+        }
+    }
+    spool.seal().expect("seal");
+    assert_eq!(spool.sealed_segments().len(), 7);
+    for name in [SEGMENTS_FILE, INDEX_FILE] {
+        let golden = std::fs::read(data_path("golden_spool").join(name)).expect("checked in");
+        let written = std::fs::read(dir.join(name)).expect("written");
+        assert!(written == golden, "{name} drifted from the golden spool");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery over a copy of the golden spool finds exactly its sealed
+/// segments, tears nothing, and its sealed image replays the golden
+/// flows.
+#[test]
+fn golden_spool_recovers_exactly() {
+    let dir = scratch_dir("golden-spool-open");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for name in [SEGMENTS_FILE, INDEX_FILE] {
+        std::fs::copy(data_path("golden_spool").join(name), dir.join(name)).expect("copy");
+    }
+    let (spool, report) = WalSpool::open(&dir).expect("recover");
+    assert_eq!(
+        report,
+        RecoveryReport {
+            sealed_segments: 7,
+            sealed_flows: 201,
+            resumed_end_seq: 201,
+            torn_tail_bytes: 0,
+            torn_index_bytes: 0,
+        }
+    );
+    let image = spool.sealed_image().expect("image");
+    let archive = IndexedArchive::open(&image).expect("indexes");
+    let (flows, telemetry) = archive.read_day_range(None).expect("clean");
+    assert_eq!(flows, golden_flows());
+    assert_eq!(telemetry.lost_flows, 0);
+    assert_eq!(telemetry.sequence_gaps, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A truncated final segment (the classic crash-mid-write shape, with the
@@ -180,16 +276,13 @@ fn truncated_final_segment_quarantines_only_that_segment() {
     let mut bytes = spool_v2(&flows);
     let index = IndexedArchive::open(&bytes)
         .expect("indexes")
-        .expect("v2")
         .index()
         .clone();
     assert_eq!(index.segments.len(), 3);
     let last = index.segments[2];
     faults::truncate_segment_tail(&mut bytes, &last, 16);
 
-    let archive = IndexedArchive::open(&bytes)
-        .expect("footer intact")
-        .expect("v2");
+    let archive = IndexedArchive::open(&bytes).expect("footer intact");
     // Strict: the damage is an error naming the segment.
     match archive.replay_with(&Executor::new(2), None, false, |_, cursor| {
         cursor.for_each_flow(|_| {})?;

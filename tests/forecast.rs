@@ -10,12 +10,10 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use unclean_core::Day;
+use unclean_core::{publish_atomic, Day};
 use unclean_flowgen::record::EPOCH_UNIX_SECS;
 use unclean_flowgen::{FlowGenerator, GeneratorConfig, IndexedArchiveWriter};
-use unclean_forecast::{
-    evaluate, publish_atomic, DailySeries, ForecastArtifact, ForecastConfig, ForecastModel,
-};
+use unclean_forecast::{evaluate, DailySeries, ForecastArtifact, ForecastConfig, ForecastModel};
 use unclean_netmodel::{Scenario, ScenarioConfig};
 use unclean_serve::{ServeConfig, Server};
 use unclean_telemetry::Registry;
@@ -161,7 +159,10 @@ fn forecast_endpoint_hot_reloads_generations() {
     artifact.generation = Some(1);
 
     let forecast_path = dir.join("forecast.txt");
-    publish_atomic(&forecast_path, artifact.render().as_bytes()).expect("publish");
+    publish_atomic(&forecast_path, |f| {
+        f.write_all(artifact.render().as_bytes())
+    })
+    .expect("publish");
     let blocklist = dir.join("blocklist.txt");
     std::fs::write(&blocklist, "203.0.113.0/24 # score=1.0\n").expect("blocklist");
 
@@ -196,7 +197,10 @@ fn forecast_endpoint_hot_reloads_generations() {
     // Republish with a new source generation, exactly as `forecast fit`
     // does it (tmp + rename), and wait for the watcher.
     artifact.generation = Some(7);
-    publish_atomic(&forecast_path, artifact.render().as_bytes()).expect("republish");
+    publish_atomic(&forecast_path, |f| {
+        f.write_all(artifact.render().as_bytes())
+    })
+    .expect("republish");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let body = body_of(&http(&addr, &query)).to_string();

@@ -10,7 +10,7 @@ use std::net::{TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use unclean_core::blocklist::render_scored;
-use unclean_core::Ip;
+use unclean_core::{publish_atomic, Ip};
 use unclean_detect::{rescore_window, LiveScanConfig};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
@@ -172,9 +172,7 @@ fn udp_to_wal_to_rescore_to_served_generation() {
 
     // Atomic publish, exactly as the ingest daemon does it.
     let text = render_scored(&scan.blocklist, "unclean-ingest");
-    let tmp = out.with_extension("tmp");
-    std::fs::write(&tmp, &text).expect("tmp write");
-    std::fs::rename(&tmp, &out).expect("rename");
+    publish_atomic(&out, |f| f.write_all(text.as_bytes())).expect("publish");
 
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
