@@ -182,7 +182,8 @@ fn table3_scale_blocks() -> Vec<(Cidr, f64)> {
 }
 
 /// The frozen trie on the serving hot path: longest-prefix-match lookups
-/// over a Table-3-scale block set with a ~50/50 hit/miss probe mix.
+/// over a Table-3-scale block set with a ~50/50 hit/miss probe mix, then
+/// over a million-entry list, one walk at a time and batched.
 fn bench_lpm(c: &mut Criterion) {
     let blocks = table3_scale_blocks();
     let frozen = FrozenTrie::from_scored(blocks.iter().copied());
@@ -213,7 +214,75 @@ fn bench_lpm(c: &mut Criterion) {
             })
         },
     );
+    // A list shaped like the benchmark's `serve_batch`: 200,000 /24s and
+    // 800,000 /32s frozen to a 48 MB snapshot and mapped back, far beyond
+    // cache, so each walk misses on most of its nodes. The point walk
+    // pays those misses one after another; `lookup_batch` over 100-address
+    // requests (the `/batch-bin` frame size there) overlaps them.
+    let (mapped, probes) = serve_batch_shaped_trie();
+    g.throughput(Throughput::Elements(probes.len() as u64));
+    g.bench_with_input("frozen_trie_1m", &probes, |b, probes| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for &ip in probes.iter() {
+                hits += usize::from(mapped.lookup(black_box(ip)).is_some());
+            }
+            hits
+        })
+    });
+    let mut answers = vec![None; 100];
+    g.bench_with_input("frozen_trie_batch_1m", &probes, |b, probes| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for request in probes.chunks(100) {
+                let answers = &mut answers[..request.len()];
+                mapped.lookup_batch(black_box(request), answers);
+                hits += answers.iter().filter(|a| a.is_some()).count();
+            }
+            hits
+        })
+    });
     g.finish();
+}
+
+/// The `serve_batch`-shaped list as a mapped snapshot, plus 100,000
+/// probes: half inside a listed network, half anywhere.
+fn serve_batch_shaped_trie() -> (FrozenTrie, Vec<Ip>) {
+    // Multiplying by an odd constant permutes the residues, so the /24
+    // prefixes (mod 2^24) and the /32 hosts are each distinct.
+    let nets = (1..=200_000u32).map(|i| Cidr::of(Ip(i.wrapping_mul(0x9e37_79b9) << 8), 24));
+    let hosts = (1..=800_000u32).map(|i| Cidr::of(Ip(i.wrapping_mul(0x85eb_ca6b)), 32));
+    let blocks: Vec<Cidr> = nets.chain(hosts).collect();
+    let path = std::env::temp_dir().join(format!("unclean-perf-{}.snap", std::process::id()));
+    FrozenTrie::from_scored(blocks.iter().map(|&c| (c, 1.0)))
+        .freeze_to_file(
+            &path,
+            unclean_core::snap::SnapshotMeta {
+                built_unix_ms: 0,
+                source_generation: None,
+            },
+        )
+        .expect("freeze the bench snapshot");
+    let mapped = FrozenTrie::open_mmap(&path).expect("map the bench snapshot");
+    // The mapping outlives the file's name.
+    let _ = std::fs::remove_file(&path);
+    let mut x = 0x2545_f491u32;
+    let probes = (0..100_000u32)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            match i % 2 {
+                0 => Ip(x),
+                _ => {
+                    let cidr = blocks[x as usize % blocks.len()];
+                    Ip(cidr.first().raw()
+                        | (x.rotate_left(16) & !unclean_core::cidr::mask(cidr.len())))
+                }
+            }
+        })
+        .collect();
+    (mapped, probes)
 }
 
 fn bench_density_trial(c: &mut Criterion) {

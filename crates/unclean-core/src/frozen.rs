@@ -13,8 +13,14 @@
 //! writes it verbatim and [`FrozenTrie::open_mmap`] maps it back. The
 //! mapped form starts in O(1) — no parse, no proportional allocation —
 //! and N processes mapping the same file share one page-cache copy.
-//! Every trie answers through one lookup walk; because a mapped snapshot
-//! is external input, that walk is bounds-checked and depth-bounded so
+//!
+//! Every trie answers through one set of walk rules, written once as a
+//! node step and a candidate check. [`FrozenTrie::lookup`] runs them one
+//! walk at a time; [`FrozenTrie::lookup_batch`] runs sixteen walks in
+//! lockstep, one node per walk per round, prefetching each walk's next
+//! node and candidate entries, so a trie far larger than cache keeps up to
+//! sixteen misses in flight instead of one. Because a mapped snapshot is
+//! external input, the rules are bounds-checked and depth-bounded so
 //! corrupt bytes can only answer wrong, never crash or loop.
 
 use crate::cidr::{mask, Cidr};
@@ -25,6 +31,17 @@ use std::path::Path;
 /// Index of a node or entry record; `NONE` marks an absent child or entry.
 type Idx = u32;
 const NONE: Idx = u32::MAX;
+
+/// The most nodes one walk visits: one per prefix length 0..=32. On a
+/// corrupt mapped snapshot the bound also ends any cycle the node
+/// section encodes.
+const MAX_DEPTH: u32 = 33;
+
+/// Walks [`FrozenTrie::lookup_batch`] advances in lockstep: about as many
+/// misses as one core keeps in flight, and few enough that every walk's
+/// state stays in L1. A caller that answers a stream can hand it this
+/// many addresses at a time from a stack buffer and lose no overlap.
+pub const LANES: usize = 16;
 
 /// A successful longest-prefix-match: which block matched and its score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,6 +150,89 @@ fn layout(entries: &[DiskEntry]) -> Vec<FrozenNode> {
     nodes
 }
 
+/// One longest-prefix walk in progress. The walk rules live in its two
+/// methods and nowhere else: [`Walk::step`] goes down one node,
+/// [`Walk::verify`] checks a candidate entry met on the way.
+#[derive(Clone, Copy)]
+struct Walk {
+    raw: u32,
+    /// The node to visit next; out of range once the walk has ended.
+    next: Idx,
+    /// Nodes visited so far, at most [`MAX_DEPTH`].
+    depth: u32,
+    /// The last entry met on the way down, prefetched and not yet checked.
+    candidate: Idx,
+    /// The last checked candidate that contains the address.
+    best: Idx,
+}
+
+impl Walk {
+    fn new(ip: Ip) -> Walk {
+        Walk {
+            raw: ip.raw(),
+            next: 0,
+            depth: 0,
+            candidate: NONE,
+            best: NONE,
+        }
+    }
+
+    /// Visit the next node and move to the child the address's branch bit
+    /// picks. A node's entry becomes the walk's candidate, prefetched now
+    /// and checked when the next candidate replaces it or the walk ends,
+    /// so its load overlaps the walk. Returns the node the walk visits
+    /// next, or `None` once it has ended.
+    ///
+    /// Only branch bits are tested — skipped bits are not, so recorded
+    /// entries are candidates, not hits. The indices may come from an
+    /// unverified mapped snapshot, so every access is checked and the
+    /// walk stops after [`MAX_DEPTH`] nodes.
+    #[inline(always)]
+    fn step<'t>(
+        &mut self,
+        nodes: &'t [FrozenNode],
+        entries: &[DiskEntry],
+    ) -> Option<&'t FrozenNode> {
+        let node = match nodes.get(self.next as usize) {
+            Some(node) if self.depth < MAX_DEPTH => node,
+            _ => return None,
+        };
+        self.depth += 1;
+        if node.entry != NONE {
+            self.verify(entries);
+            self.candidate = node.entry;
+            if let Some(entry) = entries.get(node.entry as usize) {
+                snap::prefetch(entry);
+            }
+        }
+        self.next = match node.plen {
+            plen @ 0..=31 => node.children[((self.raw >> (31 - plen)) & 1) as usize],
+            _ => NONE,
+        };
+        nodes.get(self.next as usize)
+    }
+
+    /// Check the pending candidate: it matches if the address lies inside
+    /// it. Candidates come shallowest first and are nested prefixes of
+    /// one another, so the last one that matches is the longest match.
+    /// An entry index out of range (a corrupt snapshot) never matches.
+    #[inline(always)]
+    fn verify(&mut self, entries: &[DiskEntry]) {
+        if let Some(entry) = entries.get(self.candidate as usize) {
+            if entry.contains(self.raw) {
+                self.best = self.candidate;
+            }
+        }
+    }
+
+    /// The ended walk's longest match, once its last candidate is checked.
+    #[inline(always)]
+    fn answer(mut self, entries: &[DiskEntry]) -> Option<LpmMatch> {
+        self.verify(entries);
+        entries.get(self.best as usize).map(|e| e.to_match())
+    }
+}
+
 /// An immutable, path-compressed longest-prefix-match trie over scored
 /// CIDR blocks.
 ///
@@ -141,9 +241,9 @@ fn layout(entries: &[DiskEntry]) -> Vec<FrozenNode> {
 /// 2³² address space. This layout keeps only the nodes that matter — the
 /// root, nodes that carry an entry, and nodes that branch — and records
 /// the *depth* at which each sits. A lookup therefore tests just the
-/// branch bits on the way down (collecting candidate entries) and
-/// verifies the skipped bits once at the end against the candidates' own
-/// CIDRs, deepest first. The walk is O(branching nodes) ≈ log₂(blocks),
+/// branch bits on the way down and checks the skipped bits of each entry
+/// it meets against that entry's own CIDR; the deepest entry that holds
+/// the address wins. The walk is O(branching nodes) ≈ log₂(blocks),
 /// not O(prefix bits). There is no interior mutability: hot reload builds
 /// a *new* trie off the serving path and swaps the `Arc` holding it.
 ///
@@ -196,44 +296,50 @@ impl FrozenTrie {
     #[inline]
     pub fn lookup(&self, ip: Ip) -> Option<LpmMatch> {
         let (nodes, entries) = self.sections();
-        let raw = ip.raw();
-        // Walk testing only branch bits — skipped bits are NOT verified
-        // here, so entries met on the way down are candidates, not hits.
-        // They are nested prefixes of one another, so verifying deepest
-        // first at the end finds the longest true match.
-        //
-        // The indices may come from an unverified mapped snapshot, so the
-        // walk is defensive: indexing is checked and the depth bound (33
-        // nodes: one per prefix length) also bounds any cycle a corrupt
-        // node section could encode.
-        let mut candidates = [NONE; 33];
-        let mut found = 0usize;
-        let mut idx = 0usize;
-        for _ in 0..=32 {
-            let Some(node) = nodes.get(idx) else { break };
-            if node.entry != NONE && found < candidates.len() {
-                candidates[found] = node.entry;
-                found += 1;
+        let mut walk = Walk::new(ip);
+        while walk.step(nodes, entries).is_some() {}
+        walk.answer(entries)
+    }
+
+    /// [`lookup`](FrozenTrie::lookup) for every address of `ips`, each
+    /// answer written to the same position of `out`. The walks advance
+    /// [`LANES`] at a time in lockstep, one node per walk per round, and
+    /// each walk's next node is prefetched while the others step, so
+    /// their cache misses overlap; the walk rules and the answers are
+    /// `lookup`'s.
+    ///
+    /// # Panics
+    ///
+    /// If `ips` and `out` differ in length.
+    pub fn lookup_batch(&self, ips: &[Ip], out: &mut [Option<LpmMatch>]) {
+        assert_eq!(ips.len(), out.len(), "one answer slot per address");
+        let (nodes, entries) = self.sections();
+        for (ips, out) in ips.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let mut walks: [Walk; LANES] =
+                std::array::from_fn(|i| Walk::new(ips.get(i).copied().unwrap_or(Ip(0))));
+            // The first `live` of `going` are the walks still going; one
+            // that ends swaps in the last, so a round steps only those.
+            let mut going: [usize; LANES] = std::array::from_fn(|i| i);
+            let mut live = ips.len();
+            while live > 0 {
+                let mut i = 0;
+                while i < live {
+                    match walks[going[i]].step(nodes, entries) {
+                        Some(next) => {
+                            snap::prefetch(next);
+                            i += 1;
+                        }
+                        None => {
+                            live -= 1;
+                            going[i] = going[live];
+                        }
+                    }
+                }
             }
-            if node.plen >= 32 {
-                break;
+            for (walk, answer) in walks.into_iter().zip(out) {
+                *answer = walk.answer(entries);
             }
-            let child = node.children[((raw >> (31 - node.plen)) & 1) as usize];
-            if child == NONE {
-                break;
-            }
-            idx = child as usize;
         }
-        while found > 0 {
-            found -= 1;
-            let Some(e) = entries.get(candidates[found] as usize) else {
-                continue;
-            };
-            if e.contains(raw) {
-                return Some(e.to_match());
-            }
-        }
-        None
     }
 
     /// Whether any block contains `ip`.
@@ -390,6 +496,22 @@ mod tests {
         assert!(frozen.lookup(ip("1.2.3.4")).is_none());
         assert!(frozen.memory_bytes() > 0, "root node still accounted");
         assert_eq!(frozen.snapshot_meta(), None, "built in memory");
+        // A batch wider than one lane group, every answer clean.
+        let probes: Vec<Ip> = (0..40u32)
+            .map(|i| Ip(i.wrapping_mul(0x9e37_79b9)))
+            .collect();
+        let mut answers = vec![
+            Some(LpmMatch {
+                cidr: cidr("1.0.0.0/8"),
+                score: 1.0
+            });
+            40
+        ];
+        frozen.lookup_batch(&probes, &mut answers);
+        assert!(answers.iter().all(Option::is_none));
+        // An empty batch, on an empty trie and on a full one.
+        frozen.lookup_batch(&[], &mut []);
+        sample_trie().lookup_batch(&[], &mut []);
     }
 
     #[test]

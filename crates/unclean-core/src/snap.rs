@@ -47,9 +47,10 @@
 //! little-endian (the header `version` doubles as the check: a
 //! big-endian reader sees 0x01000000 and rejects the snapshot).
 
-// The one module in this crate allowed to use `unsafe`: the mmap FFI
-// and the record/byte reinterpretations, each with its soundness
-// argument at the use site. The rest of the crate stays deny(unsafe).
+// The one module in this crate allowed to use `unsafe`: the mmap FFI,
+// the record/byte reinterpretations and the prefetch hint, each with its
+// soundness argument at the use site. The rest of the crate stays
+// deny(unsafe).
 #![allow(unsafe_code)]
 
 use std::io::{Read, Write};
@@ -109,6 +110,24 @@ pub(crate) fn cast_records<T: Record>(bytes: &[u8]) -> &[T] {
     // pattern (Record contract); the records borrow the byte slice
     // immutably for the same lifetime.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / RECORD_BYTES) }
+}
+
+/// Ask the CPU to start loading the cache line that holds `record`, so a
+/// walk that reads it a few steps later finds it in cache. A hint only:
+/// it changes no value any load returns, and it does nothing on targets
+/// other than x86_64.
+#[inline(always)]
+pub(crate) fn prefetch<T>(record: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` (SSE, part of the x86_64 baseline) only
+    // hints the cache hierarchy: it never faults and writes nothing, and
+    // the pointer comes from a live reference.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((record as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = record;
 }
 
 /// Errors from snapshot reading and writing.

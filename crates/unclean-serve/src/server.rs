@@ -39,6 +39,13 @@
 //! plus one). With `?detail=1` the response appends one `u32` BE
 //! matched CIDR base per address (`0` for clean) so clients can
 //! reconstruct the full match without a text round-trip.
+//! [`decode_batch_bin`] checks the frame with arithmetic that cannot
+//! overflow before anything is allocated for it. Both batch endpoints
+//! answer through [`FrozenTrie::lookup_batch`], [`LANES`] addresses at a
+//! time from a stack buffer, so a request holds nothing beyond its body
+//! and its response; the lockstep walks overlap their cache misses on
+//! lists far larger than cache. `/lookup` takes the one-walk
+//! [`FrozenTrie::lookup`]. The answers are the same either way.
 //!
 //! **Degraded-mode serving.** A live deployment is fed by the ingest
 //! daemon's rescore loop; if that loop stalls, the trie keeps answering
@@ -64,6 +71,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use unclean_core::frozen::{FrozenTrie, LANES};
 use unclean_core::prelude::Ip;
 use unclean_telemetry::{
     chrome_trace_json, prom, Counter, Gauge, Histogram, MetricsHistory, Registry, TraceEvent,
@@ -881,6 +889,70 @@ struct HistoryAnswer {
     samples: Vec<unclean_telemetry::HistorySample>,
 }
 
+/// Check a `POST /batch-bin` request body — a `u32` big-endian count,
+/// then that many `u32` big-endian addresses — and return its address
+/// bytes, four per address, or the `400` text that explains why the
+/// frame is malformed. The length check cannot overflow, so a count that
+/// no body can hold is refused; only the error text is ever allocated.
+pub fn decode_batch_bin(body: &[u8]) -> Result<&[u8], String> {
+    let Some((prefix, addresses)) = body.split_first_chunk::<4>() else {
+        return Err("binary batch body shorter than its count prefix\n".to_string());
+    };
+    let count = u32::from_be_bytes(*prefix);
+    let wants = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(4))
+        .and_then(|n| n.checked_add(4));
+    if wants != Some(body.len()) {
+        return Err(format!(
+            "binary batch length mismatch: count={count} wants {} body bytes, got {}\n",
+            4 + 4 * u64::from(count),
+            body.len()
+        ));
+    }
+    Ok(addresses)
+}
+
+/// Answer at most [`LANES`] `/batch` lines, in line order, with one
+/// [`FrozenTrie::lookup_batch`] call: `{ip} blocked {cidr} {len}
+/// {score}`, `{ip} clean`, or `{line} error` for a line that is no
+/// address. Counts the verdicts on `answers.blocked`/`answers.clean`.
+fn answer_batch_lines(
+    trie: &FrozenTrie,
+    lines: &[(&str, Option<Ip>)],
+    out: &mut String,
+    metrics: &Metrics,
+) {
+    let mut ips = [Ip(0); LANES];
+    let mut n = 0;
+    for (slot, ip) in ips.iter_mut().zip(lines.iter().filter_map(|&(_, ip)| ip)) {
+        *slot = ip;
+        n += 1;
+    }
+    let mut answers = [None; LANES];
+    trie.lookup_batch(&ips[..n], &mut answers[..n]);
+    let mut answers = answers[..n].iter();
+    let (mut blocked, mut clean) = (0, 0);
+    for &(line, ip) in lines {
+        let Some(ip) = ip else {
+            let _ = writeln!(out, "{line} error");
+            continue;
+        };
+        match answers.next().copied().flatten() {
+            Some(m) => {
+                blocked += 1;
+                let _ = writeln!(out, "{ip} blocked {} {} {}", m.cidr, m.cidr.len(), m.score);
+            }
+            None => {
+                clean += 1;
+                let _ = writeln!(out, "{ip} clean");
+            }
+        }
+    }
+    metrics.blocked.add(blocked);
+    metrics.clean.add(clean);
+}
+
 fn route(shared: &Shared, request: &Request, trace: Option<&mut StageTrace>) -> Response {
     let metrics = &shared.metrics;
     match (request.method.as_str(), request.path.as_str()) {
@@ -1039,36 +1111,25 @@ fn route(shared: &Shared, request: &Request, trace: Option<&mut StageTrace>) -> 
             let t_lookup = trace.as_ref().map(|_| Instant::now());
             let snapshot = shared.store.load();
             let mut out = String::new();
-            let mut ips = 0u64;
+            // Lines wait in a stack buffer and are answered each time it
+            // fills, so the answers stream out in line order.
+            let mut pending = [("", None); LANES];
+            let (mut waiting, mut lines) = (0, 0u64);
             for line in body.lines() {
                 let line = line.trim();
                 if line.is_empty() || line.starts_with('#') {
                     continue;
                 }
-                ips += 1;
-                match line.parse::<Ip>() {
-                    Ok(ip) => match snapshot.trie.lookup(ip) {
-                        Some(m) => {
-                            metrics.blocked.inc();
-                            let _ = writeln!(
-                                out,
-                                "{ip} blocked {} {} {}",
-                                m.cidr,
-                                m.cidr.len(),
-                                m.score
-                            );
-                        }
-                        None => {
-                            metrics.clean.inc();
-                            let _ = writeln!(out, "{ip} clean");
-                        }
-                    },
-                    Err(_) => {
-                        let _ = writeln!(out, "{line} error");
-                    }
+                lines += 1;
+                pending[waiting] = (line, line.parse().ok());
+                waiting += 1;
+                if waiting == LANES {
+                    answer_batch_lines(&snapshot.trie, &pending, &mut out, metrics);
+                    waiting = 0;
                 }
             }
-            metrics.batch_ips.add(ips);
+            answer_batch_lines(&snapshot.trie, &pending[..waiting], &mut out, metrics);
+            metrics.batch_ips.add(lines);
             if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
                 stages.lookup_ns = elapsed_ns(t_lookup);
                 stages.generation = snapshot.generation;
@@ -1078,65 +1139,44 @@ fn route(shared: &Shared, request: &Request, trace: Option<&mut StageTrace>) -> 
         }
         ("POST", "/batch-bin") => {
             metrics.batch_bin.inc();
-            let body = &request.body;
-            if body.len() < 4 {
-                metrics.bad_request.inc();
-                return Response::text(
-                    400,
-                    "Bad Request",
-                    "binary batch body shorter than its count prefix\n",
-                );
-            }
-            let count = u32::from_be_bytes([body[0], body[1], body[2], body[3]]) as usize;
-            if body.len() != 4 + count * 4 {
-                metrics.bad_request.inc();
-                return Response::text(
-                    400,
-                    "Bad Request",
-                    format!(
-                        "binary batch length mismatch: count={count} wants {} body bytes, got {}\n",
-                        4 + count * 4,
-                        body.len()
-                    ),
-                );
-            }
+            let addresses = match decode_batch_bin(&request.body) {
+                Ok(addresses) => addresses,
+                Err(reason) => {
+                    metrics.bad_request.inc();
+                    return Response::text(400, "Bad Request", reason);
+                }
+            };
+            let count = addresses.len() / 4;
             let detail = request.query_param("detail") == Some("1");
             let t_lookup = trace.as_ref().map(|_| Instant::now());
             let snapshot = shared.store.load();
-            let mut out = Vec::with_capacity(8 + count + if detail { 4 * count } else { 0 });
-            out.extend_from_slice(&(snapshot.generation.min(u32::MAX as u64) as u32).to_be_bytes());
-            out.extend_from_slice(&(count as u32).to_be_bytes());
-            let mut bases: Vec<u8> = if detail {
-                Vec::with_capacity(4 * count)
-            } else {
-                Vec::new()
-            };
-            let (mut blocked, mut clean) = (0u64, 0u64);
-            for i in 0..count {
-                let off = 4 + i * 4;
-                let raw =
-                    u32::from_be_bytes([body[off], body[off + 1], body[off + 2], body[off + 3]]);
-                match snapshot.trie.lookup(Ip(raw)) {
-                    Some(m) => {
-                        blocked += 1;
-                        out.push(m.cidr.len() + 1);
-                        if detail {
-                            bases.extend_from_slice(&m.cidr.base().raw().to_be_bytes());
-                        }
+            let mut out = vec![0; 8 + count + if detail { 4 * count } else { 0 }];
+            let generation = snapshot.generation.min(u32::MAX as u64) as u32;
+            out[..4].copy_from_slice(&generation.to_be_bytes());
+            out[4..8].copy_from_slice(&(count as u32).to_be_bytes());
+            let (verdicts, bases) = out[8..].split_at_mut(count);
+            // Answer LANES addresses at a time from the stack, writing
+            // each group's verdicts (and bases) straight into the reply.
+            let (mut ips, mut answers) = ([Ip(0); LANES], [None; LANES]);
+            let mut blocked = 0u64;
+            for (group, first) in addresses.chunks(4 * LANES).zip((0..).step_by(LANES)) {
+                let n = group.len() / 4;
+                for (ip, raw) in ips.iter_mut().zip(group.chunks_exact(4)) {
+                    *ip = Ip(u32::from_be_bytes([raw[0], raw[1], raw[2], raw[3]]));
+                }
+                snapshot.trie.lookup_batch(&ips[..n], &mut answers[..n]);
+                for (i, answer) in (first..).zip(&answers[..n]) {
+                    verdicts[i] = answer.map_or(0, |m| m.cidr.len() + 1);
+                    if detail {
+                        let base = answer.map_or(0, |m| m.cidr.base().raw());
+                        bases[4 * i..4 * i + 4].copy_from_slice(&base.to_be_bytes());
                     }
-                    None => {
-                        clean += 1;
-                        out.push(0);
-                        if detail {
-                            bases.extend_from_slice(&0u32.to_be_bytes());
-                        }
-                    }
+                    blocked += u64::from(answer.is_some());
                 }
             }
-            out.extend_from_slice(&bases);
             metrics.batch_bin_ips.add(count as u64);
             metrics.blocked.add(blocked);
-            metrics.clean.add(clean);
+            metrics.clean.add(count as u64 - blocked);
             if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
                 stages.lookup_ns = elapsed_ns(t_lookup);
                 stages.generation = snapshot.generation;
@@ -1731,6 +1771,51 @@ mod tests {
         assert_eq!(Health::Ok.as_str(), "ok");
         assert_eq!(Health::Stale.as_str(), "stale");
         assert_eq!(Health::Degraded.as_str(), "degraded");
+    }
+
+    /// A `/batch-bin` body: `count`, then `addresses` addresses.
+    fn frame(count: u32, addresses: u32) -> Vec<u8> {
+        let mut body = count.to_be_bytes().to_vec();
+        for i in 0..addresses {
+            body.extend_from_slice(&(0x0901_0000 + i).to_be_bytes());
+        }
+        body
+    }
+
+    #[test]
+    fn decode_batch_bin_checks_the_frame_length() {
+        let body = frame(3, 3);
+        assert_eq!(decode_batch_bin(&body), Ok(&body[4..]));
+        assert_eq!(decode_batch_bin(&frame(0, 0)), Ok(&[][..]));
+        assert_eq!(
+            decode_batch_bin(&[0, 0, 0]),
+            Err("binary batch body shorter than its count prefix\n".to_string())
+        );
+        assert_eq!(
+            decode_batch_bin(&frame(2, 3)),
+            Err("binary batch length mismatch: count=2 wants 12 body bytes, got 16\n".to_string())
+        );
+        // One address, but a count whose unchecked length `4 + count * 4`
+        // wraps to the body's 8 bytes on a 32-bit usize.
+        assert_eq!(
+            decode_batch_bin(&frame(0x4000_0001, 1)),
+            Err(
+                "binary batch length mismatch: count=1073741825 wants 4294967304 body bytes, \
+                 got 8\n"
+                    .to_string()
+            )
+        );
+        assert!(decode_batch_bin(&frame(u32::MAX, 1)).is_err());
+    }
+
+    /// On a 32-bit target the wrapping case above is real: the unchecked
+    /// length equals the body's, and only the checked one refuses it.
+    #[cfg(target_pointer_width = "32")]
+    #[test]
+    fn decode_batch_bin_refuses_a_count_that_wraps_usize() {
+        let count = 0x4000_0001usize;
+        assert_eq!(4usize.wrapping_add(count.wrapping_mul(4)), 8);
+        assert!(decode_batch_bin(&frame(0x4000_0001, 1)).is_err());
     }
 
     #[test]

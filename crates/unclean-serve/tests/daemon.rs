@@ -356,45 +356,95 @@ fn healthz_degrades_with_generation_age_and_recovers_on_reload() {
     server.shutdown();
 }
 
-/// The binary batch endpoint must agree verdict-for-verdict with the
-/// text endpoint over the same addresses, and `?detail=1` must name the
-/// same matched prefixes.
+/// The batch endpoints answer through the batched trie walk. Over 100
+/// addresses — six full 16-walk lane groups and a 4-walk tail — against
+/// nested blocks (/8 ⊃ /16 ⊃ /24 ⊃ /32), `/batch-bin`, `/batch-bin?detail=1`
+/// and `/batch` must each give every address's `GET /lookup` verdict, in
+/// order, and the blocked and clean counters must add up to the
+/// addresses looked up.
 #[test]
 fn batch_bin_agrees_with_text_batch() {
-    let list = scratch_list("batchbin", "9.1.0.0/16 # score=2.5\n203.0.113.0/24\n");
+    let list = scratch_list(
+        "batchbin",
+        "9.1.0.0/16 # score=2.5\n203.0.113.0/24\n10.0.0.0/8 # score=0.5\n\
+         10.1.0.0/16 # score=1.5\n10.1.2.0/24 # score=2.25\n10.1.2.3/32 # score=4.0\n",
+    );
     let server = Server::start(ServeConfig::new(&list), Registry::full()).expect("start");
     let addr = server.local_addr();
 
-    let ips: [u32; 5] = [
+    // Five hand-checked addresses, then 95 spread over every level of
+    // the nest and the space around it.
+    let mut ips: Vec<u32> = vec![
         (9 << 24) | (1 << 16) | (44 << 8) | 44, // 9.1.44.44  → /16 hit
         (8 << 24) | (8 << 16) | (8 << 8) | 8,   // 8.8.8.8    → clean
         (203 << 24) | (113 << 8) | 1,           // 203.0.113.1 → /24 hit
         (9 << 24) | (2 << 16),                  // 9.2.0.0    → clean (outside /16)
         u32::MAX,                               // 255.255.255.255 → clean
     ];
+    let mut x = 0x2545_f491u32;
+    while ips.len() < 100 {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        ips.push(match ips.len() % 5 {
+            0 => 0x0a01_0203,                   // the /32
+            1 => 0x0a01_0200 | (x & 0xff),      // inside the /24
+            2 => 0x0a01_0000 | (x & 0xffff),    // inside the /16
+            3 => 0x0a00_0000 | (x & 0xff_ffff), // inside the /8
+            _ => x,                             // anywhere
+        });
+    }
+    let dotted = |ip: u32| {
+        format!(
+            "{}.{}.{}.{}",
+            ip >> 24,
+            (ip >> 16) & 255,
+            (ip >> 8) & 255,
+            ip & 255
+        )
+    };
 
-    // Text answers over /batch.
-    let text_body: String = ips
-        .iter()
-        .map(|&ip| {
-            format!(
-                "{}.{}.{}.{}\n",
-                ip >> 24,
-                (ip >> 16) & 255,
-                (ip >> 8) & 255,
-                ip & 255
-            )
-        })
-        .collect();
-    let (status, text_answers) = post(addr, "/batch", text_body.as_bytes());
-    assert_eq!(status, 200);
-    let text_blocked: Vec<bool> = text_answers
-        .lines()
-        .map(|l| l.contains(" blocked "))
-        .collect();
-    assert_eq!(text_blocked, [true, false, true, false, false]);
+    // The point answers every batch must reproduce: verdict byte, matched
+    // base and `/batch` line per address.
+    let mut verdicts = Vec::new();
+    let mut bases = Vec::new();
+    let mut lines = Vec::new();
+    for &ip in &ips {
+        let answer = get_json(addr, &format!("/lookup?ip={}", dotted(ip)));
+        if answer.get("blocked").and_then(Value::as_bool) == Some(true) {
+            let cidr = answer.get("cidr").and_then(Value::as_str).expect("cidr");
+            let n = answer.get("n").and_then(Value::as_u64).expect("n");
+            let score = answer.get("score").and_then(Value::as_f64).expect("score");
+            let base: std::net::Ipv4Addr = cidr
+                .split('/')
+                .next()
+                .and_then(|b| b.parse().ok())
+                .expect("base");
+            verdicts.push(n as u8 + 1);
+            bases.push(u32::from(base));
+            lines.push(format!("{} blocked {cidr} {n} {score}", dotted(ip)));
+        } else {
+            verdicts.push(0);
+            bases.push(0);
+            lines.push(format!("{} clean", dotted(ip)));
+        }
+    }
+    assert_eq!(verdicts[..5], [17, 0, 25, 0, 0]);
+    assert_eq!(
+        bases[..5],
+        [(9 << 24) | (1 << 16), 0, (203 << 24) | (113 << 8), 0, 0]
+    );
+    for level in [33, 25, 17, 9] {
+        assert!(
+            verdicts.contains(&level),
+            "some address matches /{}",
+            level - 1
+        );
+    }
 
-    // Binary answers over /batch-bin: u32-BE count, then addresses.
+    // Binary answers over /batch-bin: u32-BE count, then addresses; the
+    // response is gen + count + one verdict byte each (0 = clean, else
+    // matched prefix length + 1).
     let mut frame = Vec::new();
     frame.extend_from_slice(&(ips.len() as u32).to_be_bytes());
     for &ip in &ips {
@@ -402,44 +452,67 @@ fn batch_bin_agrees_with_text_batch() {
     }
     let (status, body) = request_raw(addr, "POST", "/batch-bin", &frame);
     assert_eq!(status, 200);
-    assert_eq!(
-        body.len(),
-        8 + ips.len(),
-        "gen + count + one verdict byte each"
-    );
+    assert_eq!(body.len(), 8 + ips.len());
     let generation = u32::from_be_bytes([body[0], body[1], body[2], body[3]]);
     let count = u32::from_be_bytes([body[4], body[5], body[6], body[7]]);
     assert_eq!((generation, count), (1, ips.len() as u32));
-    // Verdict byte: 0 = clean, else matched prefix length + 1.
-    let verdicts = &body[8..];
-    assert_eq!(verdicts, [17, 0, 25, 0, 0], "text/binary verdict mismatch");
-    for (i, &v) in verdicts.iter().enumerate() {
-        assert_eq!(v != 0, text_blocked[i], "ip #{i}");
-    }
+    assert_eq!(body[8..], verdicts[..], "/batch-bin vs /lookup");
 
     // ?detail=1 appends the matched CIDR base per address (0 if clean).
     let (status, body) = request_raw(addr, "POST", "/batch-bin?detail=1", &frame);
     assert_eq!(status, 200);
     assert_eq!(body.len(), 8 + ips.len() + 4 * ips.len());
-    let bases: Vec<u32> = body[8 + ips.len()..]
+    assert_eq!(body[8..8 + ips.len()], verdicts[..]);
+    let detail: Vec<u32> = body[8 + ips.len()..]
         .chunks_exact(4)
         .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
+    assert_eq!(detail, bases, "/batch-bin?detail=1 vs /lookup");
+
+    // Text answers over /batch, with comments, blank lines and
+    // unparseable lines between the addresses.
+    let mut text_body = String::new();
+    let mut expected = Vec::new();
+    for (i, (&ip, line)) in ips.iter().zip(&lines).enumerate() {
+        match i % 7 {
+            0 => text_body.push_str("# a comment\n"),
+            3 => text_body.push_str("\n   \n"),
+            5 => {
+                text_body.push_str("not-an-ip\n");
+                expected.push("not-an-ip error".to_string());
+            }
+            _ => {}
+        }
+        text_body.push_str(&format!("  {}\t\n", dotted(ip)));
+        expected.push(line.clone());
+    }
+    let (status, text_answers) = post(addr, "/batch", text_body.as_bytes());
+    assert_eq!(status, 200);
     assert_eq!(
-        bases,
-        [
-            (9 << 24) | (1 << 16), // 9.1.0.0
-            0,
-            (203 << 24) | (113 << 8), // 203.0.113.0
-            0,
-            0
-        ]
+        text_answers.lines().collect::<Vec<_>>(),
+        expected,
+        "/batch vs /lookup"
     );
 
     // A torn frame (count promises more addresses than the body holds)
     // is a client error, not a crash.
     let (status, _) = request_raw(addr, "POST", "/batch-bin", &8u32.to_be_bytes());
     assert_eq!(status, 400);
+
+    // Every address looked up was answered exactly once: 100 point
+    // lookups, two binary batches and one text batch.
+    let (status, text) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let exposition = prom::parse(&text).expect("prometheus parse");
+    let answered = ["blocked", "clean"]
+        .map(|verdict| {
+            exposition
+                .counter_u64(&format!("unclean_serve_answers_{verdict}"))
+                .expect("answer counter exported")
+        })
+        .iter()
+        .sum::<u64>();
+    assert_eq!(answered, 4 * ips.len() as u64);
 
     server.shutdown();
 }

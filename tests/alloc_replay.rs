@@ -8,19 +8,26 @@
 //! decoder of outside bytes (the footer, the segments, `index.wal`)
 //! allocates in proportion to its input however the bytes are damaged:
 //! a seeded mutation property feeds flipped, truncated and spliced
-//! copies of the golden archive and spool to each decoder.
+//! copies of the golden archive and spool to each decoder, and random
+//! and count-spliced frames to the `/batch-bin` body decoder. The daemon
+//! answers a maximal batch request with its connection buffers and its
+//! reply, holding no table with an entry per address.
 //!
 //! This binary installs a counting global allocator (its own test binary
 //! — the library crates `forbid(unsafe_code)`, a test crate root may not)
 //! that counts allocations and sums the bytes they ask for.
 //!
-//! The counter is process-wide, so each test holds [`SERIAL`] for its
+//! The allocation count is per thread: the walks it measures run on the
+//! test's own thread, so the harness starting or finishing another test
+//! meanwhile cannot land in them. The byte sum is process-wide (a daemon
+//! answers on its own threads), so each test holds [`SERIAL`] for its
 //! whole body: another test allocating on a parallel harness thread would
-//! otherwise land in a measured walk.
+//! otherwise land in a measured call.
 
 use crossbeam::executor::Executor;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -31,10 +38,16 @@ use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
     CandidateCollector, Flow, IndexedArchive, IndexedArchiveWriter, SegmentReader, WalSpool,
 };
+use unclean_serve::server::decode_batch_bin;
+use unclean_serve::{ServeConfig, Server};
+use unclean_telemetry::Registry;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations and reallocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 /// Bytes asked for by every allocation and reallocation (their new
 /// sizes), never decremented: an upper bound on what a call allocated.
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -47,9 +60,19 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// This thread's allocation count so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: a thread past its TLS teardown still allocates.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -59,7 +82,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -97,12 +120,12 @@ fn replay_counting(bytes: &[u8]) -> (u64, u64) {
     let archive = IndexedArchive::open(bytes).expect("indexes");
     let selected = archive.index().select(None);
     let mut flows = 0u64;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for &(i, entry) in &selected {
         let mut cursor = archive.cursor(i, entry).expect("crc ok");
         cursor.for_each_flow(|_| flows += 1).expect("clean replay");
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     (flows, after - before)
 }
 
@@ -141,7 +164,7 @@ fn candidate_scan_counting(bytes: &[u8], collector: &mut CandidateCollector) -> 
     let archive = IndexedArchive::open(bytes).expect("indexes");
     let selected = archive.index().select(None);
     let mut flows = 0u64;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for &(i, entry) in &selected {
         let mut cursor = archive.cursor(i, entry).expect("crc ok");
         cursor
@@ -151,7 +174,7 @@ fn candidate_scan_counting(bytes: &[u8], collector: &mut CandidateCollector) -> 
             })
             .expect("clean replay");
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     (flows, after - before)
 }
 
@@ -323,7 +346,66 @@ fn decode_archive(bytes: &[u8], pool: &Executor) {
     }
 }
 
+/// One `/batch-bin` request body: random bytes, or a frame of up to 300
+/// addresses whose count is kept, spliced too large or too small, set to
+/// `u32::MAX` or to any value, or whose body is one byte off.
+fn batch_frame(mix: &mut Mix) -> Vec<u8> {
+    if mix.below(5) == 0 {
+        return (0..mix.below(64)).map(|_| mix.next() as u8).collect();
+    }
+    let addresses = mix.below(300) as u32;
+    let count = match mix.below(5) {
+        0 | 1 => addresses,
+        2 => addresses + 1 + mix.below(1 << 20) as u32,
+        3 => addresses.saturating_sub(1 + mix.below(addresses as usize) as u32),
+        _ => [u32::MAX, mix.wide() as u32][mix.below(2)],
+    };
+    let mut body = count.to_be_bytes().to_vec();
+    for _ in 0..addresses {
+        body.extend_from_slice(&(mix.next() as u32).to_be_bytes());
+    }
+    if mix.below(4) == 0 {
+        match mix.below(2) {
+            0 => body.push(mix.next() as u8),
+            _ => drop(body.pop()),
+        }
+    }
+    body
+}
+
 proptest! {
+    /// Random and count-spliced `/batch-bin` bodies: the decoder returns
+    /// (no panic), accepts exactly the frames whose length its count
+    /// promises, and asks for at most 8× the body plus 64 KiB.
+    #[test]
+    fn batch_bin_frames_decode_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        for _ in 0..16 {
+            let body = batch_frame(&mut mix);
+            let mut decoded = None;
+            let asked = bytes_asked(|| decoded = Some(decode_batch_bin(&body)));
+            prop_assert!(
+                asked <= budget(body.len()),
+                "seed {seed}: {asked} bytes asked decoding a {}-byte frame",
+                body.len()
+            );
+            let promised = body
+                .first_chunk::<4>()
+                .map(|count| 4 + 4 * u64::from(u32::from_be_bytes(*count)));
+            match decoded.expect("decoder ran") {
+                Ok(addresses) => {
+                    prop_assert_eq!(promised, Some(body.len() as u64), "seed {}", seed);
+                    prop_assert_eq!(&body[4..], addresses);
+                }
+                Err(reason) => prop_assert!(
+                    promised != Some(body.len() as u64) && reason.ends_with('\n'),
+                    "seed {seed}: refused a well-formed frame: {reason:?}"
+                ),
+            }
+        }
+    }
+
     /// Damaged archives and spools: every decoder returns (no panic) and
     /// asks for at most 8× its input plus 64 KiB. Five archive and five
     /// spool mutations per case.
@@ -365,4 +447,63 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Maximal `/batch-bin` (with and without `?detail=1`) and `/batch`
+/// bodies sent to an in-process daemon: everything the process asks for
+/// while it answers stays under 6× the body (the connection's input
+/// buffer as it grows, the parsed request) plus 4× the reply (the reply
+/// as it grows, its copy into the output buffer) plus 1 MiB. An answer
+/// table with one entry per address would not fit: a 24-byte match per
+/// 4-byte address alone is 6× a `/batch-bin` body, and one per 2-byte
+/// `/batch` line 12×.
+#[test]
+fn maximal_batch_requests_allocate_only_their_buffers() {
+    use std::io::{Read as _, Write as _};
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("unclean-alloc-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let list = dir.join("list.txt");
+    std::fs::write(&list, "10.0.0.0/8\n10.1.0.0/16 # score=2.5\n10.1.2.0/24\n").expect("write");
+    let mut config = ServeConfig::new(&list);
+    config.threads = 1;
+    config.history_interval = None;
+    let server = Server::start(config, Registry::off()).expect("start");
+
+    let max = unclean_serve::http::MAX_BODY_BYTES;
+    let count = max / 4 - 1;
+    let mut frame = (count as u32).to_be_bytes().to_vec();
+    for i in 0..count as u32 {
+        frame.extend_from_slice(&(0x0a01_0000 + 7 * i).to_be_bytes());
+    }
+    let lines = b"1\n".repeat(max / 2);
+    for (path, body, reply_body) in [
+        ("/batch-bin", &frame, 8 + count),
+        ("/batch-bin?detail=1", &frame, 8 + 5 * count),
+        ("/batch", &lines, 8 * lines.len() / 2),
+    ] {
+        let mut request = format!(
+            "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        let mut reply = Vec::with_capacity(2 * reply_body);
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let asked = bytes_asked(|| {
+            stream.write_all(&request).expect("send");
+            stream.read_to_end(&mut reply).expect("read");
+        });
+        assert!(reply.starts_with(b"HTTP/1.1 200"), "{path}: not answered");
+        assert!(reply.len() > reply_body, "{path}: short reply");
+        let bound = 6 * body.len() + 4 * reply_body + (1 << 20);
+        assert!(
+            asked <= bound as u64,
+            "{path}: {asked} bytes asked answering a {}-byte body (bound {bound})",
+            body.len()
+        );
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -359,6 +359,23 @@ fn contains_block_is_equivalent_to_blockset_contains() {
     }
 }
 
+/// `lookup_batch` over `probes` — whole, and cut into chunks on either
+/// side of its 16-walk lane group — gives `lookup`'s answer for every
+/// probe, in order.
+fn assert_batch_matches_point(trie: &FrozenTrie, probes: &[Ip]) {
+    let point: Vec<Option<LpmMatch>> = probes.iter().map(|&ip| trie.lookup(ip)).collect();
+    let mut batch = vec![None; probes.len()];
+    trie.lookup_batch(probes, &mut batch);
+    assert_eq!(batch, point, "whole batch of {}", probes.len());
+    for chunk in [1, 15, 16, 17, 100] {
+        let mut batch = vec![None; probes.len()];
+        for (ips, out) in probes.chunks(chunk).zip(batch.chunks_mut(chunk)) {
+            trie.lookup_batch(ips, out);
+        }
+        assert_eq!(batch, point, "chunks of {chunk}");
+    }
+}
+
 proptest! {
     #[test]
     fn frozen_trie_is_equivalent_to_linear_scan(
@@ -408,12 +425,13 @@ proptest! {
         }
         probes.extend(extra_probes.iter().map(|&r| Ip(r)));
 
-        for ip in probes {
+        for &ip in &probes {
             let expect = reference(ip);
             let from_frozen = frozen.lookup(ip).map(|m| (m.cidr, m.score));
             prop_assert_eq!(from_frozen, expect, "frozen trie at {}", ip);
             prop_assert_eq!(frozen.contains(ip), expect.is_some());
         }
+        assert_batch_matches_point(&frozen, &probes);
     }
 
     #[test]
@@ -471,12 +489,13 @@ proptest! {
         }
         probes.extend(extra_probes.iter().map(|&r| Ip(r)));
 
-        for ip in probes {
+        for &ip in &probes {
             let from_heap = heap.lookup(ip).map(|m| (m.cidr, m.score));
             let from_mmap = mapped.lookup(ip).map(|m| (m.cidr, m.score));
             prop_assert_eq!(from_mmap, from_heap, "mmap vs heap at {}", ip);
             prop_assert_eq!(mapped.contains(ip), from_heap.is_some());
         }
+        assert_batch_matches_point(&mapped, &probes);
     }
 
     #[test]
@@ -535,12 +554,14 @@ proptest! {
             "flipped byte at {} accepted", at
         );
         if let Ok(unverified) = FrozenTrie::open_mmap(&path) {
-            for (cidr, _) in &blocks {
-                let (first, last) = (cidr.first().raw(), cidr.last().raw());
-                for raw in [first, last, first.wrapping_sub(1), last.wrapping_add(1)] {
-                    let _ = unverified.lookup(Ip(raw));
-                }
-            }
+            let probes: Vec<Ip> = blocks
+                .iter()
+                .flat_map(|(cidr, _)| {
+                    let (first, last) = (cidr.first().raw(), cidr.last().raw());
+                    [first, last, first.wrapping_sub(1), last.wrapping_add(1)].map(Ip)
+                })
+                .collect();
+            assert_batch_matches_point(&unverified, &probes);
         }
 
         // Truncate anywhere strictly inside the file: must be rejected
