@@ -602,8 +602,8 @@ fn main() -> ExitCode {
     let hosted = match &args.blocklist {
         Some(list) => {
             let mut config = unclean_serve::ServeConfig::new(list);
-            config.threads = args.clients.max(4);
-            config.trace_sample = args.trace_sample;
+            config.core.threads = args.clients.max(4);
+            config.core.trace_sample = args.trace_sample;
             config.forecast = args.forecast.as_ref().map(std::path::PathBuf::from);
             match unclean_serve::Server::start(config, unclean_telemetry::Registry::full()) {
                 Ok(server) => Some(server),

@@ -15,8 +15,8 @@
 //! * `--resume` fingerprints the run (scale, seed, trials, crate version)
 //!   against the manifest and re-runs only experiments whose recorded
 //!   outputs are missing, corrupt, or from a failed attempt;
-//! * experiments are scheduled over a (currently edge-free) dependency
-//!   DAG and run concurrently on `--threads` workers, each in its own
+//! * experiments run concurrently on `--threads` workers, which take
+//!   the next pending one in registry order, each in its own
 //!   [`ExperimentSlot`] so one experiment's retries and telemetry never
 //!   bleed into another's. Scheduling never affects results: every
 //!   experiment derives its randomness from its own seed, and outputs,
@@ -32,9 +32,9 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 use unclean_flowgen::ArchiveTelemetry;
 use unclean_netmodel::Scenario;
@@ -576,12 +576,6 @@ pub fn flow_audit(scenario: &Scenario, registry: &Registry) -> Result<FlowAudit,
     Ok(audit)
 }
 
-/// [`flow_audit`] against a context's scenario and run registry,
-/// returning only the archive side (the manifest's audit field).
-pub fn archive_audit(ctx: &ExperimentContext) -> Result<ArchiveTelemetry, RunError> {
-    flow_audit(&ctx.scenario, &ctx.registry).map(|a| a.archive)
-}
-
 /// The registry `run_all` supervises: the full experiment registry plus
 /// the `--self-test-panic` injection when enabled.
 fn supervised_registry(cfg: &RunnerConfig) -> Vec<crate::experiments::Experiment> {
@@ -613,38 +607,14 @@ pub fn validate_config(cfg: &RunnerConfig) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Dependency edges between experiments: `id` may only start once every
-/// experiment named here has finished. Every current experiment is
-/// independent — each consumes only the shared pre-generated
-/// [`ExperimentContext`] — so the table is empty. The scheduler in
-/// [`run_all`] honours it regardless, so a future derived experiment
-/// (say, a summary that reads other experiments' result values) can
-/// declare prerequisites without the scheduling code changing.
-pub fn experiment_dependencies(_id: &str) -> &'static [&'static str] {
-    &[]
-}
-
 /// One finished experiment, parked until the ordered emission pass.
 type Outcome = (RunRecord, Option<Value>, Option<Snapshot>);
 
-/// Scheduler bookkeeping shared by the worker threads.
-struct SchedState {
-    /// Registry indices whose dependencies have all finished, kept sorted
-    /// so workers always claim the lowest index first — with one worker
-    /// this reproduces the old serial registry order exactly.
-    ready: Vec<usize>,
-    /// Per registry index: unfinished dependencies (usize::MAX = done or
-    /// not scheduled).
-    waiting_on: Vec<usize>,
-    /// Scheduled experiments not yet finished.
-    outstanding: usize,
-}
-
-/// Run the non-resumed experiments concurrently over the dependency DAG,
-/// filling `outcomes` (one slot per registry entry). Failures never stop
-/// the schedule: a failed experiment counts as "finished" for its
-/// dependents, which then run against whatever the shared context holds —
-/// exactly the fault-isolation contract the serial loop had.
+/// Run the non-resumed experiments over `ctx.threads` workers, filling
+/// `outcomes` (one slot per registry entry). Each worker takes the next
+/// pending experiment off one atomic counter, so experiments start
+/// lowest index first — with one worker, the serial registry order.
+/// Failures never stop the schedule: the other experiments still run.
 fn run_scheduled(
     ctx: &Arc<ExperimentContext>,
     registry: &[crate::experiments::Experiment],
@@ -652,70 +622,20 @@ fn run_scheduled(
     cfg: &RunnerConfig,
     outcomes: &[Mutex<Option<Outcome>>],
 ) {
-    if pending.is_empty() {
-        return;
-    }
-    let index_of = |id: &str| registry.iter().position(|(rid, _, _)| *rid == id);
-    let mut waiting_on = vec![usize::MAX; registry.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); registry.len()];
-    let mut ready = Vec::new();
-    for &i in pending {
-        // Dependencies that were resumed (or filtered out by --only) are
-        // already satisfied; only edges into still-pending work count.
-        let deps: Vec<usize> = experiment_dependencies(registry[i].0)
-            .iter()
-            .filter_map(|d| index_of(d))
-            .filter(|d| pending.contains(d))
-            .collect();
-        waiting_on[i] = deps.len();
-        for d in deps {
-            dependents[d].push(i);
-        }
-        if waiting_on[i] == 0 {
-            ready.push(i);
-        }
-    }
-    ready.sort_unstable();
-    let state = Mutex::new(SchedState {
-        ready,
-        waiting_on,
-        outstanding: pending.len(),
-    });
-    let wake = Condvar::new();
+    let next = AtomicUsize::new(0);
     let workers = ctx.threads.min(pending.len()).max(1);
     crossbeam::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
-                let claimed = {
-                    let mut st = state.lock().expect("scheduler lock");
-                    loop {
-                        if !st.ready.is_empty() {
-                            break Some(st.ready.remove(0));
-                        }
-                        if st.outstanding == 0 {
-                            break None;
-                        }
-                        st = wake.wait(st).expect("scheduler lock");
-                    }
-                };
-                let Some(i) = claimed else { return };
-                let (id, description, runner) = registry[i];
-                eprintln!("\n[bench] ===== {id}: {description} =====");
-                let t0 = Instant::now();
-                let slot = Arc::new(ExperimentSlot::new(Arc::clone(ctx)));
-                let outcome = run_one(&slot, id, runner, cfg);
-                eprintln!("[bench] {id} finished in {:.1?}", t0.elapsed());
-                *outcomes[i].lock().expect("outcome slot") = Some(outcome);
-                let mut st = state.lock().expect("scheduler lock");
-                st.outstanding -= 1;
-                for &d in &dependents[i] {
-                    st.waiting_on[d] -= 1;
-                    if st.waiting_on[d] == 0 {
-                        let at = st.ready.partition_point(|&r| r < d);
-                        st.ready.insert(at, d);
-                    }
+            s.spawn(|_| {
+                while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let (id, description, runner) = registry[i];
+                    eprintln!("\n[bench] ===== {id}: {description} =====");
+                    let t0 = Instant::now();
+                    let slot = Arc::new(ExperimentSlot::new(Arc::clone(ctx)));
+                    let outcome = run_one(&slot, id, runner, cfg);
+                    eprintln!("[bench] {id} finished in {:.1?}", t0.elapsed());
+                    *outcomes[i].lock().expect("outcome slot") = Some(outcome);
                 }
-                wake.notify_all();
             });
         }
     })

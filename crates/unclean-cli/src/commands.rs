@@ -704,17 +704,17 @@ pub fn serve(
     let registry = Registry::full();
     let mut config = ServeConfig::new(blocklist);
     config.forecast = tuning.forecast.clone();
-    config.addr = addr.to_string();
-    config.threads = threads.max(1);
-    config.max_conns = max_conns.max(1);
-    config.read_timeout = Duration::from_millis(read_timeout_ms.max(1));
+    config.core.addr = addr.to_string();
+    config.core.threads = threads.max(1);
+    config.core.max_conns = max_conns.max(1);
+    config.core.read_timeout = Duration::from_millis(read_timeout_ms.max(1));
     config.watch = watch.then(|| Duration::from_secs(2));
-    config.stale_after = tuning.stale_after_secs.map(Duration::from_secs);
-    config.degraded_after = tuning.degraded_after_secs.map(Duration::from_secs);
-    config.trace_sample = tuning.trace_sample;
-    config.trace_events = tuning.trace_events;
-    config.max_requests_per_conn = tuning.max_requests_per_conn.max(1);
-    config.history_interval =
+    config.core.stale_after = tuning.stale_after_secs.map(Duration::from_secs);
+    config.core.degraded_after = tuning.degraded_after_secs.map(Duration::from_secs);
+    config.core.trace_sample = tuning.trace_sample;
+    config.core.trace_events = tuning.trace_events;
+    config.core.max_requests_per_conn = tuning.max_requests_per_conn.max(1);
+    config.core.history_interval =
         (tuning.history_ms > 0).then(|| Duration::from_millis(tuning.history_ms));
     let server = Server::start(config, registry.clone()).map_err(|e| e.to_string())?;
     println!(

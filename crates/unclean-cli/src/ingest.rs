@@ -18,10 +18,14 @@
 //! segment, publish a final generation, and write a final checkpoint
 //! before exiting.
 //!
-//! The control port answers `/healthz` (`ok|stale|degraded` by the age of
-//! the last published generation — 503 once degraded, while ingest keeps
-//! spooling), `/metrics` (Prometheus text), `/checkpoint` (the WAL
-//! position as JSON), and `POST /quit`.
+//! The control port runs on `unclean-serve`'s HTTP core (one event-loop
+//! shard), so a stalled client cannot stall it. It answers `/healthz`
+//! (`ok|stale|degraded` by the age of the last published generation —
+//! 503 once degraded, while ingest keeps spooling), `/metrics`
+//! (Prometheus text), `/metrics/history` (the flight recorder),
+//! `/trace` (the trace ring), `/checkpoint` (the WAL position as JSON),
+//! and `POST /quit` (answers `draining`; the port stays up until the
+//! drain is done).
 //!
 //! `unclean replay` streams flows at a collector over UDP through the
 //! seeded fault model (drops, bursts, truncation, record corruption,
@@ -30,11 +34,10 @@
 //! every flow it sent.
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::net::UdpSocket;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use unclean_core::blocklist::render_scored_with_meta;
 use unclean_core::{publish_atomic, Ip};
@@ -46,23 +49,10 @@ use unclean_flowgen::{
     V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
 };
 use unclean_netmodel::randutil::{decides, index_hash};
-use unclean_serve::http::{read_request, respond};
-use unclean_serve::Health;
+use unclean_serve::http::Request;
+use unclean_serve::{CoreConfig, Daemon, Response, Server, StageTrace};
 use unclean_stats::SeedTree;
-use unclean_telemetry::{
-    chrome_trace_json, prom, Counter, MetricsHistory, Registry, TraceEvent, TraceKind,
-};
-
-/// Compile-time build identity for `unclean_ingest_build_info` (the CI
-/// build exports `UNCLEAN_GIT_SHA`; local builds say "unreleased").
-const GIT_SHA: &str = match option_env!("UNCLEAN_GIT_SHA") {
-    Some(sha) => sha,
-    None => "unreleased",
-};
-
-/// Flight-recorder depth: at the default 2s interval this is ten minutes
-/// of metric history.
-const HISTORY_SAMPLES: usize = 300;
+use unclean_telemetry::{Counter, Gauge, Registry, TraceEvent, TraceKind};
 
 /// Set by the SIGTERM/SIGINT handler; the ingest loop polls it and turns
 /// the signal into the same graceful drain as `POST /quit`.
@@ -166,10 +156,10 @@ fn now_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// State shared between the ingest loop and the control server: the
-/// telemetry registry, the quit latch, and the freshness/checkpoint
-/// mirrors the endpoints answer from.
-struct ControlShared {
+/// What the control port answers from, shared with the ingest loop: the
+/// drain latch, the last published generation, and mirrors of the WAL
+/// checkpoint.
+struct Control {
     registry: Registry,
     quit: AtomicBool,
     generation: AtomicU64,
@@ -177,62 +167,31 @@ struct ControlShared {
     /// then measured from daemon start).
     last_publish_ms: AtomicU64,
     started_ms: u64,
-    stale_after: Duration,
-    degraded_after: Duration,
+    age_secs: Gauge,
     sealed_segments: AtomicU64,
     sealed_flows: AtomicU64,
     unsealed_flows: AtomicU64,
     end_seq: AtomicU64,
-    /// Flight recorder (None when `--history-secs 0`); scraped by the
-    /// control thread on its poll cadence.
-    history: Option<Arc<MetricsHistory>>,
-    history_interval: Duration,
 }
 
-impl ControlShared {
-    fn new(opts: &IngestOpts, registry: Registry) -> ControlShared {
-        if opts.trace_events > 0 {
-            registry.install_trace(opts.trace_events);
-        }
-        let history_interval = Duration::from_millis(opts.history_ms);
-        let history = (opts.history_ms > 0).then(|| Arc::new(MetricsHistory::new(HISTORY_SAMPLES)));
-        ControlShared {
+impl Control {
+    fn new(registry: Registry) -> Control {
+        Control {
+            age_secs: registry.gauge("rescore.age_secs"),
             registry,
             quit: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             last_publish_ms: AtomicU64::new(0),
             started_ms: now_unix_ms(),
-            stale_after: Duration::from_secs(opts.stale_after_secs),
-            degraded_after: Duration::from_secs(opts.degraded_after_secs),
             sealed_segments: AtomicU64::new(0),
             sealed_flows: AtomicU64::new(0),
             unsealed_flows: AtomicU64::new(0),
             end_seq: AtomicU64::new(0),
-            history,
-            history_interval,
         }
     }
 
     fn stopping(&self) -> bool {
         self.quit.load(Ordering::SeqCst) || SHUTDOWN.load(Ordering::SeqCst)
-    }
-
-    /// Health by the age of the last published generation; also refreshes
-    /// the `rescore.age_secs` gauge so `/metrics` agrees with `/healthz`.
-    fn health(&self) -> (Health, u64, u64) {
-        let anchor = match self.last_publish_ms.load(Ordering::Relaxed) {
-            0 => self.started_ms,
-            ms => ms,
-        };
-        let age = Duration::from_millis(now_unix_ms().saturating_sub(anchor));
-        self.registry
-            .gauge("rescore.age_secs")
-            .set(age.as_secs_f64());
-        (
-            Health::of(age, Some(self.stale_after), Some(self.degraded_after)),
-            self.generation.load(Ordering::Relaxed),
-            age.as_secs(),
-        )
     }
 
     fn record_checkpoint(&self, cp: &unclean_flowgen::WalCheckpoint) {
@@ -245,167 +204,41 @@ impl ControlShared {
     }
 }
 
-/// The control listener: a non-blocking accept loop on its own thread,
-/// answering health/metrics/checkpoint reads and latching `/quit`.
-struct ControlServer {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+/// The control port adds `/checkpoint`, reports the last published
+/// generation's age on `rescore.age_secs`, and answers `POST /quit` by
+/// latching the drain; `ingest` shuts the port down once drained.
+impl Daemon for Control {
+    const NAME: &'static str = "unclean-ingest";
 
-impl ControlServer {
-    fn start(bind: &str, shared: Arc<ControlShared>) -> Result<ControlServer, String> {
-        let listener =
-            TcpListener::bind(bind).map_err(|e| format!("cannot bind control {bind}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("control listener: {e}"))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| format!("control listener: {e}"))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("ingest-control".to_string())
-                .spawn(move || {
-                    // The flight recorder rides the accept loop's poll
-                    // cadence: no extra thread, one snapshot per interval.
-                    let mut next_sample = Instant::now();
-                    while !stop.load(Ordering::SeqCst) {
-                        if let Some(history) = &shared.history {
-                            if Instant::now() >= next_sample {
-                                history.observe(now_unix_ms(), &shared.registry.snapshot());
-                                next_sample = Instant::now() + shared.history_interval;
-                            }
-                        }
-                        match listener.accept() {
-                            Ok((mut stream, _)) => {
-                                let _ = stream.set_nonblocking(false);
-                                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                                handle_control(&mut stream, &shared);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(20));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                })
-                .map_err(|e| format!("control thread: {e}"))?
+    fn freshness(&self) -> (u64, Duration) {
+        let anchor = match self.last_publish_ms.load(Ordering::Relaxed) {
+            0 => self.started_ms,
+            ms => ms,
         };
-        Ok(ControlServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        let age = Duration::from_millis(now_unix_ms().saturating_sub(anchor));
+        self.age_secs.set(age.as_secs_f64());
+        (self.generation.load(Ordering::Relaxed), age)
     }
 
-    fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn handle_control(stream: &mut TcpStream, shared: &ControlShared) {
-    let request = match read_request(stream) {
-        Ok(request) => request,
-        Err(_) => return,
-    };
-    let outcome = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            let (health, generation, age_secs) = shared.health();
-            let body = format!(
-                "{} generation={generation} age_secs={age_secs}\n",
-                health.as_str()
-            );
-            let (code, reason) = match health {
-                Health::Degraded => (503, "Service Unavailable"),
-                Health::Ok | Health::Stale => (200, "OK"),
-            };
-            respond(stream, code, reason, "text/plain", body.as_bytes())
-        }
-        ("GET", "/metrics") => {
-            shared.health();
-            let mut text = prom::render(&shared.registry.snapshot(), "unclean_ingest");
-            text.push_str(&prom::build_info(
-                "unclean_ingest",
-                env!("CARGO_PKG_VERSION"),
-                GIT_SHA,
-                shared.started_ms as f64 / 1000.0,
-            ));
-            respond(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                text.as_bytes(),
-            )
-        }
-        ("GET", "/trace") => {
-            let events = shared
-                .registry
-                .trace()
-                .map(|ring| ring.events())
-                .unwrap_or_default();
-            if request.query_param("format") == Some("events") {
-                // Same machine-readable shape as serve's `/trace?format=events`,
-                // so one lineage walker reads both daemons.
-                let body = serde_json::to_string(&events)
-                    .map(|events| format!("{{\"events\":{events}}}"))
-                    .unwrap_or_else(|_| "{\"events\":[]}".to_string());
-                respond(stream, 200, "OK", "application/json", body.as_bytes())
-            } else {
-                let body =
-                    chrome_trace_json(&shared.registry.snapshot(), &events, "unclean-ingest");
-                respond(stream, 200, "OK", "application/json", body.as_bytes())
-            }
-        }
-        ("GET", "/metrics/history") => match &shared.history {
-            Some(history) => {
-                let samples =
-                    serde_json::to_string(&history.samples()).unwrap_or_else(|_| "[]".to_string());
-                let body = format!(
-                    "{{\"interval_secs\":{},\"samples\":{samples}}}",
-                    shared.history_interval.as_secs_f64()
-                );
-                respond(stream, 200, "OK", "application/json", body.as_bytes())
-            }
-            None => respond(
-                stream,
-                404,
-                "Not Found",
-                "text/plain",
-                b"flight recorder disabled\n",
-            ),
-        },
-        ("GET", "/checkpoint") => {
+    fn route(&self, request: &Request, _: Option<&mut StageTrace>) -> Option<Response> {
+        (request.method == "GET" && request.path == "/checkpoint").then(|| {
             let body = format!(
                 "{{\"generation\":{},\"sealed_segments\":{},\"sealed_flows\":{},\
                  \"unsealed_flows\":{},\"end_seq\":{}}}\n",
-                shared.generation.load(Ordering::Relaxed),
-                shared.sealed_segments.load(Ordering::Relaxed),
-                shared.sealed_flows.load(Ordering::Relaxed),
-                shared.unsealed_flows.load(Ordering::Relaxed),
-                shared.end_seq.load(Ordering::Relaxed),
+                self.generation.load(Ordering::Relaxed),
+                self.sealed_segments.load(Ordering::Relaxed),
+                self.sealed_flows.load(Ordering::Relaxed),
+                self.unsealed_flows.load(Ordering::Relaxed),
+                self.end_seq.load(Ordering::Relaxed),
             );
-            respond(stream, 200, "OK", "application/json", body.as_bytes())
-        }
-        ("POST", "/quit") => {
-            shared.quit.store(true, Ordering::SeqCst);
-            respond(stream, 200, "OK", "text/plain", b"draining\n")
-        }
-        _ => respond(
-            stream,
-            404,
-            "Not Found",
-            "text/plain",
-            b"unknown control endpoint\n",
-        ),
-    };
-    let _ = outcome;
+            Response::ok_with("application/json", body.into_bytes())
+        })
+    }
+
+    fn quit(&self) -> (&'static str, bool) {
+        self.quit.store(true, Ordering::SeqCst);
+        ("draining\n", false)
+    }
 }
 
 /// Registry counter handles resolved once per attempt (the hot loop must
@@ -459,7 +292,7 @@ impl TelemetrySync {
         spool: &WalSpool,
         spooled: u64,
         counters: &IngestCounters,
-        shared: &ControlShared,
+        shared: &Control,
     ) {
         let tele = source.telemetry();
         let ring = source.ring_telemetry();
@@ -512,7 +345,7 @@ impl Publisher {
     fn publish(
         &mut self,
         spool: &mut WalSpool,
-        shared: &ControlShared,
+        shared: &Control,
         force: bool,
     ) -> Result<bool, String> {
         let fail = |e: String| -> String {
@@ -582,11 +415,20 @@ impl Publisher {
 pub fn ingest(opts: &IngestOpts) -> Result<String, String> {
     install_signal_handlers();
     let registry = Registry::full();
-    let shared = Arc::new(ControlShared::new(opts, registry.clone()));
-    let control = ControlServer::start(&opts.control, Arc::clone(&shared))?;
+    let core = CoreConfig {
+        threads: 1,
+        stale_after: Some(Duration::from_secs(opts.stale_after_secs)),
+        degraded_after: Some(Duration::from_secs(opts.degraded_after_secs)),
+        trace_events: opts.trace_events,
+        history_interval: (opts.history_ms > 0).then(|| Duration::from_millis(opts.history_ms)),
+        ..CoreConfig::new(&opts.control)
+    };
+    let control = Server::run(Control::new(registry.clone()), core, registry.clone())
+        .map_err(|e| format!("cannot bind control {}: {e}", opts.control))?;
+    let shared = control.daemon();
     println!(
         "unclean-ingest control on http://{} (spool: {}, blocklist out: {})",
-        control.addr,
+        control.local_addr(),
         opts.spool_dir.display(),
         opts.out.display()
     );
@@ -601,7 +443,7 @@ pub fn ingest(opts: &IngestOpts) -> Result<String, String> {
         attempt += 1;
         registry.counter("ingest.attempts").inc();
         let attempt_started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| run_attempt(opts, &shared, attempt)));
+        let result = catch_unwind(AssertUnwindSafe(|| run_attempt(opts, shared, attempt)));
         let error = match result {
             Ok(Ok(summary)) => break Ok(format!("{summary} (attempt {attempt})")),
             Ok(Err(e)) => e,
@@ -665,7 +507,7 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 /// One supervised attempt: bind the socket, recover the spool, then pump
 /// ring → WAL with periodic rescore until shutdown, ending in a graceful
 /// drain (stop socket → drain ring to exhaustion → seal → final publish).
-fn run_attempt(opts: &IngestOpts, shared: &ControlShared, attempt: u32) -> Result<String, String> {
+fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<String, String> {
     let mut source = UdpFlowSource::bind(UdpSourceConfig {
         bind: opts.bind.clone(),
         boot_unix_secs: opts.boot_unix_secs,
@@ -1070,6 +912,7 @@ pub fn replay(opts: &ReplayOpts) -> Result<String, String> {
 mod tests {
     use super::*;
     use std::io::Read as _;
+    use std::net::{TcpListener, TcpStream};
     use std::path::Path;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -1246,8 +1089,8 @@ mod tests {
 
         // Serve the published file with every request sampled.
         let mut config = unclean_serve::ServeConfig::new(&opts.out);
-        config.threads = 2;
-        config.trace_sample = 1;
+        config.core.threads = 2;
+        config.core.trace_sample = 1;
         let server = unclean_serve::Server::start(config, Registry::full()).expect("serve starts");
         let serve_addr = server.local_addr().to_string();
         let lookup = http(&serve_addr, "GET /lookup?ip=9.1.0.5 HTTP/1.0\r\n\r\n");
@@ -1339,6 +1182,108 @@ mod tests {
             0,
             "serve ring dropped events"
         );
+    }
+
+    /// One client connects and sends nothing; another sends a request a
+    /// byte every 200 ms. Neither holds the control port: `/healthz`
+    /// answers within a second, and one HTTP/1.1 connection gets answers
+    /// to two pipelined requests.
+    #[test]
+    fn stalled_clients_cannot_stall_the_control_port() {
+        let dir = tmp_dir("stall");
+        let opts = test_opts(&dir);
+        let control = opts.control.clone();
+        let daemon = {
+            let opts = opts.clone();
+            std::thread::spawn(move || ingest(&opts))
+        };
+        let health = http(&control, "GET /healthz HTTP/1.0\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.0 200"), "{health}");
+
+        // Both connect before the probes below, so a server that serves
+        // connections in accept order meets the stalled ones first.
+        let _idle = TcpStream::connect(&control).expect("idle client");
+        let mut slow = TcpStream::connect(&control).expect("slow client");
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
+        let trickle = std::thread::spawn(move || {
+            for byte in b"GET /healthz HTTP/1.0\r\n\r\n" {
+                let timeout = std::sync::mpsc::RecvTimeoutError::Timeout;
+                if slow.write_all(&[*byte]).is_err()
+                    || stopped.recv_timeout(Duration::from_millis(200)) != Err(timeout)
+                {
+                    break;
+                }
+            }
+        });
+
+        let exchange = |request: &[u8]| {
+            let t0 = Instant::now();
+            let mut stream = TcpStream::connect(&control).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .expect("read timeout");
+            stream.write_all(request).expect("write");
+            let mut text = String::new();
+            let read = stream.read_to_string(&mut text);
+            assert!(read.is_ok(), "no answer within 1 s: {read:?} {text:?}");
+            assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+            text
+        };
+        let health = exchange(b"GET /healthz HTTP/1.0\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.0 200 OK"), "{health}");
+        let both = exchange(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /checkpoint HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(both.matches("HTTP/1.1 200 OK").count(), 2, "{both}");
+        assert!(both.contains("\"end_seq\""), "{both}");
+        drop(stop);
+        trickle.join().expect("trickling client");
+
+        let quit = http(&control, "POST /quit HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+        assert_eq!(body_of(&quit), "draining\n");
+        daemon.join().expect("join").expect("ingest ok");
+    }
+
+    /// With no request in between, the flight recorder's samples carry a
+    /// `rescore.age_secs` that grows from sample to sample.
+    #[test]
+    fn rescore_age_advances_across_history_samples() {
+        let dir = tmp_dir("history");
+        let opts = IngestOpts {
+            history_ms: 100,
+            ..test_opts(&dir)
+        };
+        let control = opts.control.clone();
+        let daemon = {
+            let opts = opts.clone();
+            std::thread::spawn(move || ingest(&opts))
+        };
+        // Generation 1 publishes at boot; no flow follows, so its age
+        // only grows. Wait for it without touching the control port.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !opts.out.exists() {
+            assert!(Instant::now() < deadline, "no boot publish");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        std::thread::sleep(Duration::from_millis(1_000));
+
+        let history = http(&control, "GET /metrics/history HTTP/1.0\r\n\r\n");
+        let value: serde_json::Value = serde_json::from_str(body_of(&history)).expect("JSON");
+        let samples: Vec<unclean_telemetry::HistorySample> =
+            serde_json::from_value(value.get("samples").expect("samples"))
+                .expect("samples deserialize");
+        let ages: Vec<f64> = samples
+            .iter()
+            .filter_map(|sample| sample.gauges.get("rescore.age_secs").copied())
+            .collect();
+        let last = &ages[ages.len().saturating_sub(4)..];
+        assert_eq!(last.len(), 4, "too few samples carry the age: {history}");
+        assert!(last.windows(2).all(|w| w[0] < w[1]), "{ages:?}");
+        assert!(last[3] >= 0.3, "{ages:?}");
+
+        let quit = http(&control, "POST /quit HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+        assert_eq!(body_of(&quit), "draining\n");
+        daemon.join().expect("join").expect("ingest ok");
     }
 
     #[test]

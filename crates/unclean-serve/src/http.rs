@@ -15,9 +15,10 @@
 //! Header names *and* the `Connection` token values are matched
 //! case-insensitively (`connection: Keep-Alive` works).
 //!
-//! The blocking one-shot helpers [`read_request`] / [`respond`] remain
-//! for simple consumers (the ingest daemon, tests) that want the old
-//! read-one-answer-one-close discipline.
+//! The blocking one-shot helpers [`read_request`] / [`respond`] keep the
+//! old read-one-answer-one-close discipline: the non-unix fallback
+//! server reads with the first, and the event loop answers an over-cap
+//! connection's `503` with the second.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -134,7 +135,10 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 ///
 /// Returns [`Parse::Partial`] until the head terminator *and* the full
 /// declared body are buffered; errors are terminal for the connection.
-/// Tolerates bare-`\n` line endings (the old reader did).
+/// Tolerates bare-`\n` line endings (the old reader did). The head is
+/// checked on borrowed text and nothing is allocated until the whole
+/// request is buffered, so a body arriving in many small reads costs no
+/// more than one that arrives at once.
 pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
@@ -154,8 +158,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
     let method = parts
         .next()
         .filter(|m| !m.is_empty())
-        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
-        .to_ascii_uppercase();
+        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?;
     let target = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("missing request target".into()))?;
@@ -172,11 +175,6 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
         Some(tok) if tok.eq_ignore_ascii_case("HTTP/1.1") => Version::Http11,
         Some(tok) => return Err(HttpError::UnsupportedVersion(tok.to_string())),
     };
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
-
     let mut content_length = 0usize;
     let mut keep_alive = version == Version::Http11;
     for line in lines {
@@ -214,11 +212,12 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
     if buf.len() < total {
         return Ok(Parse::Partial);
     }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     Ok(Parse::Complete(
         Request {
-            method,
-            path,
-            query,
+            method: method.to_ascii_uppercase(),
+            path: path.to_string(),
+            query: query.to_string(),
             body: buf[head_end..total].to_vec(),
             version,
             keep_alive,
@@ -258,8 +257,8 @@ fn io_invalid(e: HttpError) -> std::io::Error {
 
 /// Read and parse one request, blocking. Honors the stream's read
 /// timeout; enforces the head and body caps. The one-shot sibling of
-/// [`parse_request`] for close-per-request consumers (the ingest
-/// daemon); the serve event loop parses its own buffers.
+/// [`parse_request`] for the non-unix fallback server; the event loop
+/// parses its own buffers.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];

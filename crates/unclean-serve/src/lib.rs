@@ -25,14 +25,16 @@
 //! lookups keep answering from the generation they loaded. The source
 //! can be a text blocklist *or* a frozen-trie snapshot file
 //! (`unclean blocklist freeze`), which is memory-mapped: cold start is
-//! O(1) and co-located daemons share one page-cache copy.
+//! O(1) and co-located daemons share one page-cache copy. The event
+//! loop and the operator endpoints are one core: [`Server::run`] serves
+//! any [`Daemon`], and `unclean ingest` runs its control port on it.
 //!
 //! | module | what lives there |
 //! |---|---|
 //! | [`http`] | incremental HTTP/1.x request parser + response serializer |
-//! | [`poll`] | epoll/poll readiness wrapper, SO_REUSEPORT shard listeners (unix) |
+//! | [`poll`] | epoll/poll readiness wrapper (unix), SO_REUSEPORT shard listeners |
 //! | [`snapshot`] | generation-numbered builds (text or mmap), atomic swap store |
-//! | [`server`] | shard event loops, watcher, routing, binary batch protocol, metrics |
+//! | [`server`] | the HTTP daemon core (shard event loops, operator endpoints, housekeeping) and the blocklist daemon on it (routing, watcher, binary batch protocol) |
 //!
 //! ```no_run
 //! use unclean_serve::{ServeConfig, Server};
@@ -45,12 +47,11 @@
 //! ```
 
 pub mod http;
-#[cfg(unix)]
 pub mod poll;
 pub mod server;
 pub mod snapshot;
 
-pub use server::{Health, ServeConfig, Server};
+pub use server::{Blocklist, CoreConfig, Daemon, Response, ServeConfig, Server, StageTrace};
 pub use snapshot::{
     build_forecast_snapshot, build_snapshot, ForecastSnapshot, ForecastStore, ServeError,
     ServingSnapshot, SnapshotStore,

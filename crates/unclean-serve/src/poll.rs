@@ -9,7 +9,7 @@
 //!   nothing and level is far harder to misuse).
 //! * On other unix, the same API is backed by `poll(2)` over a
 //!   maintained fd array.
-//! * On non-unix platforms this module is absent; the server falls back
+//! * On non-unix platforms there is no [`Poller`]; the server falls back
 //!   to a blocking per-shard accept loop (see `server.rs`).
 //!
 //! [`shard_listeners`] produces one listening socket per shard: on
@@ -17,7 +17,8 @@
 //! so the kernel load-balances accepts and the shards never contend on
 //! one accept queue; elsewhere, clones of a single listener (accepts
 //! then serialize in the kernel, which is still correct — just not
-//! zero-contention).
+//! zero-contention). Either way the address is claimed first with one
+//! plain bind, so a daemon never joins a port another daemon serves.
 
 #![allow(unsafe_code)]
 
@@ -25,6 +26,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 
 /// One readiness event out of [`Poller::wait`].
+#[cfg(unix)]
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered with.
@@ -283,49 +285,29 @@ mod sys {
     }
 }
 
+#[cfg(unix)]
 pub use sys::Poller;
 
 /// Build one listening socket per shard for `addr`.
 ///
-/// Linux: N independent SO_REUSEPORT sockets (IPv4) — the kernel hashes
-/// incoming connections across them, so each shard owns a private accept
-/// queue. Port 0 is resolved by the first socket; the rest bind the
-/// resolved port. Non-Linux (or IPv6, where this toy binder doesn't
-/// reach): one socket cloned per shard.
+/// One plain bind claims the address first: it resolves names like
+/// "localhost:7000" and port 0, and it fails with `AddrInUse` while any
+/// socket listens there — a SO_REUSEPORT bind would instead join another
+/// daemon's shard group and split its connections. Linux (IPv4) then
+/// closes it and binds N independent SO_REUSEPORT sockets to the resolved
+/// address, so each shard owns a private accept queue. Elsewhere (or on
+/// IPv6, where this toy binder doesn't reach) the shards clone it.
 pub fn shard_listeners(addr: &str, shards: usize) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
-    let shards = shards.max(1);
-    let parsed: SocketAddr = addr
-        .parse()
-        .or_else(|_| {
-            // Fall back to std's resolving bind for names like
-            // "localhost:7000", then rebind by numeric address.
-            TcpListener::bind(addr).and_then(|l| l.local_addr())
-        })
-        .map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("bad addr {addr:?}: {e}"),
-            )
-        })?;
-
-    #[cfg(target_os = "linux")]
-    if let SocketAddr::V4(v4) = parsed {
-        let first = reuseport::bind(v4)?;
-        let resolved = first.local_addr()?;
-        let SocketAddr::V4(resolved_v4) = resolved else {
-            unreachable!("bound v4 socket reports v4 addr");
-        };
-        let mut listeners = vec![first];
-        for _ in 1..shards {
-            listeners.push(reuseport::bind(resolved_v4)?);
-        }
-        return Ok((listeners, resolved));
-    }
-
-    let first = TcpListener::bind(parsed)?;
+    let first = TcpListener::bind(addr)?;
     let resolved = first.local_addr()?;
+    #[cfg(target_os = "linux")]
+    if let SocketAddr::V4(v4) = resolved {
+        drop(first);
+        let listeners = (0..shards.max(1)).map(|_| reuseport::bind(v4));
+        return Ok((listeners.collect::<io::Result<_>>()?, resolved));
+    }
     let mut listeners = vec![first];
-    for _ in 1..shards {
+    for _ in 1..shards.max(1) {
         listeners.push(listeners[0].try_clone()?);
     }
     Ok((listeners, resolved))
@@ -425,12 +407,13 @@ mod reuseport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
     use std::net::TcpStream;
-    use std::os::unix::io::AsRawFd;
 
+    #[cfg(unix)]
     #[test]
     fn poller_reports_listener_and_stream_readiness() {
+        use std::io::{Read, Write};
+        use std::os::unix::io::AsRawFd;
         let (listeners, addr) = shard_listeners("127.0.0.1:0", 1).expect("bind");
         let listener = &listeners[0];
         listener.set_nonblocking(true).expect("nonblocking");
@@ -501,5 +484,17 @@ mod tests {
         }
         assert!(accepted.is_some(), "one shard accepted the connection");
         drop(client);
+    }
+
+    #[test]
+    fn a_port_a_live_shard_group_holds_is_refused() {
+        let (held, addr) = shard_listeners("127.0.0.1:0", 2).expect("bind");
+        for shards in [1, 2] {
+            let err = shard_listeners(&addr.to_string(), shards).expect_err("port is taken");
+            assert_eq!(err.kind(), io::ErrorKind::AddrInUse, "{err}");
+        }
+        drop(held);
+        // Once the group is gone the port is free again.
+        shard_listeners(&addr.to_string(), 2).expect("port released");
     }
 }

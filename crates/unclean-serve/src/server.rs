@@ -1,7 +1,11 @@
-//! The daemon: N shard threads, each owning a listening socket
+//! The HTTP daemon core, and the blocklist daemon that runs on it.
+//!
+//! The core is N shard threads, each owning a listening socket
 //! (SO_REUSEPORT on Linux — see [`crate::poll`]), a private epoll/poll
-//! event loop, and the nonblocking keep-alive connections it accepted.
-//! Lookups are answered from the current [`SnapshotStore`] generation.
+//! event loop and the nonblocking keep-alive connections it accepted,
+//! plus one housekeeping thread. [`Server::run`] starts it for any
+//! [`Daemon`]: `unclean serve` runs the [`Blocklist`] on it, and `unclean
+//! ingest` runs its control port on it with one shard.
 //!
 //! There is no async runtime: the workspace is offline/vendored and a
 //! frozen-trie lookup is sub-microsecond, so the hot path is parse →
@@ -9,14 +13,25 @@
 //! handoff. Requests parse incrementally off per-connection input
 //! buffers ([`crate::http::parse_request`]), so HTTP/1.1 keep-alive and
 //! pipelining cost nothing extra; responses accumulate in per-connection
-//! output buffers flushed as the socket allows. Backpressure is
+//! output buffers flushed as the socket allows. A client that stalls
+//! mid-request holds only its own buffer, never a shard. Backpressure is
 //! explicit at both ends: a shard past its connection share answers
 //! `503` immediately (counted on `conns.dropped`) instead of queueing
 //! unboundedly, and a connection whose output buffer passes the high
 //! water mark stops being read until it drains.
 //!
 //! Endpoints (HTTP/1.0 close-per-request and HTTP/1.1 keep-alive both
-//! honored):
+//! honored). Every daemon gets the operator endpoints from the core:
+//!
+//! | endpoint | answer |
+//! |---|---|
+//! | `GET /healthz` | `ok\|stale\|degraded generation=G age_secs=A` |
+//! | `GET /metrics` | Prometheus text exposition (`unclean_serve_*`, `unclean_ingest_*`) |
+//! | `GET /metrics/history` | JSON: the flight recorder's samples (404 when disabled) |
+//! | `GET /trace` | Chrome trace JSON; `?format=events` for the raw ring events |
+//! | `POST /quit` | the daemon's own stop: the blocklist daemon answers `shutting down`, drains in-flight requests and exits; ingest answers `draining` |
+//!
+//! The blocklist daemon adds:
 //!
 //! | endpoint | answer |
 //! |---|---|
@@ -24,11 +39,8 @@
 //! | `POST /batch` | newline-delimited IPs in, one text verdict per line out |
 //! | `POST /batch-bin` | length-prefixed binary IPs in, one verdict byte each out (see below) |
 //! | `GET /forecast?net=a.b.0.0/16&horizon=N` | JSON: predicted rate, CI, score half-life (404 unless `--forecast` artifact configured) |
-//! | `GET /healthz` | `ok\|stale\|degraded generation=G age_secs=A` |
 //! | `GET /snapshot` | JSON: generation, block count, build time, source |
-//! | `GET /metrics` | Prometheus text exposition (`unclean_serve_*`) |
 //! | `POST /reload` | rebuild the snapshot now; JSON: new generation |
-//! | `POST /quit` | graceful shutdown: drain in-flight requests, then exit |
 //!
 //! **The binary batch protocol.** `POST /batch-bin` is the bulk path
 //! for consumers that need millions of verdicts per second and do not
@@ -50,13 +62,13 @@
 //! **Degraded-mode serving.** A live deployment is fed by the ingest
 //! daemon's rescore loop; if that loop stalls, the trie keeps answering
 //! from the last good generation — availability is never sacrificed to
-//! freshness. What changes is *honesty about staleness*: a watchdog
-//! thread tracks the serving generation's age as the
-//! `generation_age_secs` gauge, and `/healthz` reports `stale`
-//! (200 — a warning) past `stale_after` and `degraded` (503 — take me
-//! out of rotation) past `degraded_after`, while `/lookup` and `/batch`
-//! answer normally throughout. With no thresholds configured the
-//! daemon's health is always `ok`, as before.
+//! freshness. What changes is *honesty about staleness*: the
+//! housekeeping thread refreshes the daemon's generation age gauge
+//! (`generation_age_secs` here, `rescore.age_secs` in ingest) every
+//! 500 ms, and `/healthz` reports `stale` (200 — a warning) past
+//! `stale_after` and `degraded` (503 — take me out of rotation) past
+//! `degraded_after`, while `/lookup` and `/batch` answer normally
+//! throughout. With no thresholds configured the health is always `ok`.
 
 use crate::http::{respond, write_response, Request, Version};
 use crate::snapshot::{
@@ -80,7 +92,6 @@ use unclean_telemetry::{
 
 #[cfg(unix)]
 use crate::http::{parse_request, HttpError, Parse};
-#[cfg(unix)]
 use crate::poll;
 #[cfg(unix)]
 use std::collections::HashMap;
@@ -89,28 +100,7 @@ use std::io::{Read as _, Write as _};
 #[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 
-/// Non-unix fallback for [`poll::shard_listeners`]: clones of one
-/// blocking listener (the blocking per-shard accept loop uses them).
-#[cfg(not(unix))]
-mod poll {
-    use std::io;
-    use std::net::{SocketAddr, TcpListener};
-
-    pub fn shard_listeners(
-        addr: &str,
-        shards: usize,
-    ) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
-        let first = TcpListener::bind(addr)?;
-        let resolved = first.local_addr()?;
-        let mut listeners = vec![first];
-        for _ in 1..shards.max(1) {
-            listeners.push(listeners[0].try_clone()?);
-        }
-        Ok((listeners, resolved))
-    }
-}
-
-/// Compile-time build identity for `unclean_serve_build_info` (the CI
+/// Compile-time build identity for `{namespace}_build_info` (the CI
 /// build exports `UNCLEAN_GIT_SHA`; local builds say "unreleased").
 const GIT_SHA: &str = match option_env!("UNCLEAN_GIT_SHA") {
     Some(sha) => sha,
@@ -124,17 +114,15 @@ fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Daemon configuration (the CLI's `unclean serve` flags map onto this).
+/// Time since `unix_ms`. Wall clocks can step backwards; a future-dated
+/// build reads as age zero rather than underflowing.
+fn age_since(unix_ms: u64) -> Duration {
+    Duration::from_millis(unix_ms_now().saturating_sub(unix_ms))
+}
+
+/// The HTTP core's settings, whichever daemon it runs.
 #[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// The blocklist file to serve: plain or scored text, or a frozen
-    /// snapshot written by `unclean blocklist freeze` (detected by
-    /// magic), which is memory-mapped for O(1) start.
-    pub source: PathBuf,
-    /// An optional forecast artifact (written by `unclean forecast
-    /// fit`); enables `GET /forecast`, hot-reloaded through the same
-    /// watch/reload paths as the blocklist.
-    pub forecast: Option<PathBuf>,
+pub struct CoreConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Shard threads; each owns a listening socket and an event loop.
@@ -145,14 +133,11 @@ pub struct ServeConfig {
     /// Per-connection idle timeout (keep-alive connections quiet for
     /// longer are closed; also the blocking-path socket read timeout).
     pub read_timeout: Duration,
-    /// Poll interval for source-file changes (`None`: no watcher; reloads
-    /// only via `POST /reload`).
-    pub watch: Option<Duration>,
     /// Generation age past which `/healthz` answers `stale` (still 200).
     /// `None` disables staleness tracking in the health answer.
     pub stale_after: Option<Duration>,
     /// Generation age past which `/healthz` answers `degraded` with 503
-    /// (lookups keep working from the last good generation).
+    /// (the daemon keeps answering from the last good generation).
     pub degraded_after: Option<Duration>,
     /// Head-sample one request in N for stage tracing (`0` disables
     /// request sampling entirely; unsampled requests pay one branch).
@@ -160,27 +145,24 @@ pub struct ServeConfig {
     /// Trace-event ring capacity (`0`: no ring — `/trace` serves span
     /// aggregates only and reloads go unrecorded).
     pub trace_events: usize,
-    /// Flight-recorder scrape cadence for `/metrics/history` (`None`
-    /// disables the scraper thread and the endpoint answers 404).
+    /// Flight-recorder sampling cadence for `/metrics/history` (`None`
+    /// disables the recorder and the endpoint answers 404).
     pub history_interval: Option<Duration>,
     /// Close a keep-alive connection after this many requests, so churn
     /// (and its metrics) cannot be starved by immortal connections.
     pub max_requests_per_conn: u64,
 }
 
-impl ServeConfig {
-    /// Defaults: ephemeral localhost port, 4 shards, 1024 connections,
-    /// 5 s idle timeout, no watcher; tracing ring installed (4096
-    /// events) but request sampling off; flight recorder every 2 s.
-    pub fn new(source: impl Into<PathBuf>) -> ServeConfig {
-        ServeConfig {
-            source: source.into(),
-            forecast: None,
-            addr: "127.0.0.1:0".to_string(),
+impl CoreConfig {
+    /// Defaults on `addr`: 4 shards, 1024 connections, 5 s idle timeout,
+    /// no health thresholds; tracing ring installed (4096 events) but
+    /// request sampling off; flight recorder every 2 s.
+    pub fn new(addr: impl Into<String>) -> CoreConfig {
+        CoreConfig {
+            addr: addr.into(),
             threads: 4,
             max_conns: 1024,
             read_timeout: Duration::from_secs(5),
-            watch: None,
             stale_after: None,
             degraded_after: None,
             trace_sample: 0,
@@ -191,9 +173,48 @@ impl ServeConfig {
     }
 }
 
+/// The blocklist daemon's configuration (the CLI's `unclean serve` flags
+/// map onto this).
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// The blocklist file to serve: plain or scored text, or a frozen
+    /// snapshot written by `unclean blocklist freeze` (detected by
+    /// magic), which is memory-mapped for O(1) start.
+    pub source: PathBuf,
+    /// An optional forecast artifact (written by `unclean forecast
+    /// fit`); enables `GET /forecast`, hot-reloaded through the same
+    /// watch/reload paths as the blocklist.
+    pub forecast: Option<PathBuf>,
+    /// Poll interval for source-file changes (`None`: no watcher; reloads
+    /// only via `POST /reload`).
+    pub watch: Option<Duration>,
+    /// Listener, health, tracing and flight-recorder settings.
+    pub core: CoreConfig,
+}
+
+impl ServeConfig {
+    /// Defaults: an ephemeral localhost port and [`CoreConfig::new`]'s
+    /// settings; no watcher.
+    pub fn new(source: impl Into<PathBuf>) -> ServeConfig {
+        ServeConfig {
+            source: source.into(),
+            forecast: None,
+            watch: None,
+            core: CoreConfig::new("127.0.0.1:0"),
+        }
+    }
+}
+
 /// How many flight-recorder samples `/metrics/history` retains (at the
 /// default 2 s cadence: ten minutes of rate history).
 const HISTORY_SAMPLES: usize = 300;
+
+/// How often the housekeeping thread refreshes the generation age gauge.
+const AGE_REFRESH: Duration = Duration::from_millis(500);
+
+/// The longest a background thread sleeps before checking the shutdown
+/// flag again.
+const SLEEP_SLICE: Duration = Duration::from_millis(50);
 
 /// The shard event loop's poll timeout: also the worst-case delay for a
 /// shard to observe the shutdown flag without being woken.
@@ -211,7 +232,7 @@ const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// The three health states `/healthz` can report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Health {
+pub(crate) enum Health {
     /// Generation fresh (or staleness tracking disabled).
     Ok,
     /// Generation older than `stale_after`; still serving, still 200.
@@ -243,44 +264,488 @@ impl Health {
     }
 }
 
-/// Cached instrument handles — resolved once, recorded lock-free on the
-/// hot path. All series are declared at startup so a clean run exports
-/// explicit zeros (the CI gate asserts `conns.dropped == 0`).
-#[derive(Clone)]
+/// What one daemon adds to the HTTP core: its routes beyond the operator
+/// endpoints, its `POST /quit`, and the generation whose age `/healthz`
+/// reports. The core answers `/healthz`, `/metrics`, `/metrics/history`
+/// and `/trace` the same way for every implementor.
+pub trait Daemon: Send + Sync + 'static {
+    /// The process name in `/trace`; with `-` as `_`, the `/metrics`
+    /// namespace (`unclean-serve` exports `unclean_serve_*`).
+    const NAME: &'static str;
+
+    /// The generation being answered from and its age. Also refreshes
+    /// the daemon's age gauge, which the housekeeping thread does every
+    /// 500 ms so the gauge moves with no scrape.
+    fn freshness(&self) -> (u64, Duration);
+
+    /// Answer a request the core has no route for; `None` is a 404.
+    /// `trace` is `Some` on head-sampled requests, for the lookup stage.
+    fn route(&self, request: &Request, trace: Option<&mut StageTrace>) -> Option<Response>;
+
+    /// Act on `POST /quit`: returns the answer body and whether the core
+    /// shuts down once that answer is written.
+    fn quit(&self) -> (&'static str, bool);
+}
+
+/// The core's instrument handles — resolved once, recorded lock-free on
+/// the hot path. All series are declared at startup so a clean run
+/// exports explicit zeros (the CI gate asserts `conns.dropped == 0`).
 struct Metrics {
     requests: Counter,
+    healthz: Counter,
+    metrics_req: Counter,
+    trace_req: Counter,
+    history_req: Counter,
+    quit: Counter,
+    not_found: Counter,
+    accepted: Counter,
+    dropped: Counter,
+    read_errors: Counter,
+    sampled: Counter,
+    latency_micros: Histogram,
+    stage_parse_ns: Histogram,
+    stage_lookup_ns: Histogram,
+    stage_write_ns: Histogram,
+}
+
+impl Metrics {
+    fn new(registry: &Registry) -> Metrics {
+        Metrics {
+            requests: registry.counter("requests"),
+            healthz: registry.counter("requests.healthz"),
+            metrics_req: registry.counter("requests.metrics"),
+            trace_req: registry.counter("requests.trace"),
+            history_req: registry.counter("requests.history"),
+            quit: registry.counter("requests.quit"),
+            not_found: registry.counter("responses.not_found"),
+            accepted: registry.counter("conns.accepted"),
+            dropped: registry.counter("conns.dropped"),
+            read_errors: registry.counter("conns.read_errors"),
+            sampled: registry.counter("trace.sampled_requests"),
+            latency_micros: registry.histogram("request_micros"),
+            stage_parse_ns: registry.histogram("stage_ns.parse"),
+            stage_lookup_ns: registry.histogram("stage_ns.lookup"),
+            stage_write_ns: registry.histogram("stage_ns.write"),
+        }
+    }
+}
+
+struct Shared<D> {
+    daemon: D,
+    registry: Registry,
+    metrics: Metrics,
+    shutdown: AtomicBool,
+    addr: SocketAddr,
+    config: CoreConfig,
+    // Tracing: the ring Arc is cached here so sampled requests never pay
+    // the registry's trace-slot mutex.
+    trace: Option<Arc<TraceRing>>,
+    sample_counter: AtomicU64,
+    history: Option<MetricsHistory>,
+    start_unix_secs: f64,
+}
+
+impl<D: Daemon> Shared<D> {
+    /// Classify the daemon's generation age against the thresholds.
+    fn health(&self) -> (Health, u64, Duration) {
+        let (generation, age) = self.daemon.freshness();
+        (
+            Health::of(age, self.config.stale_after, self.config.degraded_after),
+            generation,
+            age,
+        )
+    }
+
+    fn initiate_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Shards notice the flag within one poll timeout; a throwaway
+        // connection wakes at least one immediately (with SO_REUSEPORT
+        // the kernel picks which).
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+    }
+}
+
+/// A running daemon: the HTTP core's threads around one [`Daemon`].
+/// Dropping the handle does **not** stop it — call [`Server::shutdown`]
+/// (or send `POST /quit` and [`Server::wait`]).
+pub struct Server<D = Blocklist> {
+    shared: Arc<Shared<D>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<D: Daemon> Server<D> {
+    /// Run the HTTP core for `daemon`: install the trace ring, bind the
+    /// shard listeners, and spawn the shard event loops and the
+    /// housekeeping thread.
+    pub fn run(daemon: D, config: CoreConfig, registry: Registry) -> Result<Server<D>, ServeError> {
+        let trace = match config.trace_events {
+            0 => None,
+            events => registry.install_trace(events),
+        };
+        let (listeners, addr) = poll::shard_listeners(&config.addr, config.threads)?;
+        let conn_limit = (config.max_conns.max(1) / listeners.len()).max(1);
+        let shared = Arc::new(Shared {
+            daemon,
+            metrics: Metrics::new(&registry),
+            registry,
+            shutdown: AtomicBool::new(false),
+            addr,
+            trace,
+            sample_counter: AtomicU64::new(0),
+            history: config
+                .history_interval
+                .map(|_| MetricsHistory::new(HISTORY_SAMPLES)),
+            start_unix_secs: unix_ms_now() as f64 / 1000.0,
+            config,
+        });
+        let mut server = Server {
+            shared,
+            threads: Vec::new(),
+        };
+        for (i, listener) in listeners.into_iter().enumerate() {
+            server.spawn(&format!("shard-{i}"), move |shared| {
+                shard_loop(shared, listener, conn_limit)
+            })?;
+        }
+        server.spawn("housekeeping", housekeeping_loop)?;
+        Ok(server)
+    }
+
+    /// Run `body` on a named thread of the daemon; [`Server::wait`]
+    /// joins it.
+    fn spawn(
+        &mut self,
+        name: &str,
+        body: impl FnOnce(&Shared<D>) + Send + 'static,
+    ) -> Result<(), ServeError> {
+        let shared = Arc::clone(&self.shared);
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || body(&shared))?;
+        self.threads.push(thread);
+        Ok(())
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.shared.addr
+    }
+
+    /// The telemetry registry the daemon records into.
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
+    }
+
+    /// The daemon the core answers for.
+    pub fn daemon(&self) -> &D {
+        &self.shared.daemon
+    }
+
+    /// Initiate graceful shutdown and wait: stop accepting, flush
+    /// buffered responses, join every thread.
+    pub fn shutdown(self) {
+        self.shared.initiate_shutdown();
+        self.wait();
+    }
+
+    /// Wait for the daemon to stop (e.g. a client sent `POST /quit`).
+    /// In-flight requests finish before this returns.
+    pub fn wait(self) {
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Per-request stage timings collected only on head-sampled requests.
+/// The unsampled hot path never constructs one — it pays a single
+/// `trace_sample > 0` branch plus one relaxed counter increment.
+pub struct StageTrace {
+    parse_ns: u64,
+    lookup_ns: u64,
+    write_ns: u64,
+    generation: u64,
+    source_generation: Option<u64>,
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// One routed response, serialized by the core into the connection's
+/// output buffer.
+pub struct Response {
+    status: u16,
+    reason: &'static str,
+    content_type: &'static str,
+    body: Vec<u8>,
+    /// Shut the core down once this answer is written.
+    quit: bool,
+}
+
+impl Response {
+    /// A `text/plain` answer.
+    pub(crate) fn text(status: u16, reason: &'static str, body: impl Into<Vec<u8>>) -> Response {
+        Response {
+            status,
+            reason,
+            content_type: "text/plain",
+            body: body.into(),
+            quit: false,
+        }
+    }
+
+    /// A `200 OK` answer of `content_type`.
+    pub fn ok_with(content_type: &'static str, body: Vec<u8>) -> Response {
+        Response {
+            status: 200,
+            reason: "OK",
+            content_type,
+            body,
+            quit: false,
+        }
+    }
+
+    /// A `200 OK` JSON answer (500 if `value` does not serialize).
+    pub(crate) fn json<T: Serialize>(value: &T) -> Response {
+        match serde_json::to_string(value) {
+            Ok(body) => Response::ok_with("application/json", body.into_bytes()),
+            Err(e) => Response::text(500, "Internal Server Error", format!("serialize: {e}\n")),
+        }
+    }
+}
+
+/// Route one parsed request and serialize its response into `out`;
+/// returns whether the connection stays open for the next request.
+/// This is the whole per-request hot path: metrics, optional stage
+/// sampling, routing, serialization, latency accounting.
+fn dispatch<D: Daemon>(
+    shared: &Shared<D>,
+    request: &Request,
+    parse_ns: u64,
+    out: &mut Vec<u8>,
+) -> bool {
+    shared.metrics.requests.inc();
+    let t0 = Instant::now();
+    // Head-sampling: 1 request in N, decided on a relaxed shared
+    // counter, whatever the request turns out to ask for.
+    let every = shared.config.trace_sample;
+    let mut stages = (every > 0
+        && shared
+            .sample_counter
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(every))
+    .then_some(StageTrace {
+        parse_ns,
+        lookup_ns: 0,
+        write_ns: 0,
+        generation: 0,
+        source_generation: None,
+    });
+    let response = route(shared, request, stages.as_mut());
+    let keep_alive = request.keep_alive && !response.quit;
+    let t_write = stages.is_some().then(Instant::now);
+    write_response(
+        out,
+        request.version,
+        response.status,
+        response.reason,
+        response.content_type,
+        keep_alive,
+        &response.body,
+    );
+    if let (Some(stages), Some(t_write)) = (&mut stages, t_write) {
+        stages.write_ns = elapsed_ns(t_write);
+        record_sampled_request(shared, request, stages, parse_ns + elapsed_ns(t0));
+    }
+    shared
+        .metrics
+        .latency_micros
+        .record((parse_ns + elapsed_ns(t0)) / 1000);
+    if response.quit {
+        shared.initiate_shutdown();
+    }
+    keep_alive
+}
+
+/// Book a sampled request into the per-stage histograms and the trace
+/// ring (a [`TraceKind::Lookup`] event whose generation ids chain the
+/// request back to the ingest lineage).
+fn record_sampled_request<D>(
+    shared: &Shared<D>,
+    request: &Request,
+    stages: &StageTrace,
+    total_ns: u64,
+) {
+    shared.metrics.sampled.inc();
+    shared.metrics.stage_parse_ns.record(stages.parse_ns);
+    shared.metrics.stage_lookup_ns.record(stages.lookup_ns);
+    shared.metrics.stage_write_ns.record(stages.write_ns);
+    let Some(ring) = &shared.trace else { return };
+    let mut event = TraceEvent::now(TraceKind::Lookup)
+        .dur_ns(total_ns)
+        .field("path", &request.path)
+        .field("parse_ns", stages.parse_ns)
+        .field("lookup_ns", stages.lookup_ns)
+        .field("write_ns", stages.write_ns);
+    if stages.generation > 0 {
+        event = event.generation(stages.generation);
+    }
+    if let Some(source_generation) = stages.source_generation {
+        event = event.source_generation(source_generation);
+    }
+    ring.record(event);
+}
+
+#[derive(Serialize)]
+struct TraceAnswer {
+    events: Vec<TraceEvent>,
+}
+
+#[derive(Serialize)]
+struct HistoryAnswer {
+    interval_secs: f64,
+    samples: Vec<unclean_telemetry::HistorySample>,
+}
+
+/// The core's routes: the operator endpoints every daemon answers the
+/// same way, then the daemon's own, then 404.
+fn route<D: Daemon>(
+    shared: &Shared<D>,
+    request: &Request,
+    trace: Option<&mut StageTrace>,
+) -> Response {
+    let metrics = &shared.metrics;
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") => {
+            metrics.healthz.inc();
+            let (health, generation, age) = shared.health();
+            let body = format!(
+                "{} generation={generation} age_secs={}\n",
+                health.as_str(),
+                age.as_secs()
+            );
+            let (code, reason) = match health {
+                Health::Ok | Health::Stale => (200, "OK"),
+                Health::Degraded => (503, "Service Unavailable"),
+            };
+            Response::text(code, reason, body)
+        }
+        ("GET", "/metrics") => {
+            metrics.metrics_req.inc();
+            // The age gauge in the exposition agrees with `/healthz`.
+            shared.health();
+            let mut text = prom::render(&shared.registry.snapshot(), D::NAME);
+            text.push_str(&prom::build_info(
+                D::NAME,
+                env!("CARGO_PKG_VERSION"),
+                GIT_SHA,
+                shared.start_unix_secs,
+            ));
+            Response::ok_with("text/plain; version=0.0.4", text.into_bytes())
+        }
+        ("GET", "/metrics/history") => {
+            metrics.history_req.inc();
+            match &shared.history {
+                Some(history) => Response::json(&HistoryAnswer {
+                    interval_secs: shared
+                        .config
+                        .history_interval
+                        .unwrap_or_default()
+                        .as_secs_f64(),
+                    samples: history.samples(),
+                }),
+                None => Response::text(404, "Not Found", "flight recorder disabled\n"),
+            }
+        }
+        ("GET", "/trace") => {
+            metrics.trace_req.inc();
+            let events = shared
+                .trace
+                .as_ref()
+                .map(|ring| ring.events())
+                .unwrap_or_default();
+            if request.query_param("format") == Some("events") {
+                // Machine-readable raw events (the e2e lineage walkers
+                // deserialize these directly).
+                Response::json(&TraceAnswer { events })
+            } else {
+                let body = chrome_trace_json(&shared.registry.snapshot(), &events, D::NAME);
+                Response::ok_with("application/json", body.into_bytes())
+            }
+        }
+        ("POST", "/quit") => {
+            metrics.quit.inc();
+            let (body, shut_down) = shared.daemon.quit();
+            Response {
+                quit: shut_down,
+                ..Response::text(200, "OK", body)
+            }
+        }
+        _ => shared.daemon.route(request, trace).unwrap_or_else(|| {
+            metrics.not_found.inc();
+            Response::text(
+                404,
+                "Not Found",
+                format!("no such endpoint: {} {}\n", request.method, request.path),
+            )
+        }),
+    }
+}
+
+/// The housekeeping thread: refresh the daemon's age gauge every
+/// [`AGE_REFRESH`] and fold a registry snapshot into the flight recorder
+/// on its interval, so both move with no request in flight. Each sample
+/// carries an age refreshed just before it.
+fn housekeeping_loop<D: Daemon>(shared: &Shared<D>) {
+    let (mut next_refresh, mut next_sample) = (Instant::now(), Instant::now());
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        let sample = shared.history.as_ref().filter(|_| now >= next_sample);
+        if now >= next_refresh || sample.is_some() {
+            shared.daemon.freshness();
+            next_refresh = now + AGE_REFRESH;
+        }
+        if let Some(history) = sample {
+            history.observe(unix_ms_now(), &shared.registry.snapshot());
+            next_sample = now + shared.config.history_interval.unwrap_or_default();
+        }
+        let wake = match shared.history {
+            Some(_) => next_refresh.min(next_sample),
+            None => next_refresh,
+        };
+        std::thread::sleep(
+            wake.saturating_duration_since(Instant::now())
+                .min(SLEEP_SLICE),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The blocklist daemon
+// ---------------------------------------------------------------------------
+
+/// The blocklist daemon's instrument handles.
+struct BlocklistMetrics {
     lookup: Counter,
     batch: Counter,
     batch_ips: Counter,
     batch_bin: Counter,
     batch_bin_ips: Counter,
-    healthz: Counter,
     snapshot_req: Counter,
-    metrics_req: Counter,
     reload_req: Counter,
-    quit: Counter,
     blocked: Counter,
     clean: Counter,
     bad_request: Counter,
     not_found: Counter,
-    accepted: Counter,
-    dropped: Counter,
-    read_errors: Counter,
     reloads: Counter,
     reload_errors: Counter,
-    trace_req: Counter,
-    history_req: Counter,
-    sampled: Counter,
     forecast_req: Counter,
     forecast_hits: Counter,
     forecast_misses: Counter,
     forecast_bad_request: Counter,
     forecast_reloads: Counter,
     forecast_reload_errors: Counter,
-    latency_micros: Histogram,
-    stage_parse_ns: Histogram,
-    stage_lookup_ns: Histogram,
-    stage_write_ns: Histogram,
     generation: Gauge,
     entries: Gauge,
     generation_age_secs: Gauge,
@@ -289,42 +754,28 @@ struct Metrics {
     forecast_generation_age_secs: Gauge,
 }
 
-impl Metrics {
-    fn new(registry: &Registry) -> Metrics {
-        Metrics {
-            requests: registry.counter("requests"),
+impl BlocklistMetrics {
+    fn new(registry: &Registry) -> BlocklistMetrics {
+        BlocklistMetrics {
             lookup: registry.counter("requests.lookup"),
             batch: registry.counter("requests.batch"),
             batch_ips: registry.counter("batch.ips"),
             batch_bin: registry.counter("requests.batch_bin"),
             batch_bin_ips: registry.counter("batch_bin.ips"),
-            healthz: registry.counter("requests.healthz"),
             snapshot_req: registry.counter("requests.snapshot"),
-            metrics_req: registry.counter("requests.metrics"),
             reload_req: registry.counter("requests.reload"),
-            quit: registry.counter("requests.quit"),
             blocked: registry.counter("answers.blocked"),
             clean: registry.counter("answers.clean"),
             bad_request: registry.counter("responses.bad_request"),
             not_found: registry.counter("responses.not_found"),
-            accepted: registry.counter("conns.accepted"),
-            dropped: registry.counter("conns.dropped"),
-            read_errors: registry.counter("conns.read_errors"),
             reloads: registry.counter("reload.count"),
             reload_errors: registry.counter("reload.errors"),
-            trace_req: registry.counter("requests.trace"),
-            history_req: registry.counter("requests.history"),
-            sampled: registry.counter("trace.sampled_requests"),
             forecast_req: registry.counter("requests.forecast"),
             forecast_hits: registry.counter("forecast.hits"),
             forecast_misses: registry.counter("forecast.misses"),
             forecast_bad_request: registry.counter("forecast.bad_request"),
             forecast_reloads: registry.counter("forecast.reload.count"),
             forecast_reload_errors: registry.counter("forecast.reload.errors"),
-            latency_micros: registry.histogram("request_micros"),
-            stage_parse_ns: registry.histogram("stage_ns.parse"),
-            stage_lookup_ns: registry.histogram("stage_ns.lookup"),
-            stage_write_ns: registry.histogram("stage_ns.write"),
             generation: registry.gauge("snapshot.generation"),
             entries: registry.gauge("snapshot.entries"),
             generation_age_secs: registry.gauge("generation_age_secs"),
@@ -345,57 +796,53 @@ struct ForecastShared {
     rebuild_lock: Mutex<()>,
 }
 
-struct Shared {
+/// The blocklist daemon: answers `/lookup`, `/batch`, `/batch-bin`,
+/// `/forecast`, `/snapshot` and `/reload` from the current
+/// [`SnapshotStore`] generation, and shuts down on `POST /quit`.
+pub struct Blocklist {
     store: SnapshotStore,
     forecast: Option<ForecastShared>,
-    registry: Registry,
-    metrics: Metrics,
-    shutdown: AtomicBool,
     source: PathBuf,
-    addr: SocketAddr,
-    read_timeout: Duration,
     rebuild_lock: Mutex<()>,
-    stale_after: Option<Duration>,
-    degraded_after: Option<Duration>,
-    // Tracing: the ring Arc is cached here so sampled requests never pay
-    // the registry's trace-slot mutex.
-    trace: Option<Arc<TraceRing>>,
-    sample_every: u64,
-    sample_counter: AtomicU64,
-    history: Option<Arc<MetricsHistory>>,
-    history_interval: Duration,
-    start_unix_secs: f64,
-    max_requests_per_conn: u64,
+    registry: Registry,
+    metrics: BlocklistMetrics,
 }
 
-impl Shared {
-    /// The serving generation's age. Wall clocks can step backwards;
-    /// a future-dated build reads as age zero rather than underflowing.
-    fn generation_age(&self) -> Duration {
-        let built_ms = self.store.load().built_unix_ms;
-        let now_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
-        Duration::from_millis(now_ms.saturating_sub(built_ms))
+impl Blocklist {
+    /// Build generation 1 of the blocklist (and of the forecast, when
+    /// configured).
+    fn boot(config: &ServeConfig, registry: &Registry) -> Result<Blocklist, ServeError> {
+        let metrics = BlocklistMetrics::new(registry);
+        let boot = build_snapshot(&config.source, 1, registry)?;
+        metrics.generation.set(boot.generation as f64);
+        metrics.entries.set(boot.trie.len() as f64);
+        // Fail fast on a bad forecast artifact: a daemon started with
+        // `--forecast` should not come up silently forecast-less.
+        let forecast = match &config.forecast {
+            Some(source) => {
+                let boot_forecast = build_forecast_snapshot(source, 1, registry)?;
+                metrics.forecast_generation.set(1.0);
+                metrics
+                    .forecast_entries
+                    .set(boot_forecast.artifact.entries.len() as f64);
+                Some(ForecastShared {
+                    store: ForecastStore::new(boot_forecast),
+                    source: source.clone(),
+                    rebuild_lock: Mutex::new(()),
+                })
+            }
+            None => None,
+        };
+        Ok(Blocklist {
+            store: SnapshotStore::new(boot),
+            forecast,
+            source: config.source.clone(),
+            rebuild_lock: Mutex::new(()),
+            registry: registry.clone(),
+            metrics,
+        })
     }
 
-    /// Refresh the age gauge and classify against the thresholds.
-    fn observe_health(&self) -> (Health, Duration) {
-        let age = self.generation_age();
-        self.metrics.generation_age_secs.set(age.as_secs_f64());
-        if let Some(forecast) = &self.forecast {
-            let built_ms = forecast.store.load().built_unix_ms;
-            let forecast_age = Duration::from_millis(unix_ms_now().saturating_sub(built_ms));
-            self.metrics
-                .forecast_generation_age_secs
-                .set(forecast_age.as_secs_f64());
-        }
-        (Health::of(age, self.stale_after, self.degraded_after), age)
-    }
-}
-
-impl Shared {
     /// Rebuild from the source file and install. Serialized so concurrent
     /// `/reload`s and the watcher cannot install out of order; the build
     /// itself runs here, off every *other* shard's serving path.
@@ -423,7 +870,6 @@ impl Shared {
     /// ingest` — the upstream generation that links this reload into the
     /// producer's lineage.
     fn record_reload_event(&self, snapshot: &ServingSnapshot) {
-        let Some(ring) = &self.trace else { return };
         let mut event = TraceEvent::now(TraceKind::Reload)
             .generation(snapshot.generation)
             .dur_ns(snapshot.build_micros.saturating_mul(1000))
@@ -432,12 +878,12 @@ impl Shared {
         if let Some(source_generation) = snapshot.source_generation {
             event = event.source_generation(source_generation);
         }
-        ring.record(event);
+        self.registry.trace_event(event);
     }
 
     /// Rebuild the forecast snapshot from its artifact and install, the
-    /// forecast twin of [`Shared::rebuild`]. Returns `Ok(None)` when no
-    /// forecast artifact is configured.
+    /// forecast twin of [`Blocklist::rebuild`]. Returns `Ok(None)` when
+    /// no forecast artifact is configured.
     fn rebuild_forecast(&self) -> Result<Option<Arc<ForecastSnapshot>>, ServeError> {
         let Some(forecast) = &self.forecast else {
             return Ok(None);
@@ -468,7 +914,6 @@ impl Shared {
     /// tagged `artifact=forecast` so lineage walks can tell the two
     /// reload streams apart.
     fn record_forecast_reload_event(&self, snapshot: &ForecastSnapshot) {
-        let Some(ring) = &self.trace else { return };
         let mut event = TraceEvent::now(TraceKind::Reload)
             .generation(snapshot.generation)
             .field("artifact", "forecast")
@@ -477,178 +922,64 @@ impl Shared {
         if let Some(source_generation) = snapshot.source_generation {
             event = event.source_generation(source_generation);
         }
-        ring.record(event);
+        self.registry.trace_event(event);
     }
-
-    fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Shards notice the flag within one poll timeout; a throwaway
-        // connection wakes at least one immediately (with SO_REUSEPORT
-        // the kernel picks which).
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-    }
-}
-
-/// A running daemon. Dropping the handle does **not** stop it — call
-/// [`Server::shutdown`] (or send `POST /quit` and [`Server::wait`]).
-pub struct Server {
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Build the boot snapshot, bind the shard listeners, and spawn the
-    /// shard event loops and (optionally) the source-file watcher.
+    /// Build the boot snapshot, run the core for it, and spawn the
+    /// source-file watchers when configured.
     pub fn start(config: ServeConfig, registry: Registry) -> Result<Server, ServeError> {
-        let metrics = Metrics::new(&registry);
-        let trace = if config.trace_events > 0 {
-            registry.install_trace(config.trace_events)
-        } else {
-            None
-        };
-        let history = config
-            .history_interval
-            .map(|_| Arc::new(MetricsHistory::new(HISTORY_SAMPLES)));
-        let boot = build_snapshot(&config.source, 1, &registry)?;
-        metrics.generation.set(boot.generation as f64);
-        metrics.entries.set(boot.trie.len() as f64);
-        // Fail fast on a bad forecast artifact: a daemon started with
-        // `--forecast` should not come up silently forecast-less.
-        let forecast = match &config.forecast {
-            Some(source) => {
-                let boot_forecast = build_forecast_snapshot(source, 1, &registry)?;
-                metrics.forecast_generation.set(1.0);
-                metrics
-                    .forecast_entries
-                    .set(boot_forecast.artifact.entries.len() as f64);
-                Some(ForecastShared {
-                    store: ForecastStore::new(boot_forecast),
-                    source: source.clone(),
-                    rebuild_lock: Mutex::new(()),
-                })
-            }
-            None => None,
-        };
-        let shards = config.threads.max(1);
-        let (listeners, addr) = poll::shard_listeners(&config.addr, shards)?;
-        let conn_limit = (config.max_conns.max(1) / listeners.len()).max(1);
-        let shared = Arc::new(Shared {
-            store: SnapshotStore::new(boot),
-            forecast,
-            registry,
-            metrics,
-            shutdown: AtomicBool::new(false),
-            source: config.source.clone(),
-            addr,
-            read_timeout: config.read_timeout,
-            rebuild_lock: Mutex::new(()),
-            stale_after: config.stale_after,
-            degraded_after: config.degraded_after,
-            trace,
-            sample_every: config.trace_sample,
-            sample_counter: AtomicU64::new(0),
-            history,
-            history_interval: config.history_interval.unwrap_or(Duration::from_secs(2)),
-            start_unix_secs: unix_ms_now() as f64 / 1000.0,
-            max_requests_per_conn: config.max_requests_per_conn.max(1),
-        });
+        let blocklist = Blocklist::boot(&config, &registry)?;
+        let mut server = Server::run(blocklist, config.core, registry)?;
         // The boot build is generation 1's "reload": record it so a
         // lookup served before any watcher/reload fires still has a
         // reload event to chain through.
-        shared.record_reload_event(&shared.store.load());
-        if let Some(forecast) = &shared.forecast {
-            shared.record_forecast_reload_event(&forecast.store.load());
-        }
-
-        let mut threads = Vec::with_capacity(listeners.len() + 3);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let shared_n = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-shard-{i}"))
-                    .spawn(move || shard_loop(&shared_n, listener, conn_limit))
-                    .map_err(ServeError::Io)?,
-            );
-        }
-        {
-            // The staleness watchdog: keeps `generation_age_secs` fresh in
-            // `/metrics` even when nobody polls `/healthz`.
-            let shared_h = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-health".to_string())
-                    .spawn(move || watchdog_loop(&shared_h))
-                    .map_err(ServeError::Io)?,
-            );
-        }
-        if shared.history.is_some() {
-            // The flight recorder: periodic snapshot deltas for
-            // `/metrics/history` and `unclean top`.
-            let shared_f = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-history".to_string())
-                    .spawn(move || history_loop(&shared_f))
-                    .map_err(ServeError::Io)?,
-            );
+        let blocklist = server.daemon();
+        blocklist.record_reload_event(&blocklist.store.load());
+        if let Some(forecast) = &blocklist.forecast {
+            blocklist.record_forecast_reload_event(&forecast.store.load());
         }
         if let Some(interval) = config.watch {
-            let shared_w = Arc::clone(&shared);
-            // Fingerprint the source *before* returning, so an edit made
-            // the instant the server is up is still seen as a change.
-            let baseline = std::fs::metadata(&config.source)
-                .ok()
-                .map(|m| fingerprint(&m));
-            let source = config.source.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-watch".to_string())
-                    .spawn(move || {
-                        watcher_loop(&shared_w, interval, baseline, &source, |s| {
-                            let _ = s.rebuild();
-                        })
-                    })
-                    .map_err(ServeError::Io)?,
-            );
-            if let Some(forecast_source) = config.forecast.clone() {
-                let shared_fw = Arc::clone(&shared);
-                let baseline = std::fs::metadata(&forecast_source)
-                    .ok()
-                    .map(|m| fingerprint(&m));
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("serve-watch-forecast".to_string())
-                        .spawn(move || {
-                            watcher_loop(&shared_fw, interval, baseline, &forecast_source, |s| {
-                                let _ = s.rebuild_forecast();
-                            })
-                        })
-                        .map_err(ServeError::Io)?,
-                );
+            server.watch("serve-watch", interval, config.source, |b| {
+                let _ = b.rebuild();
+            })?;
+            if let Some(forecast) = config.forecast {
+                server.watch("serve-watch-forecast", interval, forecast, |b| {
+                    let _ = b.rebuild_forecast();
+                })?;
             }
         }
-        Ok(Server { shared, threads })
+        Ok(server)
     }
 
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// The telemetry registry the daemon records into.
-    pub fn registry(&self) -> &Registry {
-        &self.shared.registry
+    /// Poll `source` for changes every `interval` on a thread of its own,
+    /// calling `rebuild` on each — one watcher per file, so a slow
+    /// forecast refit can never delay a blocklist reload.
+    fn watch(
+        &mut self,
+        name: &str,
+        interval: Duration,
+        source: PathBuf,
+        rebuild: fn(&Blocklist),
+    ) -> Result<(), ServeError> {
+        // Fingerprint the source *before* returning, so an edit made the
+        // instant the server is up is still seen as a change.
+        let baseline = std::fs::metadata(&source).ok().map(|m| fingerprint(&m));
+        self.spawn(name, move |shared| {
+            watcher_loop(shared, interval, baseline, &source, rebuild)
+        })
     }
 
     /// The currently served generation number.
     pub fn generation(&self) -> u64 {
-        self.shared.store.load().generation
+        self.daemon().store.load().generation
     }
 
     /// The currently served forecast generation, when a forecast artifact
     /// is configured.
     pub fn forecast_generation(&self) -> Option<u64> {
-        self.shared
+        self.daemon()
             .forecast
             .as_ref()
             .map(|f| f.store.load().generation)
@@ -656,179 +987,8 @@ impl Server {
 
     /// Force a rebuild from the source file; returns the new generation.
     pub fn reload(&self) -> Result<u64, ServeError> {
-        self.shared.rebuild().map(|s| s.generation)
+        self.daemon().rebuild().map(|s| s.generation)
     }
-
-    /// Initiate graceful shutdown and wait: stop accepting, flush
-    /// buffered responses, join every thread.
-    pub fn shutdown(self) {
-        self.shared.initiate_shutdown();
-        self.wait();
-    }
-
-    /// Wait for the daemon to stop (e.g. a client sent `POST /quit`).
-    /// In-flight requests finish before this returns.
-    pub fn wait(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Per-request stage timings collected only on head-sampled requests.
-/// The unsampled hot path never constructs one — it pays a single
-/// `sample_every > 0` branch plus one relaxed counter increment.
-struct StageTrace {
-    parse_ns: u64,
-    lookup_ns: u64,
-    write_ns: u64,
-    generation: u64,
-    source_generation: Option<u64>,
-}
-
-fn elapsed_ns(t0: Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// One routed response, produced by [`route`] and serialized by
-/// [`dispatch`] into the connection's output buffer.
-struct Response {
-    status: u16,
-    reason: &'static str,
-    content_type: &'static str,
-    body: Vec<u8>,
-    /// `POST /quit` sets this: serialize the ack, then shut down.
-    quit: bool,
-}
-
-impl Response {
-    fn text(status: u16, reason: &'static str, body: impl Into<Vec<u8>>) -> Response {
-        Response {
-            status,
-            reason,
-            content_type: "text/plain",
-            body: body.into(),
-            quit: false,
-        }
-    }
-
-    fn ok_with(content_type: &'static str, body: Vec<u8>) -> Response {
-        Response {
-            status: 200,
-            reason: "OK",
-            content_type,
-            body,
-            quit: false,
-        }
-    }
-
-    fn json<T: Serialize>(value: &T) -> Response {
-        match serde_json::to_string(value) {
-            Ok(body) => Response::ok_with("application/json", body.into_bytes()),
-            Err(e) => Response::text(500, "Internal Server Error", format!("serialize: {e}\n")),
-        }
-    }
-}
-
-/// What [`dispatch`] tells the connection driver.
-struct DispatchOutcome {
-    /// Keep the connection open for the next request.
-    keep_alive: bool,
-    /// The request was `POST /quit`; shutdown has been initiated.
-    quit: bool,
-}
-
-/// Route one parsed request and serialize its response into `out`.
-/// This is the whole per-request hot path: metrics, optional stage
-/// sampling, routing, serialization, latency accounting.
-fn dispatch(
-    shared: &Shared,
-    request: &Request,
-    parse_ns: u64,
-    out: &mut Vec<u8>,
-) -> DispatchOutcome {
-    shared.metrics.requests.inc();
-    let t0 = Instant::now();
-    // Head-sampling: 1 request in N, decided on a relaxed shared
-    // counter, whatever the request turns out to ask for.
-    let sampled = shared.sample_every > 0
-        && shared
-            .sample_counter
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(shared.sample_every);
-    let (response, keep_alive);
-    if sampled {
-        let mut stages = StageTrace {
-            parse_ns,
-            lookup_ns: 0,
-            write_ns: 0,
-            generation: 0,
-            source_generation: None,
-        };
-        let r = route(shared, request, Some(&mut stages));
-        keep_alive = request.keep_alive && !r.quit;
-        let t_write = Instant::now();
-        write_response(
-            out,
-            request.version,
-            r.status,
-            r.reason,
-            r.content_type,
-            keep_alive,
-            &r.body,
-        );
-        stages.write_ns = elapsed_ns(t_write);
-        record_sampled_request(shared, request, &stages, parse_ns + elapsed_ns(t0));
-        response = r;
-    } else {
-        let r = route(shared, request, None);
-        keep_alive = request.keep_alive && !r.quit;
-        write_response(
-            out,
-            request.version,
-            r.status,
-            r.reason,
-            r.content_type,
-            keep_alive,
-            &r.body,
-        );
-        response = r;
-    }
-    shared
-        .metrics
-        .latency_micros
-        .record((parse_ns + elapsed_ns(t0)) / 1000);
-    if response.quit {
-        shared.initiate_shutdown();
-    }
-    DispatchOutcome {
-        keep_alive,
-        quit: response.quit,
-    }
-}
-
-/// Book a sampled request into the per-stage histograms and the trace
-/// ring (a [`TraceKind::Lookup`] event whose generation ids chain the
-/// request back to the ingest lineage).
-fn record_sampled_request(shared: &Shared, request: &Request, stages: &StageTrace, total_ns: u64) {
-    shared.metrics.sampled.inc();
-    shared.metrics.stage_parse_ns.record(stages.parse_ns);
-    shared.metrics.stage_lookup_ns.record(stages.lookup_ns);
-    shared.metrics.stage_write_ns.record(stages.write_ns);
-    let Some(ring) = &shared.trace else { return };
-    let mut event = TraceEvent::now(TraceKind::Lookup)
-        .dur_ns(total_ns)
-        .field("path", &request.path)
-        .field("parse_ns", stages.parse_ns)
-        .field("lookup_ns", stages.lookup_ns)
-        .field("write_ns", stages.write_ns);
-    if stages.generation > 0 {
-        event = event.generation(stages.generation);
-    }
-    if let Some(source_generation) = stages.source_generation {
-        event = event.source_generation(source_generation);
-    }
-    ring.record(event);
 }
 
 #[derive(Serialize)]
@@ -878,17 +1038,6 @@ struct ForecastAnswer {
     source_generation: Option<u64>,
 }
 
-#[derive(Serialize)]
-struct TraceAnswer {
-    events: Vec<TraceEvent>,
-}
-
-#[derive(Serialize)]
-struct HistoryAnswer {
-    interval_secs: f64,
-    samples: Vec<unclean_telemetry::HistorySample>,
-}
-
 /// Check a `POST /batch-bin` request body — a `u32` big-endian count,
 /// then that many `u32` big-endian addresses — and return its address
 /// bytes, four per address, or the `400` text that explains why the
@@ -921,7 +1070,7 @@ fn answer_batch_lines(
     trie: &FrozenTrie,
     lines: &[(&str, Option<Ip>)],
     out: &mut String,
-    metrics: &Metrics,
+    metrics: &BlocklistMetrics,
 ) {
     let mut ips = [Ip(0); LANES];
     let mut n = 0;
@@ -953,335 +1102,293 @@ fn answer_batch_lines(
     metrics.clean.add(clean);
 }
 
-fn route(shared: &Shared, request: &Request, trace: Option<&mut StageTrace>) -> Response {
-    let metrics = &shared.metrics;
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            metrics.healthz.inc();
-            let (health, age) = shared.observe_health();
-            let generation = shared.store.load().generation;
-            let body = format!(
-                "{} generation={generation} age_secs={}\n",
-                health.as_str(),
-                age.as_secs()
-            );
-            let (code, reason) = match health {
-                Health::Ok | Health::Stale => (200, "OK"),
-                Health::Degraded => (503, "Service Unavailable"),
-            };
-            Response::text(code, reason, body)
+impl Daemon for Blocklist {
+    const NAME: &'static str = "unclean-serve";
+
+    fn freshness(&self) -> (u64, Duration) {
+        let snapshot = self.store.load();
+        let age = age_since(snapshot.built_unix_ms);
+        self.metrics.generation_age_secs.set(age.as_secs_f64());
+        if let Some(forecast) = &self.forecast {
+            let forecast_age = age_since(forecast.store.load().built_unix_ms);
+            self.metrics
+                .forecast_generation_age_secs
+                .set(forecast_age.as_secs_f64());
         }
-        ("GET", "/lookup") => {
-            metrics.lookup.inc();
-            let Some(raw_ip) = request.query_param("ip") else {
-                metrics.bad_request.inc();
-                return Response::text(400, "Bad Request", "missing ip= query parameter\n");
-            };
-            let Ok(ip) = raw_ip.parse::<Ip>() else {
-                metrics.bad_request.inc();
-                return Response::text(400, "Bad Request", format!("unparseable ip {raw_ip:?}\n"));
-            };
-            let t_lookup = trace.as_ref().map(|_| Instant::now());
-            let snapshot = shared.store.load();
-            let answer = match snapshot.trie.lookup(ip) {
-                Some(m) => {
-                    metrics.blocked.inc();
-                    LookupAnswer {
-                        ip: ip.to_string(),
-                        blocked: true,
-                        cidr: Some(m.cidr.to_string()),
-                        n: Some(m.cidr.len()),
-                        score: Some(m.score),
-                        generation: snapshot.generation,
-                    }
-                }
-                None => {
-                    metrics.clean.inc();
-                    LookupAnswer {
-                        ip: ip.to_string(),
-                        blocked: false,
-                        cidr: None,
-                        n: None,
-                        score: None,
-                        generation: snapshot.generation,
-                    }
-                }
-            };
-            if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
-                stages.lookup_ns = elapsed_ns(t_lookup);
-                stages.generation = snapshot.generation;
-                stages.source_generation = snapshot.source_generation;
-            }
-            Response::json(&answer)
-        }
-        ("GET", "/forecast") => {
-            metrics.forecast_req.inc();
-            let Some(forecast) = &shared.forecast else {
-                metrics.not_found.inc();
-                return Response::text(
-                    404,
-                    "Not Found",
-                    "no forecast artifact configured (start with --forecast)\n",
-                );
-            };
-            // `net=` takes a /16 CIDR or a bare address; `ip=` is an
-            // alias so loadgen can reuse its lookup address stream.
-            let raw_net = request
-                .query_param("net")
-                .or_else(|| request.query_param("ip"));
-            let Some(raw_net) = raw_net else {
-                metrics.forecast_bad_request.inc();
-                metrics.bad_request.inc();
-                return Response::text(
-                    400,
-                    "Bad Request",
-                    "missing net= (a.b.0.0/16 or bare address) query parameter\n",
-                );
-            };
-            let prefix16 = if raw_net.contains('/') {
-                match raw_net.parse::<unclean_core::Cidr>() {
-                    Ok(cidr) if cidr.len() == 16 => Some(cidr.base().raw() >> 16),
-                    _ => None,
-                }
-            } else {
-                raw_net.parse::<Ip>().ok().map(|ip| ip.raw() >> 16)
-            };
-            let Some(prefix16) = prefix16 else {
-                metrics.forecast_bad_request.inc();
-                metrics.bad_request.inc();
-                return Response::text(
-                    400,
-                    "Bad Request",
-                    format!("net {raw_net:?} is not a /16 or an address\n"),
-                );
-            };
-            let snapshot = forecast.store.load();
-            let horizon = match request.query_param("horizon") {
-                None => snapshot.artifact.horizon_days,
-                Some(h) => match h.parse::<u32>() {
-                    Ok(h) if (1..=365).contains(&h) => h,
-                    _ => {
-                        metrics.forecast_bad_request.inc();
-                        metrics.bad_request.inc();
-                        return Response::text(
-                            400,
-                            "Bad Request",
-                            format!("horizon {h:?} is not in 1..=365\n"),
-                        );
-                    }
-                },
-            };
-            let net = format!("{}.{}.0.0/16", prefix16 >> 8, prefix16 & 0xFF);
-            let answer = match snapshot.artifact.lookup(prefix16) {
-                Some(e) => {
-                    metrics.forecast_hits.inc();
-                    let (ci_low, ci_high) = e.ci_at(horizon, snapshot.artifact.ci_z);
-                    ForecastAnswer {
-                        net,
-                        known: true,
-                        horizon_days: horizon,
-                        predicted_rate: e.rate_at(horizon),
-                        ci_low,
-                        ci_high,
-                        score_half_life: e.score_half_life,
-                        generation: snapshot.generation,
-                        source_generation: snapshot.source_generation,
-                    }
-                }
-                None => {
-                    metrics.forecast_misses.inc();
-                    ForecastAnswer {
-                        net,
-                        known: false,
-                        horizon_days: horizon,
-                        predicted_rate: 0.0,
-                        ci_low: 0.0,
-                        ci_high: 0.0,
-                        score_half_life: 0.0,
-                        generation: snapshot.generation,
-                        source_generation: snapshot.source_generation,
-                    }
-                }
-            };
-            Response::json(&answer)
-        }
-        ("POST", "/batch") => {
-            metrics.batch.inc();
-            let body = String::from_utf8_lossy(&request.body);
-            let t_lookup = trace.as_ref().map(|_| Instant::now());
-            let snapshot = shared.store.load();
-            let mut out = String::new();
-            // Lines wait in a stack buffer and are answered each time it
-            // fills, so the answers stream out in line order.
-            let mut pending = [("", None); LANES];
-            let (mut waiting, mut lines) = (0, 0u64);
-            for line in body.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                lines += 1;
-                pending[waiting] = (line, line.parse().ok());
-                waiting += 1;
-                if waiting == LANES {
-                    answer_batch_lines(&snapshot.trie, &pending, &mut out, metrics);
-                    waiting = 0;
-                }
-            }
-            answer_batch_lines(&snapshot.trie, &pending[..waiting], &mut out, metrics);
-            metrics.batch_ips.add(lines);
-            if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
-                stages.lookup_ns = elapsed_ns(t_lookup);
-                stages.generation = snapshot.generation;
-                stages.source_generation = snapshot.source_generation;
-            }
-            Response::text(200, "OK", out.into_bytes())
-        }
-        ("POST", "/batch-bin") => {
-            metrics.batch_bin.inc();
-            let addresses = match decode_batch_bin(&request.body) {
-                Ok(addresses) => addresses,
-                Err(reason) => {
+        (snapshot.generation, age)
+    }
+
+    fn route(&self, request: &Request, trace: Option<&mut StageTrace>) -> Option<Response> {
+        let metrics = &self.metrics;
+        Some(match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/lookup") => {
+                metrics.lookup.inc();
+                let Some(raw_ip) = request.query_param("ip") else {
                     metrics.bad_request.inc();
-                    return Response::text(400, "Bad Request", reason);
-                }
-            };
-            let count = addresses.len() / 4;
-            let detail = request.query_param("detail") == Some("1");
-            let t_lookup = trace.as_ref().map(|_| Instant::now());
-            let snapshot = shared.store.load();
-            let mut out = vec![0; 8 + count + if detail { 4 * count } else { 0 }];
-            let generation = snapshot.generation.min(u32::MAX as u64) as u32;
-            out[..4].copy_from_slice(&generation.to_be_bytes());
-            out[4..8].copy_from_slice(&(count as u32).to_be_bytes());
-            let (verdicts, bases) = out[8..].split_at_mut(count);
-            // Answer LANES addresses at a time from the stack, writing
-            // each group's verdicts (and bases) straight into the reply.
-            let (mut ips, mut answers) = ([Ip(0); LANES], [None; LANES]);
-            let mut blocked = 0u64;
-            for (group, first) in addresses.chunks(4 * LANES).zip((0..).step_by(LANES)) {
-                let n = group.len() / 4;
-                for (ip, raw) in ips.iter_mut().zip(group.chunks_exact(4)) {
-                    *ip = Ip(u32::from_be_bytes([raw[0], raw[1], raw[2], raw[3]]));
-                }
-                snapshot.trie.lookup_batch(&ips[..n], &mut answers[..n]);
-                for (i, answer) in (first..).zip(&answers[..n]) {
-                    verdicts[i] = answer.map_or(0, |m| m.cidr.len() + 1);
-                    if detail {
-                        let base = answer.map_or(0, |m| m.cidr.base().raw());
-                        bases[4 * i..4 * i + 4].copy_from_slice(&base.to_be_bytes());
+                    return Some(Response::text(
+                        400,
+                        "Bad Request",
+                        "missing ip= query parameter\n",
+                    ));
+                };
+                let Ok(ip) = raw_ip.parse::<Ip>() else {
+                    metrics.bad_request.inc();
+                    return Some(Response::text(
+                        400,
+                        "Bad Request",
+                        format!("unparseable ip {raw_ip:?}\n"),
+                    ));
+                };
+                let t_lookup = trace.as_ref().map(|_| Instant::now());
+                let snapshot = self.store.load();
+                let answer = match snapshot.trie.lookup(ip) {
+                    Some(m) => {
+                        metrics.blocked.inc();
+                        LookupAnswer {
+                            ip: ip.to_string(),
+                            blocked: true,
+                            cidr: Some(m.cidr.to_string()),
+                            n: Some(m.cidr.len()),
+                            score: Some(m.score),
+                            generation: snapshot.generation,
+                        }
                     }
-                    blocked += u64::from(answer.is_some());
+                    None => {
+                        metrics.clean.inc();
+                        LookupAnswer {
+                            ip: ip.to_string(),
+                            blocked: false,
+                            cidr: None,
+                            n: None,
+                            score: None,
+                            generation: snapshot.generation,
+                        }
+                    }
+                };
+                if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
+                    stages.lookup_ns = elapsed_ns(t_lookup);
+                    stages.generation = snapshot.generation;
+                    stages.source_generation = snapshot.source_generation;
+                }
+                Response::json(&answer)
+            }
+            ("GET", "/forecast") => {
+                metrics.forecast_req.inc();
+                let Some(forecast) = &self.forecast else {
+                    metrics.not_found.inc();
+                    return Some(Response::text(
+                        404,
+                        "Not Found",
+                        "no forecast artifact configured (start with --forecast)\n",
+                    ));
+                };
+                // `net=` takes a /16 CIDR or a bare address; `ip=` is an
+                // alias so loadgen can reuse its lookup address stream.
+                let raw_net = request
+                    .query_param("net")
+                    .or_else(|| request.query_param("ip"));
+                let Some(raw_net) = raw_net else {
+                    metrics.forecast_bad_request.inc();
+                    metrics.bad_request.inc();
+                    return Some(Response::text(
+                        400,
+                        "Bad Request",
+                        "missing net= (a.b.0.0/16 or bare address) query parameter\n",
+                    ));
+                };
+                let prefix16 = if raw_net.contains('/') {
+                    match raw_net.parse::<unclean_core::Cidr>() {
+                        Ok(cidr) if cidr.len() == 16 => Some(cidr.base().raw() >> 16),
+                        _ => None,
+                    }
+                } else {
+                    raw_net.parse::<Ip>().ok().map(|ip| ip.raw() >> 16)
+                };
+                let Some(prefix16) = prefix16 else {
+                    metrics.forecast_bad_request.inc();
+                    metrics.bad_request.inc();
+                    return Some(Response::text(
+                        400,
+                        "Bad Request",
+                        format!("net {raw_net:?} is not a /16 or an address\n"),
+                    ));
+                };
+                let snapshot = forecast.store.load();
+                let horizon = match request.query_param("horizon") {
+                    None => snapshot.artifact.horizon_days,
+                    Some(h) => match h.parse::<u32>() {
+                        Ok(h) if (1..=365).contains(&h) => h,
+                        _ => {
+                            metrics.forecast_bad_request.inc();
+                            metrics.bad_request.inc();
+                            return Some(Response::text(
+                                400,
+                                "Bad Request",
+                                format!("horizon {h:?} is not in 1..=365\n"),
+                            ));
+                        }
+                    },
+                };
+                let net = format!("{}.{}.0.0/16", prefix16 >> 8, prefix16 & 0xFF);
+                let answer = match snapshot.artifact.lookup(prefix16) {
+                    Some(e) => {
+                        metrics.forecast_hits.inc();
+                        let (ci_low, ci_high) = e.ci_at(horizon, snapshot.artifact.ci_z);
+                        ForecastAnswer {
+                            net,
+                            known: true,
+                            horizon_days: horizon,
+                            predicted_rate: e.rate_at(horizon),
+                            ci_low,
+                            ci_high,
+                            score_half_life: e.score_half_life,
+                            generation: snapshot.generation,
+                            source_generation: snapshot.source_generation,
+                        }
+                    }
+                    None => {
+                        metrics.forecast_misses.inc();
+                        ForecastAnswer {
+                            net,
+                            known: false,
+                            horizon_days: horizon,
+                            predicted_rate: 0.0,
+                            ci_low: 0.0,
+                            ci_high: 0.0,
+                            score_half_life: 0.0,
+                            generation: snapshot.generation,
+                            source_generation: snapshot.source_generation,
+                        }
+                    }
+                };
+                Response::json(&answer)
+            }
+            ("POST", "/batch") => {
+                metrics.batch.inc();
+                let body = String::from_utf8_lossy(&request.body);
+                let t_lookup = trace.as_ref().map(|_| Instant::now());
+                let snapshot = self.store.load();
+                let mut out = String::new();
+                // Lines wait in a stack buffer and are answered each time it
+                // fills, so the answers stream out in line order.
+                let mut pending = [("", None); LANES];
+                let (mut waiting, mut lines) = (0, 0u64);
+                for line in body.lines() {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        continue;
+                    }
+                    lines += 1;
+                    pending[waiting] = (line, line.parse().ok());
+                    waiting += 1;
+                    if waiting == LANES {
+                        answer_batch_lines(&snapshot.trie, &pending, &mut out, metrics);
+                        waiting = 0;
+                    }
+                }
+                answer_batch_lines(&snapshot.trie, &pending[..waiting], &mut out, metrics);
+                metrics.batch_ips.add(lines);
+                if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
+                    stages.lookup_ns = elapsed_ns(t_lookup);
+                    stages.generation = snapshot.generation;
+                    stages.source_generation = snapshot.source_generation;
+                }
+                Response::text(200, "OK", out.into_bytes())
+            }
+            ("POST", "/batch-bin") => {
+                metrics.batch_bin.inc();
+                let addresses = match decode_batch_bin(&request.body) {
+                    Ok(addresses) => addresses,
+                    Err(reason) => {
+                        metrics.bad_request.inc();
+                        return Some(Response::text(400, "Bad Request", reason));
+                    }
+                };
+                let count = addresses.len() / 4;
+                let detail = request.query_param("detail") == Some("1");
+                let t_lookup = trace.as_ref().map(|_| Instant::now());
+                let snapshot = self.store.load();
+                let mut out = vec![0; 8 + count + if detail { 4 * count } else { 0 }];
+                let generation = snapshot.generation.min(u32::MAX as u64) as u32;
+                out[..4].copy_from_slice(&generation.to_be_bytes());
+                out[4..8].copy_from_slice(&(count as u32).to_be_bytes());
+                let (verdicts, bases) = out[8..].split_at_mut(count);
+                // Answer LANES addresses at a time from the stack, writing
+                // each group's verdicts (and bases) straight into the reply.
+                let (mut ips, mut answers) = ([Ip(0); LANES], [None; LANES]);
+                let mut blocked = 0u64;
+                for (group, first) in addresses.chunks(4 * LANES).zip((0..).step_by(LANES)) {
+                    let n = group.len() / 4;
+                    for (ip, raw) in ips.iter_mut().zip(group.chunks_exact(4)) {
+                        *ip = Ip(u32::from_be_bytes([raw[0], raw[1], raw[2], raw[3]]));
+                    }
+                    snapshot.trie.lookup_batch(&ips[..n], &mut answers[..n]);
+                    for (i, answer) in (first..).zip(&answers[..n]) {
+                        verdicts[i] = answer.map_or(0, |m| m.cidr.len() + 1);
+                        if detail {
+                            let base = answer.map_or(0, |m| m.cidr.base().raw());
+                            bases[4 * i..4 * i + 4].copy_from_slice(&base.to_be_bytes());
+                        }
+                        blocked += u64::from(answer.is_some());
+                    }
+                }
+                metrics.batch_bin_ips.add(count as u64);
+                metrics.blocked.add(blocked);
+                metrics.clean.add(count as u64 - blocked);
+                if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
+                    stages.lookup_ns = elapsed_ns(t_lookup);
+                    stages.generation = snapshot.generation;
+                    stages.source_generation = snapshot.source_generation;
+                }
+                Response::ok_with("application/octet-stream", out)
+            }
+            ("GET", "/snapshot") => {
+                metrics.snapshot_req.inc();
+                let snapshot = self.store.load();
+                let forecast = self.forecast.as_ref().map(|f| f.store.load());
+                Response::json(&SnapshotAnswer {
+                    generation: snapshot.generation,
+                    entries: snapshot.trie.len(),
+                    source: snapshot.source.clone(),
+                    build_micros: snapshot.build_micros,
+                    built_unix_ms: snapshot.built_unix_ms,
+                    memory_bytes: snapshot.trie.memory_bytes(),
+                    source_generation: snapshot.source_generation,
+                    source_published_unix_ms: snapshot.source_published_unix_ms,
+                    forecast_generation: forecast.as_ref().map(|f| f.generation),
+                    forecast_entries: forecast.as_ref().map(|f| f.artifact.entries.len()),
+                    forecast_source: forecast.as_ref().map(|f| f.source.clone()),
+                    forecast_source_generation: forecast.as_ref().and_then(|f| f.source_generation),
+                })
+            }
+            ("POST", "/reload") => {
+                metrics.reload_req.inc();
+                match self.rebuild() {
+                    Ok(snapshot) => {
+                        // The forecast rebuild rides along; a failure keeps
+                        // serving the old forecast generation (counted on
+                        // forecast.reload.errors) and reports null here.
+                        let forecast = self.rebuild_forecast().ok().flatten();
+                        Response::json(&ReloadAnswer {
+                            generation: snapshot.generation,
+                            entries: snapshot.trie.len(),
+                            forecast_generation: forecast.as_ref().map(|f| f.generation),
+                            forecast_entries: forecast.as_ref().map(|f| f.artifact.entries.len()),
+                        })
+                    }
+                    Err(e) => Response::text(
+                        500,
+                        "Internal Server Error",
+                        format!("reload failed: {e}\n"),
+                    ),
                 }
             }
-            metrics.batch_bin_ips.add(count as u64);
-            metrics.blocked.add(blocked);
-            metrics.clean.add(count as u64 - blocked);
-            if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
-                stages.lookup_ns = elapsed_ns(t_lookup);
-                stages.generation = snapshot.generation;
-                stages.source_generation = snapshot.source_generation;
-            }
-            Response::ok_with("application/octet-stream", out)
-        }
-        ("GET", "/snapshot") => {
-            metrics.snapshot_req.inc();
-            let snapshot = shared.store.load();
-            let forecast = shared.forecast.as_ref().map(|f| f.store.load());
-            Response::json(&SnapshotAnswer {
-                generation: snapshot.generation,
-                entries: snapshot.trie.len(),
-                source: snapshot.source.clone(),
-                build_micros: snapshot.build_micros,
-                built_unix_ms: snapshot.built_unix_ms,
-                memory_bytes: snapshot.trie.memory_bytes(),
-                source_generation: snapshot.source_generation,
-                source_published_unix_ms: snapshot.source_published_unix_ms,
-                forecast_generation: forecast.as_ref().map(|f| f.generation),
-                forecast_entries: forecast.as_ref().map(|f| f.artifact.entries.len()),
-                forecast_source: forecast.as_ref().map(|f| f.source.clone()),
-                forecast_source_generation: forecast.as_ref().and_then(|f| f.source_generation),
-            })
-        }
-        ("GET", "/metrics") => {
-            metrics.metrics_req.inc();
-            let mut text = prom::render(&shared.registry.snapshot(), "unclean_serve");
-            text.push_str(&prom::build_info(
-                "unclean_serve",
-                env!("CARGO_PKG_VERSION"),
-                GIT_SHA,
-                shared.start_unix_secs,
-            ));
-            Response {
-                status: 200,
-                reason: "OK",
-                content_type: "text/plain; version=0.0.4",
-                body: text.into_bytes(),
-                quit: false,
-            }
-        }
-        ("GET", "/trace") => {
-            metrics.trace_req.inc();
-            let events = shared
-                .trace
-                .as_ref()
-                .map(|ring| ring.events())
-                .unwrap_or_default();
-            if request.query_param("format") == Some("events") {
-                // Machine-readable raw events (the e2e lineage walkers
-                // deserialize these directly).
-                Response::json(&TraceAnswer { events })
-            } else {
-                let body = chrome_trace_json(&shared.registry.snapshot(), &events, "unclean-serve");
-                Response::ok_with("application/json", body.into_bytes())
-            }
-        }
-        ("GET", "/metrics/history") => {
-            metrics.history_req.inc();
-            match &shared.history {
-                Some(history) => Response::json(&HistoryAnswer {
-                    interval_secs: shared.history_interval.as_secs_f64(),
-                    samples: history.samples(),
-                }),
-                None => Response::text(404, "Not Found", "flight recorder disabled\n"),
-            }
-        }
-        ("POST", "/reload") => {
-            metrics.reload_req.inc();
-            match shared.rebuild() {
-                Ok(snapshot) => {
-                    // The forecast rebuild rides along; a failure keeps
-                    // serving the old forecast generation (counted on
-                    // forecast.reload.errors) and reports null here.
-                    let forecast = shared.rebuild_forecast().ok().flatten();
-                    Response::json(&ReloadAnswer {
-                        generation: snapshot.generation,
-                        entries: snapshot.trie.len(),
-                        forecast_generation: forecast.as_ref().map(|f| f.generation),
-                        forecast_entries: forecast.as_ref().map(|f| f.artifact.entries.len()),
-                    })
-                }
-                Err(e) => Response::text(
-                    500,
-                    "Internal Server Error",
-                    format!("reload failed: {e}\n"),
-                ),
-            }
-        }
-        ("POST", "/quit") => {
-            metrics.quit.inc();
-            let mut response = Response::text(200, "OK", "shutting down\n");
-            response.quit = true;
-            response
-        }
-        _ => {
-            metrics.not_found.inc();
-            Response::text(
-                404,
-                "Not Found",
-                format!("no such endpoint: {} {}\n", request.method, request.path),
-            )
-        }
+            _ => return None,
+        })
+    }
+
+    fn quit(&self) -> (&'static str, bool) {
+        ("shutting down\n", true)
     }
 }
 
@@ -1329,7 +1436,7 @@ impl Conn {
 
     /// Drain the socket's receive buffer into `in_buf` (level-triggered
     /// readiness: read until `WouldBlock` or EOF).
-    fn read_some(&mut self, shared: &Shared) {
+    fn read_some<D>(&mut self, shared: &Shared<D>) {
         let mut chunk = [0u8; 16 << 10];
         loop {
             match self.stream.read(&mut chunk) {
@@ -1360,7 +1467,7 @@ impl Conn {
     /// stopping at the output high-water mark. Returns whether anything
     /// was dispatched (callers loop process→flush until quiescent, so a
     /// drained socket can unblock further pipelined parsing).
-    fn process(&mut self, shared: &Shared) -> bool {
+    fn process<D: Daemon>(&mut self, shared: &Shared<D>) -> bool {
         let mut consumed = 0usize;
         let mut progressed = false;
         while !self.close_after_flush && self.pending_out() < OUT_HIGH_WATER {
@@ -1369,14 +1476,11 @@ impl Conn {
                 Ok(Parse::Complete(request, used)) => {
                     consumed += used;
                     let parse_ns = elapsed_ns(t0);
-                    let outcome = dispatch(shared, &request, parse_ns, &mut self.out);
+                    let keep_alive = dispatch(shared, &request, parse_ns, &mut self.out);
                     self.served += 1;
                     self.last_active = Instant::now();
                     progressed = true;
-                    if !outcome.keep_alive
-                        || outcome.quit
-                        || self.served >= shared.max_requests_per_conn
-                    {
+                    if !keep_alive || self.served >= shared.config.max_requests_per_conn {
                         self.close_after_flush = true;
                     }
                 }
@@ -1450,7 +1554,7 @@ impl Conn {
 
     /// Loop process→flush until quiescent: flushing can free output
     /// space that unblocks parsing of further pipelined requests.
-    fn drive(&mut self, shared: &Shared) {
+    fn drive<D: Daemon>(&mut self, shared: &Shared<D>) {
         loop {
             let progressed = self.process(shared);
             self.flush();
@@ -1477,7 +1581,7 @@ impl Conn {
 /// One shard: a nonblocking listener plus every connection it accepted,
 /// multiplexed on a private [`poll::Poller`].
 #[cfg(unix)]
-fn shard_loop(shared: &Shared, listener: TcpListener, conn_limit: usize) {
+fn shard_loop<D: Daemon>(shared: &Shared<D>, listener: TcpListener, conn_limit: usize) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -1537,7 +1641,7 @@ fn shard_loop(shared: &Shared, listener: TcpListener, conn_limit: usize) {
             let now = Instant::now();
             let idle: Vec<u64> = conns
                 .iter()
-                .filter(|(_, c)| now.duration_since(c.last_active) > shared.read_timeout)
+                .filter(|(_, c)| now.duration_since(c.last_active) > shared.config.read_timeout)
                 .map(|(t, _)| *t)
                 .collect();
             for token in idle {
@@ -1565,8 +1669,8 @@ fn shard_loop(shared: &Shared, listener: TcpListener, conn_limit: usize) {
 /// shard's connection share, answer `503` immediately (explicit
 /// backpressure, counted on `conns.dropped`) instead of queueing.
 #[cfg(unix)]
-fn accept_new(
-    shared: &Shared,
+fn accept_new<D>(
+    shared: &Shared<D>,
     listener: &TcpListener,
     poller: &mut poll::Poller,
     conns: &mut HashMap<u64, Conn>,
@@ -1614,7 +1718,7 @@ fn accept_new(
 /// Non-unix fallback: a blocking accept loop per shard, one connection
 /// served at a time (keep-alive still honored on that connection).
 #[cfg(not(unix))]
-fn shard_loop(shared: &Shared, listener: TcpListener, _conn_limit: usize) {
+fn shard_loop<D: Daemon>(shared: &Shared<D>, listener: TcpListener, _conn_limit: usize) {
     let _ = listener.set_nonblocking(true);
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -1629,22 +1733,22 @@ fn shard_loop(shared: &Shared, listener: TcpListener, _conn_limit: usize) {
 }
 
 #[cfg(not(unix))]
-fn serve_conn_blocking(shared: &Shared, stream: &mut TcpStream) {
+fn serve_conn_blocking<D: Daemon>(shared: &Shared<D>, stream: &mut TcpStream) {
     use std::io::Write as _;
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+    let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
     let mut served = 0u64;
     loop {
         let t0 = Instant::now();
         match crate::http::read_request(stream) {
             Ok(request) => {
                 let mut out = Vec::with_capacity(256);
-                let outcome = dispatch(shared, &request, elapsed_ns(t0), &mut out);
+                let keep_alive = dispatch(shared, &request, elapsed_ns(t0), &mut out);
                 if stream.write_all(&out).is_err() {
                     break;
                 }
                 served += 1;
-                if !outcome.keep_alive || outcome.quit || served >= shared.max_requests_per_conn {
+                if !keep_alive || served >= shared.config.max_requests_per_conn {
                     break;
                 }
             }
@@ -1657,36 +1761,6 @@ fn serve_conn_blocking(shared: &Shared, stream: &mut TcpStream) {
                 break;
             }
         }
-    }
-}
-
-/// The flight-recorder scraper: fold a registry snapshot into the
-/// history ring on the configured cadence (sleeping in short slices so
-/// shutdown joins promptly).
-fn history_loop(shared: &Shared) {
-    let Some(history) = &shared.history else {
-        return;
-    };
-    history.observe(unix_ms_now(), &shared.registry.snapshot());
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let mut slept = Duration::ZERO;
-        while slept < shared.history_interval && !shared.shutdown.load(Ordering::SeqCst) {
-            let slice = (shared.history_interval - slept).min(Duration::from_millis(50));
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        history.observe(unix_ms_now(), &shared.registry.snapshot());
-    }
-}
-
-/// Refresh the generation-age gauge twice a second until shutdown.
-fn watchdog_loop(shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let _ = shared.observe_health();
-        std::thread::sleep(Duration::from_millis(500));
     }
 }
 
@@ -1703,15 +1777,12 @@ fn fingerprint(meta: &std::fs::Metadata) -> (Option<std::time::SystemTime>, u64,
 }
 
 /// Poll `source` for fingerprint changes and invoke `rebuild` on each.
-/// One instance runs per watched file — the blocklist, and the forecast
-/// artifact when configured — so a slow forecast refit can never delay a
-/// blocklist reload.
 fn watcher_loop(
-    shared: &Shared,
+    shared: &Shared<Blocklist>,
     interval: Duration,
     baseline: Option<(Option<std::time::SystemTime>, u64, u64)>,
     source: &std::path::Path,
-    rebuild: impl Fn(&Shared),
+    rebuild: fn(&Blocklist),
 ) {
     let mut last = baseline;
     while !shared.shutdown.load(Ordering::SeqCst) {
@@ -1719,7 +1790,7 @@ fn watcher_loop(
         // long poll interval.
         let mut slept = Duration::ZERO;
         while slept < interval && !shared.shutdown.load(Ordering::SeqCst) {
-            let slice = (interval - slept).min(Duration::from_millis(50));
+            let slice = (interval - slept).min(SLEEP_SLICE);
             std::thread::sleep(slice);
             slept += slice;
         }
@@ -1731,7 +1802,7 @@ fn watcher_loop(
             // A failed build keeps serving the old generation (the error
             // is counted on reload.errors); either way this fingerprint
             // has been dealt with.
-            rebuild(shared);
+            rebuild(&shared.daemon);
             last = current;
         }
     }
@@ -1744,10 +1815,10 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let config = ServeConfig::new("/tmp/list.txt");
-        assert_eq!(config.addr, "127.0.0.1:0");
-        assert!(config.threads >= 1);
-        assert!(config.max_conns >= 1);
-        assert!(config.max_requests_per_conn >= 1);
+        assert_eq!(config.core.addr, "127.0.0.1:0");
+        assert!(config.core.threads >= 1);
+        assert!(config.core.max_conns >= 1);
+        assert!(config.core.max_requests_per_conn >= 1);
         assert!(config.watch.is_none());
         assert_eq!(config.source, PathBuf::from("/tmp/list.txt"));
     }
@@ -1825,6 +1896,23 @@ mod tests {
             Err(ServeError::Source(msg)) => assert!(msg.contains("nonexistent"), "{msg}"),
             other => panic!("expected Source error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn start_fails_cleanly_on_a_port_another_daemon_serves() {
+        let dir = std::env::temp_dir().join(format!("unclean-serve-taken-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let list = dir.join("list.txt");
+        std::fs::write(&list, "10.0.0.0/8\n").expect("write");
+        let first = Server::start(ServeConfig::new(&list), Registry::off()).expect("start");
+        let mut config = ServeConfig::new(&list);
+        config.core.addr = first.local_addr().to_string();
+        match Server::start(config, Registry::off()) {
+            Err(ServeError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse),
+            other => panic!("expected an AddrInUse error, got {other:?}"),
+        }
+        first.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     impl std::fmt::Debug for Server {

@@ -304,8 +304,8 @@ fn watcher_hot_reloads_on_file_change() {
 fn healthz_degrades_with_generation_age_and_recovers_on_reload() {
     let list = scratch_list("stale", "9.1.0.0/16 # score=2.5\n");
     let mut config = ServeConfig::new(&list);
-    config.stale_after = Some(Duration::from_millis(400));
-    config.degraded_after = Some(Duration::from_millis(1_200));
+    config.core.stale_after = Some(Duration::from_millis(400));
+    config.core.degraded_after = Some(Duration::from_millis(1_200));
     let server = Server::start(config, Registry::full()).expect("start");
     let addr = server.local_addr();
 
@@ -530,8 +530,8 @@ fn keepalive_pipelined_clients_survive_hot_reload() {
     ];
     let list = scratch_list("ka-reload", texts[0]);
     let mut config = ServeConfig::new(&list);
-    config.threads = 2;
-    config.max_conns = 64;
+    config.core.threads = 2;
+    config.core.max_conns = 64;
     let server = Server::start(config, Registry::full()).expect("start");
     let addr = server.local_addr();
 
@@ -627,8 +627,8 @@ fn hot_reload_under_load_loses_no_requests() {
     ];
     let list = scratch_list("underload", texts[0]);
     let mut config = ServeConfig::new(&list);
-    config.threads = 4;
-    config.max_conns = 512;
+    config.core.threads = 4;
+    config.core.max_conns = 512;
     let server = Server::start(config, Registry::full()).expect("start");
     let addr = server.local_addr();
 

@@ -8,8 +8,9 @@
 //! decoder of outside bytes (the footer, the segments, `index.wal`)
 //! allocates in proportion to its input however the bytes are damaged:
 //! a seeded mutation property feeds flipped, truncated and spliced
-//! copies of the golden archive and spool to each decoder, and random
-//! and count-spliced frames to the `/batch-bin` body decoder. The daemon
+//! copies of the golden archive and spool to each decoder, random and
+//! count-spliced frames to the `/batch-bin` body decoder, and HTTP
+//! requests to `http::parse_request` in randomly cut reads. The daemon
 //! answers a maximal batch request with its connection buffers and its
 //! reply, holding no table with an entry per address.
 //!
@@ -37,6 +38,9 @@ use unclean_flowgen::record::{get_uvarint, put_uvarint, EPOCH_UNIX_SECS};
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
     CandidateCollector, Flow, IndexedArchive, IndexedArchiveWriter, SegmentReader, WalSpool,
+};
+use unclean_serve::http::{
+    parse_request, HttpError, Parse, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use unclean_serve::server::decode_batch_bin;
 use unclean_serve::{ServeConfig, Server};
@@ -373,7 +377,92 @@ fn batch_frame(mix: &mut Mix) -> Vec<u8> {
     body
 }
 
+/// One byte stream for `parse_request`: a well-formed GET or POST whose
+/// head runs up to `MAX_HEAD_BYTES` (mostly its target, which a parsed
+/// request copies) with up to 64 KiB of body, a head or `Content-Length`
+/// past its cap, a bad version token, or random bytes.
+fn http_bytes(mix: &mut Mix) -> Vec<u8> {
+    fn target(mix: &mut Mix, len: usize) -> String {
+        let path: String = (0..len)
+            .map(|_| char::from(b'a' + mix.below(26) as u8))
+            .collect();
+        format!("/{path}?q={}", mix.next())
+    }
+    match mix.below(6) {
+        0 => (0..mix.below(4096)).map(|_| mix.next() as u8).collect(),
+        1 => {
+            let len = MAX_HEAD_BYTES + mix.below(64);
+            let mut bytes = format!("GET {} HTTP/1.1\r\n", target(mix, len)).into_bytes();
+            if mix.below(2) == 0 {
+                bytes.extend_from_slice(b"\r\n");
+            }
+            bytes
+        }
+        2 => format!(
+            "POST /batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1 + mix.below(1 << 20)
+        )
+        .into_bytes(),
+        3 => {
+            let version = ["HTTP/2.0", "HTTP/0.9", "HTTP/1.2", "HTTP/1", "SPDY/3"][mix.below(5)];
+            let len = mix.below(4096);
+            format!("GET {} {version}\r\n\r\n", target(mix, len)).into_bytes()
+        }
+        _ => {
+            let body = [0, mix.below(64 << 10)][mix.below(2)];
+            let method = ["GET", "POST"][mix.below(2)];
+            let len = mix.below(MAX_HEAD_BYTES - 128);
+            let mut bytes = format!(
+                "{method} {} HTTP/1.{}\r\nHost: test\r\nContent-Length: {body}\r\n\r\n",
+                target(mix, len),
+                mix.below(2)
+            )
+            .into_bytes();
+            bytes.extend((0..body).map(|_| mix.next() as u8));
+            bytes
+        }
+    }
+}
+
+/// A parse result with `Partial` as `None`, for comparing outcomes.
+fn settled(parse: Result<Parse, HttpError>) -> Option<Result<(Request, usize), HttpError>> {
+    match parse {
+        Ok(Parse::Partial) => None,
+        Ok(Parse::Complete(request, used)) => Some(Ok((request, used))),
+        Err(e) => Some(Err(e)),
+    }
+}
+
 proptest! {
+    /// Requests fed to `parse_request` as a connection's buffer grows,
+    /// one prefix per read of 1 to `max_read` bytes: every call returns,
+    /// the first answer that is not `Partial` is the whole buffer's, and
+    /// the whole sequence asks for at most 8× the bytes plus 64 KiB.
+    #[test]
+    fn http_requests_parse_in_split_reads_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        for _ in 0..4 {
+            let bytes = http_bytes(&mut mix);
+            let whole = settled(parse_request(&bytes));
+            let max_read = [64, 512, 4096, 16 << 10][mix.below(4)];
+            let mut first = None;
+            let asked = bytes_asked(|| {
+                let mut end = 0;
+                while end < bytes.len() && first.is_none() {
+                    end = (end + 1 + mix.below(max_read)).min(bytes.len());
+                    first = settled(parse_request(&bytes[..end]));
+                }
+            });
+            prop_assert!(
+                asked <= budget(bytes.len()),
+                "seed {seed}: {asked} bytes asked parsing {} bytes in reads of up to {max_read}",
+                bytes.len()
+            );
+            prop_assert_eq!(first, whole, "seed {}", seed);
+        }
+    }
+
     /// Random and count-spliced `/batch-bin` bodies: the decoder returns
     /// (no panic), accepts exactly the frames whose length its count
     /// promises, and asks for at most 8× the body plus 64 KiB.
@@ -466,8 +555,8 @@ fn maximal_batch_requests_allocate_only_their_buffers() {
     let list = dir.join("list.txt");
     std::fs::write(&list, "10.0.0.0/8\n10.1.0.0/16 # score=2.5\n10.1.2.0/24\n").expect("write");
     let mut config = ServeConfig::new(&list);
-    config.threads = 1;
-    config.history_interval = None;
+    config.core.threads = 1;
+    config.core.history_interval = None;
     let server = Server::start(config, Registry::off()).expect("start");
 
     let max = unclean_serve::http::MAX_BODY_BYTES;

@@ -167,8 +167,8 @@ fn forecast_endpoint_hot_reloads_generations() {
     std::fs::write(&blocklist, "203.0.113.0/24 # score=1.0\n").expect("blocklist");
 
     let mut serve = ServeConfig::new(&blocklist);
-    serve.addr = "127.0.0.1:0".to_string();
-    serve.threads = 2;
+    serve.core.addr = "127.0.0.1:0".to_string();
+    serve.core.threads = 2;
     serve.watch = Some(Duration::from_millis(50));
     serve.forecast = Some(forecast_path.clone());
     let server = Server::start(serve, Registry::full()).expect("serve");

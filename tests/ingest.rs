@@ -156,11 +156,11 @@ fn udp_to_wal_to_rescore_to_served_generation() {
     let out = dir.join("blocklist.txt");
     std::fs::write(&out, "203.0.113.0/24 # score=1.0\n").expect("seed list");
     let mut config = ServeConfig::new(&out);
-    config.addr = "127.0.0.1:0".to_string();
-    config.threads = 2;
+    config.core.addr = "127.0.0.1:0".to_string();
+    config.core.threads = 2;
     config.watch = Some(Duration::from_millis(50));
-    config.stale_after = Some(Duration::from_secs(3_600));
-    config.degraded_after = Some(Duration::from_secs(7_200));
+    config.core.stale_after = Some(Duration::from_secs(3_600));
+    config.core.degraded_after = Some(Duration::from_secs(7_200));
     let server = Server::start(config, Registry::full()).expect("serve");
     let addr = server.local_addr().to_string();
 
