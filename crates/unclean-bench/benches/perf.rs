@@ -1,17 +1,21 @@
 //! Criterion performance benches for the hot paths every experiment
 //! leans on: block counting, set algebra, sampling, prediction curves, the
-//! NetFlow codec, and flow generation. These are engineering benches (the
+//! NetFlow codec, flow generation, and the layers a live rescore crosses
+//! (CRC, segment decode, detectors). These are engineering benches (the
 //! paper-reproduction experiments live in `src/bin/`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use unclean_core::blocks::block_count_naive;
 use unclean_core::prelude::*;
+use unclean_core::snap::crc32;
+use unclean_detect::{rescore_window, LiveScanConfig};
 use unclean_flowgen::{
     decode_datagram, encode_datagram, record::EPOCH_UNIX_SECS, Flow, FlowGenerator,
-    GeneratorConfig, V5Header,
+    GeneratorConfig, IndexedArchive, V5Header, WalSpool,
 };
-use unclean_netmodel::{ActivityEvent, ActivityKind, ObservedNetwork};
+use unclean_netmodel::{ActivityEvent, ActivityKind, ObservedNetwork, Scenario, ScenarioConfig};
 use unclean_stats::SeedTree;
+use unclean_telemetry::Registry;
 
 /// A pseudo-random but clustered address set of the given size.
 fn clustered_set(n: usize) -> IpSet {
@@ -285,6 +289,99 @@ fn serve_batch_shaped_trie() -> (FrozenTrie, Vec<Ip>) {
     (mapped, probes)
 }
 
+/// The layers every live rescore crosses for each sealed flow: the CRC
+/// each segment is checked against, the decode of one WAL segment flow by
+/// flow, and a whole single-threaded rescore with the detectors and
+/// scoring on top.
+fn bench_rescore_layers(c: &mut Criterion) {
+    let mut g = c.benchmark_group("archive");
+    let mib: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8)
+        .collect();
+    g.throughput(Throughput::Bytes(mib.len() as u64));
+    g.bench_function("crc32_1mib", |b| b.iter(|| crc32(black_box(&mib))));
+    let image = live_shaped_spool(800_000);
+    let archive = IndexedArchive::open(&image).expect("the spool image indexes");
+    let (i, entry) = archive
+        .index()
+        .select(None)
+        .into_iter()
+        .max_by_key(|&(i, _)| archive.segments()[i].flows)
+        .expect("the spool holds a segment");
+    g.throughput(Throughput::Elements(archive.segments()[i].flows));
+    g.bench_function("segment_for_each_flow", |b| {
+        b.iter(|| {
+            let mut packets = 0u64;
+            let mut cursor = archive.cursor(i, entry).expect("CRC verifies");
+            cursor
+                .for_each_flow(|f| packets += u64::from(f.packets))
+                .expect("the segment decodes");
+            packets
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("detect");
+    let cfg = LiveScanConfig {
+        threads: 1,
+        ..LiveScanConfig::default()
+    };
+    g.throughput(Throughput::Elements(archive.index().total_flows()));
+    g.bench_function("rescore_window_800k", |b| {
+        b.iter(|| {
+            rescore_window(black_box(&image), None, &cfg, &Registry::off())
+                .expect("the spool rescores")
+                .flows
+        })
+    });
+    g.finish();
+}
+
+/// The sealed WAL image of `n` flows of the unclean window's border
+/// traffic, spooled as `unclean ingest` spools the `live` benchmark
+/// workload: 40k flows a second, sealed on the default 2 s rescore
+/// cadence (80k-flow segments) and at each day change.
+fn live_shaped_spool(n: usize) -> Vec<u8> {
+    // The window yields at least 3e8 flows per unit of scale.
+    let scale = (n as f64 / 3.0e8).clamp(0.001, 1.0);
+    let scenario =
+        Scenario::generate_recorded(ScenarioConfig::at_scale(scale, 1), &Registry::off());
+    let generator = FlowGenerator::new(
+        &scenario.observed,
+        GeneratorConfig::default(),
+        scenario.seeds.child("flowgen"),
+    );
+    let model = scenario.activity();
+    let window = scenario.dates.unclean_window;
+    let mut flows: Vec<Flow> = Vec::with_capacity(n);
+    for day in window.days() {
+        generator.flows_on(&model, day, true, |f| flows.push(f));
+        if flows.len() >= n {
+            break;
+        }
+    }
+    flows.truncate(n);
+    // Day 1 onwards: inside the V5 uptime horizon of an exporter booted
+    // at the epoch, as ingest's default anchor is.
+    let shift = i64::from(window.start.0 - 1) * 86_400;
+    let dir = std::env::temp_dir().join(format!("unclean-perf-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut spool = WalSpool::create(&dir, EPOCH_UNIX_SECS).expect("create the bench spool");
+    let mut day = None;
+    for (k, mut flow) in flows.into_iter().enumerate() {
+        flow.start_secs -= shift;
+        if day.is_some_and(|d| d != flow.day()) || (k > 0 && k % 80_000 == 0) {
+            spool.seal().expect("seal");
+        }
+        day = Some(flow.day());
+        spool.push(&flow).expect("spool a flow");
+    }
+    spool.seal().expect("seal");
+    let image = spool.sealed_image().expect("the sealed image");
+    let _ = std::fs::remove_dir_all(&dir);
+    image
+}
+
 fn bench_density_trial(c: &mut Criterion) {
     let mut g = c.benchmark_group("density");
     g.sample_size(20);
@@ -308,6 +405,7 @@ criterion_group!(
     bench_lpm,
     bench_netflow_codec,
     bench_flow_generation,
+    bench_rescore_layers,
     bench_density_trial,
 );
 criterion_main!(benches);

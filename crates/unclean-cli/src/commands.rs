@@ -698,7 +698,7 @@ pub fn serve(
 ) -> Result<String, String> {
     use std::io::Write as _;
     use std::time::Duration;
-    use unclean_serve::{ServeConfig, Server};
+    use unclean_serve::{ServeConfig, Server, WATCH_POLL};
     use unclean_telemetry::Registry;
 
     let registry = Registry::full();
@@ -708,7 +708,7 @@ pub fn serve(
     config.core.threads = threads.max(1);
     config.core.max_conns = max_conns.max(1);
     config.core.read_timeout = Duration::from_millis(read_timeout_ms.max(1));
-    config.watch = watch.then(|| Duration::from_secs(2));
+    config.watch = watch.then_some(WATCH_POLL);
     config.core.stale_after = tuning.stale_after_secs.map(Duration::from_secs);
     config.core.degraded_after = tuning.degraded_after_secs.map(Duration::from_secs);
     config.core.trace_sample = tuning.trace_sample;

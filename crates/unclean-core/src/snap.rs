@@ -204,9 +204,12 @@ impl From<std::io::Error> for SnapError {
     }
 }
 
-/// Byte-at-a-time lookup table for the reflected IEEE polynomial.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for the reflected IEEE polynomial. Row 0
+/// is the byte-at-a-time table; row `k` is row `k - 1` pushed through one
+/// more zero byte, so `CRC_TABLES[k][b]` is what byte `b` contributes to
+/// the register once `k` further bytes have gone by.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -219,10 +222,20 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Incremental CRC-32 (IEEE 802.3 polynomial, the zlib/`cksum -o 3`
@@ -237,11 +250,37 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Feed bytes.
+    /// Feed bytes: 16 at a time through the sliced tables (the register
+    /// folds into the first four bytes, read as one little-endian word),
+    /// the tail one at a time.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let at = |b: u32| (b & 0xff) as usize;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        for block in blocks {
+            let word =
+                |i: usize| u32::from_le_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+            let (w0, w1, w2, w3) = (word(0) ^ c, word(4), word(8), word(12));
+            c = t[15][at(w0)]
+                ^ t[14][at(w0 >> 8)]
+                ^ t[13][at(w0 >> 16)]
+                ^ t[12][at(w0 >> 24)]
+                ^ t[11][at(w1)]
+                ^ t[10][at(w1 >> 8)]
+                ^ t[9][at(w1 >> 16)]
+                ^ t[8][at(w1 >> 24)]
+                ^ t[7][at(w2)]
+                ^ t[6][at(w2 >> 8)]
+                ^ t[5][at(w2 >> 16)]
+                ^ t[4][at(w2 >> 24)]
+                ^ t[3][at(w3)]
+                ^ t[2][at(w3 >> 8)]
+                ^ t[1][at(w3 >> 16)]
+                ^ t[0][at(w3 >> 24)];
+        }
+        for &b in tail {
+            c = t[0][at(c ^ u32::from(b))] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -747,6 +786,55 @@ mod tests {
             c.update(&bytes[..split]);
             c.update(&bytes[split..]);
             assert_eq!(c.finish(), crc32(&bytes), "split at {split}");
+        }
+    }
+
+    /// The reference: the polynomial division one bit at a time.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    proptest::proptest! {
+        /// `crc32`, and `Crc32` fed in random splits, equal the bitwise
+        /// reference on random buffers of every length from 0 to 48 bytes
+        /// and of four random lengths up to 4 KiB.
+        #[test]
+        fn crc32_matches_the_bitwise_reference(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, RngCore, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let long: Vec<usize> = (0..4).map(|_| rng.gen_range(0..=4096)).collect();
+            for len in (0..=48).chain(long) {
+                let mut bytes = vec![0u8; len];
+                rng.fill_bytes(&mut bytes);
+                let want = crc32_bitwise(&bytes);
+                proptest::prop_assert_eq!(crc32(&bytes), want, "seed {} len {}", seed, len);
+                // Splits short and long, empty ones included, so blocks
+                // start at every offset and tails of every length occur.
+                let mut c = Crc32::new();
+                let mut at = 0;
+                while at < len {
+                    let room = len - at;
+                    let step = if rng.gen_bool(0.5) {
+                        rng.gen_range(0..=room.min(40))
+                    } else {
+                        rng.gen_range(1..=room)
+                    };
+                    c.update(&bytes[at..at + step]);
+                    at += step;
+                }
+                proptest::prop_assert_eq!(c.finish(), want, "seed {} len {} split", seed, len);
+            }
         }
     }
 

@@ -67,11 +67,13 @@ impl HourlyFanoutDetector {
 
     /// Feed one flow.
     pub fn observe(&mut self, flow: &Flow) {
-        if self.detected.contains(&flow.src.raw()) {
+        // Payload-bearing traffic is not scanning. Tested before the
+        // keyed hash probe, which most flows (those bearing payload)
+        // then never pay for.
+        if flow.payload_bearing() {
             return;
         }
-        // Payload-bearing traffic is not scanning.
-        if flow.payload_bearing() {
+        if self.detected.contains(&flow.src.raw()) {
             return;
         }
         let abs_hour = flow.start_secs.div_euclid(3600);

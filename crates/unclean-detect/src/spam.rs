@@ -56,11 +56,12 @@ impl SpamDetector {
 
     /// Feed one flow.
     pub fn observe(&mut self, flow: &Flow) {
-        if self.detected.contains(&flow.src.raw()) {
+        // Only payload-bearing SMTP counts as a delivery. Tested before
+        // the keyed hash probe, which other traffic then never pays for.
+        if flow.dst_port != 25 || !flow.payload_bearing() {
             return;
         }
-        // Only payload-bearing SMTP counts as a delivery.
-        if flow.dst_port != 25 || !flow.payload_bearing() {
+        if self.detected.contains(&flow.src.raw()) {
             return;
         }
         let day = flow.day().0;

@@ -588,6 +588,7 @@ impl FlowView<'_> {
     /// Decode the next *admitted* flow; `Ok(None)` when the datagram is
     /// drained. Records withheld as duplicates are decoded past, never
     /// yielded.
+    #[inline]
     pub fn try_next(&mut self) -> Result<Option<Flow>, IndexedError> {
         while let Some(r) = self.records.next_record()? {
             let k = self.next_index;

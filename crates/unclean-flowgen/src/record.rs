@@ -290,38 +290,77 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read an LEB128 varint from `data` at `*pos`, advancing `*pos`.
-#[inline]
-pub fn get_uvarint(data: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
-    // Single-byte fast path: the dominant case for delta-encoded fields.
-    if let Some(&byte) = data.get(*pos) {
-        if byte & 0x80 == 0 {
-            *pos += 1;
-            return Ok(u64::from(byte));
+/// Why a read of outside bytes failed. One byte, so the readers below
+/// return in registers; the position the read stopped at completes it
+/// into a [`DecodeError`] on the failure path only.
+#[derive(Debug, Clone, Copy)]
+enum Fail {
+    /// The input ended at the position.
+    Truncated,
+    /// A varint ran past 10 bytes or overflowed 64 bits, or its value
+    /// does not fit the field.
+    BadVarint,
+}
+
+impl Fail {
+    /// The error of a read of `data` that stopped at `pos`.
+    #[cold]
+    fn at(self, data: &[u8], pos: usize) -> DecodeError {
+        match self {
+            Fail::Truncated => DecodeError::Truncated {
+                needed: pos + 1,
+                got: data.len(),
+            },
+            Fail::BadVarint => DecodeError::BadVarint,
         }
     }
+}
+
+/// Read an LEB128 varint at `*pos`. `*pos` ends past the last byte read,
+/// on failure too.
+#[inline(always)]
+fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, Fail> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = data.get(*pos) else {
-            return Err(DecodeError::Truncated {
-                needed: *pos + 1,
-                got: data.len(),
-            });
-        };
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return Err(DecodeError::BadVarint);
-        }
+    for shift in (0..63).step_by(7) {
+        let byte = read_u8(data, pos)?;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecodeError::BadVarint);
-        }
     }
+    // The tenth byte holds bit 63 alone, so it is 0 or 1 and ends the
+    // varint.
+    match read_u8(data, pos)? {
+        last @ (0 | 1) => Ok(v | u64::from(last) << 63),
+        _ => Err(Fail::BadVarint),
+    }
+}
+
+/// Read a varint that must fit a u16.
+#[inline(always)]
+fn read_u16(data: &[u8], pos: &mut usize) -> Result<u16, Fail> {
+    u16::try_from(read_varint(data, pos)?).map_err(|_| Fail::BadVarint)
+}
+
+/// Read a [`delta32`] and apply it to `prev`.
+#[inline(always)]
+fn read_delta32(prev: u32, data: &[u8], pos: &mut usize) -> Result<u32, Fail> {
+    let v = u32::try_from(read_varint(data, pos)?).map_err(|_| Fail::BadVarint)?;
+    Ok(prev.wrapping_add(unzigzag(v) as u32))
+}
+
+/// Read one raw byte.
+#[inline(always)]
+fn read_u8(data: &[u8], pos: &mut usize) -> Result<u8, Fail> {
+    let byte = *data.get(*pos).ok_or(Fail::Truncated)?;
+    *pos += 1;
+    Ok(byte)
+}
+
+/// Read an LEB128 varint from `data` at `*pos`, advancing `*pos`.
+#[inline]
+pub fn get_uvarint(data: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+    read_varint(data, pos).map_err(|fail| fail.at(data, *pos))
 }
 
 /// Zigzag-map a signed 32-bit delta so small magnitudes of either sign
@@ -335,7 +374,13 @@ pub fn zigzag32(v: i32) -> u64 {
 #[inline]
 pub fn unzigzag32(v: u64) -> Result<i32, DecodeError> {
     let v = u32::try_from(v).map_err(|_| DecodeError::BadVarint)?;
-    Ok(((v >> 1) as i32) ^ -((v & 1) as i32))
+    Ok(unzigzag(v))
+}
+
+/// Inverse of [`zigzag32`] on a value already known to fit 32 bits.
+#[inline(always)]
+fn unzigzag(v: u32) -> i32 {
+    ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
 /// Delta of `cur` against `prev` on the u32 circle, zigzagged so the
@@ -343,12 +388,6 @@ pub fn unzigzag32(v: u64) -> Result<i32, DecodeError> {
 #[inline]
 fn delta32(cur: u32, prev: u32) -> u64 {
     zigzag32(cur.wrapping_sub(prev) as i32)
-}
-
-/// Apply an encoded [`delta32`] to `prev`.
-#[inline]
-fn apply_delta32(prev: u32, encoded: u64) -> Result<u32, DecodeError> {
-    Ok(prev.wrapping_add(unzigzag32(encoded)? as u32))
 }
 
 /// Encode a header + records as a **v2 compressed datagram body** (no
@@ -478,67 +517,63 @@ impl<'a> V2RecordCursor<'a> {
     }
 
     /// Decode the next record; `Ok(None)` once `count` records were read.
+    /// A failed record leaves the cursor where the failing read stopped.
     pub fn next_record(&mut self) -> Result<Option<V5Record>, DecodeError> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let data = self.data;
-        let pos = &mut self.pos;
-        let u8_at = |data: &[u8], pos: &mut usize| -> Result<u8, DecodeError> {
-            let Some(&b) = data.get(*pos) else {
-                return Err(DecodeError::Truncated {
-                    needed: *pos + 1,
-                    got: data.len(),
-                });
-            };
-            *pos += 1;
-            Ok(b)
-        };
-        let u16_var = |data: &[u8], pos: &mut usize| -> Result<u16, DecodeError> {
-            u16::try_from(get_uvarint(data, pos)?).map_err(|_| DecodeError::BadVarint)
-        };
-        let srcaddr = apply_delta32(self.prev.srcaddr, get_uvarint(data, pos)?)?;
-        let dstaddr = apply_delta32(self.prev.dstaddr, get_uvarint(data, pos)?)?;
-        let nexthop = apply_delta32(self.prev.nexthop, get_uvarint(data, pos)?)?;
-        let input = u16_var(data, pos)?;
-        let output = u16_var(data, pos)?;
-        let d_pkts = apply_delta32(self.prev.d_pkts, get_uvarint(data, pos)?)?;
-        let d_octets = apply_delta32(self.prev.d_octets, get_uvarint(data, pos)?)?;
-        let first = apply_delta32(self.prev.first, get_uvarint(data, pos)?)?;
-        let last = apply_delta32(first, get_uvarint(data, pos)?)?;
-        let srcport = u16_var(data, pos)?;
-        let dstport = u16_var(data, pos)?;
-        let tcp_flags = u8_at(data, pos)?;
-        let prot = u8_at(data, pos)?;
-        let tos = u8_at(data, pos)?;
-        let src_as = u16_var(data, pos)?;
-        let dst_as = u16_var(data, pos)?;
-        let src_mask = u8_at(data, pos)?;
-        let dst_mask = u8_at(data, pos)?;
-        let record = V5Record {
-            srcaddr,
-            dstaddr,
-            nexthop,
-            input,
-            output,
-            d_pkts,
-            d_octets,
-            first,
-            last,
-            srcport,
-            dstport,
-            tcp_flags,
-            prot,
-            tos,
-            src_as,
-            dst_as,
-            src_mask,
-            dst_mask,
-        };
+        let mut pos = self.pos;
+        let decoded = decode_record(self.data, &mut pos, &self.prev);
+        self.pos = pos;
+        let record = decoded.map_err(|fail| fail.at(self.data, pos))?;
         self.prev = record;
         self.remaining -= 1;
         Ok(Some(record))
     }
+}
+
+/// The v2 record layout, the inverse of [`encode_datagram_v2`]'s loop:
+/// one record at `*pos`, delta-decoded against `prev`.
+#[inline(always)]
+fn decode_record(data: &[u8], pos: &mut usize, prev: &V5Record) -> Result<V5Record, Fail> {
+    let srcaddr = read_delta32(prev.srcaddr, data, pos)?;
+    let dstaddr = read_delta32(prev.dstaddr, data, pos)?;
+    let nexthop = read_delta32(prev.nexthop, data, pos)?;
+    let input = read_u16(data, pos)?;
+    let output = read_u16(data, pos)?;
+    let d_pkts = read_delta32(prev.d_pkts, data, pos)?;
+    let d_octets = read_delta32(prev.d_octets, data, pos)?;
+    let first = read_delta32(prev.first, data, pos)?;
+    let last = read_delta32(first, data, pos)?;
+    let srcport = read_u16(data, pos)?;
+    let dstport = read_u16(data, pos)?;
+    let tcp_flags = read_u8(data, pos)?;
+    let prot = read_u8(data, pos)?;
+    let tos = read_u8(data, pos)?;
+    let src_as = read_u16(data, pos)?;
+    let dst_as = read_u16(data, pos)?;
+    let src_mask = read_u8(data, pos)?;
+    let dst_mask = read_u8(data, pos)?;
+    Ok(V5Record {
+        srcaddr,
+        dstaddr,
+        nexthop,
+        input,
+        output,
+        d_pkts,
+        d_octets,
+        first,
+        last,
+        srcport,
+        dstport,
+        tcp_flags,
+        prot,
+        tos,
+        src_as,
+        dst_as,
+        src_mask,
+        dst_mask,
+    })
 }
 
 #[cfg(test)]
@@ -827,5 +862,383 @@ mod tests {
             decode_header_v2(&[31u8], &mut pos),
             Err(DecodeError::BadCount(31))
         );
+    }
+
+    /// The checked v2 decoder as it read before its records went through
+    /// the lean readers: the reference the lean path must agree with on
+    /// every input, result and cursor position alike.
+    mod reference {
+        use super::super::{DecodeError, V5Header, V5Record, V5_MAX_RECORDS};
+
+        pub fn get_uvarint(data: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+            if let Some(&byte) = data.get(*pos) {
+                if byte & 0x80 == 0 {
+                    *pos += 1;
+                    return Ok(u64::from(byte));
+                }
+            }
+            let mut v = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let Some(&byte) = data.get(*pos) else {
+                    return Err(DecodeError::Truncated {
+                        needed: *pos + 1,
+                        got: data.len(),
+                    });
+                };
+                *pos += 1;
+                if shift == 63 && byte > 1 {
+                    return Err(DecodeError::BadVarint);
+                }
+                v |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(v);
+                }
+                shift += 7;
+                if shift > 63 {
+                    return Err(DecodeError::BadVarint);
+                }
+            }
+        }
+
+        fn apply_delta32(prev: u32, encoded: u64) -> Result<u32, DecodeError> {
+            let v = u32::try_from(encoded).map_err(|_| DecodeError::BadVarint)?;
+            let delta = ((v >> 1) as i32) ^ -((v & 1) as i32);
+            Ok(prev.wrapping_add(delta as u32))
+        }
+
+        pub fn decode_header_v2(data: &[u8], pos: &mut usize) -> Result<V5Header, DecodeError> {
+            let count_raw = get_uvarint(data, pos)?;
+            let count = u16::try_from(count_raw).map_err(|_| DecodeError::BadCount(u16::MAX))?;
+            if count == 0 || count as usize > V5_MAX_RECORDS {
+                return Err(DecodeError::BadCount(count));
+            }
+            let read_u32 = |data: &[u8], pos: &mut usize| -> Result<u32, DecodeError> {
+                u32::try_from(get_uvarint(data, pos)?).map_err(|_| DecodeError::BadVarint)
+            };
+            let sys_uptime_ms = read_u32(data, pos)?;
+            let unix_secs = read_u32(data, pos)?;
+            let unix_nsecs = read_u32(data, pos)?;
+            let flow_sequence = read_u32(data, pos)?;
+            let (engine_type, engine_id) = match (data.get(*pos), data.get(*pos + 1)) {
+                (Some(&t), Some(&i)) => (t, i),
+                _ => {
+                    return Err(DecodeError::Truncated {
+                        needed: *pos + 2,
+                        got: data.len(),
+                    })
+                }
+            };
+            *pos += 2;
+            let sampling_interval =
+                u16::try_from(get_uvarint(data, pos)?).map_err(|_| DecodeError::BadVarint)?;
+            Ok(V5Header {
+                count,
+                sys_uptime_ms,
+                unix_secs,
+                unix_nsecs,
+                flow_sequence,
+                engine_type,
+                engine_id,
+                sampling_interval,
+            })
+        }
+
+        pub struct Cursor<'a> {
+            pub data: &'a [u8],
+            pub pos: usize,
+            pub remaining: u16,
+            pub prev: V5Record,
+        }
+
+        impl Cursor<'_> {
+            pub fn next_record(&mut self) -> Result<Option<V5Record>, DecodeError> {
+                if self.remaining == 0 {
+                    return Ok(None);
+                }
+                let data = self.data;
+                let pos = &mut self.pos;
+                let u8_at = |data: &[u8], pos: &mut usize| -> Result<u8, DecodeError> {
+                    let Some(&b) = data.get(*pos) else {
+                        return Err(DecodeError::Truncated {
+                            needed: *pos + 1,
+                            got: data.len(),
+                        });
+                    };
+                    *pos += 1;
+                    Ok(b)
+                };
+                let u16_var = |data: &[u8], pos: &mut usize| -> Result<u16, DecodeError> {
+                    u16::try_from(get_uvarint(data, pos)?).map_err(|_| DecodeError::BadVarint)
+                };
+                let srcaddr = apply_delta32(self.prev.srcaddr, get_uvarint(data, pos)?)?;
+                let dstaddr = apply_delta32(self.prev.dstaddr, get_uvarint(data, pos)?)?;
+                let nexthop = apply_delta32(self.prev.nexthop, get_uvarint(data, pos)?)?;
+                let input = u16_var(data, pos)?;
+                let output = u16_var(data, pos)?;
+                let d_pkts = apply_delta32(self.prev.d_pkts, get_uvarint(data, pos)?)?;
+                let d_octets = apply_delta32(self.prev.d_octets, get_uvarint(data, pos)?)?;
+                let first = apply_delta32(self.prev.first, get_uvarint(data, pos)?)?;
+                let last = apply_delta32(first, get_uvarint(data, pos)?)?;
+                let srcport = u16_var(data, pos)?;
+                let dstport = u16_var(data, pos)?;
+                let tcp_flags = u8_at(data, pos)?;
+                let prot = u8_at(data, pos)?;
+                let tos = u8_at(data, pos)?;
+                let src_as = u16_var(data, pos)?;
+                let dst_as = u16_var(data, pos)?;
+                let src_mask = u8_at(data, pos)?;
+                let dst_mask = u8_at(data, pos)?;
+                let record = V5Record {
+                    srcaddr,
+                    dstaddr,
+                    nexthop,
+                    input,
+                    output,
+                    d_pkts,
+                    d_octets,
+                    first,
+                    last,
+                    srcport,
+                    dstport,
+                    tcp_flags,
+                    prot,
+                    tos,
+                    src_as,
+                    dst_as,
+                    src_mask,
+                    dst_mask,
+                };
+                self.prev = record;
+                self.remaining -= 1;
+                Ok(Some(record))
+            }
+        }
+    }
+
+    /// Decode `body` with both decoders, from the header or, when
+    /// `start` is given, from a cursor at that position and count; assert
+    /// every step returns the same answer and leaves the same position.
+    fn assert_decoders_agree(body: &[u8], start: Option<(usize, u16)>, what: &str) {
+        let (pos, count) = match start {
+            Some(start) => start,
+            None => {
+                let (mut lean, mut checked) = (0, 0);
+                let header = decode_header_v2(body, &mut lean);
+                assert_eq!(
+                    header,
+                    reference::decode_header_v2(body, &mut checked),
+                    "{what}: header"
+                );
+                assert_eq!(lean, checked, "{what}: position after the header");
+                match header {
+                    Ok(h) => (lean, h.count),
+                    Err(_) => return,
+                }
+            }
+        };
+        let mut lean = V2RecordCursor::new(body, pos, count);
+        let mut checked = reference::Cursor {
+            data: body,
+            pos,
+            remaining: count,
+            prev: V5Record::default(),
+        };
+        // Past the count, and on after a failure: a failed step must
+        // leave both cursors in the same state too.
+        for step in 0..usize::from(count) + 2 {
+            let answer = lean.next_record();
+            assert_eq!(answer, checked.next_record(), "{what}: record {step}");
+            assert_eq!(
+                lean.pos(),
+                checked.pos,
+                "{what}: position after record {step}"
+            );
+            assert_eq!(lean.remaining(), checked.remaining, "{what}: remaining");
+        }
+    }
+
+    /// What a varint field must fit.
+    #[derive(Debug, Clone, Copy)]
+    enum Width {
+        Count,
+        U16,
+        U32,
+    }
+
+    /// The varint fields of a well-formed v2 body: (start, end, width).
+    fn varint_fields(body: &[u8]) -> Vec<(usize, usize, Width)> {
+        use Width::*;
+        let mut fields = Vec::new();
+        let mut pos = 0;
+        let varint = |pos: &mut usize, width, fields: &mut Vec<_>| {
+            let at = *pos;
+            reference::get_uvarint(body, pos).expect("well-formed body");
+            fields.push((at, *pos, width));
+        };
+        for width in [Count, U32, U32, U32, U32] {
+            varint(&mut pos, width, &mut fields);
+        }
+        pos += 2;
+        varint(&mut pos, U16, &mut fields);
+        while pos < body.len() {
+            for width in [U32, U32, U32, U16, U16, U32, U32, U32, U32, U16, U16] {
+                varint(&mut pos, width, &mut fields);
+            }
+            pos += 3;
+            for width in [U16, U16] {
+                varint(&mut pos, width, &mut fields);
+            }
+            pos += 2;
+        }
+        fields
+    }
+
+    /// `v` as a varint of exactly `len` bytes (`len` at least its
+    /// canonical length, at most 10): zero groups padded with
+    /// continuation bits, as a permissive encoder might write it.
+    fn padded_varint(v: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| {
+                let group = v.checked_shr(7 * i as u32).unwrap_or(0) as u8 & 0x7f;
+                group | if i + 1 < len { 0x80 } else { 0 }
+            })
+            .collect()
+    }
+
+    fn canonical_len(v: u64) -> usize {
+        let mut out = Vec::new();
+        put_uvarint(&mut out, v);
+        out.len()
+    }
+
+    /// A value of random bit width: small, mid-sized and huge alike.
+    fn wide(rng: &mut impl rand::Rng, bits: u32) -> u64 {
+        let shift = rng.gen_range(0..=bits);
+        rng.gen::<u64>().checked_shr(64 - bits + shift).unwrap_or(0)
+    }
+
+    fn random_datagram(rng: &mut impl rand::Rng) -> Vec<u8> {
+        let n = rng.gen_range(1..=V5_MAX_RECORDS);
+        let records: Vec<V5Record> = (0..n)
+            .map(|_| V5Record {
+                srcaddr: wide(rng, 32) as u32,
+                dstaddr: wide(rng, 32) as u32,
+                nexthop: wide(rng, 32) as u32,
+                input: wide(rng, 16) as u16,
+                output: wide(rng, 16) as u16,
+                d_pkts: wide(rng, 32) as u32,
+                d_octets: wide(rng, 32) as u32,
+                first: wide(rng, 32) as u32,
+                last: wide(rng, 32) as u32,
+                srcport: wide(rng, 16) as u16,
+                dstport: wide(rng, 16) as u16,
+                tcp_flags: rng.gen(),
+                prot: rng.gen(),
+                tos: rng.gen(),
+                src_as: wide(rng, 16) as u16,
+                dst_as: wide(rng, 16) as u16,
+                src_mask: rng.gen(),
+                dst_mask: rng.gen(),
+            })
+            .collect();
+        let header = V5Header {
+            count: n as u16,
+            sys_uptime_ms: wide(rng, 32) as u32,
+            unix_secs: wide(rng, 32) as u32,
+            unix_nsecs: wide(rng, 32) as u32,
+            flow_sequence: wide(rng, 32) as u32,
+            engine_type: rng.gen(),
+            engine_id: rng.gen(),
+            sampling_interval: wide(rng, 16) as u16,
+        };
+        let mut body = Vec::new();
+        encode_datagram_v2(&header, &records, &mut body);
+        body
+    }
+
+    /// One mutation of a well-formed body: flipped bytes, a varint
+    /// re-spliced to 6–10 bytes (same value, or one past its field), a
+    /// value one past its field at canonical length, a tenth varint byte
+    /// over 1, or a varint whose last byte keeps its continuation bit
+    /// where the body ends.
+    fn mutate(body: &[u8], rng: &mut impl rand::Rng) -> (Vec<u8>, &'static str) {
+        let mut bytes = body.to_vec();
+        let fields = varint_fields(body);
+        let (start, end, width) = fields[rng.gen_range(0..fields.len())];
+        let (limit, over) = match width {
+            Width::Count => (
+                V5_MAX_RECORDS as u64,
+                rng.gen_range(31..=u64::from(u16::MAX) + 1),
+            ),
+            Width::U16 => (u64::from(u16::MAX), u64::from(u16::MAX) + 1 + wide(rng, 48)),
+            Width::U32 => (u64::from(u32::MAX), u64::from(u32::MAX) + 1 + wide(rng, 32)),
+        };
+        match rng.gen_range(0..5) {
+            0 => {
+                for _ in 0..rng.gen_range(1..=4) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] ^= rng.gen_range(1..=255u8);
+                }
+                (bytes, "flipped")
+            }
+            1 => {
+                let mut pos = start;
+                let value = reference::get_uvarint(body, &mut pos).expect("well-formed");
+                let value = if rng.gen_bool(0.5) {
+                    value
+                } else {
+                    over.max(limit + 1)
+                };
+                let len = rng.gen_range(canonical_len(value).max(6)..=10);
+                bytes.splice(start..end, padded_varint(value, len));
+                (bytes, "spliced 6-10 bytes")
+            }
+            2 => {
+                let mut encoded = Vec::new();
+                put_uvarint(&mut encoded, over);
+                bytes.splice(start..end, encoded);
+                (bytes, "overflowed its field")
+            }
+            3 => {
+                let mut overlong = padded_varint(0, 10);
+                overlong[9] = rng.gen_range(2..=0x7fu8) | if rng.gen_bool(0.5) { 0x80 } else { 0 };
+                bytes.splice(start..end, overlong);
+                (bytes, "tenth byte over 1")
+            }
+            _ => {
+                bytes.truncate(end);
+                bytes[end - 1] |= 0x80;
+                (bytes, "dangling continuation")
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The lean record decoder agrees with the checked reference —
+        /// same `Ok(Some(_))`, `Ok(None)` or `Err(e)` at every step, same
+        /// position after it — on random datagrams, every truncation of
+        /// one, mutated copies and random bytes.
+        #[test]
+        fn v2_decoder_matches_the_checked_reference(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, RngCore, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let body = random_datagram(&mut rng);
+            assert_decoders_agree(&body, None, &format!("seed {seed}: well-formed"));
+            for cut in 0..body.len() {
+                assert_decoders_agree(&body[..cut], None, &format!("seed {seed}: cut at {cut}"));
+            }
+            for _ in 0..16 {
+                let (bytes, how) = mutate(&body, &mut rng);
+                assert_decoders_agree(&bytes, None, &format!("seed {seed}: {how}"));
+            }
+            for _ in 0..4 {
+                let mut bytes = vec![0u8; rng.gen_range(0..256)];
+                rng.fill_bytes(&mut bytes);
+                assert_decoders_agree(&bytes, None, &format!("seed {seed}: random"));
+                let start = (rng.gen_range(0..=bytes.len() + 2), rng.gen_range(0..=31));
+                assert_decoders_agree(&bytes, Some(start), &format!("seed {seed}: random {start:?}"));
+            }
+        }
     }
 }

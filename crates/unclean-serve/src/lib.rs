@@ -51,7 +51,9 @@ pub mod poll;
 pub mod server;
 pub mod snapshot;
 
-pub use server::{Blocklist, CoreConfig, Daemon, Response, ServeConfig, Server, StageTrace};
+pub use server::{
+    Blocklist, CoreConfig, Daemon, Response, ServeConfig, Server, StageTrace, WATCH_POLL,
+};
 pub use snapshot::{
     build_forecast_snapshot, build_snapshot, ForecastSnapshot, ForecastStore, ServeError,
     ServingSnapshot, SnapshotStore,

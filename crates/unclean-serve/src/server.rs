@@ -186,7 +186,8 @@ pub struct ServeConfig {
     /// watch/reload paths as the blocklist.
     pub forecast: Option<PathBuf>,
     /// Poll interval for source-file changes (`None`: no watcher; reloads
-    /// only via `POST /reload`).
+    /// only via `POST /reload`). `unclean serve --watch` sets
+    /// [`WATCH_POLL`].
     pub watch: Option<Duration>,
     /// Listener, health, tracing and flight-recorder settings.
     pub core: CoreConfig,
@@ -204,6 +205,13 @@ impl ServeConfig {
         }
     }
 }
+
+/// How often `unclean serve --watch` checks its files for a new
+/// generation: one `stat` per file per poll. Well under `unclean
+/// ingest`'s publish cadence (2 s by default), so a republish is served
+/// within about this long of landing, whatever the phase between the
+/// publisher's timer and this one.
+pub const WATCH_POLL: Duration = Duration::from_millis(100);
 
 /// How many flight-recorder samples `/metrics/history` retains (at the
 /// default 2 s cadence: ten minutes of rate history).

@@ -8,7 +8,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unclean_serve::{ServeConfig, Server};
+use unclean_core::publish::publish_atomic;
+use unclean_serve::{ServeConfig, Server, WATCH_POLL};
 use unclean_telemetry::{prom, Registry};
 
 /// A scratch blocklist file unique to the calling test.
@@ -294,6 +295,36 @@ fn watcher_hot_reloads_on_file_change() {
     let gone = get_json(addr, "/lookup?ip=9.1.44.44");
     assert_eq!(gone.get("blocked").and_then(Value::as_bool), Some(false));
 
+    server.shutdown();
+}
+
+/// `unclean serve --watch` polls every [`WATCH_POLL`]: a list
+/// republished the way ingest publishes it (tmp, fsync, rename) is served
+/// within a second, whatever the phase between the two timers.
+#[test]
+fn watch_poll_serves_an_atomic_republish_within_a_second() {
+    let list = scratch_list("watch-poll", "9.1.0.0/24\n");
+    let mut config = ServeConfig::new(&list);
+    config.watch = Some(WATCH_POLL);
+    let server = Server::start(config, Registry::full()).expect("start");
+    let addr = server.local_addr();
+    let miss = get_json(addr, "/lookup?ip=9.2.0.7");
+    assert_eq!(miss.get("blocked").and_then(Value::as_bool), Some(false));
+
+    publish_atomic(&list, |f| f.write_all(b"9.1.0.0/24\n9.2.0.0/24\n")).expect("republish");
+    let published = Instant::now();
+    loop {
+        let hit = get_json(addr, "/lookup?ip=9.2.0.7");
+        if hit.get("blocked").and_then(Value::as_bool) == Some(true) {
+            assert_eq!(hit.get("generation").and_then(Value::as_u64), Some(2));
+            break;
+        }
+        assert!(
+            published.elapsed() < Duration::from_secs(1),
+            "the republished list was not served within 1 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }
 

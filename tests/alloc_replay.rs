@@ -9,8 +9,9 @@
 //! allocates in proportion to its input however the bytes are damaged:
 //! a seeded mutation property feeds flipped, truncated and spliced
 //! copies of the golden archive and spool to each decoder, random and
-//! count-spliced frames to the `/batch-bin` body decoder, and HTTP
-//! requests to `http::parse_request` in randomly cut reads. The daemon
+//! count-spliced frames to the `/batch-bin` body decoder, damaged NetFlow
+//! V5 export datagrams to `decode_datagram`, and HTTP requests to
+//! `http::parse_request` in randomly cut reads. The daemon
 //! answers a maximal batch request with its connection buffers and its
 //! reply, holding no table with an entry per address.
 //!
@@ -37,7 +38,8 @@ use unclean_flowgen::indexed::TRAILER_LEN;
 use unclean_flowgen::record::{get_uvarint, put_uvarint, EPOCH_UNIX_SECS};
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
-    CandidateCollector, Flow, IndexedArchive, IndexedArchiveWriter, SegmentReader, WalSpool,
+    decode_datagram, encode_datagram, CandidateCollector, DecodeError, Flow, IndexedArchive,
+    IndexedArchiveWriter, SegmentReader, V5Header, V5Record, WalSpool, V5_MAX_RECORDS,
 };
 use unclean_serve::http::{
     parse_request, HttpError, Parse, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES,
@@ -377,6 +379,83 @@ fn batch_frame(mix: &mut Mix) -> Vec<u8> {
     body
 }
 
+/// What `decode_datagram` must answer for a generated datagram.
+#[derive(Debug)]
+enum V5Expect {
+    /// These records: the datagram is well-formed.
+    Records(Vec<V5Record>),
+    /// This error.
+    Refused(DecodeError),
+    /// Anything but a panic: random bytes.
+    Any,
+}
+
+/// One NetFlow V5 export datagram: a well-formed one of 1 to 30 records,
+/// its count spliced to 0, 31, `u16::MAX` or one more than the body
+/// holds, a random truncation, another version, or random bytes up to
+/// 2 KiB.
+fn v5_datagram(mix: &mut Mix) -> (Vec<u8>, V5Expect) {
+    let n = 1 + mix.below(V5_MAX_RECORDS);
+    let records: Vec<V5Record> = (0..n)
+        .map(|_| V5Record {
+            srcaddr: mix.next() as u32,
+            dstaddr: mix.next() as u32,
+            d_pkts: mix.wide() as u32,
+            d_octets: mix.wide() as u32,
+            first: mix.next() as u32,
+            last: mix.next() as u32,
+            srcport: mix.next() as u16,
+            dstport: mix.next() as u16,
+            tcp_flags: mix.next() as u8,
+            prot: 6,
+            ..V5Record::default()
+        })
+        .collect();
+    let header = V5Header {
+        count: n as u16,
+        sys_uptime_ms: mix.next() as u32,
+        unix_secs: EPOCH_UNIX_SECS,
+        unix_nsecs: 0,
+        flow_sequence: mix.next() as u32,
+        engine_type: 0,
+        engine_id: 0,
+        sampling_interval: 0,
+    };
+    let mut bytes = encode_datagram(&header, &records).to_vec();
+    let full = bytes.len();
+    let expect = match mix.below(5) {
+        0 => V5Expect::Records(records),
+        1 => {
+            let count = [0, 31, u16::MAX, n as u16 + 1][mix.below(4)];
+            bytes[2..4].copy_from_slice(&count.to_be_bytes());
+            V5Expect::Refused(match count {
+                1..=30 => DecodeError::Truncated {
+                    needed: full + 48,
+                    got: full,
+                },
+                _ => DecodeError::BadCount(count),
+            })
+        }
+        2 => {
+            bytes.truncate(mix.below(full));
+            V5Expect::Refused(DecodeError::Truncated {
+                needed: if bytes.len() < 24 { 24 } else { full },
+                got: bytes.len(),
+            })
+        }
+        3 => {
+            let version = 5 ^ (1 + mix.below(usize::from(u16::MAX)) as u16);
+            bytes[0..2].copy_from_slice(&version.to_be_bytes());
+            V5Expect::Refused(DecodeError::BadVersion(version))
+        }
+        _ => {
+            bytes = (0..mix.below(2049)).map(|_| mix.next() as u8).collect();
+            V5Expect::Any
+        }
+    };
+    (bytes, expect)
+}
+
 /// One byte stream for `parse_request`: a well-formed GET or POST whose
 /// head runs up to `MAX_HEAD_BYTES` (mostly its target, which a parsed
 /// request copies) with up to 64 KiB of body, a head or `Content-Length`
@@ -491,6 +570,34 @@ proptest! {
                     promised != Some(body.len() as u64) && reason.ends_with('\n'),
                     "seed {seed}: refused a well-formed frame: {reason:?}"
                 ),
+            }
+        }
+    }
+
+    /// Well-formed and damaged V5 export datagrams: `decode_datagram`
+    /// returns (no panic), decodes the well-formed ones to their records,
+    /// refuses the damaged ones with the error their damage calls for,
+    /// and asks for at most 8× the datagram plus 64 KiB.
+    #[test]
+    fn v5_datagrams_decode_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        for _ in 0..16 {
+            let (bytes, expect) = v5_datagram(&mut mix);
+            let mut decoded = None;
+            let asked = bytes_asked(|| decoded = Some(decode_datagram(&bytes)));
+            prop_assert!(
+                asked <= budget(bytes.len()),
+                "seed {seed}: {asked} bytes asked decoding a {}-byte datagram",
+                bytes.len()
+            );
+            let decoded = decoded.expect("decoder ran");
+            match expect {
+                V5Expect::Records(records) => {
+                    prop_assert_eq!(decoded.map(|(_, r)| r), Ok(records), "seed {}", seed)
+                }
+                V5Expect::Refused(e) => prop_assert_eq!(decoded, Err(e), "seed {}", seed),
+                V5Expect::Any => {}
             }
         }
     }
