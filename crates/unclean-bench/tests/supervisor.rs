@@ -183,6 +183,21 @@ fn load_manifest(dir: &Path) -> Manifest {
     Manifest::load(dir).expect("manifest present and well-formed")
 }
 
+/// On Linux every `Ok` record carries the process's peak RSS so far: the
+/// field CI's scale job gates memory growth on.
+fn assert_ok_records_carry_peak_rss(manifest: &Manifest) {
+    if cfg!(target_os = "linux") {
+        for record in manifest.runs.iter().filter(|r| r.status == RunStatus::Ok) {
+            assert!(
+                record.peak_rss_kb.is_some_and(|kb| kb > 0),
+                "{}: peak_rss_kb {:?}",
+                record.id,
+                record.peak_rss_kb
+            );
+        }
+    }
+}
+
 #[test]
 fn panic_isolation_partial_results_and_resume() {
     let dir = tmp_dir("e2e");
@@ -213,6 +228,7 @@ fn panic_isolation_partial_results_and_resume() {
     );
 
     let manifest = load_manifest(&dir);
+    assert_ok_records_carry_peak_rss(&manifest);
     let table1 = manifest.record("table1").expect("table1 recorded");
     assert_eq!(table1.status, RunStatus::Ok);
     assert!(!table1.outputs.is_empty());
@@ -248,6 +264,7 @@ fn panic_isolation_partial_results_and_resume() {
     );
 
     let manifest = load_manifest(&dir);
+    assert_ok_records_carry_peak_rss(&manifest);
     assert_eq!(
         manifest.record("table1").expect("table1").status,
         RunStatus::Resumed

@@ -665,65 +665,25 @@ pub fn metrics(path: &Path, assert_zero: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Daemon knobs that ride along with `unclean serve` but sit off the
-/// request path: the optional forecast artifact, health staleness
-/// thresholds, plus the trace ring, request-sampling rate, and
-/// flight-recorder cadence.
-#[derive(Clone, Debug, Default)]
-pub struct ServeTuning {
-    pub forecast: Option<std::path::PathBuf>,
-    pub stale_after_secs: Option<u64>,
-    pub degraded_after_secs: Option<u64>,
-    pub trace_sample: u64,
-    pub trace_events: usize,
-    pub history_ms: u64,
-    pub max_requests_per_conn: u64,
-}
-
-/// `unclean serve --blocklist <file> [--addr A] [--threads N]
-/// [--max-conns N] [--read-timeout-ms N] [--watch]`: run the online
-/// blocklist query daemon until a client sends `POST /quit`.
+/// `unclean serve`: run the online blocklist query daemon until a client
+/// sends `POST /quit`.
 ///
 /// Blocks for the daemon's whole lifetime; the listening address is
 /// printed to stdout immediately so scripts can scrape it, and the
 /// returned string is the post-shutdown summary.
-pub fn serve(
-    blocklist: &Path,
-    addr: &str,
-    threads: usize,
-    max_conns: usize,
-    read_timeout_ms: u64,
-    watch: bool,
-    tuning: ServeTuning,
-) -> Result<String, String> {
+pub fn serve(config: unclean_serve::ServeConfig) -> Result<String, String> {
     use std::io::Write as _;
-    use std::time::Duration;
-    use unclean_serve::{ServeConfig, Server, WATCH_POLL};
+    use unclean_serve::Server;
     use unclean_telemetry::Registry;
 
     let registry = Registry::full();
-    let mut config = ServeConfig::new(blocklist);
-    config.forecast = tuning.forecast.clone();
-    config.core.addr = addr.to_string();
-    config.core.threads = threads.max(1);
-    config.core.max_conns = max_conns.max(1);
-    config.core.read_timeout = Duration::from_millis(read_timeout_ms.max(1));
-    config.watch = watch.then_some(WATCH_POLL);
-    config.core.stale_after = tuning.stale_after_secs.map(Duration::from_secs);
-    config.core.degraded_after = tuning.degraded_after_secs.map(Duration::from_secs);
-    config.core.trace_sample = tuning.trace_sample;
-    config.core.trace_events = tuning.trace_events;
-    config.core.max_requests_per_conn = tuning.max_requests_per_conn.max(1);
-    config.core.history_interval =
-        (tuning.history_ms > 0).then(|| Duration::from_millis(tuning.history_ms));
+    let (blocklist, forecast) = (config.source.clone(), config.forecast.clone());
     let server = Server::start(config, registry.clone()).map_err(|e| e.to_string())?;
     println!(
         "unclean-serve listening on http://{} (blocklist: {}{}, generation 1)",
         server.local_addr(),
         blocklist.display(),
-        tuning
-            .forecast
-            .as_ref()
+        forecast
             .map(|f| format!(", forecast: {}", f.display()))
             .unwrap_or_default()
     );
@@ -1285,20 +1245,14 @@ mod tests {
             let list = list.clone();
             let addr = addr.clone();
             std::thread::spawn(move || {
-                serve(
-                    &list,
-                    &addr,
-                    2,
-                    64,
-                    2000,
-                    false,
-                    ServeTuning {
-                        trace_sample: 4,
-                        trace_events: 4096,
-                        history_ms: 200,
-                        ..ServeTuning::default()
-                    },
-                )
+                let mut config = unclean_serve::ServeConfig::new(list);
+                config.core.addr = addr;
+                config.core.threads = 2;
+                config.core.max_conns = 64;
+                config.core.read_timeout = std::time::Duration::from_secs(2);
+                config.core.trace_sample = 4;
+                config.core.history_interval = Some(std::time::Duration::from_millis(200));
+                serve(config)
             })
         };
         let http = |req: String| -> String {

@@ -33,6 +33,8 @@
 //! can assert the collector's `ingested + shed + lost + duplicates` books
 //! every flow it sent.
 
+use crossbeam::executor::Executor;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::UdpSocket;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,9 +46,9 @@ use unclean_core::{publish_atomic, Ip};
 use unclean_detect::{rescore_window, LiveScanConfig};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
-    encode_datagram, ArchiveFlowSource, ArchiveTelemetry, BatchStatus, FaultConfig, Flow,
-    FlowSource, RingTelemetry, ShedPolicy, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool,
-    V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
+    encode_datagram, ArchiveTelemetry, BatchStatus, FaultConfig, Flow, IndexedArchive,
+    RingTelemetry, ShedPolicy, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool, V5_HEADER_LEN,
+    V5_MAX_RECORDS, V5_RECORD_LEN,
 };
 use unclean_netmodel::randutil::{decides, index_hash};
 use unclean_serve::http::Request;
@@ -592,10 +594,7 @@ fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<Stri
     let trace = shared.registry.trace();
     while !shared.stopping() {
         batch.clear();
-        match source
-            .next_batch(&mut batch)
-            .map_err(|e| format!("source: {e}"))?
-        {
+        match source.next_batch(&mut batch) {
             BatchStatus::Delivered(_) => {
                 let first_seq = spool.next_seq();
                 for flow in &batch {
@@ -626,10 +625,7 @@ fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<Stri
     source.stop();
     loop {
         batch.clear();
-        match source
-            .next_batch(&mut batch)
-            .map_err(|e| format!("source: {e}"))?
-        {
+        match source.next_batch(&mut batch) {
             BatchStatus::Delivered(_) => {
                 for flow in &batch {
                     spool.push(flow).map_err(|e| format!("spool: {e}"))?;
@@ -759,25 +755,49 @@ pub fn synth_flows(count: u64) -> Vec<Flow> {
 /// books every interior gap — so the printed accounting is exact.
 /// Returns the stats plus the human-readable summary.
 pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), String> {
+    // A damaged archive segment is skipped, not fatal; `quarantined`
+    // names each one in the summary, so a short replay says why.
+    let mut quarantined = String::new();
     let flows: Vec<Flow> = match &opts.archive {
         Some(path) => {
             let bytes =
                 std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let mut source = ArchiveFlowSource::open(&bytes, 1)
+            let replay = IndexedArchive::open(&bytes)
+                .and_then(|archive| {
+                    archive.replay_with(&Executor::new(1), None, true, |_, cursor| {
+                        let mut flows = Vec::new();
+                        cursor.for_each_flow(|f| flows.push(*f))?;
+                        Ok(flows)
+                    })
+                })
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            let mut out = Vec::new();
-            while !matches!(
-                source
-                    .next_batch(&mut out)
-                    .map_err(|e| format!("{}: {e}", path.display()))?,
-                BatchStatus::Exhausted
-            ) {}
-            out
+            if !replay.quarantined.is_empty() {
+                let _ = writeln!(
+                    quarantined,
+                    "quarantined {} damaged segment(s) of {}, not replayed:",
+                    replay.quarantined.len(),
+                    path.display()
+                );
+                for q in &replay.quarantined {
+                    let _ = writeln!(
+                        quarantined,
+                        "  segment {} ({}): {}",
+                        q.segment, q.day, q.detail
+                    );
+                }
+            }
+            replay
+                .outputs
+                .into_iter()
+                .filter_map(|o| o.output)
+                .flatten()
+                .collect()
         }
         None => synth_flows(opts.synth),
     };
     if flows.is_empty() {
-        return Err("nothing to replay (empty archive or --synth 0)".into());
+        let why = format!("nothing to replay (empty archive or --synth 0)\n{quarantined}");
+        return Err(why.trim_end().to_string());
     }
     let target: std::net::SocketAddr = opts
         .to
@@ -837,7 +857,7 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
             engine_id: 0,
             sampling_interval: 0,
         };
-        let mut wire = encode_datagram(&header, &records).to_vec();
+        let mut wire = encode_datagram(&header, &records);
         if !anchored {
             if decides(&seeds, nonce, 0, "replay-trunc", cfg.truncate_chance) {
                 // Cut mid-way through the last record: the collector's
@@ -877,7 +897,7 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
          delivered {} flow(s); lost on the wire {} (drop {}, burst {}, truncated {} in {} datagram(s))\n\
          corrupted {} datagram(s) in place; duplicated {} datagram(s) ({} flow(s))\n\
          expected collector accounting: ingested+shed={} lost={} duplicates={} \
-         (= {} generated)\n",
+         (= {} generated)\n{quarantined}",
         stats.generated,
         stats.datagrams,
         stats.delivered,
@@ -1365,10 +1385,7 @@ mod tests {
         }
         source.stop();
         let mut drained = Vec::new();
-        while !matches!(
-            source.next_batch(&mut drained).expect("batch"),
-            BatchStatus::Exhausted
-        ) {}
+        while source.next_batch(&mut drained) != BatchStatus::Exhausted {}
 
         // The robustness contract: ingested + shed + lost + duplicates
         // books every flow the exporter generated (plus duplication).
@@ -1385,6 +1402,55 @@ mod tests {
             drained.len() as u64 + source.ring_telemetry().shed(),
             t.flows
         );
+    }
+
+    /// `replay --archive` sends every flow of a v2 archive; a damaged
+    /// segment is skipped and named in the summary.
+    #[test]
+    fn replay_of_an_archive_names_its_quarantined_segments() {
+        let receiver = UdpSocket::bind("127.0.0.1:0").expect("receiver");
+        receiver
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let to = receiver.local_addr().expect("addr").to_string();
+        let received = |datagrams: u64| -> u64 {
+            let mut buf = [0u8; 2048];
+            let mut flows = 0;
+            for _ in 0..datagrams {
+                let len = receiver.recv(&mut buf).expect("a replayed datagram");
+                let (_, records) = unclean_flowgen::decode_datagram(&buf[..len]).expect("V5");
+                flows += records.len() as u64;
+            }
+            flows
+        };
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/golden_v2.flows");
+        let replay_from = |archive: PathBuf| {
+            replay_with_stats(&ReplayOpts {
+                to: to.clone(),
+                archive: Some(archive),
+                ..ReplayOpts::default()
+            })
+            .expect("replay")
+        };
+
+        let (stats, summary) = replay_from(golden.clone());
+        assert_eq!(stats.generated, 201, "{summary}");
+        assert_eq!(received(stats.datagrams), 201);
+        assert!(!summary.contains("quarantined"), "{summary}");
+
+        let mut bytes = std::fs::read(&golden).expect("golden v2");
+        let seg = IndexedArchive::open(&bytes).expect("v2").segments()[1];
+        bytes[(seg.offset + seg.len / 2) as usize] ^= 0xff;
+        let damaged = tmp_dir("replay-archive").join("damaged.flows");
+        std::fs::write(&damaged, &bytes).expect("write");
+        let (stats, summary) = replay_from(damaged);
+        assert_eq!(stats.generated, 201 - seg.flows, "{summary}");
+        assert_eq!(received(stats.datagrams), 201 - seg.flows);
+        assert!(
+            summary.contains("quarantined 1 damaged segment(s)"),
+            "{summary}"
+        );
+        assert!(summary.contains("segment 1 ("), "{summary}");
     }
 
     #[test]

@@ -21,6 +21,8 @@ mod io;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
+use unclean_serve::ServeConfig;
 
 const USAGE: &str = "\
 unclean — uncleanliness analyses over IP report files (Collins et al., IMC 2007)
@@ -199,23 +201,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .unwrap_or_default();
             commands::metrics(&PathBuf::from(path), &assert_zero)
         }
-        "serve" => commands::serve(
-            &flag_path(&rest, "--blocklist")?,
-            &flag_str(&rest, "--addr", "127.0.0.1:7053"),
-            flag_num(&rest, "--threads", 4usize)?,
-            flag_num(&rest, "--max-conns", 1024usize)?,
-            flag_num(&rest, "--read-timeout-ms", 5000u64)?,
-            has_flag(&rest, "--watch"),
-            commands::ServeTuning {
-                forecast: flag_value(&rest, "--forecast").map(PathBuf::from),
-                stale_after_secs: flag_opt_num(&rest, "--stale-after-secs")?,
-                degraded_after_secs: flag_opt_num(&rest, "--degraded-after-secs")?,
-                trace_sample: flag_num(&rest, "--trace-sample", 0u64)?,
-                trace_events: flag_num(&rest, "--trace-events", 4096usize)?,
-                history_ms: flag_num(&rest, "--history-ms", 2000u64)?,
-                max_requests_per_conn: flag_num(&rest, "--max-requests-per-conn", 100_000u64)?,
-            },
-        ),
+        "serve" => commands::serve(serve_config(&rest)?),
         "forecast" => match positional(&rest, 0, "forecast action (synth|fit|eval|simulate)")? {
             "synth" => forecast::synth(&forecast::SynthOpts {
                 out: flag_path(&rest, "--out")?,
@@ -267,27 +253,7 @@ fn run(args: &[String]) -> Result<String, String> {
             flag_num(&rest, "--iterations", 0u64)?,
             has_flag(&rest, "--no-clear"),
         ),
-        "ingest" => ingest::ingest(&ingest::IngestOpts {
-            spool_dir: flag_path(&rest, "--spool")?,
-            out: flag_path(&rest, "--out")?,
-            bind: flag_str(&rest, "--bind", "127.0.0.1:9995"),
-            control: flag_str(&rest, "--control", "127.0.0.1:7055"),
-            rescore_ms: flag_num(&rest, "--rescore-ms", 2000u64)?,
-            ring_capacity: flag_num(&rest, "--ring-capacity", 65_536usize)?,
-            shed: flag_num(&rest, "--shed", unclean_flowgen::ShedPolicy::DropOldest)?,
-            prefix_len: flag_num(&rest, "--prefix", 24u8)?,
-            min_score: flag_num(&rest, "--min-score", 0.0f64)?,
-            threads: flag_num(&rest, "--threads", 0usize)?,
-            retries: flag_num(&rest, "--retries", 3u32)?,
-            backoff_ms: flag_num(&rest, "--backoff-ms", 200u64)?,
-            deadline_secs: flag_opt_num(&rest, "--deadline-secs")?,
-            stale_after_secs: flag_num(&rest, "--stale-after-secs", 15u64)?,
-            degraded_after_secs: flag_num(&rest, "--degraded-after-secs", 60u64)?,
-            boot_unix_secs: unclean_flowgen::record::EPOCH_UNIX_SECS,
-            fail_attempts: flag_num(&rest, "--fail-attempts", 0u32)?,
-            trace_events: flag_num(&rest, "--trace-events", 4096usize)?,
-            history_ms: flag_num(&rest, "--history-ms", 2000u64)?,
-        }),
+        "ingest" => ingest::ingest(&ingest_opts(&rest)?),
         "replay" => ingest::replay(&ingest::ReplayOpts {
             to: flag_value(&rest, "--to")
                 .ok_or("missing required --to <host:port>")?
@@ -306,6 +272,63 @@ fn run(args: &[String]) -> Result<String, String> {
         "--help" | "-h" | "help" => Ok(format!("{USAGE}\n")),
         other => Err(format!("unknown subcommand {other:?}")),
     }
+}
+
+/// `unclean serve`'s flags, each parsed onto [`ServeConfig::new`]'s own
+/// default; only the listening address defaults differently, to the
+/// daemon's well-known port.
+fn serve_config(rest: &[&String]) -> Result<ServeConfig, String> {
+    let mut config = ServeConfig::new(flag_path(rest, "--blocklist")?);
+    config.forecast = flag_value(rest, "--forecast").map(PathBuf::from);
+    config.watch = has_flag(rest, "--watch").then_some(unclean_serve::WATCH_POLL);
+    let core = &mut config.core;
+    core.addr = flag_str(rest, "--addr", "127.0.0.1:7053");
+    core.threads = flag_num(rest, "--threads", core.threads)?.max(1);
+    core.max_conns = flag_num(rest, "--max-conns", core.max_conns)?.max(1);
+    let read_timeout_ms = core.read_timeout.as_millis() as u64;
+    let read_timeout_ms = flag_num(rest, "--read-timeout-ms", read_timeout_ms)?;
+    core.read_timeout = Duration::from_millis(read_timeout_ms.max(1));
+    if let Some(secs) = flag_opt_num(rest, "--stale-after-secs")? {
+        core.stale_after = Some(Duration::from_secs(secs));
+    }
+    if let Some(secs) = flag_opt_num(rest, "--degraded-after-secs")? {
+        core.degraded_after = Some(Duration::from_secs(secs));
+    }
+    core.trace_sample = flag_num(rest, "--trace-sample", core.trace_sample)?;
+    core.trace_events = flag_num(rest, "--trace-events", core.trace_events)?;
+    if let Some(ms) = flag_opt_num(rest, "--history-ms")? {
+        core.history_interval = (ms > 0).then(|| Duration::from_millis(ms));
+    }
+    let max_requests = flag_num(rest, "--max-requests-per-conn", core.max_requests_per_conn)?;
+    core.max_requests_per_conn = max_requests.max(1);
+    Ok(config)
+}
+
+/// `unclean ingest`'s flags, each parsed onto [`ingest::IngestOpts`]'s
+/// own default.
+fn ingest_opts(rest: &[&String]) -> Result<ingest::IngestOpts, String> {
+    let d = ingest::IngestOpts::default();
+    Ok(ingest::IngestOpts {
+        spool_dir: flag_path(rest, "--spool")?,
+        out: flag_path(rest, "--out")?,
+        bind: flag_str(rest, "--bind", &d.bind),
+        control: flag_str(rest, "--control", &d.control),
+        rescore_ms: flag_num(rest, "--rescore-ms", d.rescore_ms)?,
+        ring_capacity: flag_num(rest, "--ring-capacity", d.ring_capacity)?,
+        shed: flag_num(rest, "--shed", d.shed)?,
+        prefix_len: flag_num(rest, "--prefix", d.prefix_len)?,
+        min_score: flag_num(rest, "--min-score", d.min_score)?,
+        threads: flag_num(rest, "--threads", d.threads)?,
+        retries: flag_num(rest, "--retries", d.retries)?,
+        backoff_ms: flag_num(rest, "--backoff-ms", d.backoff_ms)?,
+        deadline_secs: flag_opt_num(rest, "--deadline-secs")?.or(d.deadline_secs),
+        stale_after_secs: flag_num(rest, "--stale-after-secs", d.stale_after_secs)?,
+        degraded_after_secs: flag_num(rest, "--degraded-after-secs", d.degraded_after_secs)?,
+        fail_attempts: flag_num(rest, "--fail-attempts", d.fail_attempts)?,
+        trace_events: flag_num(rest, "--trace-events", d.trace_events)?,
+        history_ms: flag_num(rest, "--history-ms", d.history_ms)?,
+        ..d
+    })
 }
 
 /// The forecaster tunables `forecast fit` and `forecast eval` share.
@@ -414,6 +437,187 @@ mod tests {
         assert!(err.contains("--trials"), "{err}");
     }
 
+    /// Today's `unclean serve --blocklist x` settings, field by field.
+    fn serve_defaults() -> ServeConfig {
+        ServeConfig {
+            source: PathBuf::from("x"),
+            forecast: None,
+            watch: None,
+            core: unclean_serve::CoreConfig {
+                addr: "127.0.0.1:7053".to_string(),
+                threads: 4,
+                max_conns: 1024,
+                read_timeout: Duration::from_millis(5_000),
+                stale_after: None,
+                degraded_after: None,
+                trace_sample: 0,
+                trace_events: 4096,
+                history_interval: Some(Duration::from_millis(2_000)),
+                max_requests_per_conn: 100_000,
+            },
+        }
+    }
+
+    /// Today's `unclean ingest --spool d --out f` settings, field by field.
+    fn ingest_defaults() -> ingest::IngestOpts {
+        ingest::IngestOpts {
+            spool_dir: PathBuf::from("d"),
+            out: PathBuf::from("f"),
+            bind: "127.0.0.1:9995".to_string(),
+            control: "127.0.0.1:7055".to_string(),
+            rescore_ms: 2_000,
+            ring_capacity: 65_536,
+            shed: unclean_flowgen::ShedPolicy::DropOldest,
+            prefix_len: 24,
+            min_score: 0.0,
+            threads: 0,
+            retries: 3,
+            backoff_ms: 200,
+            deadline_secs: None,
+            stale_after_secs: 15,
+            degraded_after_secs: 60,
+            boot_unix_secs: unclean_flowgen::record::EPOCH_UNIX_SECS,
+            fail_attempts: 0,
+            trace_events: 4096,
+            history_ms: 2_000,
+        }
+    }
+
+    /// The argument vectors the benchmark and the CI jobs run `serve` and
+    /// `ingest` with parse to today's settings, every field checked.
+    #[test]
+    fn serve_and_ingest_flags_parse_onto_todays_defaults() {
+        let serve = |line: &str| {
+            let args = argv(line);
+            let rest: Vec<&String> = args.iter().collect();
+            format!("{:?}", serve_config(&rest).expect("serve flags parse"))
+        };
+        let ingest = |line: &str| {
+            let args = argv(line);
+            let rest: Vec<&String> = args.iter().collect();
+            format!("{:?}", ingest_opts(&rest).expect("ingest flags parse"))
+        };
+        let want_serve = |edit: &dyn Fn(&mut ServeConfig)| {
+            let mut config = serve_defaults();
+            edit(&mut config);
+            format!("{config:?}")
+        };
+        let want_ingest = |edit: &dyn Fn(&mut ingest::IngestOpts)| {
+            let mut opts = ingest_defaults();
+            edit(&mut opts);
+            format!("{opts:?}")
+        };
+
+        assert_eq!(serve("--blocklist x"), want_serve(&|_| {}));
+        assert_eq!(ingest("--spool d --out f"), want_ingest(&|_| {}));
+        // The benchmark's daemons: `serve_point` and `serve_batch`, then
+        // `live`.
+        assert_eq!(
+            serve(
+                "--blocklist x --addr 127.0.0.1:0 --threads 1 \
+                 --max-requests-per-conn 1000000000"
+            ),
+            want_serve(&|c| {
+                c.core.addr = "127.0.0.1:0".to_string();
+                c.core.threads = 1;
+                c.core.max_requests_per_conn = 1_000_000_000;
+            })
+        );
+        assert_eq!(
+            serve(
+                "--blocklist x --watch --addr 127.0.0.1:0 --threads 1 \
+                 --max-requests-per-conn 1000000000"
+            ),
+            want_serve(&|c| {
+                c.watch = Some(unclean_serve::WATCH_POLL);
+                c.core.addr = "127.0.0.1:0".to_string();
+                c.core.threads = 1;
+                c.core.max_requests_per_conn = 1_000_000_000;
+            })
+        );
+        assert_eq!(
+            ingest("--spool d --out f --bind 127.0.0.1:0 --control 127.0.0.1:0"),
+            want_ingest(&|o| {
+                o.bind = "127.0.0.1:0".to_string();
+                o.control = "127.0.0.1:0".to_string();
+            })
+        );
+        // CI `serve`: the mapped-snapshot daemon.
+        assert_eq!(
+            serve("--blocklist x --addr 127.0.0.1:7054 --threads 2"),
+            want_serve(&|c| {
+                c.core.addr = "127.0.0.1:7054".to_string();
+                c.core.threads = 2;
+            })
+        );
+        // CI `ingest`: the daemon and the watching server.
+        assert_eq!(
+            ingest(
+                "--spool d --out f --bind 127.0.0.1:9995 --control 127.0.0.1:7055 \
+                 --rescore-ms 1000 --stale-after-secs 15 --degraded-after-secs 60"
+            ),
+            want_ingest(&|o| o.rescore_ms = 1_000)
+        );
+        assert_eq!(
+            serve(
+                "--blocklist x --addr 127.0.0.1:7053 --threads 4 --watch \
+                 --stale-after-secs 15 --degraded-after-secs 60"
+            ),
+            want_serve(&|c| {
+                c.watch = Some(unclean_serve::WATCH_POLL);
+                c.core.stale_after = Some(Duration::from_secs(15));
+                c.core.degraded_after = Some(Duration::from_secs(60));
+            })
+        );
+        // CI `trace`.
+        assert_eq!(
+            ingest(
+                "--spool d --out f --bind 127.0.0.1:9995 --control 127.0.0.1:7055 \
+                 --rescore-ms 500 --trace-events 8192 --history-ms 500"
+            ),
+            want_ingest(&|o| {
+                o.rescore_ms = 500;
+                o.trace_events = 8192;
+                o.history_ms = 500;
+            })
+        );
+        assert_eq!(
+            serve(
+                "--blocklist x --addr 127.0.0.1:7053 --threads 4 --trace-sample 1 \
+                 --history-ms 500"
+            ),
+            want_serve(&|c| {
+                c.core.trace_sample = 1;
+                c.core.history_interval = Some(Duration::from_millis(500));
+            })
+        );
+        // CI `forecast`.
+        assert_eq!(
+            serve(
+                "--blocklist x --forecast forecast.txt --addr 127.0.0.1:7053 --threads 4 --watch"
+            ),
+            want_serve(&|c| {
+                c.forecast = Some(PathBuf::from("forecast.txt"));
+                c.watch = Some(unclean_serve::WATCH_POLL);
+            })
+        );
+        // User input is clamped: no zero shards, connections, timeout or
+        // request budget; a zero history interval switches the recorder off.
+        assert_eq!(
+            serve(
+                "--blocklist x --threads 0 --max-conns 0 --read-timeout-ms 0 \
+                 --max-requests-per-conn 0 --history-ms 0"
+            ),
+            want_serve(&|c| {
+                c.core.threads = 1;
+                c.core.max_conns = 1;
+                c.core.read_timeout = Duration::from_millis(1);
+                c.core.max_requests_per_conn = 1;
+                c.core.history_interval = None;
+            })
+        );
+    }
+
     #[test]
     fn inspect_lenient_flags_parse_and_bind() {
         let dir = std::env::temp_dir().join("unclean-cli-lenient");
@@ -441,7 +645,7 @@ mod tests {
 
     #[test]
     fn inspect_and_index_flow_archives() {
-        use unclean_flowgen::{ArchiveWriter, Flow, IndexedArchiveWriter};
+        use unclean_flowgen::{Flow, IndexedArchiveWriter};
         let dir = std::env::temp_dir().join("unclean-cli-archive");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let boot = unclean_flowgen::record::EPOCH_UNIX_SECS;
@@ -494,19 +698,13 @@ mod tests {
         assert!(out.contains("quarantined 1 segment(s)"), "{out}");
         assert!(out.contains("total: 80 flows"), "{out}");
 
-        // v1: inspect refuses it and names the upgrader; `archive index`
-        // upgrades it and the upgrade inspects as v2 with the same flow
-        // count.
-        let mut w1 = ArchiveWriter::new(Vec::new(), boot);
-        for day in 0..2i64 {
-            for i in 0..35u32 {
-                w1.push(&flow(day, i)).expect("push");
-            }
-        }
-        let (v1_bytes, _) = w1.finish().expect("finish");
-        let v1_path = dir.join("legacy.flows");
-        std::fs::write(&v1_path, &v1_bytes).expect("write");
-        let p1 = v1_path.to_string_lossy().to_string();
+        // v1 (the checked-in golden archive): inspect refuses it and names
+        // the upgrader; `archive index` upgrades it and the upgrade
+        // inspects as v2 with the same flow count.
+        let p1 = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/data/golden_v1.flows"
+        );
         let err = run(&argv(&format!("inspect {p1}"))).expect_err("v1 refused");
         assert!(err.contains("unclean archive index"), "{err}");
         let up_path = dir.join("legacy.v2");
@@ -515,7 +713,7 @@ mod tests {
         assert!(out.contains("upgraded"), "{out}");
         let out = run(&argv(&format!("inspect {up}"))).expect("upgraded inspect");
         assert!(out.contains("v2 indexed flow archive"), "{out}");
-        assert!(out.contains("total: 70 flows"), "{out}");
+        assert!(out.contains("total: 201 flows"), "{out}");
     }
 
     #[test]

@@ -1,100 +1,23 @@
-//! Flow archives v1: persisting V5 export streams.
+//! The v1 flow archive reader, and the loss accounting both archive
+//! formats share.
 //!
-//! Operational collectors spool NetFlow to disk and analyses replay the
-//! spool. [`ArchiveWriter`] packs flows into maximal V5 datagrams
-//! (30 records each) with monotone sequence numbers, framing each datagram
-//! with a 2-byte length prefix; [`ArchiveReader`] replays an archive,
-//! detecting sequence gaps (lost export datagrams) the way a real
-//! collector does.
+//! A v1 archive is a flat run of V5 export datagrams (up to 30 records
+//! each, with monotone sequence numbers), each framed by a 2-byte
+//! big-endian length. [`ArchiveReader`] replays one, detecting sequence
+//! gaps (lost export datagrams) the way a real collector does.
 //!
-//! Everything reads v2 ([`crate::indexed`]) at run time. v1 is read only
-//! by [`crate::indexed::upgrade_v1`] (`unclean archive index`), and the
-//! writer stays for `archive_bench`'s v1-vs-v2 comparison. The loss
-//! accounting, [`ArchiveTelemetry`], is shared by both formats.
+//! Everything reads v2 ([`crate::indexed`]) at run time, and nothing
+//! writes v1 any more. v1 is read only by [`crate::indexed::upgrade_v1`]
+//! (`unclean archive index`); `tests/data/golden_v1.flows` pins the
+//! format. The loss accounting, [`ArchiveTelemetry`], is shared by both
+//! formats.
 
-use crate::record::{
-    decode_datagram, encode_datagram, DecodeError, V5Header, V5Record, V5_MAX_RECORDS,
-};
+use crate::record::{decode_datagram, DecodeError};
 use crate::seq::{SeqObservation, SequenceTracker};
 use crate::session::Flow;
 use serde::{Deserialize, Serialize};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use unclean_telemetry::Registry;
-
-/// Packs flows into framed V5 datagrams on any `Write`.
-#[derive(Debug)]
-pub struct ArchiveWriter<W: Write> {
-    out: W,
-    boot_unix_secs: u32,
-    pending: Vec<V5Record>,
-    sequence: u32,
-    written_datagrams: u64,
-}
-
-impl<W: Write> ArchiveWriter<W> {
-    /// A writer exporting with the given boot anchor (flows must start
-    /// within ~49 days after it for lossless round-tripping).
-    pub fn new(out: W, boot_unix_secs: u32) -> ArchiveWriter<W> {
-        ArchiveWriter {
-            out,
-            boot_unix_secs,
-            pending: Vec::with_capacity(V5_MAX_RECORDS),
-            sequence: 0,
-            written_datagrams: 0,
-        }
-    }
-
-    /// Queue one flow; flushes automatically at 30 records.
-    pub fn push(&mut self, flow: &Flow) -> io::Result<()> {
-        self.pending.push(flow.to_v5(self.boot_unix_secs));
-        if self.pending.len() == V5_MAX_RECORDS {
-            self.flush_datagram()?;
-        }
-        Ok(())
-    }
-
-    /// Flush any partial datagram.
-    pub fn flush_datagram(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let header = V5Header {
-            count: self.pending.len() as u16,
-            sys_uptime_ms: 0,
-            unix_secs: self.boot_unix_secs,
-            unix_nsecs: 0,
-            flow_sequence: self.sequence,
-            engine_type: 0,
-            engine_id: 0,
-            sampling_interval: 0,
-        };
-        let wire = encode_datagram(&header, &self.pending);
-        // The v1 frame is a 2-byte length: a datagram beyond 65535 bytes
-        // (impossible today at 24 + 30×48, but one added record field
-        // away) must fail loudly rather than write a silently wrapped
-        // length that desynchronizes every later frame. v2 frames are
-        // varints and have no such ceiling.
-        let frame_len = u16::try_from(wire.len()).map_err(|_| {
-            io::Error::other(format!(
-                "datagram of {} bytes exceeds the v1 u16 frame ceiling",
-                wire.len()
-            ))
-        })?;
-        self.out.write_all(&frame_len.to_be_bytes())?;
-        self.out.write_all(&wire)?;
-        self.sequence = self.sequence.wrapping_add(self.pending.len() as u32);
-        self.pending.clear();
-        self.written_datagrams += 1;
-        Ok(())
-    }
-
-    /// Finish: flush and return the inner writer plus datagram count.
-    pub fn finish(mut self) -> io::Result<(W, u64)> {
-        self.flush_datagram()?;
-        self.out.flush()?;
-        Ok((self.out, self.written_datagrams))
-    }
-}
 
 /// What an [`ArchiveReader`] observed: the loss accounting a collector
 /// must surface rather than swallow.
@@ -168,6 +91,8 @@ impl ArchiveTelemetry {
 #[derive(Debug)]
 pub struct ArchiveReader<R: Read> {
     input: R,
+    /// The current frame, reused from frame to frame.
+    frame: Vec<u8>,
     boot_unix_secs: u32,
     tracker: SequenceTracker,
     telemetry: ArchiveTelemetry,
@@ -198,6 +123,7 @@ impl<R: Read> ArchiveReader<R> {
     pub fn new(input: R, boot_unix_secs: u32) -> ArchiveReader<R> {
         ArchiveReader {
             input,
+            frame: Vec::new(),
             boot_unix_secs,
             tracker: SequenceTracker::new(None),
             telemetry: ArchiveTelemetry::default(),
@@ -220,9 +146,18 @@ impl<R: Read> ArchiveReader<R> {
             Err(e) => return Err(ArchiveError::Io(e)),
         }
         let len = u16::from_be_bytes(len_buf) as usize;
-        let mut buf = vec![0u8; len];
-        self.input.read_exact(&mut buf).map_err(ArchiveError::Io)?;
-        let (header, records) = decode_datagram(&buf).map_err(ArchiveError::Decode)?;
+        // The buffer grows as the frame's bytes arrive, so a length past
+        // the end of the input costs the bytes that are there, not the
+        // claim.
+        self.frame.clear();
+        (&mut self.input)
+            .take(len as u64)
+            .read_to_end(&mut self.frame)
+            .map_err(ArchiveError::Io)?;
+        if self.frame.len() < len {
+            return Err(ArchiveError::Io(io::ErrorKind::UnexpectedEof.into()));
+        }
+        let (header, records) = decode_datagram(&self.frame).map_err(ArchiveError::Decode)?;
         // A forward jump is loss; a *backward* jump is a late reordered
         // arrival (repaying a booked gap — delivered) or a duplicated
         // datagram (overlapping already-ingested sequence space —
@@ -255,10 +190,31 @@ impl<R: Read> ArchiveReader<R> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::record::{proto, tcp_flags, EPOCH_UNIX_SECS, V5_HEADER_LEN, V5_RECORD_LEN};
+    use crate::record::{
+        encode_datagram, proto, tcp_flags, V5Header, V5Record, EPOCH_UNIX_SECS, V5_HEADER_LEN,
+        V5_MAX_RECORDS, V5_RECORD_LEN,
+    };
     use unclean_core::Ip;
+
+    /// `flows` as v1 bytes: runs of 30 as u16-framed V5 datagrams with
+    /// contiguous sequence numbers.
+    pub(crate) fn frame_v1(flows: &[Flow], boot: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (k, chunk) in flows.chunks(V5_MAX_RECORDS).enumerate() {
+            let records: Vec<V5Record> = chunk.iter().map(|f| f.to_v5(boot)).collect();
+            let header = V5Header {
+                count: records.len() as u16,
+                unix_secs: boot,
+                flow_sequence: (k * V5_MAX_RECORDS) as u32,
+                ..V5Header::default()
+            };
+            let wire = encode_datagram(&header, &records);
+            out.extend((wire.len() as u16).to_be_bytes().into_iter().chain(wire));
+        }
+        out
+    }
 
     fn boot() -> u32 {
         EPOCH_UNIX_SECS + 86_400 * 270
@@ -280,12 +236,7 @@ mod tests {
     }
 
     fn write_archive(n: u32) -> Vec<u8> {
-        let mut w = ArchiveWriter::new(Vec::new(), boot());
-        for i in 0..n {
-            w.push(&flow(i)).expect("in-memory write");
-        }
-        let (bytes, _) = w.finish().expect("finish");
-        bytes
+        frame_v1(&(0..n).map(flow).collect::<Vec<_>>(), boot())
     }
 
     #[test]
@@ -307,24 +258,22 @@ mod tests {
 
     #[test]
     fn datagram_packing() {
-        let mut w = ArchiveWriter::new(Vec::new(), boot());
-        for i in 0..61 {
-            w.push(&flow(i)).expect("write");
-        }
-        let (bytes, datagrams) = w.finish().expect("finish");
-        assert_eq!(datagrams, 3, "30 + 30 + 1");
-        // Framing: 2-byte length + header + records.
-        let first_len = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
+        // The checked-in v1 fixture: 201 flows packed 30 to a datagram
+        // (6 full + 1 of 21), each framed by its big-endian u16 length.
+        let golden = include_bytes!("../../../tests/data/golden_v1.flows");
+        let first_len = u16::from_be_bytes([golden[0], golden[1]]) as usize;
         assert_eq!(first_len, V5_HEADER_LEN + 30 * V5_RECORD_LEN);
+        assert_eq!(golden.len(), 7 * (2 + V5_HEADER_LEN) + 201 * V5_RECORD_LEN);
+        let mut r = ArchiveReader::new(&golden[..], EPOCH_UNIX_SECS);
+        assert_eq!(r.read_all().expect("well-formed").len(), 201);
+        assert_eq!(r.telemetry().datagrams, 7);
     }
 
     #[test]
     fn empty_archive() {
-        let (bytes, datagrams) = ArchiveWriter::new(Vec::new(), boot()).finish().expect("ok");
-        assert_eq!(datagrams, 0);
-        assert!(bytes.is_empty());
-        let mut r = ArchiveReader::new(bytes.as_slice(), boot());
+        let mut r = ArchiveReader::new(&[][..], boot());
         assert!(r.read_all().expect("ok").is_empty());
+        assert_eq!(r.telemetry(), ArchiveTelemetry::default());
     }
 
     #[test]

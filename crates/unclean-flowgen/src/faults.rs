@@ -312,7 +312,7 @@ fn corrupt_one_byte(flow: &Flow, seeds: &SeedTree, nonce: u32) -> Flow {
         engine_id: 0,
         sampling_interval: 0,
     };
-    let mut wire = crate::record::encode_datagram(&header, &[rec]).to_vec();
+    let mut wire = crate::record::encode_datagram(&header, &[rec]);
     let body = crate::record::V5_HEADER_LEN;
     let idx = body + index_hash(seeds, nonce, 1, "fault-byte", crate::record::V5_RECORD_LEN);
     let bit = index_hash(seeds, nonce, 2, "fault-bit", 8);

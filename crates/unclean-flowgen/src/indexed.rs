@@ -531,8 +531,8 @@ pub struct IndexedArchiveWriter<W: Write> {
 }
 
 impl<W: Write> IndexedArchiveWriter<W> {
-    /// A writer exporting against the given boot anchor (same lossless
-    /// round-trip horizon as [`crate::ArchiveWriter`]: flows must start
+    /// A writer exporting against the given boot anchor (the V5 uptime
+    /// fields set the lossless round-trip horizon: flows must start
     /// within ~49 days of it).
     pub fn new(out: W, boot_unix_secs: u32) -> IndexedArchiveWriter<W> {
         IndexedArchiveWriter {
@@ -925,6 +925,7 @@ impl<R: Read + Seek> SegmentReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::tests::frame_v1;
     use crate::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
     use unclean_core::Ip;
 
@@ -1070,11 +1071,8 @@ mod tests {
 
     #[test]
     fn v1_bytes_are_not_indexed() {
-        let mut w = crate::ArchiveWriter::new(Vec::new(), boot());
-        for i in 0..40 {
-            w.push(&flow(273, i)).expect("write");
-        }
-        let (bytes, _) = w.finish().expect("finish");
+        let flows: Vec<Flow> = (0..40).map(|i| flow(273, i)).collect();
+        let bytes = frame_v1(&flows, boot());
         assert!(looks_like_v1(&bytes));
         assert!(looks_like_v1(&bytes[..bytes.len().min(V1_SNIFF_LEN)]));
         assert!(matches!(
@@ -1189,16 +1187,10 @@ mod tests {
 
     #[test]
     fn upgrade_v1_preserves_flows_and_builds_segments() {
-        let mut w = crate::ArchiveWriter::new(Vec::new(), boot());
-        let mut all = Vec::new();
-        for day in 273..275 {
-            for i in 0..35 {
-                let f = flow(day, i);
-                w.push(&f).expect("write");
-                all.push(f);
-            }
-        }
-        let (v1, _) = w.finish().expect("finish");
+        let all: Vec<Flow> = (273..275)
+            .flat_map(|day| (0..35).map(move |i| flow(day, i)))
+            .collect();
+        let v1 = frame_v1(&all, boot());
         let (v2, index, telemetry) = upgrade_v1(&v1, boot()).expect("upgrade");
         assert_eq!(telemetry.flows, 70);
         assert_eq!(index.segments.len(), 2);
@@ -1229,11 +1221,7 @@ mod tests {
     #[test]
     fn v2_spool_is_smaller_than_v1() {
         let (v2, _, all) = write_archive(500);
-        let mut w = crate::ArchiveWriter::new(Vec::new(), boot());
-        for f in &all {
-            w.push(f).expect("write");
-        }
-        let (v1, _) = w.finish().expect("finish");
+        let v1 = frame_v1(&all, boot());
         assert!(
             (v2.len() as f64) < 0.6 * v1.len() as f64,
             "delta compression: v2 {} bytes vs v1 {}",

@@ -25,11 +25,11 @@
 //! * [`spool`] — the durable WAL spooler: the same segment encoder, with
 //!   one `index.wal` record (a footer entry plus a length and a CRC) per
 //!   sealed segment instead of a footer;
-//! * [`archive`] — the legacy v1 format (u16-framed V5 datagrams), read
-//!   only by [`indexed::upgrade_v1`], and the [`ArchiveTelemetry`] loss
-//!   accounting both formats share;
-//! * [`source`] — archive replay and the UDP collector behind one
-//!   [`FlowSource`] interface, with a bounded shedding ring.
+//! * [`archive`] — the reader of the legacy v1 format (u16-framed V5
+//!   datagrams), used only by [`indexed::upgrade_v1`], and the
+//!   [`ArchiveTelemetry`] loss accounting both formats share;
+//! * [`source`] — the live UDP collector, which feeds a bounded, counted
+//!   shedding ring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub mod session;
 pub mod source;
 pub mod spool;
 
-pub use archive::{ArchiveError, ArchiveReader, ArchiveTelemetry, ArchiveWriter};
+pub use archive::{ArchiveError, ArchiveReader, ArchiveTelemetry};
 pub use collector::{CandidateCollector, FlowStore, SrcEvidence};
 pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use generator::{FlowGenerator, GeneratorConfig};
@@ -60,7 +60,6 @@ pub use record::{
 pub use seq::{Admit, SeqObservation, SequenceTracker};
 pub use session::Flow;
 pub use source::{
-    ArchiveFlowSource, BatchStatus, FlowRing, FlowSource, RingTelemetry, ShedPolicy,
-    SourceCheckpoint, SourceError, UdpFlowSource, UdpSourceConfig,
+    BatchStatus, FlowRing, RingTelemetry, ShedPolicy, UdpFlowSource, UdpSourceConfig,
 };
 pub use spool::{RecoveryReport, SpoolError, WalCheckpoint, WalSpool};

@@ -11,7 +11,6 @@
 //! traffic can round-trip through the same representation an operational
 //! collector would store.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// NetFlow V5 protocol version constant.
@@ -53,7 +52,7 @@ pub mod proto {
 }
 
 /// The V5 export header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct V5Header {
     /// Record count in this datagram (1–30).
     pub count: u16,
@@ -151,7 +150,7 @@ impl std::error::Error for DecodeError {}
 ///
 /// Panics if `records` is empty or exceeds [`V5_MAX_RECORDS`], or if
 /// `header.count` disagrees with `records.len()`.
-pub fn encode_datagram(header: &V5Header, records: &[V5Record]) -> Bytes {
+pub fn encode_datagram(header: &V5Header, records: &[V5Record]) -> Vec<u8> {
     assert!(
         !records.is_empty() && records.len() <= V5_MAX_RECORDS,
         "V5 datagrams carry 1..=30 records, got {}",
@@ -162,117 +161,105 @@ pub fn encode_datagram(header: &V5Header, records: &[V5Record]) -> Bytes {
         records.len(),
         "header count mismatch"
     );
-    let mut buf = BytesMut::with_capacity(V5_HEADER_LEN + records.len() * V5_RECORD_LEN);
-    buf.put_u16(V5_VERSION);
-    buf.put_u16(header.count);
-    buf.put_u32(header.sys_uptime_ms);
-    buf.put_u32(header.unix_secs);
-    buf.put_u32(header.unix_nsecs);
-    buf.put_u32(header.flow_sequence);
-    buf.put_u8(header.engine_type);
-    buf.put_u8(header.engine_id);
-    buf.put_u16(header.sampling_interval);
+    let mut buf = Vec::with_capacity(V5_HEADER_LEN + records.len() * V5_RECORD_LEN);
+    buf.extend_from_slice(&V5_VERSION.to_be_bytes());
+    buf.extend_from_slice(&header.count.to_be_bytes());
+    buf.extend_from_slice(&header.sys_uptime_ms.to_be_bytes());
+    buf.extend_from_slice(&header.unix_secs.to_be_bytes());
+    buf.extend_from_slice(&header.unix_nsecs.to_be_bytes());
+    buf.extend_from_slice(&header.flow_sequence.to_be_bytes());
+    buf.extend_from_slice(&[header.engine_type, header.engine_id]);
+    buf.extend_from_slice(&header.sampling_interval.to_be_bytes());
     for r in records {
-        buf.put_u32(r.srcaddr);
-        buf.put_u32(r.dstaddr);
-        buf.put_u32(r.nexthop);
-        buf.put_u16(r.input);
-        buf.put_u16(r.output);
-        buf.put_u32(r.d_pkts);
-        buf.put_u32(r.d_octets);
-        buf.put_u32(r.first);
-        buf.put_u32(r.last);
-        buf.put_u16(r.srcport);
-        buf.put_u16(r.dstport);
-        buf.put_u8(0); // pad1
-        buf.put_u8(r.tcp_flags);
-        buf.put_u8(r.prot);
-        buf.put_u8(r.tos);
-        buf.put_u16(r.src_as);
-        buf.put_u16(r.dst_as);
-        buf.put_u8(r.src_mask);
-        buf.put_u8(r.dst_mask);
-        buf.put_u16(0); // pad2
+        buf.extend_from_slice(&r.srcaddr.to_be_bytes());
+        buf.extend_from_slice(&r.dstaddr.to_be_bytes());
+        buf.extend_from_slice(&r.nexthop.to_be_bytes());
+        buf.extend_from_slice(&r.input.to_be_bytes());
+        buf.extend_from_slice(&r.output.to_be_bytes());
+        buf.extend_from_slice(&r.d_pkts.to_be_bytes());
+        buf.extend_from_slice(&r.d_octets.to_be_bytes());
+        buf.extend_from_slice(&r.first.to_be_bytes());
+        buf.extend_from_slice(&r.last.to_be_bytes());
+        buf.extend_from_slice(&r.srcport.to_be_bytes());
+        buf.extend_from_slice(&r.dstport.to_be_bytes());
+        // pad1, then the flags, protocol and type of service.
+        buf.extend_from_slice(&[0, r.tcp_flags, r.prot, r.tos]);
+        buf.extend_from_slice(&r.src_as.to_be_bytes());
+        buf.extend_from_slice(&r.dst_as.to_be_bytes());
+        // The masks, then pad2.
+        buf.extend_from_slice(&[r.src_mask, r.dst_mask, 0, 0]);
     }
-    buf.freeze()
+    buf
 }
 
-/// Decode one export datagram.
-pub fn decode_datagram(mut data: &[u8]) -> Result<(V5Header, Vec<V5Record>), DecodeError> {
+/// The big-endian u16 at `at`; the caller has checked the length.
+fn be16(data: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([data[at], data[at + 1]])
+}
+
+/// The big-endian u32 at `at`; the caller has checked the length.
+fn be32(data: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
+}
+
+/// Decode one export datagram. Bytes past the last record are ignored.
+pub fn decode_datagram(data: &[u8]) -> Result<(V5Header, Vec<V5Record>), DecodeError> {
     if data.len() < V5_HEADER_LEN {
         return Err(DecodeError::Truncated {
             needed: V5_HEADER_LEN,
             got: data.len(),
         });
     }
-    let version = data.get_u16();
+    let version = be16(data, 0);
     if version != V5_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let count = data.get_u16();
+    let count = be16(data, 2);
     if count == 0 || count as usize > V5_MAX_RECORDS {
         return Err(DecodeError::BadCount(count));
     }
     let header = V5Header {
         count,
-        sys_uptime_ms: data.get_u32(),
-        unix_secs: data.get_u32(),
-        unix_nsecs: data.get_u32(),
-        flow_sequence: data.get_u32(),
-        engine_type: data.get_u8(),
-        engine_id: data.get_u8(),
-        sampling_interval: data.get_u16(),
+        sys_uptime_ms: be32(data, 4),
+        unix_secs: be32(data, 8),
+        unix_nsecs: be32(data, 12),
+        flow_sequence: be32(data, 16),
+        engine_type: data[20],
+        engine_id: data[21],
+        sampling_interval: be16(data, 22),
     };
-    let needed = count as usize * V5_RECORD_LEN;
+    let needed = V5_HEADER_LEN + count as usize * V5_RECORD_LEN;
     if data.len() < needed {
         return Err(DecodeError::Truncated {
-            needed: V5_HEADER_LEN + needed,
-            got: V5_HEADER_LEN + data.len(),
+            needed,
+            got: data.len(),
         });
     }
-    let mut records = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let srcaddr = data.get_u32();
-        let dstaddr = data.get_u32();
-        let nexthop = data.get_u32();
-        let input = data.get_u16();
-        let output = data.get_u16();
-        let d_pkts = data.get_u32();
-        let d_octets = data.get_u32();
-        let first = data.get_u32();
-        let last = data.get_u32();
-        let srcport = data.get_u16();
-        let dstport = data.get_u16();
-        let _pad1 = data.get_u8();
-        let tcp_flags = data.get_u8();
-        let prot = data.get_u8();
-        let tos = data.get_u8();
-        let src_as = data.get_u16();
-        let dst_as = data.get_u16();
-        let src_mask = data.get_u8();
-        let dst_mask = data.get_u8();
-        let _pad2 = data.get_u16();
-        records.push(V5Record {
-            srcaddr,
-            dstaddr,
-            nexthop,
-            input,
-            output,
-            d_pkts,
-            d_octets,
-            first,
-            last,
-            srcport,
-            dstport,
-            tcp_flags,
-            prot,
-            tos,
-            src_as,
-            dst_as,
-            src_mask,
-            dst_mask,
-        });
-    }
+    let records = data[V5_HEADER_LEN..needed]
+        .chunks_exact(V5_RECORD_LEN)
+        .map(|r| V5Record {
+            srcaddr: be32(r, 0),
+            dstaddr: be32(r, 4),
+            nexthop: be32(r, 8),
+            input: be16(r, 12),
+            output: be16(r, 14),
+            d_pkts: be32(r, 16),
+            d_octets: be32(r, 20),
+            first: be32(r, 24),
+            last: be32(r, 28),
+            srcport: be16(r, 32),
+            dstport: be16(r, 34),
+            // r[36] is pad1.
+            tcp_flags: r[37],
+            prot: r[38],
+            tos: r[39],
+            src_as: be16(r, 40),
+            dst_as: be16(r, 42),
+            src_mask: r[44],
+            dst_mask: r[45],
+            // r[46..48] is pad2.
+        })
+        .collect();
     Ok((header, records))
 }
 
@@ -658,18 +645,18 @@ mod tests {
             Err(DecodeError::Truncated { .. })
         ));
         // Wrong version.
-        let mut bytes = encode_datagram(&header(1), &[record(0)]).to_vec();
+        let mut bytes = encode_datagram(&header(1), &[record(0)]);
         bytes[1] = 9;
         assert_eq!(decode_datagram(&bytes), Err(DecodeError::BadVersion(9)));
         // Count beyond payload.
-        let mut bytes = encode_datagram(&header(1), &[record(0)]).to_vec();
+        let mut bytes = encode_datagram(&header(1), &[record(0)]);
         bytes[3] = 5;
         assert!(matches!(
             decode_datagram(&bytes),
             Err(DecodeError::Truncated { .. })
         ));
         // Zero count.
-        let mut bytes = encode_datagram(&header(1), &[record(0)]).to_vec();
+        let mut bytes = encode_datagram(&header(1), &[record(0)]);
         bytes[3] = 0;
         assert_eq!(decode_datagram(&bytes), Err(DecodeError::BadCount(0)));
     }

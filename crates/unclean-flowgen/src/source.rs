@@ -1,30 +1,15 @@
-//! The [`FlowSource`] trait: one pull interface over every way flows
-//! reach the pipeline.
-//!
-//! The analyses were built against archive replay — a finite, seekable
-//! spool. Live ingest adds a second shape: an unbounded UDP export stream
-//! that arrives whether or not the consumer keeps up. [`FlowSource`]
-//! unifies them behind three questions a consumer may ask:
-//!
-//! * [`FlowSource::next_batch`] — give me what you have (bounded wait);
-//! * [`FlowSource::telemetry`] — what did the wire do to the stream
-//!   (loss, gaps, reorders, duplicates — the
-//!   [`ArchiveTelemetry`] accounting, identical across sources);
-//! * [`FlowSource::checkpoint`] — where are we, durably resumable.
-//!
-//! [`ArchiveFlowSource`] adapts v2 indexed archives (replayed
-//! executor-parallel with day-ordered merge, so batches are byte-identical
-//! at any thread count); [`UdpFlowSource`] binds a socket, decodes V5
-//! datagrams with the existing codec, and feeds a bounded [`FlowRing`]
-//! whose shed policy is explicit and *counted* — backpressure never turns
-//! into silent loss.
+//! The live V5 collector: [`UdpFlowSource`] binds a socket, decodes
+//! export datagrams with the [`crate::record`] codec, runs the shared
+//! [`SequenceTracker`] loss/reorder/duplicate accounting (the
+//! [`ArchiveTelemetry`] an archive replay reports too), and feeds a
+//! bounded [`FlowRing`] whose shed policy is explicit and *counted* —
+//! backpressure never turns into silent loss. `unclean ingest` pulls
+//! batches off the ring into its WAL spool.
 
 use crate::archive::ArchiveTelemetry;
-use crate::indexed::{IndexedArchive, IndexedError};
 use crate::record::decode_datagram;
 use crate::seq::SequenceTracker;
 use crate::session::Flow;
-use crossbeam::executor::Executor;
 use std::collections::VecDeque;
 use std::io;
 use std::net::UdpSocket;
@@ -32,147 +17,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Errors surfaced by a flow source.
-#[derive(Debug)]
-pub enum SourceError {
-    /// Socket or file I/O failed.
-    Io(io::Error),
-    /// An archive could not be opened or replayed.
-    Archive(String),
-}
-
-impl std::fmt::Display for SourceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SourceError::Io(e) => write!(f, "source I/O error: {e}"),
-            SourceError::Archive(msg) => write!(f, "source archive error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SourceError {}
-
-impl From<io::Error> for SourceError {
-    fn from(e: io::Error) -> SourceError {
-        SourceError::Io(e)
-    }
-}
-
-impl From<IndexedError> for SourceError {
-    fn from(e: IndexedError) -> SourceError {
-        SourceError::Archive(e.to_string())
-    }
-}
-
-/// What one [`FlowSource::next_batch`] call produced.
+/// What one [`UdpFlowSource::next_batch`] (or [`FlowRing::pop_batch`])
+/// call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStatus {
     /// This many flows were appended to the caller's buffer.
     Delivered(usize),
     /// Nothing available right now; the source is still live — poll again.
     Idle,
-    /// The source is drained: archives at end-of-spool, live sources
-    /// after shutdown once the ring is empty. No more flows will come.
+    /// The source is drained: stopped, and its ring is empty. No more
+    /// flows will come.
     Exhausted,
-}
-
-/// A resumable position in the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SourceCheckpoint {
-    /// The next V5 sequence number the source expects, once locked onto
-    /// the stream.
-    pub expected_seq: Option<u32>,
-    /// Flows delivered to the consumer so far.
-    pub delivered: u64,
-}
-
-/// One pull interface over archive replay and live ingest.
-pub trait FlowSource {
-    /// Append the next batch of flows to `out`. Live sources block for at
-    /// most a short poll interval; `Idle` means "nothing yet, still
-    /// live", `Exhausted` means no flow will ever come again.
-    fn next_batch(&mut self, out: &mut Vec<Flow>) -> Result<BatchStatus, SourceError>;
-
-    /// Wire-level accounting so far: the same loss/gap/reorder/duplicate
-    /// bookkeeping whichever shape the source is.
-    fn telemetry(&self) -> ArchiveTelemetry;
-
-    /// Where the stream stands, for durable resume.
-    fn checkpoint(&self) -> SourceCheckpoint;
-}
-
-// ---------------------------------------------------------------------------
-// Archive replay as a FlowSource
-// ---------------------------------------------------------------------------
-
-/// Archive replay behind the [`FlowSource`] interface. v2 archives
-/// replay one executor worker per day segment with the batches merged in
-/// day order, so the delivered stream is byte-identical at any thread
-/// count. v1 archives must first be upgraded with `unclean archive index`.
-#[derive(Debug)]
-pub struct ArchiveFlowSource {
-    batches: VecDeque<Vec<Flow>>,
-    telemetry: ArchiveTelemetry,
-    quarantined: usize,
-    end_seq: Option<u32>,
-    delivered: u64,
-}
-
-impl ArchiveFlowSource {
-    /// Replay the v2 archive `data` on `threads` workers. Lenient: a
-    /// segment that fails its CRC is quarantined (counted, skipped) rather
-    /// than aborting the source.
-    pub fn open(data: &[u8], threads: usize) -> Result<ArchiveFlowSource, SourceError> {
-        let archive = IndexedArchive::open(data)?;
-        let pool = Executor::new(threads);
-        let replay = archive.replay_with(&pool, None, true, |_, cursor| {
-            let mut flows = Vec::new();
-            cursor.for_each_flow(|f| flows.push(*f))?;
-            Ok(flows)
-        })?;
-        let batches: VecDeque<Vec<Flow>> = replay
-            .outputs
-            .iter()
-            .filter_map(|o| o.output.clone())
-            .collect();
-        Ok(ArchiveFlowSource {
-            batches,
-            telemetry: replay.telemetry,
-            quarantined: replay.quarantined.len(),
-            end_seq: archive.segments().last().map(|s| s.end_seq),
-            delivered: 0,
-        })
-    }
-
-    /// Segments skipped by the lenient v2 replay.
-    pub fn quarantined(&self) -> usize {
-        self.quarantined
-    }
-}
-
-impl FlowSource for ArchiveFlowSource {
-    fn next_batch(&mut self, out: &mut Vec<Flow>) -> Result<BatchStatus, SourceError> {
-        match self.batches.pop_front() {
-            Some(batch) => {
-                let n = batch.len();
-                self.delivered += n as u64;
-                out.extend(batch);
-                Ok(BatchStatus::Delivered(n))
-            }
-            None => Ok(BatchStatus::Exhausted),
-        }
-    }
-
-    fn telemetry(&self) -> ArchiveTelemetry {
-        self.telemetry
-    }
-
-    fn checkpoint(&self) -> SourceCheckpoint {
-        SourceCheckpoint {
-            expected_seq: self.end_seq,
-            delivered: self.delivered,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +199,7 @@ impl FlowRing {
 }
 
 // ---------------------------------------------------------------------------
-// Live UDP ingest as a FlowSource
+// Live UDP ingest
 // ---------------------------------------------------------------------------
 
 /// Configuration for a [`UdpFlowSource`].
@@ -360,7 +215,7 @@ pub struct UdpSourceConfig {
     pub shed: ShedPolicy,
     /// Socket read timeout — the reader thread's shutdown poll interval.
     pub read_timeout: Duration,
-    /// How long [`FlowSource::next_batch`] waits before reporting `Idle`.
+    /// How long [`UdpFlowSource::next_batch`] waits before reporting `Idle`.
     pub poll_timeout: Duration,
     /// Most flows delivered per `next_batch` call.
     pub max_batch: usize,
@@ -386,9 +241,6 @@ struct UdpShared {
     ring: FlowRing,
     telemetry: Mutex<ArchiveTelemetry>,
     decode_errors: AtomicU64,
-    // Next expected sequence, encoded as value+1 (0 = not locked yet) so
-    // the checkpoint needs no lock.
-    expected_seq: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -402,12 +254,11 @@ pub struct UdpFlowSource {
     reader: Option<std::thread::JoinHandle<()>>,
     poll_timeout: Duration,
     max_batch: usize,
-    delivered: u64,
 }
 
 impl UdpFlowSource {
     /// Bind the socket and start the reader thread.
-    pub fn bind(config: UdpSourceConfig) -> Result<UdpFlowSource, SourceError> {
+    pub fn bind(config: UdpSourceConfig) -> io::Result<UdpFlowSource> {
         let socket = UdpSocket::bind(&config.bind)?;
         socket.set_read_timeout(Some(config.read_timeout))?;
         let local_addr = socket.local_addr()?;
@@ -415,7 +266,6 @@ impl UdpFlowSource {
             ring: FlowRing::new(config.ring_capacity, config.shed),
             telemetry: Mutex::new(ArchiveTelemetry::default()),
             decode_errors: AtomicU64::new(0),
-            expected_seq: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
         let reader = {
@@ -423,8 +273,7 @@ impl UdpFlowSource {
             let boot = config.boot_unix_secs;
             std::thread::Builder::new()
                 .name("udp-flow-source".to_string())
-                .spawn(move || reader_loop(&socket, &shared, boot))
-                .map_err(SourceError::Io)?
+                .spawn(move || reader_loop(&socket, &shared, boot))?
         };
         Ok(UdpFlowSource {
             shared,
@@ -432,7 +281,6 @@ impl UdpFlowSource {
             reader: Some(reader),
             poll_timeout: config.poll_timeout,
             max_batch: config.max_batch,
-            delivered: 0,
         })
     }
 
@@ -452,8 +300,23 @@ impl UdpFlowSource {
         self.shared.ring.telemetry()
     }
 
+    /// Wire-level accounting so far: loss, gaps, reorders and duplicates,
+    /// booked the way an archive replay books them.
+    pub fn telemetry(&self) -> ArchiveTelemetry {
+        *self.shared.telemetry.lock().expect("udp telemetry")
+    }
+
+    /// Append up to one batch of queued flows to `out`, waiting at most
+    /// the poll timeout for the first. `Idle` means "nothing yet, still
+    /// live"; `Exhausted` means stopped and drained.
+    pub fn next_batch(&mut self, out: &mut Vec<Flow>) -> BatchStatus {
+        self.shared
+            .ring
+            .pop_batch(out, self.max_batch, self.poll_timeout)
+    }
+
     /// Stop receiving: the socket reader exits and the ring closes, but
-    /// queued flows stay poppable — [`FlowSource::next_batch`] keeps
+    /// queued flows stay poppable — [`UdpFlowSource::next_batch`] keeps
     /// delivering until it reports `Exhausted`, so a drain loses nothing.
     pub fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
@@ -466,31 +329,6 @@ impl UdpFlowSource {
 impl Drop for UdpFlowSource {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-impl FlowSource for UdpFlowSource {
-    fn next_batch(&mut self, out: &mut Vec<Flow>) -> Result<BatchStatus, SourceError> {
-        let status = self
-            .shared
-            .ring
-            .pop_batch(out, self.max_batch, self.poll_timeout);
-        if let BatchStatus::Delivered(n) = status {
-            self.delivered += n as u64;
-        }
-        Ok(status)
-    }
-
-    fn telemetry(&self) -> ArchiveTelemetry {
-        *self.shared.telemetry.lock().expect("udp telemetry")
-    }
-
-    fn checkpoint(&self) -> SourceCheckpoint {
-        let enc = self.shared.expected_seq.load(Ordering::Relaxed);
-        SourceCheckpoint {
-            expected_seq: enc.checked_sub(1).map(|v| v as u32),
-            delivered: self.delivered,
-        }
     }
 }
 
@@ -519,11 +357,6 @@ fn reader_loop(socket: &UdpSocket, shared: &UdpShared, boot_unix_secs: u32) {
             }
         };
         let obs = tracker.observe(header.flow_sequence, records.len() as u32);
-        if let Some(expected) = tracker.expected() {
-            shared
-                .expected_seq
-                .store(u64::from(expected) + 1, Ordering::Relaxed);
-        }
         batch.clear();
         batch.extend(
             records
@@ -546,8 +379,6 @@ fn reader_loop(socket: &UdpSocket, shared: &UdpShared, boot_unix_secs: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::ArchiveWriter;
-    use crate::indexed::IndexedArchiveWriter;
     use crate::record::{encode_datagram, proto, tcp_flags, EPOCH_UNIX_SECS};
     use crate::session::Flow;
     use unclean_core::Ip;
@@ -569,60 +400,6 @@ mod tests {
             start_secs: i64::from(day) * 86_400 + i64::from(i),
             duration_secs: 0,
         }
-    }
-
-    fn drain(source: &mut impl FlowSource) -> Vec<Flow> {
-        let mut out = Vec::new();
-        loop {
-            match source.next_batch(&mut out).expect("batch") {
-                BatchStatus::Delivered(_) | BatchStatus::Idle => {}
-                BatchStatus::Exhausted => return out,
-            }
-        }
-    }
-
-    #[test]
-    fn archive_source_replays_v2_and_refuses_v1() {
-        let mut w = IndexedArchiveWriter::new(Vec::new(), boot());
-        let mut expected = Vec::new();
-        for day in 0..3 {
-            for i in 0..70u32 {
-                let f = flow(day, i);
-                w.push(&f).expect("write");
-                expected.push(f);
-            }
-        }
-        let (v2, _) = w.finish().expect("finish");
-        let mut src = ArchiveFlowSource::open(&v2, 2).expect("open v2");
-        assert_eq!(drain(&mut src), expected);
-        assert_eq!(src.telemetry().flows, 210);
-        assert_eq!(src.checkpoint().delivered, 210);
-        assert!(src.checkpoint().expected_seq.is_some());
-
-        // v1 is refused with the upgrade path named.
-        let mut w = ArchiveWriter::new(Vec::new(), boot());
-        for f in &expected[..95] {
-            w.push(f).expect("write");
-        }
-        let (v1, _) = w.finish().expect("finish");
-        let err = ArchiveFlowSource::open(&v1, 1).expect_err("v1 refused");
-        assert!(err.to_string().contains("unclean archive index"), "{err}");
-    }
-
-    #[test]
-    fn archive_source_is_thread_count_invariant() {
-        let mut w = IndexedArchiveWriter::new(Vec::new(), boot());
-        for day in 0..5 {
-            for i in 0..123u32 {
-                w.push(&flow(day, i)).expect("write");
-            }
-        }
-        let (bytes, _) = w.finish().expect("finish");
-        let mut one = ArchiveFlowSource::open(&bytes, 1).expect("open");
-        let mut eight = ArchiveFlowSource::open(&bytes, 8).expect("open");
-        let (t1, t8) = (one.telemetry(), eight.telemetry());
-        assert_eq!(drain(&mut one), drain(&mut eight));
-        assert_eq!(t1, t8);
     }
 
     #[test]
@@ -706,7 +483,7 @@ mod tests {
     fn pump(source: &mut UdpFlowSource, want: usize) -> Vec<Flow> {
         let mut out = Vec::new();
         for _ in 0..200 {
-            let _ = source.next_batch(&mut out).expect("batch");
+            source.next_batch(&mut out);
             if out.len() >= want {
                 break;
             }
@@ -740,7 +517,6 @@ mod tests {
         assert_eq!(t.flows, 60);
         assert_eq!(t.duplicates, 30);
         assert_eq!(t.lost_flows, 0);
-        assert_eq!(src.checkpoint().expected_seq, Some(60));
         src.stop();
     }
 
@@ -764,10 +540,7 @@ mod tests {
         }
         src.stop();
         let mut out = Vec::new();
-        while !matches!(
-            src.next_batch(&mut out).expect("batch"),
-            BatchStatus::Exhausted
-        ) {}
+        while src.next_batch(&mut out) != BatchStatus::Exhausted {}
         assert_eq!(out.len(), 60, "stop + drain loses zero queued flows");
         let t = src.telemetry();
         assert_eq!(t.lost_flows, 30);

@@ -8,9 +8,11 @@
 //! decoder of outside bytes (the footer, the segments, `index.wal`)
 //! allocates in proportion to its input however the bytes are damaged:
 //! a seeded mutation property feeds flipped, truncated and spliced
-//! copies of the golden archive and spool to each decoder, random and
-//! count-spliced frames to the `/batch-bin` body decoder, damaged NetFlow
-//! V5 export datagrams to `decode_datagram`, and HTTP requests to
+//! copies of the golden archive and spool to each decoder, damaged copies
+//! of the golden v1 archive to `upgrade_v1`, random and count-spliced
+//! frames to the `/batch-bin` body decoder, damaged NetFlow V5 export
+//! datagrams to `decode_datagram`, damaged scored blocklists and forecast
+//! artifacts to their parsers, and HTTP requests to
 //! `http::parse_request` in randomly cut reads. The daemon
 //! answers a maximal batch request with its connection buffers and its
 //! reply, holding no table with an entry per address.
@@ -33,14 +35,17 @@ use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use unclean_core::{BlockSet, Ip, IpSet};
-use unclean_flowgen::indexed::TRAILER_LEN;
+use unclean_core::blocklist::{parse_header_meta, parse_scored, render_scored_with_meta};
+use unclean_core::{BlockSet, Cidr, Ip, IpSet};
+use unclean_flowgen::indexed::{upgrade_v1, TRAILER_LEN};
 use unclean_flowgen::record::{get_uvarint, put_uvarint, EPOCH_UNIX_SECS};
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
-    decode_datagram, encode_datagram, CandidateCollector, DecodeError, Flow, IndexedArchive,
-    IndexedArchiveWriter, SegmentReader, V5Header, V5Record, WalSpool, V5_MAX_RECORDS,
+    decode_datagram, encode_datagram, ArchiveError, CandidateCollector, DecodeError, Flow,
+    IndexedArchive, IndexedArchiveWriter, SegmentReader, V5Header, V5Record, WalSpool,
+    V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
 };
+use unclean_forecast::{ForecastArtifact, NetworkForecast};
 use unclean_serve::http::{
     parse_request, HttpError, Parse, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
@@ -352,6 +357,189 @@ fn decode_archive(bytes: &[u8], pool: &Executor) {
     }
 }
 
+/// What `upgrade_v1` must answer for a damaged v1 archive.
+#[derive(Debug)]
+enum V1Expect {
+    /// An upgrade of this many flows: the archive was cut at a frame
+    /// boundary.
+    Flows(u64),
+    /// A decode error: a frame too short for its datagram.
+    Decode,
+    /// An I/O error: a frame longer than the bytes left.
+    Io,
+    /// Anything but a panic.
+    Any,
+}
+
+/// The offset of each frame's u16 length in a well-formed v1 archive.
+fn v1_frames(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at + 2 <= bytes.len() {
+        starts.push(at);
+        at += 2 + usize::from(u16::from_be_bytes([bytes[at], bytes[at + 1]]));
+    }
+    starts
+}
+
+/// One damaged copy of the golden v1 archive: flipped bytes, a cut at or
+/// up to three bytes around a frame boundary, one frame's u16 length
+/// spliced to 0, 23, 24, 65,535 or one past the bytes left, or random
+/// bytes up to 4 KiB.
+fn mutate_v1(golden: &[u8], mix: &mut Mix) -> (Vec<u8>, V1Expect) {
+    let frames = v1_frames(golden);
+    let mut bytes = golden.to_vec();
+    let expect = match mix.below(4) {
+        0 => {
+            for _ in 0..1 + mix.below(4) {
+                let at = mix.below(bytes.len());
+                bytes[at] ^= 1 + mix.below(255) as u8;
+            }
+            V1Expect::Any
+        }
+        1 => {
+            let kept = mix.below(frames.len() + 1);
+            let boundary = frames.get(kept).copied().unwrap_or(golden.len());
+            let cut = (boundary + mix.below(7))
+                .saturating_sub(3)
+                .min(golden.len());
+            bytes.truncate(cut);
+            if cut == boundary {
+                let count =
+                    |&at: &usize| u64::from(u16::from_be_bytes([golden[at + 4], golden[at + 5]]));
+                V1Expect::Flows(frames[..kept].iter().map(count).sum())
+            } else {
+                V1Expect::Any
+            }
+        }
+        2 => {
+            let at = frames[mix.below(frames.len())];
+            let left = golden.len() - at - 2;
+            let len = [0, 23, 24, 65_535, left + 1][mix.below(5)];
+            bytes[at..at + 2].copy_from_slice(&(len as u16).to_be_bytes());
+            if len < V5_HEADER_LEN + V5_RECORD_LEN {
+                V1Expect::Decode
+            } else {
+                V1Expect::Io
+            }
+        }
+        _ => {
+            bytes = (0..mix.below(4097)).map(|_| mix.next() as u8).collect();
+            V1Expect::Any
+        }
+    };
+    (bytes, expect)
+}
+
+/// A scored blocklist as `unclean ingest` publishes it: up to 200
+/// entries under a `generation=`/`published_unix_ms=` header.
+fn published_blocklist(mix: &mut Mix) -> String {
+    let entries: Vec<(Cidr, f64)> = (0..mix.below(201))
+        .map(|_| {
+            let cidr = Cidr::of(Ip(mix.next() as u32), 8 + mix.below(25) as u8);
+            (cidr, mix.below(1 << 20) as f64 / 64.0)
+        })
+        .collect();
+    let meta = [
+        ("generation", (1 + mix.below(1 << 30)).to_string()),
+        ("published_unix_ms", mix.next().to_string()),
+    ];
+    render_scored_with_meta(&entries, "unclean-ingest", &meta)
+}
+
+/// A rendered forecast artifact of up to 200 networks.
+fn published_forecast(mix: &mut Mix) -> String {
+    let entries = (0..mix.below(201))
+        .map(|_| NetworkForecast {
+            network: mix.below(1 << 16) as u32,
+            level: mix.below(1 << 16) as f64 / 16.0,
+            trend: (mix.below(1 << 10) as f64 - 512.0) / 64.0,
+            sigma: mix.below(1 << 10) as f64 / 32.0,
+            score_half_life: 0.0,
+        })
+        .collect();
+    ForecastArtifact {
+        name: "unclean-forecast".to_string(),
+        generation: Some(1 + mix.below(1 << 30) as u64),
+        published_unix_ms: Some(mix.next()),
+        horizon_days: 1 + mix.below(30) as u32,
+        ci_z: 1.96,
+        entries,
+    }
+    .render()
+}
+
+/// One damaged copy of a published text file: lines dropped, cut or
+/// duplicated, a garbled `generation=`, one number grown huge, or random
+/// text up to 4 KiB.
+fn mutate_text(text: &str, mix: &mut Mix) -> String {
+    const RANDOM: &[u8] = b"0123456789./#= \n\t-+eE_abcdefghijklmnopqrstuvwxyz";
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let at = mix.below(lines.len());
+    match mix.below(6) {
+        0 => {
+            for _ in 0..1 + mix.below(4) {
+                if !lines.is_empty() {
+                    lines.remove(mix.below(lines.len()));
+                }
+            }
+        }
+        1 => {
+            let cut = mix.below(lines[at].len() + 1);
+            lines[at].truncate(cut);
+        }
+        2 => {
+            let copies = vec![lines[at].clone(); 1 + mix.below(256)];
+            lines.splice(at..at, copies);
+        }
+        3 => {
+            let junk = [
+                "",
+                "oops",
+                "-1",
+                "1.5",
+                "0x10",
+                "18446744073709551616",
+                "+7",
+                "\u{0967}",
+            ];
+            if let Some(line) = lines.iter_mut().find(|l| l.contains("generation=")) {
+                let start = line.find("generation=").expect("found") + "generation=".len();
+                let end = line[start..].find(' ').map_or(line.len(), |n| start + n);
+                line.replace_range(start..end, junk[mix.below(junk.len())]);
+            }
+        }
+        4 => {
+            let huge = [
+                "1e308",
+                "1e999",
+                "-1e999",
+                "NaN",
+                "inf",
+                "4294967296",
+                "18446744073709551616",
+            ];
+            let line = &mut lines[at];
+            if let Some(start) = line.find(|c: char| c.is_ascii_digit()) {
+                let end = line[start..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .map_or(line.len(), |n| start + n);
+                let value = match mix.below(2) {
+                    0 => huge[mix.below(huge.len())].to_string(),
+                    _ => "9".repeat(1 + mix.below(400)),
+                };
+                line.replace_range(start..end, &value);
+            }
+        }
+        _ => {
+            return (0..mix.below(4097))
+                .map(|_| char::from(RANDOM[mix.below(RANDOM.len())]))
+                .collect();
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
 /// One `/batch-bin` request body: random bytes, or a frame of up to 300
 /// addresses whose count is kept, spliced too large or too small, set to
 /// `u32::MAX` or to any value, or whose body is one byte off.
@@ -421,7 +609,7 @@ fn v5_datagram(mix: &mut Mix) -> (Vec<u8>, V5Expect) {
         engine_id: 0,
         sampling_interval: 0,
     };
-    let mut bytes = encode_datagram(&header, &records).to_vec();
+    let mut bytes = encode_datagram(&header, &records);
     let full = bytes.len();
     let expect = match mix.below(5) {
         0 => V5Expect::Records(records),
@@ -642,6 +830,88 @@ proptest! {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    /// Damaged copies of the golden v1 archive: `upgrade_v1` returns (no
+    /// panic), upgrades an archive cut at a frame boundary to the flows
+    /// before the cut, refuses a spliced frame length with the error it
+    /// calls for, and asks for at most 8× its input plus 64 KiB. The
+    /// undamaged archive still upgrades to `golden_v2.flows`.
+    #[test]
+    fn v1_archives_upgrade_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        let golden = std::fs::read(data_path("golden_v1.flows")).expect("golden v1");
+        let golden_v2 = std::fs::read(data_path("golden_v2.flows")).expect("golden v2");
+        let (upgraded, _, _) = upgrade_v1(&golden, EPOCH_UNIX_SECS).expect("golden upgrades");
+        prop_assert!(upgraded == golden_v2, "the golden upgrade drifted");
+        for _ in 0..8 {
+            let (bytes, expect) = mutate_v1(&golden, &mut mix);
+            let mut upgraded = None;
+            let asked = bytes_asked(|| {
+                upgraded = Some(upgrade_v1(&bytes, EPOCH_UNIX_SECS).map(|(_, _, t)| t.flows))
+            });
+            prop_assert!(
+                asked <= budget(bytes.len()),
+                "seed {seed}: {asked} bytes asked upgrading a {}-byte v1 archive",
+                bytes.len()
+            );
+            let upgraded = upgraded.expect("upgrade ran");
+            match expect {
+                V1Expect::Flows(flows) => {
+                    prop_assert_eq!(upgraded.ok(), Some(flows), "seed {}", seed)
+                }
+                V1Expect::Decode => prop_assert!(
+                    matches!(upgraded, Err(ArchiveError::Decode(DecodeError::Truncated { .. }))),
+                    "seed {seed}: {upgraded:?}"
+                ),
+                V1Expect::Io => prop_assert!(
+                    matches!(upgraded, Err(ArchiveError::Io(_))),
+                    "seed {seed}: {upgraded:?}"
+                ),
+                V1Expect::Any => {}
+            }
+        }
+    }
+
+    /// Damaged scored blocklists and forecast artifacts: `parse_scored`,
+    /// `parse_header_meta` and `ForecastArtifact::parse` return (no
+    /// panic) and each asks for at most 8× its text plus 64 KiB. The
+    /// undamaged texts parse back.
+    #[test]
+    fn published_lists_parse_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        for _ in 0..4 {
+            let blocklist = published_blocklist(&mut mix);
+            let forecast = published_forecast(&mut mix);
+            prop_assert!(parse_scored(&blocklist).is_ok(), "seed {}", seed);
+            let meta = parse_header_meta(&blocklist);
+            prop_assert!(meta.is_ok_and(|m| m.contains_key("generation")), "seed {}", seed);
+            prop_assert!(ForecastArtifact::parse(&forecast).is_ok(), "seed {}", seed);
+            for _ in 0..4 {
+                let text = mutate_text(&blocklist, &mut mix);
+                for asked in [
+                    bytes_asked(|| drop(parse_scored(&text))),
+                    bytes_asked(|| drop(parse_header_meta(&text))),
+                ] {
+                    prop_assert!(
+                        asked <= budget(text.len()),
+                        "seed {seed}: {asked} bytes asked parsing a {}-byte blocklist",
+                        text.len()
+                    );
+                }
+                let text = mutate_text(&forecast, &mut mix);
+                let asked = bytes_asked(|| drop(ForecastArtifact::parse(&text)));
+                prop_assert!(
+                    asked <= budget(text.len()),
+                    "seed {seed}: {asked} bytes asked parsing a {}-byte forecast",
+                    text.len()
+                );
+            }
+        }
     }
 }
 

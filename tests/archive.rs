@@ -13,7 +13,7 @@ use unclean_flowgen::indexed::{looks_like_v1, upgrade_v1};
 use unclean_flowgen::record::EPOCH_UNIX_SECS;
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
-    faults, ArchiveReader, ArchiveWriter, CandidateCollector, Flow, FlowGenerator, IndexedArchive,
+    faults, ArchiveReader, CandidateCollector, Flow, FlowGenerator, IndexedArchive,
     IndexedArchiveWriter, IndexedError, RecoveryReport, WalSpool,
 };
 use unclean_integration::fixture;
@@ -127,37 +127,13 @@ fn golden_flows() -> Vec<Flow> {
     flows
 }
 
-fn golden_bytes() -> Vec<u8> {
-    let mut writer = ArchiveWriter::new(Vec::new(), BOOT);
-    for f in golden_flows() {
-        writer.push(&f).expect("in-memory spool");
-    }
-    writer.finish().expect("in-memory spool").0
-}
-
-/// Regenerate `tests/data/golden_v1.flows`. Run explicitly with
-/// `--ignored` only when the fixture is intentionally rebuilt — the
-/// checked-in bytes are the v1 compatibility contract.
-#[test]
-#[ignore]
-fn regenerate_golden_v1() {
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-    std::fs::write(&path, golden_bytes()).expect("write golden");
-}
-
-/// v1 compat: the checked-in golden archive still decodes to the same
-/// flows, still byte-matches today's v1 writer, still sniffs as v1 (no
-/// footer), and upgrades losslessly to v2 — the `unclean archive index`
-/// path, the only place v1 is still read.
+/// v1 compat: the checked-in golden archive (the v1 format contract;
+/// nothing writes v1 any more) still decodes to the same flows, still
+/// sniffs as v1 (no footer), and upgrades losslessly to v2 — the
+/// `unclean archive index` path, the only place v1 is still read.
 #[test]
 fn v1_golden_archive_reads_and_upgrades() {
     let bytes = std::fs::read(golden_path()).expect("golden archive checked in");
-    assert_eq!(
-        bytes,
-        golden_bytes(),
-        "v1 writer output drifted from the golden archive"
-    );
     let flows = ArchiveReader::new(bytes.as_slice(), BOOT)
         .read_all()
         .expect("v1 read");

@@ -6,6 +6,7 @@
 
 use std::sync::OnceLock;
 use unclean_detect::{build_reports, PipelineConfig, ReportSet};
+use unclean_flowgen::{encode_datagram, Flow, V5Header, V5Record, V5_MAX_RECORDS};
 use unclean_netmodel::{Scenario, ScenarioConfig};
 
 /// The scale every integration test runs at: large enough for the
@@ -38,3 +39,21 @@ pub fn fixture() -> &'static Fixture {
 /// paper uses 1000; a tenth of that keeps CI fast while the 95% criterion
 /// stays meaningful).
 pub const TEST_TRIALS: usize = 100;
+
+/// `flows` as a v1 flow archive: runs of 30 as V5 export datagrams with
+/// contiguous sequence numbers, each framed by its big-endian u16 length.
+pub fn frame_v1(flows: &[Flow], boot: u32) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (k, chunk) in flows.chunks(V5_MAX_RECORDS).enumerate() {
+        let records: Vec<V5Record> = chunk.iter().map(|f| f.to_v5(boot)).collect();
+        let header = V5Header {
+            count: records.len() as u16,
+            unix_secs: boot,
+            flow_sequence: (k * V5_MAX_RECORDS) as u32,
+            ..V5Header::default()
+        };
+        let wire = encode_datagram(&header, &records);
+        out.extend((wire.len() as u16).to_be_bytes().into_iter().chain(wire));
+    }
+    out
+}

@@ -14,8 +14,8 @@ use unclean_core::{publish_atomic, Ip};
 use unclean_detect::{rescore_window, LiveScanConfig};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
-    encode_datagram, BatchStatus, Flow, FlowSource, UdpFlowSource, UdpSourceConfig, V5Header,
-    WalSpool, V5_MAX_RECORDS,
+    encode_datagram, BatchStatus, Flow, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool,
+    V5_MAX_RECORDS,
 };
 use unclean_serve::{ServeConfig, Server};
 use unclean_telemetry::Registry;
@@ -122,7 +122,7 @@ fn udp_to_wal_to_rescore_to_served_generation() {
     while spooled < SENT {
         assert!(Instant::now() < deadline, "spooled only {spooled}/{SENT}");
         batch.clear();
-        if let BatchStatus::Delivered(_) = source.next_batch(&mut batch).expect("batch") {
+        if let BatchStatus::Delivered(_) = source.next_batch(&mut batch) {
             for flow in &batch {
                 spool.push(flow).expect("push");
             }

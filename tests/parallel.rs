@@ -92,57 +92,6 @@ fn run_all_is_byte_identical_at_any_thread_count() {
 }
 
 // ---------------------------------------------------------------------------
-// FlowSource trait path: archive replay is thread-count invariant
-// ---------------------------------------------------------------------------
-
-/// Draining an `ArchiveFlowSource` must deliver the identical flow
-/// sequence at any thread count — the trait path a live consumer swaps
-/// in for a UDP socket carries the same determinism contract as the
-/// underlying parallel replay.
-#[test]
-fn archive_flow_source_is_thread_count_invariant() {
-    use unclean_flowgen::{ArchiveFlowSource, BatchStatus, FlowSource, IndexedArchiveWriter};
-
-    let boot = 1_136_073_600u32;
-    let mut writer = IndexedArchiveWriter::new(Vec::new(), boot);
-    for day in 0..6i64 {
-        for i in 0..500u32 {
-            writer
-                .push(&flow(
-                    i % 12,
-                    i,
-                    day,
-                    i64::from(i % 24),
-                    i % 3 == 0,
-                    i % 5 == 0,
-                ))
-                .expect("push");
-        }
-    }
-    let (bytes, _) = writer.finish().expect("finish");
-
-    let drain = |threads: usize| -> Vec<Flow> {
-        let mut source = ArchiveFlowSource::open(&bytes, threads).expect("open");
-        let mut out = Vec::new();
-        while !matches!(
-            source.next_batch(&mut out).expect("batch"),
-            BatchStatus::Exhausted
-        ) {}
-        assert_eq!(source.telemetry().flows, out.len() as u64);
-        out
-    };
-    let sequential = drain(1);
-    assert_eq!(sequential.len(), 3_000);
-    for threads in [2, 8] {
-        assert_eq!(
-            sequential,
-            drain(threads),
-            "{threads}-thread drain diverged from sequential"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sharded detector merge == sequential fold
 // ---------------------------------------------------------------------------
 

@@ -265,7 +265,7 @@ proptest! {
             engine_id: 0,
             sampling_interval: 0,
         };
-        let mut wire = encode_datagram(&header, &records).to_vec();
+        let mut wire = encode_datagram(&header, &records);
         let idx = 4 + flip_at % (wire.len() - 4); // skip version+count
         wire[idx] ^= 1 << flip_bit;
         let (h, r) = decode_datagram(&wire).expect("bit flips outside framing decode");
@@ -275,7 +275,7 @@ proptest! {
 
     #[test]
     fn archive_round_trip(flow_count in 0usize..200, seed in any::<u64>()) {
-        use unclean_flowgen::{ArchiveReader, ArchiveWriter, Flow, record::EPOCH_UNIX_SECS};
+        use unclean_flowgen::{ArchiveReader, Flow, record::EPOCH_UNIX_SECS};
         let mut rng = SeedTree::new(seed).stream("archive-prop");
         use rand::Rng;
         let flows: Vec<Flow> = (0..flow_count)
@@ -292,11 +292,7 @@ proptest! {
                 duration_secs: rng.gen_range(0..600),
             })
             .collect();
-        let mut w = ArchiveWriter::new(Vec::new(), EPOCH_UNIX_SECS);
-        for f in &flows {
-            w.push(f).expect("in-memory write");
-        }
-        let (bytes, _) = w.finish().expect("finish");
+        let bytes = unclean_integration::frame_v1(&flows, EPOCH_UNIX_SECS);
         let mut r = ArchiveReader::new(bytes.as_slice(), EPOCH_UNIX_SECS);
         let back = r.read_all().expect("well-formed");
         prop_assert_eq!(back, flows);
