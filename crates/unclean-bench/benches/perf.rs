@@ -1,17 +1,20 @@
 //! Criterion performance benches for the hot paths every experiment
 //! leans on: block counting, set algebra, sampling, prediction curves, the
 //! NetFlow codec, flow generation, and the layers a live rescore crosses
-//! (CRC, segment decode, detectors). These are engineering benches (the
-//! paper-reproduction experiments live in `src/bin/`).
+//! (CRC, segment decode, detectors, and one incremental publish). These
+//! are engineering benches (the paper-reproduction experiments live in
+//! `src/bin/`).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput,
+};
 use unclean_core::blocks::block_count_naive;
 use unclean_core::prelude::*;
 use unclean_core::snap::crc32;
-use unclean_detect::{rescore_window, LiveScanConfig};
+use unclean_detect::{rescore_window, LiveScanConfig, LiveWindow};
 use unclean_flowgen::{
-    decode_datagram, encode_datagram, record::EPOCH_UNIX_SECS, Flow, FlowGenerator,
-    GeneratorConfig, IndexedArchive, V5Header, WalSpool,
+    decode_datagram, encode_datagram, record::EPOCH_UNIX_SECS, ArchiveIndex, Flow, FlowGenerator,
+    GeneratorConfig, IndexedArchive, SegmentSource, V5Header, WalSpool,
 };
 use unclean_netmodel::{ActivityEvent, ActivityKind, ObservedNetwork, Scenario, ScenarioConfig};
 use unclean_stats::SeedTree;
@@ -292,7 +295,8 @@ fn serve_batch_shaped_trie() -> (FrozenTrie, Vec<Ip>) {
 /// The layers every live rescore crosses for each sealed flow: the CRC
 /// each segment is checked against, the decode of one WAL segment flow by
 /// flow, and a whole single-threaded rescore with the detectors and
-/// scoring on top.
+/// scoring on top — from scratch, and as one publish of the last 80k
+/// flows into a window that already holds the first 720k.
 fn bench_rescore_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("archive");
     let mib: Vec<u8> = (0..1u32 << 20)
@@ -334,7 +338,63 @@ fn bench_rescore_layers(c: &mut Criterion) {
                 .flows
         })
     });
+    let mut flows = 0;
+    let first = archive
+        .segments()
+        .iter()
+        .take_while(|s| {
+            flows += s.flows;
+            flows <= 720_000
+        })
+        .count();
+    let prefix = Prefix {
+        archive: &archive,
+        index: ArchiveIndex {
+            boot_unix_secs: archive.boot_unix_secs(),
+            segments: archive.segments()[..first].to_vec(),
+        },
+    };
+    assert_eq!(prefix.index.total_flows(), 720_000, "a seal at 720k");
+    let warm = || {
+        let mut window = LiveWindow::new(cfg.clone());
+        window
+            .rescore(&prefix, &Registry::off())
+            .expect("the first 720k rescore");
+        window
+    };
+    g.throughput(Throughput::Elements(
+        archive.index().total_flows() - 720_000,
+    ));
+    g.bench_function("rescore_publish_80k_after_720k", |b| {
+        b.iter_batched(
+            warm,
+            |mut window| {
+                let scan = window
+                    .rescore(black_box(&archive), &Registry::off())
+                    .expect("the last 80k rescore");
+                (window, scan)
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
+}
+
+/// The first segments of an archive: what a live window had been fed
+/// before the archive's last seals.
+struct Prefix<'a> {
+    archive: &'a IndexedArchive<'a>,
+    index: ArchiveIndex,
+}
+
+impl SegmentSource for Prefix<'_> {
+    fn index(&self) -> &ArchiveIndex {
+        &self.index
+    }
+
+    fn segment<'b>(&'b self, i: usize, buf: &'b mut Vec<u8>) -> std::io::Result<&'b [u8]> {
+        self.archive.segment(i, buf)
+    }
 }
 
 /// The sealed WAL image of `n` flows of the unclean window's border

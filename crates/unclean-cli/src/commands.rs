@@ -874,7 +874,6 @@ pub fn top(
     iterations: u64,
     no_clear: bool,
 ) -> Result<String, String> {
-    use std::io::Write as _;
     let mut iteration = 0u64;
     loop {
         iteration += 1;
@@ -969,11 +968,13 @@ pub fn top(
             // (and shell pipelines) can capture it.
             return Ok(screen);
         }
-        if !no_clear {
-            print!("\x1b[2J\x1b[H");
+        let clear = if no_clear { "" } else { "\x1b[2J\x1b[H" };
+        match crate::io::print(&format!("{clear}{screen}")) {
+            Ok(()) => {}
+            // The reader has gone (`unclean top … | grep -q`): stop.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(String::new()),
+            Err(e) => return Err(format!("cannot write to stdout: {e}")),
         }
-        print!("{screen}");
-        let _ = std::io::stdout().flush();
         std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
     }
 }

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use unclean_core::blocklist::render_scored_with_meta;
 use unclean_core::{publish_atomic, Ip};
-use unclean_detect::{rescore_window, LiveScanConfig};
+use unclean_detect::{LiveScanConfig, LiveWindow};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
     encode_datagram, ArchiveTelemetry, BatchStatus, FaultConfig, Flow, IndexedArchive,
@@ -332,14 +332,16 @@ impl TelemetrySync {
     }
 }
 
-/// Seals the spool, rescores the sealed window, and atomically publishes
-/// the blocklist file `serve --watch` is holding. Skips the work when no
-/// new flow has been sealed since the last publish — a stalled exporter
-/// then shows up as growing generation age, exactly what the staleness
-/// watchdogs key on.
+/// Seals the spool, feeds the segments sealed since the last publish to
+/// the attempt's window, and atomically publishes the rescored blocklist
+/// file `serve --watch` is holding. An attempt's first publish replays
+/// the whole recovered spool; later ones cost only the new flows plus
+/// scoring. Skips the work when no new flow has been sealed since the
+/// last publish — a stalled exporter then shows up as growing generation
+/// age, exactly what the staleness watchdogs key on.
 struct Publisher {
     out: PathBuf,
-    cfg: LiveScanConfig,
+    window: LiveWindow,
     last_sealed_flows: Option<u64>,
 }
 
@@ -362,10 +364,9 @@ impl Publisher {
             return Ok(false);
         }
         let t0 = Instant::now();
-        let image = spool
-            .sealed_image()
-            .map_err(|e| fail(format!("sealed image: {e}")))?;
-        let scan = rescore_window(&image, None, &self.cfg, &shared.registry)
+        let scan = self
+            .window
+            .rescore(&spool.segments(), &shared.registry)
             .map_err(|e| fail(format!("rescore: {e}")))?;
         // Stamp the generation *into* the published file before bumping
         // the shared counter: the header a `serve --watch` reload parses
@@ -569,12 +570,12 @@ fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<Stri
     let mut sync = TelemetrySync::default();
     let mut publisher = Publisher {
         out: opts.out.clone(),
-        cfg: LiveScanConfig {
+        window: LiveWindow::new(LiveScanConfig {
             prefix_len: opts.prefix_len,
             min_score: opts.min_score,
             threads: opts.threads,
             ..LiveScanConfig::default()
-        },
+        }),
         last_sealed_flows: None,
     };
     // First publish is unconditional so `serve` always has a file to
@@ -1054,6 +1055,118 @@ mod tests {
         let (_, report) = WalSpool::open(&opts.spool_dir).expect("reopen");
         assert_eq!(report.sealed_flows, 2_000);
         assert_eq!(report.torn_tail_bytes, 0);
+    }
+
+    /// Send `flows` to `to` as V5 datagrams numbered on from `*seq`.
+    fn send_v5(to: &str, flows: &[Flow], seq: &mut u32) {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("sender");
+        for chunk in flows.chunks(V5_MAX_RECORDS) {
+            let records: Vec<_> = chunk.iter().map(|f| f.to_v5(EPOCH_UNIX_SECS)).collect();
+            let header = V5Header {
+                count: records.len() as u16,
+                unix_secs: EPOCH_UNIX_SECS,
+                flow_sequence: *seq,
+                ..V5Header::default()
+            };
+            *seq = seq.wrapping_add(chunk.len() as u32);
+            socket
+                .send_to(&encode_datagram(&header, &records), to)
+                .expect("send");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Poll `/checkpoint` until the daemon has published past generation
+    /// `after` with `sealed` flows sealed; returns that generation.
+    fn published(control: &str, after: u64, sealed: u64) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(15);
+        loop {
+            let response = http(control, "GET /checkpoint HTTP/1.0\r\n\r\n");
+            let checkpoint: serde_json::Value =
+                serde_json::from_str(body_of(&response)).expect("checkpoint JSON");
+            let field = |key: &str| checkpoint.get(key).and_then(|v| v.as_u64());
+            if let (Some(generation), Some(s)) = (field("generation"), field("sealed_flows")) {
+                if generation > after && s == sealed {
+                    return generation;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no publish past generation {after} with {sealed} sealed flows: {response}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// A Prometheus sample's value; an absent series reads 0.
+    fn sample(metrics: &str, name: &str) -> u64 {
+        metrics
+            .lines()
+            .filter_map(|line| line.split_once(' '))
+            .find(|(key, _)| *key == name)
+            .map_or(0, |(_, v)| v.trim().parse().expect("integer sample"))
+    }
+
+    /// Each publish feeds the attempt's window only the segments sealed
+    /// since the previous one, so over several publishes the archive
+    /// counters book every sealed flow exactly once.
+    #[test]
+    fn each_sealed_flow_is_decoded_once_per_attempt() {
+        let dir = tmp_dir("decode-once");
+        let opts = test_opts(&dir);
+        let (bind, control) = (opts.bind.clone(), opts.control.clone());
+        let daemon = {
+            let opts = opts.clone();
+            std::thread::spawn(move || ingest(&opts))
+        };
+        let flows = synth_flows(1_500);
+        let (mut seq, mut generation) = (0u32, published(&control, 0, 0));
+        for (k, burst) in flows.chunks(500).enumerate() {
+            send_v5(&bind, burst, &mut seq);
+            generation = published(&control, generation, 500 * (k as u64 + 1));
+        }
+        assert!(generation >= 4, "{generation}");
+        let metrics = http(&control, "GET /metrics HTTP/1.0\r\n\r\n");
+        assert_eq!(sample(&metrics, "unclean_ingest_archive_flows"), 1_500);
+        assert_eq!(sample(&metrics, "unclean_ingest_ingest_flows"), 1_500);
+
+        let quit = http(&control, "POST /quit HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+        assert_eq!(body_of(&quit), "draining\n");
+        daemon.join().expect("join").expect("ingest ok");
+    }
+
+    /// A flow dated two days before the spool's first one: the next
+    /// publish scores both days, and the daemon neither restarts nor goes
+    /// unhealthy.
+    #[test]
+    fn a_flow_before_the_spools_first_day_publishes() {
+        let dir = tmp_dir("earlier-day");
+        let opts = test_opts(&dir);
+        let (bind, control) = (opts.bind.clone(), opts.control.clone());
+        let daemon = {
+            let opts = opts.clone();
+            std::thread::spawn(move || ingest(&opts))
+        };
+        let mut seq = 0u32;
+        let mut generation = published(&control, 0, 0);
+        // `first` = 172,800,000 ms after the boot anchor, then 1,000 ms.
+        for (start_secs, sealed) in [(2 * 86_400, 1), (1, 2)] {
+            let flow = Flow {
+                start_secs,
+                ..synth_flows(1)[0]
+            };
+            send_v5(&bind, &[flow], &mut seq);
+            generation = published(&control, generation, sealed);
+        }
+        let metrics = http(&control, "GET /metrics HTTP/1.0\r\n\r\n");
+        assert_eq!(sample(&metrics, "unclean_ingest_ingest_restarts"), 0);
+        let health = http(&control, "GET /healthz HTTP/1.0\r\n\r\n");
+        assert!(body_of(&health).starts_with("ok "), "{health}");
+
+        let quit = http(&control, "POST /quit HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+        assert_eq!(body_of(&quit), "draining\n");
+        let summary = daemon.join().expect("join").expect("ingest ok");
+        assert!(summary.contains("(attempt 1)"), "{summary}");
     }
 
     /// Fetch `/trace?format=events` from a daemon and deserialize.

@@ -9,6 +9,16 @@ use std::io::{BufRead, Write};
 use std::path::Path;
 use unclean_core::prelude::*;
 
+/// Write `text` to stdout through one lock, and flush: how a command's
+/// result and each `unclean top` frame reach the terminal. An error of
+/// kind `BrokenPipe` means the reader has gone (`unclean … | head`), which
+/// callers treat as the end of output, never as a crash.
+pub fn print(text: &str) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())?;
+    out.flush()
+}
+
 /// How malformed report lines are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseMode {

@@ -94,10 +94,15 @@ v1).";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
+        Ok(output) => match io::print(&output) {
+            Ok(()) => ExitCode::SUCCESS,
+            // The reader has gone (`unclean … | head`): nothing is lost.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: cannot write to stdout: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::from(2)

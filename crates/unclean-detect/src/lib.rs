@@ -14,8 +14,9 @@
 //! * [`builder`] — the full pipeline: scenario → flows → detectors →
 //!   the paper's report inventory, candidate collection, and Figure 1's
 //!   daily scanner series;
-//! * [`live`] — the ingest daemon's analysis half: window-scoped
-//!   rescoring of a spooled archive image into a scored blocklist.
+//! * [`live`] — the ingest daemon's analysis half: a rescore window
+//!   that keeps its detector state across publishes, fed only the WAL
+//!   segments sealed since the last one, scored into a blocklist.
 //!
 //! The offline detector and candidate passes and the live rescore share
 //! one day-sharded sweep (`sweep::day_sweep`): whole-day chunks on the
@@ -37,7 +38,7 @@ pub use builder::{
     build_candidates, build_candidates_with, build_reports, build_reports_with, daily_scanners,
     daily_scanners_with, PipelineConfig, ReportSet,
 };
-pub use live::{rescore_window, LiveScanConfig, WindowScan};
+pub use live::{rescore_window, LiveScanConfig, LiveWindow, WindowScan};
 pub use phishlist::phish_report;
 pub use scan::{FanoutConfig, HourlyFanoutDetector, TrwConfig, TrwDetector};
 pub use spam::{SpamConfig, SpamDetector};

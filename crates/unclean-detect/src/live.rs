@@ -2,19 +2,31 @@
 //! analysis half.
 //!
 //! The offline pipeline ([`crate::build_reports`]) starts from a
-//! generated scenario; a live collector starts from *bytes*: the WAL
-//! spooler's sealed prefix, assembled into a v2 indexed archive image.
-//! [`rescore_window`] replays a day window of such an image through the
-//! behavioural detectors, scores the implicated networks with the §7
+//! generated scenario; a live collector starts from *bytes*: the sealed
+//! segments of the WAL spool. A [`LiveWindow`] replays segments through
+//! the behavioural detectors, scores the implicated networks with the §7
 //! multidimensional scorer, and returns deploy-ready scored blocklist
 //! entries — the payload the rescore loop hands to `unclean-serve`.
 //!
-//! A WAL archive can hold *several* segments for the same day (the
-//! spooler seals on every checkpoint, not just at day boundaries). The
-//! detectors carry hourly-window state, so splitting one day across
-//! workers would split fan-out windows and lose detections. The rescore
-//! therefore feeds the shared day sweep **whole days, not segments**: one
-//! day's feed walks all of that day's segments in file order.
+//! The window keeps its detector state from one rescore to the next: the
+//! detections of every day fed so far, plus the window state of the last
+//! day fed. [`LiveWindow::rescore`] feeds only the segments sealed since
+//! the previous call, so a publish costs the new flows plus scoring, not
+//! the spool's age. [`rescore_window`] is a fresh window fed every
+//! selected segment of an archive image.
+//!
+//! A WAL spool holds *several* segments for the same day (the spooler
+//! seals on every publish, not just at day boundaries). The detectors
+//! carry hourly- and daily-window state, so the window flushes it only
+//! where the day changes between consecutive segments: one day's run of
+//! segments is one detector window, however many publishes it spans.
+//! Whole-day runs that one rescore brings in behind the open day (a
+//! restart's catch-up) go through the shared day sweep, so `threads` still
+//! parallelises them. The published lists are the union of every run's
+//! detections, and a detected source is skipped by both detectors, so
+//! carrying detections from run to run changes nothing: a window fed
+//! publish by publish scores exactly what a from-scratch replay of the
+//! same segments does.
 
 use crate::scan::FanoutConfig;
 use crate::spam::SpamConfig;
@@ -22,10 +34,10 @@ use crate::sweep::{day_sweep, DayShard, DetectorPair};
 use crossbeam::executor::Executor;
 use serde::{Deserialize, Serialize};
 use unclean_core::{
-    Cidr, DateRange, Day, NetworkScore, Provenance, Report, ReportClass, ScoreWeights,
+    Cidr, DateRange, Day, IpSet, NetworkScore, Provenance, Report, ReportClass, ScoreWeights,
     UncleanlinessScorer,
 };
-use unclean_flowgen::{ArchiveIndex, ArchiveTelemetry, IndexedArchive, IndexedError};
+use unclean_flowgen::{ArchiveTelemetry, IndexedArchive, IndexedError, SegmentSource};
 use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 
 /// Settings for a live window rescore.
@@ -41,7 +53,7 @@ pub struct LiveScanConfig {
     pub weights: ScoreWeights,
     /// Drop networks scoring below this from the emitted blocklist.
     pub min_score: f64,
-    /// Worker threads for the day-sharded sweep (0 = one per core).
+    /// Worker threads for the day-sharded catch-up (0 = one per core).
     /// A pure throughput knob — results are thread-count invariant.
     #[serde(skip)]
     pub threads: usize,
@@ -61,9 +73,10 @@ impl Default for LiveScanConfig {
 }
 
 /// The outcome of one window rescore.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowScan {
-    /// The day span actually covered (None for an empty window).
+    /// The earliest through the latest day of the segments fed (None for
+    /// an empty window).
     pub window: Option<DateRange>,
     /// Flows replayed.
     pub flows: u64,
@@ -80,15 +93,16 @@ pub struct WindowScan {
     pub blocklist: Vec<(Cidr, f64)>,
 }
 
-/// One day's worth of work for a rescore worker: the day plus its
-/// `(segment, entry_sequence)` pairs from [`ArchiveIndex::select`].
-type DayGroup = (Day, Vec<(usize, Option<u32>)>);
+/// Segments to replay, in file order, as the `(segment, entry_sequence)`
+/// pairs of [`unclean_flowgen::ArchiveIndex::select`].
+type Selection = [(usize, Option<u32>)];
 
-/// One rescore chunk's state: its detectors plus the replay accounting
-/// of the segments it walked.
+/// One catch-up chunk's state: its detectors, the replay accounting of
+/// the segments it walked, and its read buffer.
 struct RescoreShard {
     detectors: DetectorPair,
     telemetry: ArchiveTelemetry,
+    buf: Vec<u8>,
 }
 
 impl DayShard for RescoreShard {
@@ -97,141 +111,259 @@ impl DayShard for RescoreShard {
     }
 }
 
-/// Selected segments grouped into runs of equal day.
-fn day_groups(index: &ArchiveIndex, range: Option<DateRange>) -> Vec<DayGroup> {
-    let mut groups: Vec<DayGroup> = Vec::new();
-    for (i, entry) in index.select(range) {
-        let day = index.segments[i].day;
-        match groups.last_mut() {
-            Some((d, run)) if *d == day => run.push((i, entry)),
-            _ => groups.push((day, vec![(i, entry)])),
-        }
+/// Replay `run`'s segments of `source` into `detectors`, reading each
+/// through `buf` and summing its accounting into `telemetry`.
+fn replay(
+    source: &impl SegmentSource,
+    run: &Selection,
+    detectors: &mut DetectorPair,
+    telemetry: &mut ArchiveTelemetry,
+    buf: &mut Vec<u8>,
+) -> Result<(), IndexedError> {
+    for &(i, entry) in run {
+        let mut cursor = source.segment_cursor(i, entry, buf)?;
+        cursor.for_each_flow(|f| detectors.observe(f))?;
+        telemetry.accumulate(&cursor.telemetry());
     }
-    groups
+    Ok(())
 }
 
-/// Replay the days of `range` (the whole archive when `None`) through
-/// the scan and spam detectors, score every implicated network, and
-/// assemble the scored blocklist. Runs under a `live/rescore` span;
-/// replay accounting lands on the `archive.*` counters and detections on
-/// `detect.scan.hits` / `detect.spam.hits`.
+/// A live window's detector state, kept across rescores so each one
+/// replays only what was sealed since the last (see the module docs).
+pub struct LiveWindow {
+    cfg: LiveScanConfig,
+    /// The detections of every day fed, plus the open day's window state.
+    detectors: DetectorPair,
+    /// Replay accounting of every segment fed.
+    telemetry: ArchiveTelemetry,
+    /// The day of the last segment fed: the one whose window state is open.
+    open_day: Option<Day>,
+    /// The earliest through the latest day fed.
+    days: Option<DateRange>,
+    /// How many of the source's segments [`LiveWindow::rescore`] has fed.
+    fed: usize,
+    /// An earlier rescore failed part-way, leaving the state half-fed.
+    failed: bool,
+    /// Segment read buffer, reused from segment to segment.
+    buf: Vec<u8>,
+}
+
+impl LiveWindow {
+    /// A window that has been fed nothing.
+    pub fn new(cfg: LiveScanConfig) -> LiveWindow {
+        LiveWindow {
+            detectors: DetectorPair::new(&cfg.fanout, &cfg.spam),
+            cfg,
+            telemetry: ArchiveTelemetry::default(),
+            open_day: None,
+            days: None,
+            fed: 0,
+            failed: false,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Feed the segments `source` holds past those fed by earlier calls,
+    /// then score the window: one publish. `source` must only have grown
+    /// by appended segments since the last call, as a WAL spool does
+    /// between seals. Runs under a `live/rescore` span; the new segments'
+    /// replay accounting lands on the `archive.*` counters and new
+    /// detections on `detect.scan.hits` / `detect.spam.hits`. A window
+    /// whose rescore failed refuses further ones: start a fresh window.
+    pub fn rescore(
+        &mut self,
+        source: &impl SegmentSource,
+        registry: &Registry,
+    ) -> Result<WindowScan, IndexedError> {
+        let segments = &source.index().segments;
+        if segments.len() < self.fed {
+            return Err(IndexedError::Corrupt(format!(
+                "the source holds {} segments, fewer than the {} already fed",
+                segments.len(),
+                self.fed
+            )));
+        }
+        // Entry sequences as `select(None)` gives them.
+        let new: Vec<(usize, Option<u32>)> = (self.fed..segments.len())
+            .map(|i| (i, i.checked_sub(1).map(|p| segments[p].end_seq)))
+            .collect();
+        let scan = self.rescore_selected(source, &new, registry)?;
+        self.fed = segments.len();
+        Ok(scan)
+    }
+
+    /// Feed `selected`, record the accounting, and score.
+    fn rescore_selected(
+        &mut self,
+        source: &impl SegmentSource,
+        selected: &Selection,
+        registry: &Registry,
+    ) -> Result<WindowScan, IndexedError> {
+        if self.failed {
+            return Err(IndexedError::Corrupt(
+                "an earlier rescore of this window failed part-way".to_string(),
+            ));
+        }
+        let t0 = std::time::Instant::now();
+        let mut span = registry.span("live/rescore");
+        let hits = (
+            self.detectors.scan.detected_count(),
+            self.detectors.spam.detected_count(),
+        );
+        self.failed = true;
+        let (days, telemetry) = self.feed(source, selected)?;
+        self.failed = false;
+        telemetry.record(registry);
+        registry
+            .counter("detect.scan.hits")
+            .add((self.detectors.scan.detected_count() - hits.0) as u64);
+        registry
+            .counter("detect.spam.hits")
+            .add((self.detectors.spam.detected_count() - hits.1) as u64);
+
+        let scan = self.score();
+        span.field("days", days);
+        span.field("flows", telemetry.flows);
+        span.field("networks", scan.blocklist.len());
+        registry.trace_event(
+            TraceEvent::now(TraceKind::Rescore)
+                .dur_ns(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+                .field("days", days)
+                .field("flows", telemetry.flows)
+                .field("networks", scan.blocklist.len()),
+        );
+        Ok(scan)
+    }
+
+    /// Replay `selected` on top of the window's state: a first run on the
+    /// open day continues its window state; any later run starts a fresh
+    /// one, the whole-day runs before the last through the day sweep.
+    /// Returns the number of day runs fed and their replay accounting.
+    fn feed(
+        &mut self,
+        source: &impl SegmentSource,
+        selected: &Selection,
+    ) -> Result<(usize, ArchiveTelemetry), IndexedError> {
+        let segments = &source.index().segments;
+        let day = |run: &Selection| segments[run[0].0].day;
+        let runs: Vec<&Selection> = selected
+            .chunk_by(|a, b| segments[a.0].day == segments[b.0].day)
+            .collect();
+        let mut telemetry = ArchiveTelemetry::default();
+        let mut rest = runs.as_slice();
+        if let Some((first, later)) = rest.split_first() {
+            if Some(day(first)) == self.open_day {
+                replay(
+                    source,
+                    first,
+                    &mut self.detectors,
+                    &mut telemetry,
+                    &mut self.buf,
+                )?;
+                rest = later;
+            }
+        }
+        if let Some((last, closed)) = rest.split_last() {
+            self.detectors.flush_window_state();
+            if !closed.is_empty() {
+                let cfg = &self.cfg;
+                let new_shard = || RescoreShard {
+                    detectors: DetectorPair::new(&cfg.fanout, &cfg.spam),
+                    telemetry: ArchiveTelemetry::default(),
+                    buf: Vec::new(),
+                };
+                let shards = day_sweep(
+                    &Executor::new(cfg.threads),
+                    closed,
+                    new_shard,
+                    |run, shard| {
+                        replay(
+                            source,
+                            run,
+                            &mut shard.detectors,
+                            &mut shard.telemetry,
+                            &mut shard.buf,
+                        )
+                    },
+                )?;
+                for shard in shards {
+                    self.detectors.merge(shard.detectors);
+                    telemetry.accumulate(&shard.telemetry);
+                }
+            }
+            replay(
+                source,
+                last,
+                &mut self.detectors,
+                &mut telemetry,
+                &mut self.buf,
+            )?;
+            self.open_day = Some(day(last));
+        }
+        for run in &runs {
+            let d = day(run);
+            self.days = Some(match self.days {
+                None => DateRange::single(d),
+                Some(r) => DateRange::new(r.start.min(d), r.end.max(d)),
+            });
+        }
+        self.telemetry.accumulate(&telemetry);
+        Ok((runs.len(), telemetry))
+    }
+
+    /// Score the window as fed so far.
+    fn score(&self) -> WindowScan {
+        let range = self.days.unwrap_or(DateRange::single(Day(0)));
+        let report = |name: &str, class: ReportClass, detected: IpSet| {
+            Report::new(name, class, Provenance::Observed, range, detected)
+        };
+        let scan = report(
+            "live-scan",
+            ReportClass::Scanning,
+            self.detectors.scan.detected(),
+        );
+        let spam = report(
+            "live-spam",
+            ReportClass::Spamming,
+            self.detectors.spam.detected(),
+        );
+        let scorer = UncleanlinessScorer {
+            prefix_len: self.cfg.prefix_len,
+            weights: self.cfg.weights,
+        };
+        let scores = scorer.score(&[&scan, &spam]);
+        let blocklist = scores
+            .iter()
+            .filter(|ns| ns.score >= self.cfg.min_score)
+            .map(|ns| (ns.network, ns.score))
+            .collect();
+        WindowScan {
+            window: self.days,
+            flows: self.detectors.flows,
+            telemetry: self.telemetry,
+            scan,
+            spam,
+            scores,
+            blocklist,
+        }
+    }
+}
+
+/// Replay the days of `range` (the whole archive when `None`) of an
+/// archive image through a fresh [`LiveWindow`] and score it.
 pub fn rescore_window(
     data: &[u8],
     range: Option<DateRange>,
     cfg: &LiveScanConfig,
     registry: &Registry,
 ) -> Result<WindowScan, IndexedError> {
-    let t0 = std::time::Instant::now();
-    let mut span = registry.span("live/rescore");
+    let mut window = LiveWindow::new(cfg.clone());
     if data.is_empty() {
         // A spool with nothing sealed yet: an empty, well-formed scan.
-        return Ok(empty_scan(cfg));
+        return Ok(window.score());
     }
     let archive = IndexedArchive::open(data)?;
-    let groups = day_groups(archive.index(), range);
-    span.field("days", groups.len() as u64);
-    let pool = Executor::new(cfg.threads);
-    span.field("threads", pool.threads() as u64);
-    let new_shard = || RescoreShard {
-        detectors: DetectorPair::new(&cfg.fanout, &cfg.spam),
-        telemetry: ArchiveTelemetry::default(),
-    };
-    let shards = day_sweep(&pool, &groups, new_shard, |(_, segments), shard| {
-        for &(i, entry) in segments {
-            let mut cursor = archive.cursor(i, entry)?;
-            cursor.for_each_flow(|f| shard.detectors.observe(f))?;
-            shard.telemetry.accumulate(&cursor.telemetry());
-        }
-        Ok::<(), IndexedError>(())
-    })?;
-
-    let mut detectors = DetectorPair::new(&cfg.fanout, &cfg.spam);
-    let mut telemetry = ArchiveTelemetry::default();
-    for shard in shards {
-        detectors.merge(shard.detectors);
-        telemetry.accumulate(&shard.telemetry);
-    }
-    let flows = detectors.flows;
-    telemetry.record(registry);
-    registry
-        .counter("detect.scan.hits")
-        .add(detectors.scan.detected_count() as u64);
-    registry
-        .counter("detect.spam.hits")
-        .add(detectors.spam.detected_count() as u64);
-
-    let window = match (groups.first(), groups.last()) {
-        (Some((first, _)), Some((last, _))) => Some(DateRange::new(*first, *last)),
-        _ => None,
-    };
-    let report_range = window.unwrap_or(DateRange::single(Day(0)));
-    let scan = Report::new(
-        "live-scan",
-        ReportClass::Scanning,
-        Provenance::Observed,
-        report_range,
-        detectors.scan.detected(),
-    );
-    let spam = Report::new(
-        "live-spam",
-        ReportClass::Spamming,
-        Provenance::Observed,
-        report_range,
-        detectors.spam.detected(),
-    );
-    let scorer = UncleanlinessScorer {
-        prefix_len: cfg.prefix_len,
-        weights: cfg.weights,
-    };
-    let scores = scorer.score(&[&scan, &spam]);
-    let blocklist: Vec<(Cidr, f64)> = scores
-        .iter()
-        .filter(|ns| ns.score >= cfg.min_score)
-        .map(|ns| (ns.network, ns.score))
-        .collect();
-    span.field("flows", flows);
-    span.field("networks", blocklist.len() as u64);
-    registry.trace_event(
-        TraceEvent::now(TraceKind::Rescore)
-            .dur_ns(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-            .field("days", groups.len())
-            .field("flows", flows)
-            .field("networks", blocklist.len()),
-    );
-    Ok(WindowScan {
-        window,
-        flows,
-        telemetry,
-        scan,
-        spam,
-        scores,
-        blocklist,
-    })
-}
-
-fn empty_scan(_cfg: &LiveScanConfig) -> WindowScan {
-    let range = DateRange::single(Day(0));
-    WindowScan {
-        window: None,
-        flows: 0,
-        telemetry: ArchiveTelemetry::default(),
-        scan: Report::new(
-            "live-scan",
-            ReportClass::Scanning,
-            Provenance::Observed,
-            range,
-            unclean_core::IpSet::empty(),
-        ),
-        spam: Report::new(
-            "live-spam",
-            ReportClass::Spamming,
-            Provenance::Observed,
-            range,
-            unclean_core::IpSet::empty(),
-        ),
-        scores: Vec::new(),
-        blocklist: Vec::new(),
-    }
+    window.rescore_selected(&archive, &archive.index().select(range), registry)
 }
 
 #[cfg(test)]
@@ -351,6 +483,73 @@ mod tests {
         assert_eq!(scan.window, None);
         assert_eq!(scan.flows, 0);
         assert!(scan.blocklist.is_empty());
+    }
+
+    /// Publish after every seal: the window carries one source's hourly
+    /// fan-out across a seal (and across a publish) and ends up where a
+    /// from-scratch rescore of the same spool does, at every publish.
+    #[test]
+    fn publish_by_publish_equals_a_full_rescore() {
+        let dir = spool_dir("incremental");
+        let mut spool = WalSpool::create(&dir, EPOCH_UNIX_SECS).expect("create");
+        let cfg = LiveScanConfig::default();
+        let mut window = LiveWindow::new(cfg.clone());
+        let mut publish = |spool: &mut WalSpool| {
+            spool.seal().expect("seal");
+            let live = window
+                .rescore(&spool.segments(), &Registry::off())
+                .expect("rescore");
+            let image = spool.sealed_image().expect("image");
+            let full = rescore_window(&image, None, &cfg, &Registry::off()).expect("rescore");
+            assert_eq!(live, full);
+            live
+        };
+        for day in 0..2u32 {
+            sweep(&mut spool, 0x0901_0001, day, 0, 40);
+            let half = publish(&mut spool);
+            // 40 of the 64 destinations: not yet a scanner on day 0.
+            let flagged = half
+                .blocklist
+                .iter()
+                .any(|(c, _)| c.to_string() == "9.1.0.0/24");
+            assert_eq!(flagged, day > 0);
+            sweep(&mut spool, 0x0901_0001, day, 40, 40);
+            sweep(&mut spool, 0x0905_0001 + day, day, 0, 90);
+            let whole = publish(&mut spool);
+            assert!(whole
+                .blocklist
+                .iter()
+                .any(|(c, _)| c.to_string() == "9.1.0.0/24"));
+        }
+        // Nothing new sealed: the same scan again.
+        assert_eq!(publish(&mut spool).flows, 2 * (40 + 40 + 90));
+    }
+
+    /// A segment dated before the spool's first day: the window runs from
+    /// the earliest to the latest day fed, and the rescore of every
+    /// publish agrees with a from-scratch one.
+    #[test]
+    fn a_day_before_the_first_widens_the_window() {
+        let dir = spool_dir("earlier-day");
+        let mut spool = WalSpool::create(&dir, EPOCH_UNIX_SECS).expect("create");
+        let cfg = LiveScanConfig::default();
+        let mut window = LiveWindow::new(cfg.clone());
+        for day in [2u32, 0] {
+            sweep(&mut spool, 0x0901_0001 + (day << 8), day, 0, 90);
+            spool.seal().expect("seal");
+            let image = spool.sealed_image().expect("image");
+            let full = rescore_window(&image, None, &cfg, &Registry::off()).expect("rescore");
+            let live = window
+                .rescore(&spool.segments(), &Registry::off())
+                .expect("rescore");
+            assert_eq!(live, full);
+        }
+        let scan = window
+            .rescore(&spool.segments(), &Registry::off())
+            .expect("rescore");
+        assert_eq!(scan.window, Some(DateRange::new(Day(0), Day(2))));
+        assert_eq!(scan.flows, 2 * 90);
+        assert_eq!(scan.blocklist.len(), 2, "{:?}", scan.blocklist);
     }
 
     #[test]

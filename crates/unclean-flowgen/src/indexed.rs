@@ -676,6 +676,40 @@ impl<'a> SegmentCursor<'a> {
     }
 }
 
+/// Where a segment walk finds its bytes: an archive image lends each
+/// segment in place; the WAL spool reads one into the caller's buffer.
+/// `Sync`, so parallel walkers can share one source, each with its own
+/// buffer.
+pub trait SegmentSource: Sync {
+    /// The index of the segments this source holds.
+    fn index(&self) -> &ArchiveIndex;
+
+    /// Segment `i`'s bytes: borrowed in place, or read into `buf`.
+    fn segment<'a>(&'a self, i: usize, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]>;
+
+    /// A CRC-checked cursor over segment `i` entering at
+    /// `entry_sequence` (see [`ArchiveIndex::cursor`]).
+    fn segment_cursor<'a>(
+        &'a self,
+        i: usize,
+        entry_sequence: Option<u32>,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<SegmentCursor<'a>, IndexedError> {
+        let bytes = self.segment(i, buf)?;
+        self.index().cursor(i, bytes, entry_sequence)
+    }
+}
+
+impl SegmentSource for IndexedArchive<'_> {
+    fn index(&self) -> &ArchiveIndex {
+        &self.index
+    }
+
+    fn segment<'a>(&'a self, i: usize, _: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
+        Ok(self.segment_bytes(i))
+    }
+}
+
 /// A segment the lenient replay skipped instead of failing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantinedSegment {

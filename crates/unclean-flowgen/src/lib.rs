@@ -24,7 +24,8 @@
 //!   per-segment quarantine;
 //! * [`spool`] — the durable WAL spooler: the same segment encoder, with
 //!   one `index.wal` record (a footer entry plus a length and a CRC) per
-//!   sealed segment instead of a footer;
+//!   sealed segment instead of a footer; its sealed segments are a
+//!   [`SegmentSource`] read in place from `segments.dat`;
 //! * [`archive`] — the reader of the legacy v1 format (u16-framed V5
 //!   datagrams), used only by [`indexed::upgrade_v1`], and the
 //!   [`ArchiveTelemetry`] loss accounting both formats share;
@@ -51,7 +52,7 @@ pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use generator::{FlowGenerator, GeneratorConfig};
 pub use indexed::{
     ArchiveIndex, FlowView, IndexedArchive, IndexedArchiveWriter, IndexedError, QuarantinedSegment,
-    Replay, SegmentCursor, SegmentInfo, SegmentOutput, SegmentReader,
+    Replay, SegmentCursor, SegmentInfo, SegmentOutput, SegmentReader, SegmentSource,
 };
 pub use record::{
     decode_datagram, encode_datagram, DecodeError, V5Header, V5Record, V5_HEADER_LEN,
@@ -62,4 +63,4 @@ pub use session::Flow;
 pub use source::{
     BatchStatus, FlowRing, RingTelemetry, ShedPolicy, UdpFlowSource, UdpSourceConfig,
 };
-pub use spool::{RecoveryReport, SpoolError, WalCheckpoint, WalSpool};
+pub use spool::{RecoveryReport, SpoolError, WalCheckpoint, WalSegments, WalSpool};

@@ -26,12 +26,17 @@
 //! and resumes writing from the last sealed `end_seq` — a flow is never
 //! double-counted and a torn tail is never silently dropped.
 //!
-//! [`WalSpool::sealed_image`] re-assembles the sealed prefix plus a
-//! synthesized footer into a byte-exact v2 archive image, so the rescore
-//! loop replays the WAL through the ordinary [`crate::IndexedArchive`]
-//! readers (CRC checks, day-range selection, parallel replay) unchanged.
+//! The sealed segments are read in place: [`WalSpool::segments`] is a
+//! [`SegmentSource`] whose every read is one positioned read of
+//! `segments.dat` into the caller's reused buffer, checked against the
+//! segment's CRC by [`ArchiveIndex::cursor`]. The live rescore reads only
+//! the segments sealed since its last publish this way, and
+//! [`WalSpool::checkpoint`] answers from running totals, so neither costs
+//! more as the spool grows. [`WalSpool::sealed_image`] re-assembles the
+//! whole sealed prefix plus a synthesized footer into a byte-exact v2
+//! archive image, for readers that want one ([`crate::IndexedArchive`]).
 
-use crate::indexed::{get_u32_le, ArchiveIndex, SegmentEncoder, SegmentInfo};
+use crate::indexed::{get_u32_le, ArchiveIndex, SegmentEncoder, SegmentInfo, SegmentSource};
 use crate::record::{get_uvarint, put_uvarint};
 use crate::session::Flow;
 use std::fs::{File, OpenOptions};
@@ -92,6 +97,16 @@ pub struct WalCheckpoint {
     pub unsealed_flows: u64,
 }
 
+impl WalCheckpoint {
+    /// Count one more sealed segment.
+    fn add_sealed(&mut self, info: &SegmentInfo) {
+        self.sealed_segments += 1;
+        self.sealed_bytes = info.offset + info.len;
+        self.end_seq = info.end_seq;
+        self.sealed_flows += info.flows;
+    }
+}
+
 /// What [`WalSpool::open`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
@@ -141,8 +156,13 @@ impl Write for DataFile {
 pub struct WalSpool {
     dir: PathBuf,
     enc: SegmentEncoder<DataFile>,
-    index: File,
-    sealed: Vec<SegmentInfo>,
+    /// A read-only handle on `segments.dat` for the sealed segments.
+    reader: File,
+    index_file: File,
+    /// The sealed segments, in seal order.
+    index: ArchiveIndex,
+    /// Running totals over `index` (`unsealed_flows` stays 0).
+    sealed: WalCheckpoint,
     telemetry: Registry,
 }
 
@@ -150,10 +170,47 @@ impl std::fmt::Debug for WalSpool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalSpool")
             .field("dir", &self.dir)
-            .field("sealed_segments", &self.sealed.len())
-            .field("sealed_bytes", &self.sealed_bytes())
+            .field("sealed_segments", &self.sealed.sealed_segments)
+            .field("sealed_bytes", &self.sealed.sealed_bytes)
             .field("next_seq", &self.next_seq())
             .finish_non_exhaustive()
+    }
+}
+
+/// The sealed segments of a [`WalSpool`] as a [`SegmentSource`]: each
+/// read is one positioned read of `segments.dat`.
+#[derive(Debug, Clone, Copy)]
+pub struct WalSegments<'a> {
+    index: &'a ArchiveIndex,
+    data: &'a File,
+}
+
+impl SegmentSource for WalSegments<'_> {
+    fn index(&self) -> &ArchiveIndex {
+        self.index
+    }
+
+    fn segment<'a>(&'a self, i: usize, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
+        let info = &self.index.segments[i];
+        buf.resize(info.len as usize, 0);
+        read_at(self.data, buf, info.offset)?;
+        Ok(buf)
+    }
+}
+
+/// Fill `buf` from `file` at `offset`: one positioned read on Unix; a seek
+/// and a read elsewhere (the reader is its own handle, so this never
+/// moves the append position).
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+    }
+    #[cfg(not(unix))]
+    {
+        let mut file = file;
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(buf)
     }
 }
 
@@ -177,38 +234,39 @@ impl WalSpool {
         put_uvarint(&mut header, u64::from(boot_unix_secs));
         index.write_all(&header)?;
         index.sync_all()?;
-        Ok(WalSpool::resume(
-            dir,
-            data,
-            index,
-            boot_unix_secs,
-            Vec::new(),
-        ))
+        WalSpool::resume(dir, data, index, boot_unix_secs, Vec::new())
     }
 
     /// A spool appending to `data` after the `sealed` segments.
     fn resume(
         dir: &Path,
         data: File,
-        index: File,
+        index_file: File,
         boot_unix_secs: u32,
         sealed: Vec<SegmentInfo>,
-    ) -> WalSpool {
+    ) -> Result<WalSpool, SpoolError> {
+        let mut totals = WalCheckpoint::default();
+        for info in &sealed {
+            totals.add_sealed(info);
+        }
+        let reader = File::open(dir.join(SEGMENTS_FILE))?;
         let data = DataFile {
             file: data,
             written: 0,
             fault: None,
         };
-        let (end_seq, end) = sealed
-            .last()
-            .map_or((0, 0), |s| (s.end_seq, s.offset + s.len));
-        WalSpool {
+        Ok(WalSpool {
             dir: dir.to_path_buf(),
-            enc: SegmentEncoder::new(data, boot_unix_secs, end_seq, end),
-            index,
-            sealed,
+            enc: SegmentEncoder::new(data, boot_unix_secs, totals.end_seq, totals.sealed_bytes),
+            reader,
+            index_file,
+            index: ArchiveIndex {
+                boot_unix_secs,
+                segments: sealed,
+            },
+            sealed: totals,
             telemetry: Registry::off(),
-        }
+        })
     }
 
     /// Reopen an existing spool, recovering the sealed prefix: index
@@ -288,17 +346,15 @@ impl WalSpool {
         index.seek(SeekFrom::End(0))?;
         data.seek(SeekFrom::End(0))?;
 
+        let spool = WalSpool::resume(dir, data, index, boot_unix_secs, sealed)?;
         let report = RecoveryReport {
-            sealed_segments: sealed.len(),
-            sealed_flows: sealed.iter().map(|s| s.flows).sum(),
-            resumed_end_seq: sealed.last().map_or(0, |s| s.end_seq),
+            sealed_segments: spool.sealed.sealed_segments,
+            sealed_flows: spool.sealed.sealed_flows,
+            resumed_end_seq: spool.sealed.end_seq,
             torn_tail_bytes,
             torn_index_bytes,
         };
-        Ok((
-            WalSpool::resume(dir, data, index, boot_unix_secs, sealed),
-            report,
-        ))
+        Ok((spool, report))
     }
 
     /// Install a fault hook on the data path (see [`WriteFault`]) — the
@@ -335,22 +391,23 @@ impl WalSpool {
 
     /// Sealed-segment index entries, in seal order.
     pub fn sealed_segments(&self) -> &[SegmentInfo] {
-        &self.sealed
+        &self.index.segments
     }
 
-    /// Sealed data bytes at the head of `segments.dat`.
-    fn sealed_bytes(&self) -> u64 {
-        self.sealed.last().map_or(0, |s| s.offset + s.len)
+    /// The sealed segments as a [`SegmentSource`], read in place from
+    /// `segments.dat`.
+    pub fn segments(&self) -> WalSegments<'_> {
+        WalSegments {
+            index: &self.index,
+            data: &self.reader,
+        }
     }
 
-    /// Where the spool stands.
+    /// Where the spool stands; O(1), from running totals.
     pub fn checkpoint(&self) -> WalCheckpoint {
         WalCheckpoint {
-            sealed_segments: self.sealed.len(),
-            sealed_bytes: self.sealed_bytes(),
-            end_seq: self.sealed.last().map_or(0, |s| s.end_seq),
-            sealed_flows: self.sealed.iter().map(|s| s.flows).sum(),
             unsealed_flows: self.enc.open_flows(),
+            ..self.sealed
         }
     }
 
@@ -383,9 +440,10 @@ impl WalSpool {
         self.enc.get_mut().file.sync_all()?;
         let mut record = Vec::with_capacity(64);
         encode_index_record(&info, &mut record);
-        self.index.write_all(&record)?;
-        self.index.sync_all()?;
-        self.sealed.push(info);
+        self.index_file.write_all(&record)?;
+        self.index_file.sync_all()?;
+        self.sealed.add_sealed(&info);
+        self.index.segments.push(info);
         self.telemetry.trace_event(
             TraceEvent::now(TraceKind::WalSeal)
                 .seq_range(u64::from(info.first_seq), u64::from(info.end_seq))
@@ -402,14 +460,9 @@ impl WalSpool {
     /// what `IndexedArchiveWriter` would have produced for the same
     /// flows, ready for [`crate::IndexedArchive::open`].
     pub fn sealed_image(&self) -> Result<Vec<u8>, SpoolError> {
-        let mut file = File::open(self.dir.join(SEGMENTS_FILE))?;
-        let mut data = vec![0u8; self.sealed_bytes() as usize];
-        file.read_exact(&mut data)?;
-        let index = ArchiveIndex {
-            boot_unix_secs: self.boot_unix_secs(),
-            segments: self.sealed.clone(),
-        };
-        index.encode_tail(&mut data);
+        let mut data = vec![0u8; self.sealed.sealed_bytes as usize];
+        read_at(&self.reader, &mut data, 0)?;
+        self.index.encode_tail(&mut data);
         Ok(data)
     }
 }
@@ -656,6 +709,69 @@ mod tests {
         );
         assert!(report.torn_tail_bytes > 0);
         assert!(report.torn_index_bytes > 0, "its index record too");
+    }
+
+    /// The checkpoint's running totals equal sums over the sealed entries
+    /// after seals, a reopen and a torn-tail recovery.
+    #[test]
+    fn checkpoint_totals_equal_the_sums_over_sealed_segments() {
+        fn sums(spool: &WalSpool) -> WalCheckpoint {
+            let segments = spool.sealed_segments();
+            WalCheckpoint {
+                sealed_segments: segments.len(),
+                sealed_bytes: segments.iter().map(|s| s.len).sum(),
+                end_seq: segments.last().map_or(0, |s| s.end_seq),
+                sealed_flows: segments.iter().map(|s| s.flows).sum(),
+                unsealed_flows: spool.enc.open_flows(),
+            }
+        }
+        let dir = tmp_dir("totals");
+        let mut spool = WalSpool::create(&dir, boot()).expect("create");
+        for day in 0..3 {
+            for i in 0..40 + 17 * day {
+                spool.push(&flow(day, i)).expect("push");
+            }
+            spool.seal().expect("seal");
+            assert_eq!(spool.checkpoint(), sums(&spool));
+        }
+        drop(spool);
+        let (mut spool, _) = WalSpool::open(&dir).expect("reopen");
+        assert_eq!(spool.checkpoint(), sums(&spool));
+        assert_eq!(spool.checkpoint().sealed_flows, 40 + 57 + 74);
+        for i in 0..45 {
+            spool.push(&flow(3, i)).expect("push");
+        }
+        spool.flush_datagram().expect("flush");
+        assert_eq!(spool.checkpoint().unsealed_flows, 45);
+        assert_eq!(spool.checkpoint(), sums(&spool));
+        drop(spool);
+        let (spool, report) = WalSpool::open(&dir).expect("recover");
+        assert!(report.torn_tail_bytes > 0);
+        assert_eq!(spool.checkpoint(), sums(&spool));
+        assert_eq!(spool.checkpoint().sealed_flows, report.sealed_flows);
+    }
+
+    /// Each sealed segment read in place equals its bytes in the
+    /// assembled image.
+    #[test]
+    fn segments_read_in_place_match_the_sealed_image() {
+        let dir = tmp_dir("in-place");
+        let mut spool = WalSpool::create(&dir, boot()).expect("create");
+        for day in 0..3 {
+            for i in 0..70u32 {
+                spool.push(&flow(day, i)).expect("push");
+            }
+        }
+        spool.seal().expect("seal");
+        let image = spool.sealed_image().expect("image");
+        let archive = IndexedArchive::open(&image).expect("v2");
+        let segments = spool.segments();
+        assert_eq!(segments.index(), archive.index());
+        let mut buf = Vec::new();
+        for i in 0..segments.index().segments.len() {
+            let bytes = segments.segment(i, &mut buf).expect("read");
+            assert_eq!(bytes, archive.segment_bytes(i));
+        }
     }
 
     #[test]

@@ -4,15 +4,23 @@
 //! No daemon restarts anywhere — the serving generation advances because
 //! the rescore loop published a fresh file, which is the paper's
 //! operational claim wired all the way through.
+//!
+//! The incremental window's contract is pinned here too: at every
+//! publish of a random live schedule, a window fed only the segments
+//! sealed since its last publish scores what a from-scratch rescore of
+//! the whole sealed spool scores.
 
+use proptest::collection::vec;
+use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use unclean_core::blocklist::render_scored;
 use unclean_core::{publish_atomic, Ip};
-use unclean_detect::{rescore_window, LiveScanConfig};
+use unclean_detect::{rescore_window, LiveScanConfig, LiveWindow};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
+use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
     encode_datagram, BatchStatus, Flow, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool,
     V5_MAX_RECORDS,
@@ -236,4 +244,168 @@ fn recovered_spool_resumes_the_served_window() {
         render_scored(&before.blocklist, "x"),
         render_scored(&after.blocklist, "x")
     );
+}
+
+/// A random live schedule's traffic: scan bursts, SMTP bursts and benign
+/// payload flows from a small pool of sources, on days that continue the
+/// last burst's, move one on, or jump anywhere in 0..6 (before the
+/// spool's first day included). One burst stays under the detectors'
+/// thresholds (64 destinations an hour, 8 deliveries a day), so most
+/// detections need bursts that a seal or a publish may fall between.
+struct Traffic {
+    day: u32,
+    next_dst: u32,
+}
+
+impl Traffic {
+    fn burst(&mut self, word: u32) -> Vec<Flow> {
+        self.day = match (word >> 3) % 4 {
+            0 | 1 => self.day,
+            2 => (self.day + 1).min(5),
+            _ => (word >> 5) % 6,
+        };
+        let hour = i64::from((word >> 8) % 2);
+        let src = Ip(0x0901_0001 + (((word >> 13) % 3) << 8));
+        let n = 1 + (word >> 16) % if word % 3 == 1 { 5 } else { 48 };
+        let base = i64::from(self.day) * 86_400 + hour * 3_600;
+        (0..n)
+            .map(|i| {
+                self.next_dst += 1;
+                let flow = Flow {
+                    src,
+                    dst: Ip(0x1e00_0000 + self.next_dst),
+                    src_port: 40_000,
+                    dst_port: 445,
+                    proto: proto::TCP,
+                    packets: 1,
+                    octets: 40,
+                    flags: tcp_flags::SYN,
+                    start_secs: base + i64::from(i % 3_600),
+                    duration_secs: 0,
+                };
+                match word % 3 {
+                    // A scan probe: SYN-only, a fresh destination.
+                    0 => flow,
+                    // A mail delivery.
+                    1 => Flow {
+                        dst_port: 25,
+                        packets: 10,
+                        octets: 4_000,
+                        flags: tcp_flags::SYN | tcp_flags::ACK,
+                        ..flow
+                    },
+                    // Benign web traffic from a source of its own.
+                    _ => Flow {
+                        src: Ip(0x0a00_0000 + self.next_dst),
+                        dst_port: 80,
+                        packets: 8,
+                        octets: 6_000,
+                        flags: tcp_flags::SYN | tcp_flags::ACK,
+                        ..flow
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
+/// Cut `cut` bytes off the end of `path`, keeping at least `keep`.
+fn tear(path: &std::path::Path, keep: u64, cut: u64) {
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .expect("open for tearing");
+    let len = file.metadata().expect("metadata").len();
+    file.set_len(len.saturating_sub(cut).max(keep.min(len)))
+        .expect("tear");
+}
+
+proptest! {
+    /// The live window's contract. Random schedules of pushes, seals,
+    /// publishes and restarts — a clean restart, unsealed frames left in
+    /// `segments.dat`, a `segments.dat` cut inside its last sealed
+    /// segment, and an `index.wal` cut inside its last record — each
+    /// restart starting a fresh window, as `unclean ingest` starts one
+    /// per attempt. At every publish the window's scan equals a
+    /// from-scratch `rescore_window` of the sealed image in every field,
+    /// renders byte-identical text, and the attempt's `archive.flows`
+    /// counts each sealed flow once.
+    #[test]
+    fn incremental_window_equals_a_full_rescore_at_every_publish(
+        ops in vec(any::<u32>(), 4..40),
+        threads in 1usize..3,
+    ) {
+        let dir = tmp_dir("window-contract");
+        let cfg = LiveScanConfig {
+            threads,
+            ..LiveScanConfig::default()
+        };
+        let mut spool = WalSpool::create(&dir, EPOCH_UNIX_SECS).expect("spool");
+        let mut window = LiveWindow::new(cfg.clone());
+        let mut registry = Registry::full();
+        let mut traffic = Traffic { day: 3, next_dst: 0 };
+        for (k, &word) in ops.iter().enumerate() {
+            let last = k + 1 == ops.len();
+            match (word >> 28) % 8 {
+                0..=3 => {
+                    for flow in traffic.burst(word) {
+                        spool.push(&flow).expect("push");
+                    }
+                }
+                4 => {
+                    spool.seal().expect("seal");
+                }
+                5 => {
+                    let torn = word % 4;
+                    if torn == 1 {
+                        for flow in traffic.burst(word.rotate_left(7)) {
+                            spool.push(&flow).expect("push");
+                        }
+                        spool.flush_datagram().expect("flush");
+                    } else {
+                        spool.seal().expect("seal");
+                    }
+                    let sealed = spool.sealed_segments().to_vec();
+                    drop(spool);
+                    // 1..=8 bytes: inside the last sealed segment, or
+                    // inside the last index record (16 bytes or more).
+                    let cut = 1 + u64::from(word >> 8) % 8;
+                    if let (2, Some(s)) = (torn, sealed.last()) {
+                        tear(&dir.join(SEGMENTS_FILE), s.offset, cut);
+                    }
+                    if torn == 3 && !sealed.is_empty() {
+                        tear(&dir.join(INDEX_FILE), 0, cut);
+                    }
+                    let (reopened, report) = WalSpool::open(&dir).expect("recover");
+                    prop_assert!(
+                        torn == 0
+                            || sealed.is_empty()
+                            || report.torn_tail_bytes + report.torn_index_bytes > 0
+                    );
+                    spool = reopened;
+                    window = LiveWindow::new(cfg.clone());
+                    registry = Registry::full();
+                }
+                _ => {}
+            }
+            if (word >> 28) % 8 >= 6 || last {
+                spool.seal().expect("seal");
+                let live = window
+                    .rescore(&spool.segments(), &registry)
+                    .expect("incremental rescore");
+                let image = spool.sealed_image().expect("image");
+                let full = rescore_window(&image, None, &cfg, &Registry::off())
+                    .expect("full rescore");
+                prop_assert_eq!(&live, &full);
+                prop_assert_eq!(
+                    render_scored(&live.blocklist, "unclean-ingest"),
+                    render_scored(&full.blocklist, "unclean-ingest")
+                );
+                prop_assert_eq!(
+                    registry.counter_value("archive.flows"),
+                    spool.checkpoint().sealed_flows
+                );
+            }
+        }
+    }
 }
