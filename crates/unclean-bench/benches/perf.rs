@@ -313,10 +313,13 @@ fn bench_rescore_layers(c: &mut Criterion) {
         .max_by_key(|&(i, _)| archive.segments()[i].flows)
         .expect("the spool holds a segment");
     g.throughput(Throughput::Elements(archive.segments()[i].flows));
+    let mut buf = Vec::new();
     g.bench_function("segment_for_each_flow", |b| {
         b.iter(|| {
             let mut packets = 0u64;
-            let mut cursor = archive.cursor(i, entry).expect("CRC verifies");
+            let mut cursor = archive
+                .segment_cursor(i, entry, &mut buf)
+                .expect("CRC verifies");
             cursor
                 .for_each_flow(|f| packets += u64::from(f.packets))
                 .expect("the segment decodes");

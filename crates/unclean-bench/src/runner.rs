@@ -520,15 +520,15 @@ pub struct FlowAudit {
 /// instead of leaving flow-layer degradation silent. All counts are also
 /// recorded onto `registry`.
 ///
-/// The spool uses the v2 indexed segment format and replays it through the
-/// indexed zero-copy path (CRC-verified per segment). A one-day audit is a
+/// The spool uses the v2 indexed segment format and replays it with one
+/// strict segment walk (CRC-verified per segment). A one-day audit is a
 /// single segment, and the v2 cursor books the same gap/loss accounting as
 /// the v1 reader, so the manifest telemetry values are unchanged from the
 /// v1-based audit.
 pub fn flow_audit(scenario: &Scenario, registry: &Registry) -> Result<FlowAudit, RunError> {
-    use crossbeam::executor::Executor;
     use unclean_flowgen::{
         FlowGenerator, FlowStore, GeneratorConfig, IndexedArchive, IndexedArchiveWriter,
+        SegmentSource,
     };
     let spool_err = |e: &dyn std::fmt::Display| RunError::Io {
         path: "<archive spool>".into(),
@@ -560,15 +560,17 @@ pub fn flow_audit(scenario: &Scenario, registry: &Registry) -> Result<FlowAudit,
     }
     let (bytes, _) = writer.finish().map_err(|e| spool_err(&e))?;
     let archive = IndexedArchive::open(&bytes).map_err(|e| spool_err(&e))?;
-    let replay = archive
-        .replay_with(&Executor::new(1), None, false, |_, cursor| {
-            cursor.for_each_flow(|_| {})?;
-            Ok(())
-        })
+    let walk = archive
+        .walk(
+            &archive.index().select(None),
+            false,
+            &mut Vec::new(),
+            |_, cursor| cursor.for_each_flow(|_| {}),
+        )
         .map_err(|e| spool_err(&e))?;
-    replay.telemetry.record(registry);
+    walk.telemetry.record(registry);
     let audit = FlowAudit {
-        archive: replay.telemetry,
+        archive: walk.telemetry,
         stored: store.flows().len() as u64,
         dropped: store.dropped(),
     };

@@ -17,19 +17,19 @@ use unclean_stats::SeedTree;
 /// lines — or, for a v2 archive, damaged segments — and reports them
 /// instead of aborting.
 pub fn inspect(path: &Path, mode: ParseMode, verbose: bool) -> Result<String, String> {
-    use std::io::{Read as _, Seek as _};
+    use std::io::Read as _;
     use unclean_flowgen::indexed::{looks_like_v1, V1_SNIFF_LEN};
-    use unclean_flowgen::{IndexedError, SegmentReader};
-    let mut file =
+    use unclean_flowgen::{IndexedError, WalSegments};
+    let file =
         std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    match SegmentReader::open(&mut file) {
-        Ok(reader) => return inspect_archive_v2(path, reader, mode, verbose),
+    match WalSegments::open(path) {
+        Ok(segments) => return inspect_archive_v2(path, &segments, mode, verbose),
         Err(IndexedError::NotIndexed) => {}
         Err(e) => return Err(format!("{}: {e}", path.display())),
     }
     let mut head = Vec::new();
-    file.rewind()
-        .and_then(|()| file.take(V1_SNIFF_LEN as u64).read_to_end(&mut head))
+    file.take(V1_SNIFF_LEN as u64)
+        .read_to_end(&mut head)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if looks_like_v1(&head) {
         return Err(format!(
@@ -40,21 +40,38 @@ pub fn inspect(path: &Path, mode: ParseMode, verbose: bool) -> Result<String, St
     inspect_report(path, mode)
 }
 
-/// Streaming per-day summary of a v2 indexed archive: one bounded buffer,
-/// one row per segment. `--lenient` quarantines damaged segments (up to
-/// the `--max-bad` budget) and keeps going.
-fn inspect_archive_v2<R: std::io::Read + std::io::Seek>(
+/// Per-day summary of a v2 indexed archive file: one lenient segment walk
+/// through one buffer, one row per segment. A damaged segment fails a
+/// strict inspection; `--lenient` reports it instead, up to the
+/// `--max-bad` budget.
+fn inspect_archive_v2(
     path: &Path,
-    mut reader: unclean_flowgen::SegmentReader<R>,
+    segments: &unclean_flowgen::WalSegments,
     mode: ParseMode,
     verbose: bool,
 ) -> Result<String, String> {
-    use unclean_flowgen::ArchiveTelemetry;
-    let index = reader.index().clone();
-    let budget = match mode {
-        ParseMode::Strict => None,
-        ParseMode::Lenient { max_bad } => Some(max_bad),
-    };
+    use unclean_flowgen::SegmentSource;
+    let index = segments.index();
+    let mut rows = vec![None; index.segments.len()];
+    let walk = segments
+        .walk(&index.select(None), true, &mut Vec::new(), |i, cursor| {
+            cursor.for_each_flow(|_| {})?;
+            rows[i] = Some(cursor.telemetry());
+            Ok(())
+        })
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    match (mode, walk.quarantined.first()) {
+        (ParseMode::Strict, Some(q)) => {
+            return Err(format!("segment {} ({}): {}", q.segment, q.day, q.detail));
+        }
+        (ParseMode::Lenient { max_bad }, _) if walk.quarantined.len() > max_bad => {
+            return Err(format!(
+                "{} damaged segment(s) exceeds --max-bad {max_bad}",
+                walk.quarantined.len()
+            ));
+        }
+        _ => {}
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -68,79 +85,47 @@ fn inspect_archive_v2<R: std::io::Read + std::io::Seek>(
         "{:>12}  {:>10}  {:>10}  {:>12}  {:>6}  {:>10}",
         "day", "flows", "datagrams", "bytes", "gaps", "lost"
     );
-    let mut totals = ArchiveTelemetry::default();
-    let mut quarantined: Vec<(usize, String)> = Vec::new();
     // Per-day decode-buffer high-water mark: the largest segment the
     // reusable segment buffer must hold to replay that day. Days are
     // decoded one segment at a time, so this — not the day's total
     // bytes — is the replay memory a day costs.
     let mut day_peak: std::collections::BTreeMap<i32, u64> = std::collections::BTreeMap::new();
-    for (i, entry) in index.select(None) {
-        let info = &index.segments[i];
+    for (info, row) in index.segments.iter().zip(&rows) {
         let peak = day_peak.entry(info.day.0).or_insert(0);
         *peak = (*peak).max(info.len);
-        let walked = reader
-            .load_segment(i, entry)
-            .and_then(|mut cursor| {
-                cursor.for_each_flow(|_| {})?;
-                Ok(cursor.telemetry())
-            })
-            .map_err(|e| e.to_string());
-        match walked {
-            Ok(t) => {
-                totals.accumulate(&t);
-                let _ = writeln!(
-                    out,
-                    "{:>12}  {:>10}  {:>10}  {:>12}  {:>6}  {:>10}",
-                    info.day.to_string(),
-                    t.flows,
-                    t.datagrams,
-                    info.len,
-                    t.sequence_gaps,
-                    t.lost_flows
-                );
-            }
-            Err(detail) => {
-                if budget.is_none() {
-                    return Err(format!("segment {i} ({}): {detail}", info.day));
-                }
-                quarantined.push((i, detail));
-                if quarantined.len() > budget.unwrap_or(0) {
-                    return Err(format!(
-                        "{} damaged segment(s) exceeds --max-bad {}",
-                        quarantined.len(),
-                        budget.unwrap_or(0)
-                    ));
-                }
-                let _ = writeln!(
-                    out,
-                    "{:>12}  {:>10}  {:>10}  {:>12}  {:>6}  {:>10}",
-                    info.day.to_string(),
-                    "-",
-                    "-",
-                    info.len,
-                    "-",
-                    "-"
-                );
-            }
-        }
+        // A quarantined segment's counts are unknown.
+        let [flows, datagrams, gaps, lost] = match row {
+            Some(t) => [t.flows, t.datagrams, t.sequence_gaps, t.lost_flows].map(|n| n.to_string()),
+            None => ["-"; 4].map(String::from),
+        };
+        let _ = writeln!(
+            out,
+            "{:>12}  {:>10}  {:>10}  {:>12}  {:>6}  {:>10}",
+            info.day.to_string(),
+            flows,
+            datagrams,
+            info.len,
+            gaps,
+            lost
+        );
     }
+    let totals = walk.telemetry;
     let _ = writeln!(
         out,
         "total: {} flows, {} datagrams, {} gap(s), {} lost, {} reordered",
         totals.flows, totals.datagrams, totals.sequence_gaps, totals.lost_flows, totals.reordered
     );
-    if !quarantined.is_empty() {
-        let _ = writeln!(out, "quarantined {} segment(s):", quarantined.len());
-        for (i, detail) in &quarantined {
-            let _ = writeln!(out, "  segment {i}: {detail}");
+    if !walk.quarantined.is_empty() {
+        let _ = writeln!(out, "quarantined {} segment(s):", walk.quarantined.len());
+        for q in &walk.quarantined {
+            let _ = writeln!(out, "  segment {}: {}", q.segment, q.detail);
         }
     }
     if verbose {
         let _ = writeln!(
             out,
             "peak segment buffer: {} bytes (largest indexed segment: {} bytes)",
-            reader.peak_buffer_bytes(),
+            walk.peak_buffer_bytes,
             index.max_segment_len()
         );
         let _ = writeln!(out, "per-day peak decode buffer:");
@@ -669,29 +654,26 @@ pub fn metrics(path: &Path, assert_zero: &[String]) -> Result<String, String> {
 /// sends `POST /quit`.
 ///
 /// Blocks for the daemon's whole lifetime; the listening address is
-/// printed to stdout immediately so scripts can scrape it, and the
-/// returned string is the post-shutdown summary.
+/// printed to stdout immediately so scripts can scrape it (a daemon whose
+/// stdout has no reader serves all the same), and the returned string is
+/// the post-shutdown summary.
 pub fn serve(config: unclean_serve::ServeConfig) -> Result<String, String> {
-    use std::io::Write as _;
     use unclean_serve::Server;
     use unclean_telemetry::Registry;
 
     let registry = Registry::full();
     let (blocklist, forecast) = (config.source.clone(), config.forecast.clone());
     let server = Server::start(config, registry.clone()).map_err(|e| e.to_string())?;
-    println!(
-        "unclean-serve listening on http://{} (blocklist: {}{}, generation 1)",
+    let _ = crate::io::print(&format!(
+        "unclean-serve listening on http://{} (blocklist: {}{}, generation 1)\n\
+         endpoints: /lookup?ip=A.B.C.D /batch /forecast?net=A.B.0.0/16 /healthz \
+         /snapshot /metrics /metrics/history /trace /reload /quit\n",
         server.local_addr(),
         blocklist.display(),
         forecast
             .map(|f| format!(", forecast: {}", f.display()))
             .unwrap_or_default()
-    );
-    println!(
-        "endpoints: /lookup?ip=A.B.C.D /batch /forecast?net=A.B.0.0/16 /healthz \
-         /snapshot /metrics /metrics/history /trace /reload /quit"
-    );
-    let _ = std::io::stdout().flush();
+    ));
     server.wait();
     Ok(format!(
         "shut down cleanly: {} requests ({} blocked, {} clean answers), {} reload(s)\n",

@@ -33,7 +33,7 @@
 //! can assert the collector's `ingested + shed + lost + duplicates` books
 //! every flow it sent.
 
-use crossbeam::executor::Executor;
+use crate::io::print;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::UdpSocket;
@@ -47,8 +47,8 @@ use unclean_detect::{LiveScanConfig, LiveWindow};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
     encode_datagram, ArchiveTelemetry, BatchStatus, FaultConfig, Flow, IndexedArchive,
-    RingTelemetry, ShedPolicy, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool, V5_HEADER_LEN,
-    V5_MAX_RECORDS, V5_RECORD_LEN,
+    RingTelemetry, SegmentSource, ShedPolicy, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool,
+    V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
 };
 use unclean_netmodel::randutil::{decides, index_hash};
 use unclean_serve::http::Request;
@@ -429,14 +429,13 @@ pub fn ingest(opts: &IngestOpts) -> Result<String, String> {
     let control = Server::run(Control::new(registry.clone()), core, registry.clone())
         .map_err(|e| format!("cannot bind control {}: {e}", opts.control))?;
     let shared = control.daemon();
-    println!(
-        "unclean-ingest control on http://{} (spool: {}, blocklist out: {})",
+    let _ = print(&format!(
+        "unclean-ingest control on http://{} (spool: {}, blocklist out: {})\n\
+         endpoints: /healthz /metrics /metrics/history /trace /checkpoint /quit\n",
         control.local_addr(),
         opts.spool_dir.display(),
         opts.out.display()
-    );
-    println!("endpoints: /healthz /metrics /metrics/history /trace /checkpoint /quit");
-    let _ = std::io::stdout().flush();
+    ));
 
     let started = Instant::now();
     let deadline = opts.deadline_secs.map(Duration::from_secs);
@@ -519,8 +518,10 @@ fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<Stri
         ..UdpSourceConfig::default()
     })
     .map_err(|e| format!("udp bind {}: {e}", opts.bind))?;
-    println!("unclean-ingest listening on udp://{}", source.local_addr());
-    let _ = std::io::stdout().flush();
+    let _ = print(&format!(
+        "unclean-ingest listening on udp://{}\n",
+        source.local_addr()
+    ));
 
     std::fs::create_dir_all(&opts.spool_dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.spool_dir.display()))?;
@@ -546,8 +547,8 @@ fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<Stri
             .registry
             .counter("ingest.torn_tail_bytes")
             .add(report.torn_tail_bytes);
-        println!(
-            "recovered spool: {} sealed segment(s), {} flow(s), resuming at seq {}{}",
+        let _ = print(&format!(
+            "recovered spool: {} sealed segment(s), {} flow(s), resuming at seq {}{}\n",
             report.sealed_segments,
             report.sealed_flows,
             report.resumed_end_seq,
@@ -556,8 +557,7 @@ fn run_attempt(opts: &IngestOpts, shared: &Control, attempt: u32) -> Result<Stri
             } else {
                 String::new()
             }
-        );
-        let _ = std::io::stdout().flush();
+        ));
     }
     if attempt <= opts.fail_attempts {
         return Err(format!(
@@ -763,23 +763,27 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
         Some(path) => {
             let bytes =
                 std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let replay = IndexedArchive::open(&bytes)
+            let (mut flows, mut segment) = (Vec::new(), Vec::new());
+            let walk = IndexedArchive::open(&bytes)
                 .and_then(|archive| {
-                    archive.replay_with(&Executor::new(1), None, true, |_, cursor| {
-                        let mut flows = Vec::new();
-                        cursor.for_each_flow(|f| flows.push(*f))?;
-                        Ok(flows)
+                    let selected = archive.index().select(None);
+                    archive.walk(&selected, true, &mut Vec::new(), |_, cursor| {
+                        // A segment's flows land once all of them decode.
+                        segment.clear();
+                        cursor.for_each_flow(|f| segment.push(*f))?;
+                        flows.extend_from_slice(&segment);
+                        Ok(())
                     })
                 })
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            if !replay.quarantined.is_empty() {
+            if !walk.quarantined.is_empty() {
                 let _ = writeln!(
                     quarantined,
                     "quarantined {} damaged segment(s) of {}, not replayed:",
-                    replay.quarantined.len(),
+                    walk.quarantined.len(),
                     path.display()
                 );
-                for q in &replay.quarantined {
+                for q in &walk.quarantined {
                     let _ = writeln!(
                         quarantined,
                         "  segment {} ({}): {}",
@@ -787,12 +791,7 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
                     );
                 }
             }
-            replay
-                .outputs
-                .into_iter()
-                .filter_map(|o| o.output)
-                .flatten()
-                .collect()
+            flows
         }
         None => synth_flows(opts.synth),
     };

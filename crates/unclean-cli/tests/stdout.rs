@@ -1,6 +1,8 @@
 //! The built `unclean` binary against a stdout whose reader has gone.
 
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// `unclean … | head` once `head` has exited: the binary stops writing
 /// and exits 0, with no panic and no backtrace.
@@ -27,5 +29,173 @@ fn a_closed_stdout_ends_the_output_with_exit_zero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A free loopback TCP port, picked before the daemon binds it.
+fn free_port() -> u16 {
+    std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port()
+}
+
+/// One HTTP/1.0 request to `127.0.0.1:port`: the status and the body, or
+/// `None` when nothing answered.
+fn request(port: u16, method: &str, path: &str) -> Option<(u16, String)> {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+    stream
+        .write_all(format!("{method} {path} HTTP/1.0\r\nContent-Length: 0\r\n\r\n").as_bytes())
+        .ok()?;
+    let mut text = String::new();
+    stream.read_to_string(&mut text).ok()?;
+    let status = text.split(' ').nth(1)?.parse().ok()?;
+    let body = text.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    Some((status, body.to_string()))
+}
+
+/// A daemon started from the built binary with its stdout on a pipe
+/// whose reader is gone; killed on drop, so a failed assertion leaves no
+/// process behind.
+struct Daemon {
+    child: Child,
+    stderr: PathBuf,
+}
+
+impl Daemon {
+    fn start(dir: &Path, args: &[&str]) -> Daemon {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let stderr = dir.join("stderr.log");
+        let child = Command::new(env!("CARGO_BIN_EXE_unclean"))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(writer)
+            .stderr(std::fs::File::create(&stderr).expect("stderr log"))
+            .spawn()
+            .expect("start unclean");
+        Daemon { child, stderr }
+    }
+
+    fn stderr(&self) -> String {
+        std::fs::read_to_string(&self.stderr).unwrap_or_default()
+    }
+
+    /// Poll `/healthz` until it answers `ok`, failing if the daemon exits
+    /// first or stays silent for 30 s.
+    fn wait_healthy(&mut self, port: u16) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll daemon") {
+                panic!(
+                    "daemon exited ({status}) before /healthz answered:\n{}",
+                    self.stderr()
+                );
+            }
+            if let Some((200, body)) = request(port, "GET", "/healthz") {
+                if body.starts_with("ok") {
+                    return;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no /healthz answer within 30 s:\n{}",
+                self.stderr()
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    /// `POST /quit`, then wait up to 30 s for the daemon to exit 0.
+    fn quit(&mut self, port: u16) {
+        assert!(request(port, "POST", "/quit").is_some(), "/quit unanswered");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll daemon") {
+                assert_eq!(status.code(), Some(0), "{}", self.stderr());
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "daemon still running 30 s after /quit:\n{}",
+                self.stderr()
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("unclean-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    dir
+}
+
+/// `unclean serve … | true`: the banner finds no reader, and the daemon
+/// serves anyway, then quits with exit 0.
+#[test]
+fn serve_outlives_a_closed_stdout() {
+    let dir = scratch_dir("serve-stdout");
+    let blocklist = dir.join("bl.txt");
+    std::fs::write(&blocklist, "203.0.113.0/24 # score=1.0\n").expect("write blocklist");
+    let port = free_port();
+    let addr = format!("127.0.0.1:{port}");
+    let mut daemon = Daemon::start(
+        &dir,
+        &[
+            "serve",
+            "--blocklist",
+            blocklist.to_str().expect("utf-8"),
+            "--addr",
+            &addr,
+        ],
+    );
+    daemon.wait_healthy(port);
+    daemon.quit(port);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `unclean ingest … | true`: neither the control banner nor an
+/// attempt's banner takes the daemon down or restarts an attempt, and it
+/// drains and exits 0 on `/quit`.
+#[test]
+fn ingest_outlives_a_closed_stdout() {
+    let dir = scratch_dir("ingest-stdout");
+    let spool = dir.join("spool");
+    let out = spool.join("bl.txt");
+    let port = free_port();
+    let control = format!("127.0.0.1:{port}");
+    let mut daemon = Daemon::start(
+        &dir,
+        &[
+            "ingest",
+            "--spool",
+            spool.to_str().expect("utf-8"),
+            "--out",
+            out.to_str().expect("utf-8"),
+            "--bind",
+            "127.0.0.1:0",
+            "--control",
+            &control,
+        ],
+    );
+    daemon.wait_healthy(port);
+    let (_, metrics) = request(port, "GET", "/metrics").expect("/metrics answers");
+    let restarts = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("unclean_ingest_ingest_restarts "))
+        .unwrap_or("0");
+    assert_eq!(restarts, "0", "{}", daemon.stderr());
+    daemon.quit(port);
     let _ = std::fs::remove_dir_all(&dir);
 }

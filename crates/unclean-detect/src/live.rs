@@ -111,23 +111,6 @@ impl DayShard for RescoreShard {
     }
 }
 
-/// Replay `run`'s segments of `source` into `detectors`, reading each
-/// through `buf` and summing its accounting into `telemetry`.
-fn replay(
-    source: &impl SegmentSource,
-    run: &Selection,
-    detectors: &mut DetectorPair,
-    telemetry: &mut ArchiveTelemetry,
-    buf: &mut Vec<u8>,
-) -> Result<(), IndexedError> {
-    for &(i, entry) in run {
-        let mut cursor = source.segment_cursor(i, entry, buf)?;
-        cursor.for_each_flow(|f| detectors.observe(f))?;
-        telemetry.accumulate(&cursor.telemetry());
-    }
-    Ok(())
-}
-
 /// A live window's detector state, kept across rescores so each one
 /// replays only what was sealed since the last (see the module docs).
 pub struct LiveWindow {
@@ -238,7 +221,8 @@ impl LiveWindow {
     /// Replay `selected` on top of the window's state: a first run on the
     /// open day continues its window state; any later run starts a fresh
     /// one, the whole-day runs before the last through the day sweep.
-    /// Returns the number of day runs fed and their replay accounting.
+    /// Each run is one strict walk. Returns the number of day runs fed
+    /// and their replay accounting.
     fn feed(
         &mut self,
         source: &impl SegmentSource,
@@ -253,13 +237,10 @@ impl LiveWindow {
         let mut rest = runs.as_slice();
         if let Some((first, later)) = rest.split_first() {
             if Some(day(first)) == self.open_day {
-                replay(
-                    source,
-                    first,
-                    &mut self.detectors,
-                    &mut telemetry,
-                    &mut self.buf,
-                )?;
+                let walk = source.walk(first, false, &mut self.buf, |_, cursor| {
+                    cursor.for_each_flow(|f| self.detectors.observe(f))
+                })?;
+                telemetry.accumulate(&walk.telemetry);
                 rest = later;
             }
         }
@@ -277,13 +258,11 @@ impl LiveWindow {
                     closed,
                     new_shard,
                     |run, shard| {
-                        replay(
-                            source,
-                            run,
-                            &mut shard.detectors,
-                            &mut shard.telemetry,
-                            &mut shard.buf,
-                        )
+                        source
+                            .walk(run, false, &mut shard.buf, |_, cursor| {
+                                cursor.for_each_flow(|f| shard.detectors.observe(f))
+                            })
+                            .map(|walk| shard.telemetry.accumulate(&walk.telemetry))
                     },
                 )?;
                 for shard in shards {
@@ -291,13 +270,10 @@ impl LiveWindow {
                     telemetry.accumulate(&shard.telemetry);
                 }
             }
-            replay(
-                source,
-                last,
-                &mut self.detectors,
-                &mut telemetry,
-                &mut self.buf,
-            )?;
+            let walk = source.walk(last, false, &mut self.buf, |_, cursor| {
+                cursor.for_each_flow(|f| self.detectors.observe(f))
+            })?;
+            telemetry.accumulate(&walk.telemetry);
             self.open_day = Some(day(last));
         }
         for run in &runs {

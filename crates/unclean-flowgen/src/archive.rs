@@ -47,8 +47,8 @@ pub struct ArchiveTelemetry {
 }
 
 impl ArchiveTelemetry {
-    /// Fold another reader's accounting into this one — how per-segment
-    /// parallel replays sum to the sequential totals.
+    /// Fold another reader's accounting into this one — how a walk's
+    /// per-segment cursors sum to one sequential pass's totals.
     pub fn accumulate(&mut self, other: &ArchiveTelemetry) {
         self.datagrams += other.datagrams;
         self.flows += other.flows;

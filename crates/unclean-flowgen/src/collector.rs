@@ -139,7 +139,7 @@ impl CandidateCollector {
     }
 
     /// Fold a shard's collection into this one. Evidence merging is
-    /// order-insensitive, so parallel per-segment collectors folded in
+    /// order-insensitive, so parallel per-day collectors folded in
     /// any order equal one sequential pass; ingest counts (and any
     /// attached registry counters) sum as well.
     pub fn merge(&mut self, other: &CandidateCollector) {

@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn archive_fault_helpers_damage_exactly_one_segment() {
-        use crate::indexed::{IndexedArchive, IndexedArchiveWriter};
+        use crate::indexed::{IndexedArchive, IndexedArchiveWriter, SegmentSource};
         use unclean_core::snap::crc32;
         let mut w = IndexedArchiveWriter::new(Vec::new(), EPOCH_UNIX_SECS);
         for day in 0..3 {
@@ -562,9 +562,10 @@ mod tests {
         let mut truncated = bytes.clone();
         truncate_segment_tail(&mut truncated, &index.segments[2], 16);
         let archive = IndexedArchive::open(&truncated).expect("trailer intact");
-        assert!(archive.cursor(0, None).is_ok());
-        assert!(archive.cursor(1, None).is_ok());
-        assert!(archive.cursor(2, None).is_err());
+        let mut buf = Vec::new();
+        assert!(archive.segment_cursor(0, None, &mut buf).is_ok());
+        assert!(archive.segment_cursor(1, None, &mut buf).is_ok());
+        assert!(archive.segment_cursor(2, None, &mut buf).is_err());
         // Corruption helper: deterministic, and only the target segment.
         let mut bitrot = bytes.clone();
         corrupt_segment_byte(&mut bitrot, &index.segments[1], &SeedTree::new(9), 1);

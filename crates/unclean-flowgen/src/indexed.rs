@@ -4,7 +4,8 @@
 //! only way to answer "what happened on day 17" is to decode everything
 //! before it, one `Vec<V5Record>` per datagram. The §6 replay — two weeks
 //! of border flow at >20M-address scale — is the largest serial cost left
-//! in the pipeline, so v2 restructures the spool for parallel scans:
+//! in the pipeline, so v2 restructures the spool into independently
+//! checked, seekable day segments:
 //!
 //! ```text
 //! v1:  [u16 len][V5 datagram] [u16 len][V5 datagram] ...                 EOF
@@ -23,20 +24,27 @@
 //!   record per sealed segment. Both containers carry the same
 //!   [`SegmentInfo`] encoding (a WAL record adds a length and a CRC).
 //! * **Segments** break on day boundaries, so a consumer seeks straight to
-//!   the days it needs and an executor replays one worker per segment.
+//!   the days it needs, and the live rescore's day sweep hands whole-day
+//!   runs of segments to its workers.
 //! * **v2 datagrams** are varint delta-encoded ([`encode_datagram_v2`]):
 //!   IPs and timestamps of consecutive records compress to their deltas,
 //!   and the varint frame removes the v1 u16 ceiling.
 //! * **One segment walk.** [`ArchiveIndex::select`] yields the
-//!   `(segment, entry_sequence)` pairs of a scan and
-//!   [`ArchiveIndex::cursor`] opens a CRC-checked [`SegmentCursor`] for
-//!   each; sequential reads, parallel replay, the live rescore and
-//!   `unclean inspect` all walk segments this way.
+//!   `(segment, entry_sequence)` pairs of a scan, and
+//!   [`SegmentSource::walk`] reads each one through one reused buffer,
+//!   opens a CRC-checked [`SegmentCursor`] over it
+//!   ([`SegmentSource::segment_cursor`]), hands the cursor to the caller
+//!   and sums the telemetry of every good segment. There are two sources:
+//!   [`IndexedArchive`] lends the segments of an image in place, and
+//!   [`crate::WalSegments`] reads them from a file — a WAL spool's
+//!   `segments.dat`, or an archive file opened by path. The live rescore,
+//!   `run_all`'s flow audit, `unclean replay --archive`, `unclean
+//!   forecast` and `unclean inspect` all read segments this way.
 //! * **Decoding is zero-copy**: [`SegmentCursor`] walks a borrowed
 //!   segment buffer and [`FlowView`] yields `Flow`s straight off the
 //!   wire — no `Vec<V5Record>` per datagram, no per-flow allocation.
-//! * **Per-segment CRCs** make corruption local: with lenient replay a
-//!   bad segment is quarantined and every other segment still lands,
+//! * **Per-segment CRCs** make corruption local: a lenient walk
+//!   quarantines a bad segment and every other segment still lands,
 //!   where a corrupt v1 frame poisons the rest of the spool.
 //! * v1 is read only by [`upgrade_v1`] (`unclean archive index`); every
 //!   v2 reader refuses a file without the trailer with
@@ -49,7 +57,6 @@ use crate::record::{
 };
 use crate::seq::{Admit, SequenceTracker};
 use crate::session::Flow;
-use crossbeam::executor::Executor;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use unclean_core::snap::{crc32, Crc32};
@@ -250,33 +257,6 @@ impl ArchiveIndex {
         selected
     }
 
-    /// Open a [`SegmentCursor`] over segment `i`'s `bytes` entering at
-    /// `entry_sequence` (a pair from [`ArchiveIndex::select`]), after
-    /// checking them against the entry's CRC.
-    pub fn cursor<'a>(
-        &self,
-        i: usize,
-        bytes: &'a [u8],
-        entry_sequence: Option<u32>,
-    ) -> Result<SegmentCursor<'a>, IndexedError> {
-        let expected = self.segments[i].crc;
-        let actual = crc32(bytes);
-        if actual != expected {
-            return Err(IndexedError::CrcMismatch {
-                segment: i,
-                expected,
-                actual,
-            });
-        }
-        Ok(SegmentCursor {
-            data: bytes,
-            pos: 0,
-            boot_unix_secs: self.boot_unix_secs,
-            tracker: SequenceTracker::new(entry_sequence),
-            telemetry: ArchiveTelemetry::default(),
-        })
-    }
-
     /// Append this index's footer and trailer: behind a segment data
     /// region that the entries tile exactly from 0, the result is a
     /// complete v2 archive.
@@ -296,7 +276,7 @@ impl ArchiveIndex {
 
 /// Read the index of a seekable v2 archive: check the trailer's magic and
 /// version, then parse the footer it points at.
-fn read_index<R: Read + Seek>(inner: &mut R) -> Result<ArchiveIndex, IndexedError> {
+pub(crate) fn read_index<R: Read + Seek>(inner: &mut R) -> Result<ArchiveIndex, IndexedError> {
     let len = inner.seek(SeekFrom::End(0))?;
     let trailer_at = len
         .checked_sub(TRAILER_LEN as u64)
@@ -611,9 +591,8 @@ impl Iterator for FlowView<'_> {
 
 /// Streaming decoder over one segment's bytes, with the same
 /// sequence-gap/reorder accounting as the v1 [`ArchiveReader`] — kept in
-/// a plain [`ArchiveTelemetry`] so parallel per-segment cursors sum
-/// without shared counters. Opened, CRC-checked, by
-/// [`ArchiveIndex::cursor`].
+/// a plain [`ArchiveTelemetry`] so per-segment cursors sum without shared
+/// counters. Opened, CRC-checked, by [`SegmentSource::segment_cursor`].
 #[derive(Debug)]
 pub struct SegmentCursor<'a> {
     data: &'a [u8],
@@ -677,8 +656,9 @@ impl<'a> SegmentCursor<'a> {
 }
 
 /// Where a segment walk finds its bytes: an archive image lends each
-/// segment in place; the WAL spool reads one into the caller's buffer.
-/// `Sync`, so parallel walkers can share one source, each with its own
+/// segment in place ([`IndexedArchive`]); a file reads one into the
+/// caller's buffer ([`crate::WalSegments`]). `Sync`, so the day sweep's
+/// workers share one source, each walking its runs through its own
 /// buffer.
 pub trait SegmentSource: Sync {
     /// The index of the segments this source holds.
@@ -687,16 +667,77 @@ pub trait SegmentSource: Sync {
     /// Segment `i`'s bytes: borrowed in place, or read into `buf`.
     fn segment<'a>(&'a self, i: usize, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]>;
 
-    /// A CRC-checked cursor over segment `i` entering at
-    /// `entry_sequence` (see [`ArchiveIndex::cursor`]).
+    /// A cursor over segment `i` entering at `entry_sequence` (a pair
+    /// from [`ArchiveIndex::select`]), after checking the segment's bytes
+    /// against its entry's CRC.
     fn segment_cursor<'a>(
         &'a self,
         i: usize,
         entry_sequence: Option<u32>,
         buf: &'a mut Vec<u8>,
     ) -> Result<SegmentCursor<'a>, IndexedError> {
-        let bytes = self.segment(i, buf)?;
-        self.index().cursor(i, bytes, entry_sequence)
+        let index = self.index();
+        let data = self.segment(i, buf)?;
+        let expected = index.segments[i].crc;
+        let actual = crc32(data);
+        if actual != expected {
+            return Err(IndexedError::CrcMismatch {
+                segment: i,
+                expected,
+                actual,
+            });
+        }
+        Ok(SegmentCursor {
+            data,
+            pos: 0,
+            boot_unix_secs: index.boot_unix_secs,
+            tracker: SequenceTracker::new(entry_sequence),
+            telemetry: ArchiveTelemetry::default(),
+        })
+    }
+
+    /// The one segment walk: open a cursor over each `selected` segment
+    /// in turn, reading through `buf`, and hand it to `visit` with the
+    /// segment's index; `visit` drains it. Sums the telemetry of every
+    /// segment that walks cleanly. A segment that fails its read, its CRC
+    /// or `visit` is the walk's error, or with `lenient` is quarantined
+    /// while the walk goes on.
+    fn walk(
+        &self,
+        selected: &[(usize, Option<u32>)],
+        lenient: bool,
+        buf: &mut Vec<u8>,
+        mut visit: impl FnMut(usize, &mut SegmentCursor<'_>) -> Result<(), IndexedError>,
+    ) -> Result<Walk, IndexedError> {
+        let mut walk = Walk::default();
+        for &(i, entry) in selected {
+            let walked = self.segment_cursor(i, entry, buf).and_then(|mut cursor| {
+                visit(i, &mut cursor)?;
+                Ok(cursor.telemetry())
+            });
+            walk.peak_buffer_bytes = walk.peak_buffer_bytes.max(buf.len());
+            match walked {
+                Ok(telemetry) => walk.telemetry.accumulate(&telemetry),
+                Err(e) if lenient => walk.quarantined.push(QuarantinedSegment {
+                    segment: i,
+                    day: self.index().segments[i].day,
+                    detail: e.to_string(),
+                }),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(walk)
+    }
+}
+
+/// A borrowed source walks as its referent does.
+impl<S: SegmentSource> SegmentSource for &S {
+    fn index(&self) -> &ArchiveIndex {
+        (**self).index()
+    }
+
+    fn segment<'a>(&'a self, i: usize, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
+        (**self).segment(i, buf)
     }
 }
 
@@ -710,7 +751,20 @@ impl SegmentSource for IndexedArchive<'_> {
     }
 }
 
-/// A segment the lenient replay skipped instead of failing.
+/// What a [`SegmentSource::walk`] delivered.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Walk {
+    /// Loss and delivery accounting summed over the segments that walked
+    /// cleanly — what one sequential pass over them records.
+    pub telemetry: ArchiveTelemetry,
+    /// Segments a lenient walk skipped, in walk order.
+    pub quarantined: Vec<QuarantinedSegment>,
+    /// The walk buffer's high-water mark: the longest segment read into
+    /// it (a source that lends its segments in place reads none).
+    pub peak_buffer_bytes: usize,
+}
+
+/// A segment a lenient walk skipped instead of failing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantinedSegment {
     /// Segment index in the footer.
@@ -719,31 +773,6 @@ pub struct QuarantinedSegment {
     pub day: Day,
     /// Why it was skipped.
     pub detail: String,
-}
-
-/// Outcome of replaying one segment: `output` is `None` when the segment
-/// was quarantined.
-#[derive(Debug, Clone)]
-pub struct SegmentOutput<T> {
-    /// Segment index in the footer.
-    pub segment: usize,
-    /// The footer entry.
-    pub info: SegmentInfo,
-    /// The per-segment worker's result.
-    pub output: Option<T>,
-}
-
-/// Result of a (possibly parallel) replay: per-segment outputs in file
-/// (= day) order, summed telemetry, and any quarantined segments.
-#[derive(Debug, Clone)]
-pub struct Replay<T> {
-    /// Per-segment results in day order.
-    pub outputs: Vec<SegmentOutput<T>>,
-    /// Loss accounting summed over all replayed segments — equal to what
-    /// one sequential pass would have recorded.
-    pub telemetry: ArchiveTelemetry,
-    /// Segments skipped by lenient replay.
-    pub quarantined: Vec<QuarantinedSegment>,
 }
 
 /// A v2 archive opened over a byte slice: the footer index plus seekable,
@@ -784,92 +813,6 @@ impl<'a> IndexedArchive<'a> {
         let s = &self.index.segments[i];
         &self.data[s.offset as usize..(s.offset + s.len) as usize]
     }
-
-    /// A CRC-checked cursor over segment `i` (see [`ArchiveIndex::cursor`]).
-    pub fn cursor(
-        &self,
-        i: usize,
-        entry_sequence: Option<u32>,
-    ) -> Result<SegmentCursor<'a>, IndexedError> {
-        self.index.cursor(i, self.segment_bytes(i), entry_sequence)
-    }
-
-    /// Sequentially read the flows of the days in `range` (the whole
-    /// archive when `None`), verifying CRCs, with summed telemetry.
-    pub fn read_day_range(
-        &self,
-        range: Option<DateRange>,
-    ) -> Result<(Vec<Flow>, ArchiveTelemetry), IndexedError> {
-        let mut flows = Vec::new();
-        let mut telemetry = ArchiveTelemetry::default();
-        for (i, entry) in self.index.select(range) {
-            let mut cursor = self.cursor(i, entry)?;
-            cursor.for_each_flow(|f| flows.push(*f))?;
-            telemetry.accumulate(&cursor.telemetry());
-        }
-        Ok((flows, telemetry))
-    }
-
-    /// Replay the segments of `range` (all when `None`) in parallel — one
-    /// worker per segment over `pool`, outputs merged in day order, so the
-    /// result is identical at any thread count. Each worker CRC-verifies
-    /// its segment, then runs `f` with a zero-copy [`SegmentCursor`].
-    ///
-    /// With `lenient`, a segment that fails its CRC or decode is
-    /// quarantined (recorded, output `None`) and every other segment
-    /// still lands; otherwise the first failing segment's error (in day
-    /// order) aborts the replay.
-    pub fn replay_with<T, F>(
-        &self,
-        pool: &Executor,
-        range: Option<DateRange>,
-        lenient: bool,
-        f: F,
-    ) -> Result<Replay<T>, IndexedError>
-    where
-        T: Send,
-        F: Fn(&SegmentInfo, &mut SegmentCursor<'a>) -> Result<T, IndexedError> + Sync,
-    {
-        let selected = self.index.select(range);
-        let results = pool.run_indexed(selected.len(), |k| {
-            let (i, entry) = selected[k];
-            let mut cursor = self.cursor(i, entry)?;
-            let output = f(&self.index.segments[i], &mut cursor)?;
-            Ok::<_, IndexedError>((output, cursor.telemetry()))
-        });
-        let mut replay = Replay {
-            outputs: Vec::with_capacity(selected.len()),
-            telemetry: ArchiveTelemetry::default(),
-            quarantined: Vec::new(),
-        };
-        for ((i, _), result) in selected.into_iter().zip(results) {
-            let info = self.index.segments[i];
-            match result {
-                Ok((output, telemetry)) => {
-                    replay.telemetry.accumulate(&telemetry);
-                    replay.outputs.push(SegmentOutput {
-                        segment: i,
-                        info,
-                        output: Some(output),
-                    });
-                }
-                Err(e) if lenient => {
-                    replay.quarantined.push(QuarantinedSegment {
-                        segment: i,
-                        day: info.day,
-                        detail: e.to_string(),
-                    });
-                    replay.outputs.push(SegmentOutput {
-                        segment: i,
-                        info,
-                        output: None,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(replay)
-    }
 }
 
 /// Whether bytes look like a v1 framed archive: a plausible u16 frame
@@ -905,59 +848,8 @@ pub fn upgrade_v1(
     Ok((bytes, index, reader.telemetry()))
 }
 
-/// Streams a v2 archive from a seekable source one segment at a time
-/// through a reusable buffer — constant memory in the archive size, the
-/// high-water mark being the largest single segment.
-#[derive(Debug)]
-pub struct SegmentReader<R> {
-    inner: R,
-    index: ArchiveIndex,
-    buf: Vec<u8>,
-    peak: usize,
-}
-
-impl<R: Read + Seek> SegmentReader<R> {
-    /// Open a seekable v2 archive; [`IndexedError::NotIndexed`] when the
-    /// trailer is absent.
-    pub fn open(mut inner: R) -> Result<SegmentReader<R>, IndexedError> {
-        let index = read_index(&mut inner)?;
-        Ok(SegmentReader {
-            inner,
-            index,
-            buf: Vec::new(),
-            peak: 0,
-        })
-    }
-
-    /// The parsed footer.
-    pub fn index(&self) -> &ArchiveIndex {
-        &self.index
-    }
-
-    /// Load segment `i` into the reusable buffer and open a CRC-checked
-    /// cursor over it, entering at `entry_sequence`.
-    pub fn load_segment(
-        &mut self,
-        i: usize,
-        entry_sequence: Option<u32>,
-    ) -> Result<SegmentCursor<'_>, IndexedError> {
-        let info = self.index.segments[i];
-        self.inner.seek(SeekFrom::Start(info.offset))?;
-        self.buf.resize(info.len as usize, 0);
-        self.inner.read_exact(&mut self.buf)?;
-        self.peak = self.peak.max(self.buf.len());
-        self.index.cursor(i, &self.buf, entry_sequence)
-    }
-
-    /// Largest buffer held so far — the reader's RSS-relevant high-water
-    /// mark.
-    pub fn peak_buffer_bytes(&self) -> usize {
-        self.peak
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::archive::tests::frame_v1;
     use crate::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
@@ -980,6 +872,22 @@ mod tests {
             start_secs: i64::from(day) * 86_400 + i64::from(i % 86_000),
             duration_secs: i % 30,
         }
+    }
+
+    /// Every flow of the segments of `range`, walked strictly, and the
+    /// walk's summary.
+    pub(crate) fn walk_flows(
+        source: &impl SegmentSource,
+        range: Option<DateRange>,
+    ) -> (Vec<Flow>, Walk) {
+        let mut flows = Vec::new();
+        let selected = source.index().select(range);
+        let walk = source
+            .walk(&selected, false, &mut Vec::new(), |_, cursor| {
+                cursor.for_each_flow(|f| flows.push(*f))
+            })
+            .expect("clean");
+        (flows, walk)
     }
 
     /// 3 days × `per_day` flows, days 273..=275.
@@ -1017,38 +925,14 @@ mod tests {
     fn sequential_read_matches_original() {
         let (bytes, _, all) = write_archive(95);
         let archive = IndexedArchive::open(&bytes).expect("v2");
-        let (flows, telemetry) = archive.read_day_range(None).expect("clean");
+        let (flows, walk) = walk_flows(&archive, None);
         assert_eq!(flows, all);
-        assert_eq!(telemetry.flows, all.len() as u64);
-        assert_eq!(telemetry.lost_flows, 0);
-        assert_eq!(telemetry.sequence_gaps, 0);
-        assert_eq!(telemetry.reordered, 0);
-    }
-
-    #[test]
-    fn parallel_replay_equals_sequential_at_any_thread_count() {
-        let (bytes, _, all) = write_archive(200);
-        let archive = IndexedArchive::open(&bytes).expect("v2");
-        let (seq_flows, seq_t) = archive.read_day_range(None).expect("clean");
-        for threads in [1, 2, 7] {
-            let pool = Executor::new(threads);
-            let replay = archive
-                .replay_with(&pool, None, false, |_, cursor| {
-                    let mut flows = Vec::new();
-                    cursor.for_each_flow(|f| flows.push(*f))?;
-                    Ok(flows)
-                })
-                .expect("clean");
-            let merged: Vec<Flow> = replay
-                .outputs
-                .iter()
-                .flat_map(|o| o.output.clone().expect("no quarantine"))
-                .collect();
-            assert_eq!(merged, seq_flows, "threads={threads}");
-            assert_eq!(merged, all);
-            assert_eq!(replay.telemetry, seq_t, "threads={threads}");
-            assert!(replay.quarantined.is_empty());
-        }
+        assert_eq!(walk.telemetry.flows, all.len() as u64);
+        assert_eq!(walk.telemetry.lost_flows, 0);
+        assert_eq!(walk.telemetry.sequence_gaps, 0);
+        assert_eq!(walk.telemetry.reordered, 0);
+        assert!(walk.quarantined.is_empty());
+        assert_eq!(walk.peak_buffer_bytes, 0, "an image lends its segments");
     }
 
     #[test]
@@ -1056,7 +940,7 @@ mod tests {
         let (bytes, _, all) = write_archive(50);
         let archive = IndexedArchive::open(&bytes).expect("v2");
         let range = DateRange::new(Day(274), Day(274));
-        let (flows, telemetry) = archive.read_day_range(Some(range)).expect("clean");
+        let (flows, Walk { telemetry, .. }) = walk_flows(&archive, Some(range));
         let expected: Vec<Flow> = all
             .iter()
             .filter(|f| f.day() == Day(274))
@@ -1076,31 +960,28 @@ mod tests {
         let mid = &index.segments[1];
         bytes[(mid.offset + mid.len / 2) as usize] ^= 0xff;
         let archive = IndexedArchive::open(&bytes).expect("v2");
-        // Strict replay fails with the CRC mismatch…
-        let pool = Executor::new(2);
-        let strict = archive.replay_with(&pool, None, false, |_, cursor| {
-            let mut n = 0u64;
-            cursor.for_each_flow(|_| n += 1)?;
-            Ok(n)
-        });
+        let selected = index.select(None);
+        let mut visited = Vec::new();
+        let mut walk = |lenient: bool| {
+            visited.clear();
+            archive.walk(&selected, lenient, &mut Vec::new(), |i, cursor| {
+                visited.push(i);
+                cursor.for_each_flow(|_| {})
+            })
+        };
+        // A strict walk stops at the CRC mismatch…
         assert!(matches!(
-            strict,
+            walk(false),
             Err(IndexedError::CrcMismatch { segment: 1, .. })
         ));
-        // …lenient replay quarantines day 274 and delivers the other two.
-        let replay = archive
-            .replay_with(&pool, None, true, |_, cursor| {
-                let mut n = 0u64;
-                cursor.for_each_flow(|_| n += 1)?;
-                Ok(n)
-            })
-            .expect("lenient");
-        assert_eq!(replay.quarantined.len(), 1);
-        assert_eq!(replay.quarantined[0].segment, 1);
-        assert_eq!(replay.quarantined[0].day, Day(274));
-        let delivered: u64 = replay.outputs.iter().filter_map(|o| o.output).sum();
-        assert_eq!(delivered, 2 * 95);
-        assert!(replay.outputs[1].output.is_none());
+        // …a lenient one quarantines day 274 and delivers the other two.
+        let lenient = walk(true).expect("lenient");
+        assert_eq!(lenient.quarantined.len(), 1);
+        assert_eq!(lenient.quarantined[0].segment, 1);
+        assert_eq!(lenient.quarantined[0].day, Day(274));
+        assert!(lenient.quarantined[0].detail.contains("CRC mismatch"));
+        assert_eq!(lenient.telemetry.flows, 2 * 95);
+        assert_eq!(visited, vec![0, 2]);
     }
 
     #[test]
@@ -1115,10 +996,6 @@ mod tests {
         ));
         assert!(matches!(
             IndexedArchive::open(&bytes),
-            Err(IndexedError::NotIndexed)
-        ));
-        assert!(matches!(
-            SegmentReader::open(io::Cursor::new(&bytes)),
             Err(IndexedError::NotIndexed)
         ));
         let (v2, _, _) = write_archive(10);
@@ -1149,9 +1026,9 @@ mod tests {
             .expect("ok");
         assert!(index.segments.is_empty());
         let archive = IndexedArchive::open(&bytes).expect("v2");
-        let (flows, telemetry) = archive.read_day_range(None).expect("ok");
+        let (flows, walk) = walk_flows(&archive, None);
         assert!(flows.is_empty());
-        assert_eq!(telemetry, ArchiveTelemetry::default());
+        assert_eq!(walk, Walk::default());
     }
 
     #[test]
@@ -1229,27 +1106,7 @@ mod tests {
         assert_eq!(telemetry.flows, 70);
         assert_eq!(index.segments.len(), 2);
         let archive = IndexedArchive::open(&v2).expect("v2");
-        let (flows, _) = archive.read_day_range(None).expect("clean");
-        assert_eq!(flows, all);
-    }
-
-    #[test]
-    fn segment_reader_streams_with_bounded_buffer() {
-        let (bytes, index, all) = write_archive(64);
-        let mut reader = SegmentReader::open(io::Cursor::new(&bytes)).expect("v2");
-        assert_eq!(reader.index(), &index);
-        let mut flows = Vec::new();
-        for (i, entry) in index.select(None) {
-            let mut cursor = reader.load_segment(i, entry).expect("crc ok");
-            cursor.for_each_flow(|f| flows.push(*f)).expect("clean");
-        }
-        assert_eq!(flows, all);
-        assert_eq!(
-            reader.peak_buffer_bytes() as u64,
-            reader.index().max_segment_len(),
-            "high-water mark is the largest single segment"
-        );
-        assert!((reader.peak_buffer_bytes() as u64) < bytes.len() as u64);
+        assert_eq!(walk_flows(&archive, None).0, all);
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! * [`indexed`] — archive format v2, the one run-time format: the
 //!   segment encoder (per-day CRC'd segments of varint delta-compressed
 //!   datagrams), the [`SegmentInfo`] entry codec, the footer index,
-//!   zero-copy segment cursors, and executor-parallel replay with
-//!   per-segment quarantine;
+//!   zero-copy segment cursors, and the one segment walk
+//!   ([`SegmentSource::walk`]), strict or quarantining damaged segments;
 //! * [`spool`] — the durable WAL spooler: the same segment encoder, with
 //!   one `index.wal` record (a footer entry plus a length and a CRC) per
-//!   sealed segment instead of a footer; its sealed segments are a
-//!   [`SegmentSource`] read in place from `segments.dat`;
+//!   sealed segment instead of a footer; [`WalSegments`], the
+//!   file-backed [`SegmentSource`], reads its sealed segments in place
+//!   from `segments.dat`, and an archive file opened by path;
 //! * [`archive`] — the reader of the legacy v1 format (u16-framed V5
 //!   datagrams), used only by [`indexed::upgrade_v1`], and the
 //!   [`ArchiveTelemetry`] loss accounting both formats share;
@@ -52,7 +53,7 @@ pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use generator::{FlowGenerator, GeneratorConfig};
 pub use indexed::{
     ArchiveIndex, FlowView, IndexedArchive, IndexedArchiveWriter, IndexedError, QuarantinedSegment,
-    Replay, SegmentCursor, SegmentInfo, SegmentOutput, SegmentReader, SegmentSource,
+    SegmentCursor, SegmentInfo, SegmentSource, Walk,
 };
 pub use record::{
     decode_datagram, encode_datagram, DecodeError, V5Header, V5Record, V5_HEADER_LEN,

@@ -27,16 +27,21 @@
 //! double-counted and a torn tail is never silently dropped.
 //!
 //! The sealed segments are read in place: [`WalSpool::segments`] is a
-//! [`SegmentSource`] whose every read is one positioned read of
-//! `segments.dat` into the caller's reused buffer, checked against the
-//! segment's CRC by [`ArchiveIndex::cursor`]. The live rescore reads only
-//! the segments sealed since its last publish this way, and
+//! [`WalSegments`], the file-backed [`SegmentSource`], whose every read
+//! is one positioned read of `segments.dat` into the walk's reused
+//! buffer, checked against the segment's CRC by
+//! [`SegmentSource::segment_cursor`]. The live rescore walks only the
+//! segments sealed since its last publish this way, and
 //! [`WalSpool::checkpoint`] answers from running totals, so neither costs
-//! more as the spool grows. [`WalSpool::sealed_image`] re-assembles the
-//! whole sealed prefix plus a synthesized footer into a byte-exact v2
-//! archive image, for readers that want one ([`crate::IndexedArchive`]).
+//! more as the spool grows. [`WalSegments::open`] reads an archive file
+//! the same way, under the footer its trailer points at.
+//! [`WalSpool::sealed_image`] re-assembles the whole sealed prefix plus a
+//! synthesized footer into a byte-exact v2 archive image, for readers
+//! that want one ([`crate::IndexedArchive`]).
 
-use crate::indexed::{get_u32_le, ArchiveIndex, SegmentEncoder, SegmentInfo, SegmentSource};
+use crate::indexed::{
+    get_u32_le, read_index, ArchiveIndex, IndexedError, SegmentEncoder, SegmentInfo, SegmentSource,
+};
 use crate::record::{get_uvarint, put_uvarint};
 use crate::session::Flow;
 use std::fs::{File, OpenOptions};
@@ -156,12 +161,11 @@ impl Write for DataFile {
 pub struct WalSpool {
     dir: PathBuf,
     enc: SegmentEncoder<DataFile>,
-    /// A read-only handle on `segments.dat` for the sealed segments.
-    reader: File,
     index_file: File,
-    /// The sealed segments, in seal order.
-    index: ArchiveIndex,
-    /// Running totals over `index` (`unsealed_flows` stays 0).
+    /// The sealed segments, in seal order, over a read-only handle on
+    /// `segments.dat`.
+    segments: WalSegments,
+    /// Running totals over `segments` (`unsealed_flows` stays 0).
     sealed: WalCheckpoint,
     telemetry: Registry,
 }
@@ -177,23 +181,35 @@ impl std::fmt::Debug for WalSpool {
     }
 }
 
-/// The sealed segments of a [`WalSpool`] as a [`SegmentSource`]: each
-/// read is one positioned read of `segments.dat`.
-#[derive(Debug, Clone, Copy)]
-pub struct WalSegments<'a> {
-    index: &'a ArchiveIndex,
-    data: &'a File,
+/// A file of v2 segments as a [`SegmentSource`]: the sealed segments of
+/// a [`WalSpool`] in `segments.dat`, or an archive file opened by path.
+/// Each read is one positioned read into the walk's buffer, so a walk
+/// holds one segment at a time, whatever the file's size.
+#[derive(Debug)]
+pub struct WalSegments {
+    index: ArchiveIndex,
+    data: File,
 }
 
-impl SegmentSource for WalSegments<'_> {
+impl WalSegments {
+    /// Open a v2 archive file under the footer its trailer points at;
+    /// [`IndexedError::NotIndexed`] when it has no v2 trailer.
+    pub fn open(path: &Path) -> Result<WalSegments, IndexedError> {
+        let mut data = File::open(path)?;
+        let index = read_index(&mut data)?;
+        Ok(WalSegments { index, data })
+    }
+}
+
+impl SegmentSource for WalSegments {
     fn index(&self) -> &ArchiveIndex {
-        self.index
+        &self.index
     }
 
     fn segment<'a>(&'a self, i: usize, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
         let info = &self.index.segments[i];
         buf.resize(info.len as usize, 0);
-        read_at(self.data, buf, info.offset)?;
+        read_at(&self.data, buf, info.offset)?;
         Ok(buf)
     }
 }
@@ -249,7 +265,13 @@ impl WalSpool {
         for info in &sealed {
             totals.add_sealed(info);
         }
-        let reader = File::open(dir.join(SEGMENTS_FILE))?;
+        let segments = WalSegments {
+            index: ArchiveIndex {
+                boot_unix_secs,
+                segments: sealed,
+            },
+            data: File::open(dir.join(SEGMENTS_FILE))?,
+        };
         let data = DataFile {
             file: data,
             written: 0,
@@ -258,12 +280,8 @@ impl WalSpool {
         Ok(WalSpool {
             dir: dir.to_path_buf(),
             enc: SegmentEncoder::new(data, boot_unix_secs, totals.end_seq, totals.sealed_bytes),
-            reader,
             index_file,
-            index: ArchiveIndex {
-                boot_unix_secs,
-                segments: sealed,
-            },
+            segments,
             sealed: totals,
             telemetry: Registry::off(),
         })
@@ -391,16 +409,13 @@ impl WalSpool {
 
     /// Sealed-segment index entries, in seal order.
     pub fn sealed_segments(&self) -> &[SegmentInfo] {
-        &self.index.segments
+        &self.segments.index.segments
     }
 
     /// The sealed segments as a [`SegmentSource`], read in place from
     /// `segments.dat`.
-    pub fn segments(&self) -> WalSegments<'_> {
-        WalSegments {
-            index: &self.index,
-            data: &self.reader,
-        }
+    pub fn segments(&self) -> &WalSegments {
+        &self.segments
     }
 
     /// Where the spool stands; O(1), from running totals.
@@ -443,7 +458,7 @@ impl WalSpool {
         self.index_file.write_all(&record)?;
         self.index_file.sync_all()?;
         self.sealed.add_sealed(&info);
-        self.index.segments.push(info);
+        self.segments.index.segments.push(info);
         self.telemetry.trace_event(
             TraceEvent::now(TraceKind::WalSeal)
                 .seq_range(u64::from(info.first_seq), u64::from(info.end_seq))
@@ -461,8 +476,8 @@ impl WalSpool {
     /// flows, ready for [`crate::IndexedArchive::open`].
     pub fn sealed_image(&self) -> Result<Vec<u8>, SpoolError> {
         let mut data = vec![0u8; self.sealed.sealed_bytes as usize];
-        read_at(&self.reader, &mut data, 0)?;
-        self.index.encode_tail(&mut data);
+        read_at(&self.segments.data, &mut data, 0)?;
+        self.segments.index.encode_tail(&mut data);
         Ok(data)
     }
 }
@@ -500,6 +515,7 @@ fn parse_index_record(bytes: &[u8], pos: &mut usize) -> Option<SegmentInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indexed::tests::walk_flows;
     use crate::indexed::{IndexedArchive, IndexedArchiveWriter};
     use crate::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
     use unclean_core::Ip;
@@ -578,12 +594,10 @@ mod tests {
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[1].first_seq, 100);
         assert_eq!(segs[1].end_seq, 150);
-        let image = spool.sealed_image().expect("image");
-        let archive = IndexedArchive::open(&image).expect("v2");
-        let (flows, t) = archive.read_day_range(None).expect("read");
+        let (flows, walk) = walk_flows(spool.segments(), None);
         assert_eq!(flows.len(), 150);
-        assert_eq!(t.lost_flows, 0);
-        assert_eq!(t.duplicates, 0);
+        assert_eq!(walk.telemetry.lost_flows, 0);
+        assert_eq!(walk.telemetry.duplicates, 0);
     }
 
     #[test]
@@ -772,6 +786,45 @@ mod tests {
             let bytes = segments.segment(i, &mut buf).expect("read");
             assert_eq!(bytes, archive.segment_bytes(i));
         }
+    }
+
+    /// An archive file walks through one buffer whose high-water mark is
+    /// its largest segment, and delivers what an image of the same bytes
+    /// delivers; a file without the trailer is refused.
+    #[test]
+    fn archive_files_walk_through_one_bounded_buffer() {
+        let dir = tmp_dir("archive-file");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut writer = IndexedArchiveWriter::new(Vec::new(), boot());
+        let mut all = Vec::new();
+        for day in 0..3 {
+            for i in 0..64 + 50 * day {
+                let f = flow(day, i);
+                writer.push(&f).expect("push");
+                all.push(f);
+            }
+        }
+        let (bytes, index) = writer.finish().expect("finish");
+        let path = dir.join("archive.flows");
+        std::fs::write(&path, &bytes).expect("write");
+        let file = WalSegments::open(&path).expect("v2");
+        assert_eq!(file.index(), &index);
+        let (from_file, file_walk) = walk_flows(&file, None);
+        let (from_image, image_walk) = walk_flows(&IndexedArchive::open(&bytes).expect("v2"), None);
+        assert_eq!(from_file, all);
+        assert_eq!(from_image, all);
+        assert_eq!(file_walk.telemetry, image_walk.telemetry);
+        assert_eq!(
+            file_walk.peak_buffer_bytes as u64,
+            index.max_segment_len(),
+            "the high-water mark is the largest single segment"
+        );
+        assert!((file_walk.peak_buffer_bytes as u64) < bytes.len() as u64);
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).expect("write");
+        assert!(matches!(
+            WalSegments::open(&path),
+            Err(IndexedError::NotIndexed)
+        ));
     }
 
     #[test]

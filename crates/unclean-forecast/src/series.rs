@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 
 use unclean_core::{DateRange, Day};
-use unclean_flowgen::{ArchiveTelemetry, IndexedArchive, IndexedError};
+use unclean_flowgen::{ArchiveTelemetry, IndexedArchive, IndexedError, SegmentSource};
 use unclean_netmodel::randutil::uniform_hash;
 use unclean_netmodel::Infection;
 use unclean_stats::SeedTree;
@@ -76,22 +76,29 @@ impl DailySeries {
     }
 
     /// Build from a v2 indexed archive: distinct source addresses per
-    /// (/16, day), over `range` (the archive's whole span when `None`).
+    /// (/16, day), over `range` (the archive's whole span when `None`),
+    /// streamed out of one strict segment walk.
     pub fn from_archive(
         data: &[u8],
         range: Option<DateRange>,
     ) -> Result<(DailySeries, ArchiveTelemetry), SeriesError> {
         let archive = IndexedArchive::open(data)?;
-        let (flows, telemetry) = archive.read_day_range(range)?;
         let mut pairs = BTreeSet::new();
         let mut lo = i32::MAX;
         let mut hi = i32::MIN;
-        for f in &flows {
-            let day = f.day().0;
-            lo = lo.min(day);
-            hi = hi.max(day);
-            pairs.insert((f.src.raw() >> 16, day, f.src.raw()));
-        }
+        let walk = archive.walk(
+            &archive.index().select(range),
+            false,
+            &mut Vec::new(),
+            |_, cursor| {
+                cursor.for_each_flow(|f| {
+                    let day = f.day().0;
+                    lo = lo.min(day);
+                    hi = hi.max(day);
+                    pairs.insert((f.src.raw() >> 16, day, f.src.raw()));
+                })
+            },
+        )?;
         if pairs.is_empty() {
             return Err(SeriesError::Empty);
         }
@@ -99,7 +106,7 @@ impl DailySeries {
             Some(r) => r,
             None => DateRange::new(Day(lo), Day(hi)),
         };
-        Ok((DailySeries::from_pairs(pairs, span), telemetry))
+        Ok((DailySeries::from_pairs(pairs, span), walk.telemetry))
     }
 
     /// Build from an infection history: an infected host is *reported*

@@ -9,11 +9,12 @@
 //! allocates in proportion to its input however the bytes are damaged:
 //! a seeded mutation property feeds flipped, truncated and spliced
 //! copies of the golden archive and spool to each decoder, damaged copies
-//! of the golden v1 archive to `upgrade_v1`, random and count-spliced
-//! frames to the `/batch-bin` body decoder, damaged NetFlow V5 export
-//! datagrams to `decode_datagram`, damaged scored blocklists and forecast
-//! artifacts to their parsers, and HTTP requests to
-//! `http::parse_request` in randomly cut reads. The daemon
+//! of the golden v1 archive to `upgrade_v1`, damaged copies of the golden
+//! frozen-trie snapshot to `FrozenTrie::open_mmap` and its lookups,
+//! random and count-spliced frames to the `/batch-bin` body decoder,
+//! damaged NetFlow V5 export datagrams to `decode_datagram`, damaged
+//! scored blocklists and forecast artifacts to their parsers, and HTTP
+//! requests to `http::parse_request` in randomly cut reads. The daemon
 //! answers a maximal batch request with its connection buffers and its
 //! reply, holding no table with an entry per address.
 //!
@@ -28,7 +29,6 @@
 //! whole body: another test allocating on a parallel harness thread would
 //! otherwise land in a measured call.
 
-use crossbeam::executor::Executor;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,13 +36,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use unclean_core::blocklist::{parse_header_meta, parse_scored, render_scored_with_meta};
-use unclean_core::{BlockSet, Cidr, Ip, IpSet};
+use unclean_core::snap::crc32;
+use unclean_core::{BlockSet, Cidr, FrozenTrie, Ip, IpSet, LpmMatch};
 use unclean_flowgen::indexed::{upgrade_v1, TRAILER_LEN};
 use unclean_flowgen::record::{get_uvarint, put_uvarint, EPOCH_UNIX_SECS};
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
     decode_datagram, encode_datagram, ArchiveError, CandidateCollector, DecodeError, Flow,
-    IndexedArchive, IndexedArchiveWriter, SegmentReader, V5Header, V5Record, WalSpool,
+    IndexedArchive, IndexedArchiveWriter, SegmentSource, V5Header, V5Record, WalSegments, WalSpool,
     V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
 };
 use unclean_forecast::{ForecastArtifact, NetworkForecast};
@@ -132,10 +133,11 @@ fn replay_counting(bytes: &[u8]) -> (u64, u64) {
     let selected = archive.index().select(None);
     let mut flows = 0u64;
     let before = allocations();
-    for &(i, entry) in &selected {
-        let mut cursor = archive.cursor(i, entry).expect("crc ok");
-        cursor.for_each_flow(|_| flows += 1).expect("clean replay");
-    }
+    archive
+        .walk(&selected, false, &mut Vec::new(), |_, cursor| {
+            cursor.for_each_flow(|_| flows += 1)
+        })
+        .expect("clean replay");
     let after = allocations();
     (flows, after - before)
 }
@@ -176,15 +178,14 @@ fn candidate_scan_counting(bytes: &[u8], collector: &mut CandidateCollector) -> 
     let selected = archive.index().select(None);
     let mut flows = 0u64;
     let before = allocations();
-    for &(i, entry) in &selected {
-        let mut cursor = archive.cursor(i, entry).expect("crc ok");
-        cursor
-            .for_each_flow(|f| {
+    archive
+        .walk(&selected, false, &mut Vec::new(), |_, cursor| {
+            cursor.for_each_flow(|f| {
                 flows += 1;
                 collector.observe(f);
             })
-            .expect("clean replay");
-    }
+        })
+        .expect("clean replay");
     let after = allocations();
     (flows, after - before)
 }
@@ -342,18 +343,21 @@ fn mutate_spool(data: &mut Vec<u8>, index: &mut Vec<u8>, mix: &mut Mix) {
     }
 }
 
-/// Decode `bytes` every way the readers do: open and strictly replay
-/// every segment, and stream every segment through a `SegmentReader`.
-fn decode_archive(bytes: &[u8], pool: &Executor) {
-    if let Ok(archive) = IndexedArchive::open(bytes) {
-        let _ = archive.replay_with(pool, None, false, |_, cursor| cursor.for_each_flow(|_| {}));
+/// Decode `bytes` every way the readers do: walk every segment of the
+/// image, and of the same bytes written at `path`, leniently (so a
+/// damaged segment does not stop the walk).
+fn decode_archive(bytes: &[u8], path: &Path) {
+    fn walk_all(source: &impl SegmentSource) {
+        let selected = source.index().select(None);
+        let _ = source.walk(&selected, true, &mut Vec::new(), |_, cursor| {
+            cursor.for_each_flow(|_| {})
+        });
     }
-    if let Ok(mut reader) = SegmentReader::open(std::io::Cursor::new(bytes)) {
-        for (i, entry) in reader.index().select(None) {
-            if let Ok(mut cursor) = reader.load_segment(i, entry) {
-                let _ = cursor.for_each_flow(|_| {});
-            }
-        }
+    if let Ok(archive) = IndexedArchive::open(bytes) {
+        walk_all(&archive);
+    }
+    if let Ok(file) = WalSegments::open(path) {
+        walk_all(&file);
     }
 }
 
@@ -429,6 +433,44 @@ fn mutate_v1(golden: &[u8], mix: &mut Mix) -> (Vec<u8>, V1Expect) {
         }
     };
     (bytes, expect)
+}
+
+/// A little-endian u64 of a snapshot header.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// One damaged copy of the golden snapshot: its node or entry count or
+/// section offset spliced to 0, 1, one below or above its true value,
+/// the file length, a value 4 past the true one (an offset off its 8-byte
+/// alignment) or `u64::MAX`, with the header CRC recomputed so the damage
+/// reaches the geometry checks; one to four flipped bytes in the node or
+/// entry section; or a truncation.
+fn mutate_snapshot(golden: &[u8], mix: &mut Mix) -> Vec<u8> {
+    const COUNTS_AND_OFFSETS: [usize; 4] = [16, 24, 32, 40];
+    let mut bytes = golden.to_vec();
+    match mix.below(3) {
+        0 => {
+            let at = COUNTS_AND_OFFSETS[mix.below(4)];
+            let truth = u64_at(golden, at);
+            let len = golden.len() as u64;
+            let value = [0, 1, truth - 1, truth + 1, len, truth + 4, u64::MAX][mix.below(7)];
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let crc = crc32(&bytes[..72]);
+            bytes[72..76].copy_from_slice(&crc.to_le_bytes());
+        }
+        1 => {
+            // (count, offset) of the node section, then the entry section.
+            let (count, offset) = [(16, 32), (24, 40)][mix.below(2)];
+            let start = u64_at(golden, offset) as usize;
+            let len = u64_at(golden, count) as usize * 16;
+            for _ in 0..1 + mix.below(4) {
+                bytes[start + mix.below(len)] ^= 1 + mix.below(255) as u8;
+            }
+        }
+        _ => bytes.truncate(mix.below(golden.len())),
+    }
+    bytes
 }
 
 /// A scored blocklist as `unclean ingest` publishes it: up to 200
@@ -797,12 +839,15 @@ proptest! {
     fn mutated_archives_and_spools_decode_in_bounded_memory(seed in any::<u64>()) {
         let _serial = serial();
         let mut mix = Mix(seed);
-        let pool = Executor::new(1);
+        let dir = std::env::temp_dir().join(format!("unclean-alloc-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
 
         let golden = std::fs::read(data_path("golden_v2.flows")).expect("golden v2");
+        let archive_path = dir.join("archive.flows");
         for _ in 0..5 {
             let bytes = mutate_archive(&golden, &mut mix);
-            let asked = bytes_asked(|| decode_archive(&bytes, &pool));
+            std::fs::write(&archive_path, &bytes).expect("write");
+            let asked = bytes_asked(|| decode_archive(&bytes, &archive_path));
             prop_assert!(
                 asked <= budget(bytes.len()),
                 "seed {seed}: {asked} bytes asked decoding a {}-byte archive",
@@ -813,7 +858,6 @@ proptest! {
         let spool = data_path("golden_spool");
         let golden_data = std::fs::read(spool.join(SEGMENTS_FILE)).expect("golden segments");
         let golden_index = std::fs::read(spool.join(INDEX_FILE)).expect("golden index");
-        let dir = std::env::temp_dir().join(format!("unclean-alloc-wal-{}", std::process::id()));
         for _ in 0..5 {
             let (mut data, mut index) = (golden_data.clone(), golden_index.clone());
             mutate_spool(&mut data, &mut index, &mut mix);
@@ -912,6 +956,62 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    /// Damaged copies of the golden frozen-trie snapshot: `open_mmap`
+    /// refuses each with an error, or opens it and answers 256 lookups
+    /// (half inside the golden blocks, half anywhere) exactly as
+    /// `lookup_batch` answers the same addresses. Nothing panics, and the
+    /// open plus the lookups ask for at most 8× the file plus 64 KiB.
+    #[test]
+    fn damaged_snapshots_open_and_answer_in_bounded_memory(seed in any::<u64>()) {
+        let _serial = serial();
+        let mut mix = Mix(seed);
+        let golden = std::fs::read(data_path("golden.snap")).expect("golden snapshot");
+        let entries_at = u64_at(&golden, 40) as usize;
+        let bases: Vec<u32> = (0..u64_at(&golden, 24) as usize)
+            .map(|k| {
+                let at = entries_at + 16 * k;
+                u32::from_le_bytes(golden[at..at + 4].try_into().expect("4 bytes"))
+            })
+            .collect();
+        let path = std::env::temp_dir()
+            .join(format!("unclean-alloc-snap-{}.snap", std::process::id()));
+        let answer = |m: &Option<LpmMatch>| m.map(|m| (m.cidr, m.score.to_bits()));
+        for _ in 0..8 {
+            let bytes = mutate_snapshot(&golden, &mut mix);
+            std::fs::write(&path, &bytes).expect("write");
+            let ips: Vec<Ip> = (0..256)
+                .map(|k| match k % 2 {
+                    0 => Ip(bases[mix.below(bases.len())] | (mix.next() as u32 & 0xff)),
+                    _ => Ip(mix.next() as u32),
+                })
+                .collect();
+            let mut point = Vec::with_capacity(ips.len());
+            let mut batch = vec![None; ips.len()];
+            // The trie, and its mapping, is dropped before the next copy
+            // overwrites the file.
+            let asked = bytes_asked(|| {
+                if let Ok(trie) = FrozenTrie::open_mmap(&path) {
+                    point.extend(ips.iter().map(|&ip| trie.lookup(ip)));
+                    trie.lookup_batch(&ips, &mut batch);
+                }
+            });
+            prop_assert!(
+                asked <= budget(bytes.len()),
+                "seed {seed}: {asked} bytes asked opening and querying a {}-byte snapshot",
+                bytes.len()
+            );
+            if !point.is_empty() {
+                prop_assert!(
+                    point.iter().map(answer).eq(batch.iter().map(answer)),
+                    "seed {seed}: lookup and lookup_batch disagree"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
 

@@ -1,10 +1,9 @@
 //! Cross-crate tests for the v2 indexed segment archive: round-trip
-//! properties at any thread count, the checked-in golden v1 archive, v2
-//! archive and WAL spool (the byte-level format contract), per-segment
-//! fault quarantine, and equivalence of the day-sharded candidate scan
-//! with direct collection.
+//! properties through both segment sources (an image and a file), the
+//! checked-in golden v1 archive, v2 archive and WAL spool (the byte-level
+//! format contract), per-segment fault quarantine, and equivalence of the
+//! day-sharded candidate scan with direct collection.
 
-use crossbeam::executor::Executor;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use unclean_core::{BlockSet, Ip};
@@ -14,7 +13,7 @@ use unclean_flowgen::record::EPOCH_UNIX_SECS;
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
     faults, ArchiveReader, CandidateCollector, Flow, FlowGenerator, IndexedArchive,
-    IndexedArchiveWriter, IndexedError, RecoveryReport, WalSpool,
+    IndexedArchiveWriter, IndexedError, RecoveryReport, SegmentSource, WalSegments, WalSpool, Walk,
 };
 use unclean_integration::fixture;
 use unclean_telemetry::Registry;
@@ -57,40 +56,73 @@ fn spool_v2(flows: &[Flow]) -> Vec<u8> {
     writer.finish().expect("in-memory spool").0
 }
 
-fn replay_parallel(archive: &IndexedArchive<'_>, threads: usize) -> Vec<Flow> {
-    archive
-        .replay_with(&Executor::new(threads), None, false, |_, cursor| {
-            let mut flows = Vec::new();
-            cursor.for_each_flow(|f| flows.push(*f))?;
-            Ok(flows)
-        })
-        .expect("clean archive replays")
-        .outputs
-        .into_iter()
-        .flat_map(|o| o.output.expect("strict replay delivers"))
-        .collect()
+/// Walk every segment of `source`, strictly or leniently: the flows
+/// delivered and the walk's summary, or a strict walk's error.
+fn walk_flows(
+    source: &impl SegmentSource,
+    lenient: bool,
+) -> Result<(Vec<Flow>, Walk), IndexedError> {
+    let mut flows = Vec::new();
+    let selected = source.index().select(None);
+    let walk = source.walk(&selected, lenient, &mut Vec::new(), |_, cursor| {
+        cursor.for_each_flow(|f| flows.push(*f))
+    })?;
+    Ok((flows, walk))
 }
 
 proptest! {
-    /// The satellite round-trip property: write → index → parallel read ==
-    /// sequential read == the original flows, at any thread count.
+    /// Random day-ordered flows written as an archive image and as a file
+    /// of the same bytes: walking either yields the original flows with
+    /// equal telemetry. Once one byte flips inside a random segment, both
+    /// strict walks fail on that segment, and both lenient walks
+    /// quarantine it with the same detail and deliver the same flows: the
+    /// other segments'.
     #[test]
-    fn v2_round_trip_at_any_thread_count(
+    fn v2_round_trip_agrees_from_image_and_file(
         seeds in vec(any::<u64>(), 1..400),
-        threads in 1usize..5,
+        flip in any::<u64>(),
     ) {
         let mut flows: Vec<Flow> = seeds.iter().map(|&s| flow_from_seed(s)).collect();
         // The writer's contract is day-ordered input (one segment per
         // day); intra-day order is preserved as-is.
         flows.sort_by_key(|f| f.day().0);
-        let bytes = spool_v2(&flows);
-        let archive = IndexedArchive::open(&bytes).expect("indexes");
-        let (sequential, seq_telemetry) = archive.read_day_range(None).expect("sequential");
-        prop_assert_eq!(&sequential, &flows);
-        prop_assert_eq!(seq_telemetry.flows, flows.len() as u64);
-        prop_assert_eq!(seq_telemetry.lost_flows, 0);
-        let parallel = replay_parallel(&archive, threads);
-        prop_assert_eq!(&parallel, &sequential);
+        let mut bytes = spool_v2(&flows);
+        let path = std::env::temp_dir()
+            .join(format!("unclean-archive-sources-{}.flows", std::process::id()));
+        std::fs::write(&path, &bytes).expect("write archive file");
+        let image = IndexedArchive::open(&bytes).expect("indexes");
+        let file = WalSegments::open(&path).expect("indexes");
+        let (from_image, image_walk) = walk_flows(&image, false).expect("clean image");
+        let (from_file, file_walk) = walk_flows(&file, false).expect("clean file");
+        prop_assert_eq!(&from_image, &flows);
+        prop_assert_eq!(&from_file, &flows);
+        prop_assert_eq!(image_walk.telemetry, file_walk.telemetry);
+        prop_assert_eq!(image_walk.telemetry.flows, flows.len() as u64);
+        prop_assert_eq!(image_walk.telemetry.lost_flows, 0);
+
+        let segments = image.segments().to_vec();
+        let k = (flip % segments.len() as u64) as usize;
+        let damaged = segments[k];
+        bytes[(damaged.offset + (flip >> 32) % damaged.len) as usize] ^= 0x5a;
+        std::fs::write(&path, &bytes).expect("write archive file");
+        let image = IndexedArchive::open(&bytes).expect("footer intact");
+        let file = WalSegments::open(&path).expect("footer intact");
+        for strict in [walk_flows(&image, false), walk_flows(&file, false)] {
+            prop_assert!(
+                matches!(strict, Err(IndexedError::CrcMismatch { segment, .. }) if segment == k),
+                "segment {}: {:?}", k, strict.map(|(_, walk)| walk)
+            );
+        }
+        let (image_rest, image_walk) = walk_flows(&image, true).expect("lenient image");
+        let (file_rest, file_walk) = walk_flows(&file, true).expect("lenient file");
+        prop_assert_eq!(image_walk.quarantined.len(), 1);
+        prop_assert_eq!(image_walk.quarantined[0].segment, k);
+        prop_assert_eq!(&image_walk.quarantined, &file_walk.quarantined);
+        prop_assert_eq!(image_walk.telemetry, file_walk.telemetry);
+        let rest: Vec<Flow> = flows.iter().filter(|f| f.day() != damaged.day).copied().collect();
+        prop_assert_eq!(&image_rest, &rest);
+        prop_assert_eq!(&file_rest, &rest);
+        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -153,7 +185,7 @@ fn v1_golden_archive_reads_and_upgrades() {
     assert_eq!(telemetry.lost_flows, 0);
     assert_eq!(index.segments.len(), 3);
     let archive = IndexedArchive::open(&v2).expect("indexes");
-    let (upgraded, _) = archive.read_day_range(None).expect("v2 read");
+    let (upgraded, _) = walk_flows(&archive, false).expect("v2 read");
     assert_eq!(upgraded, flows);
 }
 
@@ -177,9 +209,9 @@ fn golden_v2_archive_is_reproduced_byte_for_byte() {
     );
     let archive = IndexedArchive::open(&golden).expect("indexes");
     assert_eq!(archive.segments().len(), 3);
-    let (flows, telemetry) = archive.read_day_range(None).expect("clean");
+    let (flows, walk) = walk_flows(&archive, false).expect("clean");
     assert_eq!(flows, golden_flows());
-    assert_eq!(telemetry.lost_flows, 0);
+    assert_eq!(walk.telemetry.lost_flows, 0);
 }
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
@@ -236,10 +268,10 @@ fn golden_spool_recovers_exactly() {
     );
     let image = spool.sealed_image().expect("image");
     let archive = IndexedArchive::open(&image).expect("indexes");
-    let (flows, telemetry) = archive.read_day_range(None).expect("clean");
+    let (flows, walk) = walk_flows(&archive, false).expect("clean");
     assert_eq!(flows, golden_flows());
-    assert_eq!(telemetry.lost_flows, 0);
-    assert_eq!(telemetry.sequence_gaps, 0);
+    assert_eq!(walk.telemetry.lost_flows, 0);
+    assert_eq!(walk.telemetry.sequence_gaps, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -260,29 +292,14 @@ fn truncated_final_segment_quarantines_only_that_segment() {
 
     let archive = IndexedArchive::open(&bytes).expect("footer intact");
     // Strict: the damage is an error naming the segment.
-    match archive.replay_with(&Executor::new(2), None, false, |_, cursor| {
-        cursor.for_each_flow(|_| {})?;
-        Ok(())
-    }) {
+    match walk_flows(&archive, false) {
         Err(IndexedError::CrcMismatch { segment, .. }) => assert_eq!(segment, 2),
         other => panic!("expected CRC mismatch on segment 2, got {other:?}"),
     }
     // Lenient: days 0 and 1 are delivered in full, day 2 is quarantined.
-    let replay = archive
-        .replay_with(&Executor::new(2), None, true, |_, cursor| {
-            let mut seg = Vec::new();
-            cursor.for_each_flow(|f| seg.push(*f))?;
-            Ok(seg)
-        })
-        .expect("lenient replay");
-    assert_eq!(replay.quarantined.len(), 1);
-    assert_eq!(replay.quarantined[0].segment, 2);
-    let delivered: Vec<Flow> = replay
-        .outputs
-        .iter()
-        .filter_map(|o| o.output.clone())
-        .flatten()
-        .collect();
+    let (delivered, walk) = walk_flows(&archive, true).expect("lenient walk");
+    assert_eq!(walk.quarantined.len(), 1);
+    assert_eq!(walk.quarantined[0].segment, 2);
     assert_eq!(delivered, flows[..2 * 67].to_vec());
 }
 

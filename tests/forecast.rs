@@ -1,7 +1,7 @@
 //! The forecasting layer, end to end at the workspace level: a seeded
 //! scenario's flows written into a v2 indexed archive → per-/16 daily
-//! report series via `read_day_range` → Holt level+trend fit → held-out
-//! scoring against the persistence baseline → generation-stamped
+//! report series via one strict segment walk → Holt level+trend fit →
+//! held-out scoring against the persistence baseline → generation-stamped
 //! artifact served and hot-reloaded by `unclean-serve`.
 
 use crossbeam::executor::Executor;
