@@ -626,9 +626,9 @@ fn run_scheduled(
 ) {
     let next = AtomicUsize::new(0);
     let workers = ctx.threads.min(pending.len()).max(1);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| {
+            s.spawn(|| {
                 while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let (id, description, runner) = registry[i];
                     eprintln!("\n[bench] ===== {id}: {description} =====");
@@ -640,8 +640,7 @@ fn run_scheduled(
                 }
             });
         }
-    })
-    .expect("scheduler workers never panic outside supervised experiments");
+    });
 }
 
 /// The full supervised run: every registry experiment (filtered by

@@ -19,7 +19,8 @@ mod forecast;
 mod ingest;
 mod io;
 
-use std::path::PathBuf;
+use std::cell::RefCell;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use unclean_serve::ServeConfig;
@@ -56,16 +57,17 @@ USAGE:
                     [--remediate-day 140] [--compliance 0.8] [--hygiene-lift 0.7]
                     [--targets 24] [--period-days 28] [--threads 0]
   unclean ingest    --spool <dir> --out <file> [--bind 127.0.0.1:9995]
-                    [--control 127.0.0.1:7055] [--rescore-ms 2000]
-                    [--ring-capacity 65536] [--shed oldest|newest] [--prefix 24]
+                    [--control 127.0.0.1:7055] [--rescore-ms 2000] [--prefix 24]
                     [--min-score 0] [--threads 0] [--retries 3] [--backoff-ms 200]
                     [--deadline-secs N] [--stale-after-secs 15]
                     [--degraded-after-secs 60] [--trace-events 4096]
-                    [--history-ms 2000]
+                    [--history-ms 2000] [--fail-attempts 0]
   unclean replay    --to <host:port> [--archive <file> | --synth 20000]
                     [--faults none|adverse] [--seed 42] [--pace-ms 0]
   unclean trace     export <addr|events.json> [--out FILE]
   unclean top       <addr> [--interval-ms 2000] [--iterations 0] [--no-clear]
+
+Every subcommand refuses a --flag it does not take (exit 2).
 
 'serve' and 'ingest' both record causally-linked trace events onto a
 bounded ring: 'unclean trace export 127.0.0.1:7053 --out t.json' saves a
@@ -111,302 +113,363 @@ fn main() -> ExitCode {
 }
 
 /// Dispatch a full argument vector; returns the output text.
-fn run(args: &[String]) -> Result<String, String> {
-    let mut it = args.iter();
-    let command = it.next().ok_or("missing subcommand")?;
-    let rest: Vec<&String> = it.collect();
-    match command.as_str() {
+fn run(argv: &[String]) -> Result<String, String> {
+    command(argv)?()
+}
+
+/// A parsed subcommand, ready to run.
+type Command<'a> = Box<dyn FnOnce() -> Result<String, String> + 'a>;
+
+/// Parse `argv` into the subcommand to run, refusing any `--flag` the
+/// subcommand does not read.
+fn command(argv: &[String]) -> Result<Command<'_>, String> {
+    let (name, rest) = argv.split_first().ok_or("missing subcommand")?;
+    let args = Args::new(rest);
+    let command = parse(name, &args)?;
+    args.check(name)?;
+    Ok(command)
+}
+
+/// Parse subcommand `name`'s arguments. Every flag goes through `args`,
+/// which remembers what was read.
+fn parse<'a>(name: &str, args: &Args<'a>) -> Result<Command<'a>, String> {
+    Ok(match name {
         "inspect" => {
-            let path = positional(&rest, 0, "report file")?;
-            let mode = if has_flag(&rest, "--lenient") {
+            let path = PathBuf::from(args.positional(0, "report file")?);
+            let mode = if args.has("--lenient") {
                 io::ParseMode::Lenient {
-                    max_bad: flag_num(&rest, "--max-bad", 100usize)?,
+                    max_bad: args.num("--max-bad", 100usize)?,
                 }
             } else {
-                if flag_value(&rest, "--max-bad").is_some() {
+                if args.value("--max-bad").is_some() {
                     return Err("--max-bad only applies with --lenient".into());
                 }
                 io::ParseMode::Strict
             };
-            commands::inspect(&PathBuf::from(path), mode, has_flag(&rest, "--verbose"))
+            let verbose = args.has("--verbose");
+            Box::new(move || commands::inspect(&path, mode, verbose))
         }
-        "archive" => match positional(&rest, 0, "archive action (index)")? {
-            "index" => commands::archive_index(
-                &PathBuf::from(positional(&rest, 1, "archive file")?),
-                flag_value(&rest, "--out").map(PathBuf::from).as_deref(),
-            ),
-            other => Err(format!("unknown archive action {other:?} (want: index)")),
+        "archive" => match args.positional(0, "archive action (index)")? {
+            "index" => {
+                let path = PathBuf::from(args.positional(1, "archive file")?);
+                let out = args.value("--out").map(PathBuf::from);
+                Box::new(move || commands::archive_index(&path, out.as_deref()))
+            }
+            other => return Err(format!("unknown archive action {other:?} (want: index)")),
         },
-        "spatial" => commands::spatial(
-            &flag_path(&rest, "--report")?,
-            &flag_path(&rest, "--control")?,
-            flag_num(&rest, "--trials", 200)?,
-            flag_num(&rest, "--seed", 42)?,
-        ),
-        "temporal" => commands::temporal(
-            &flag_path(&rest, "--past")?,
-            &flag_path(&rest, "--present")?,
-            &flag_path(&rest, "--control")?,
-            flag_num(&rest, "--trials", 200)?,
-            flag_num(&rest, "--seed", 42)?,
-        ),
-        "blocklist" => {
-            if rest.first().map(|a| a.as_str()) == Some("freeze") {
-                return commands::blocklist_freeze(
-                    &PathBuf::from(positional(&rest, 1, "scored blocklist file")?),
-                    &flag_path(&rest, "--out")?,
-                );
-            }
-            commands::blocklist(
-                &flag_path(&rest, "--report")?,
-                flag_num(&rest, "--prefix", 24u8)?,
-                &flag_str(&rest, "--format", "plain"),
-                has_flag(&rest, "--aggregate"),
-            )
+        "spatial" => {
+            let (report, control) = (args.path("--report")?, args.path("--control")?);
+            let (trials, seed) = (args.num("--trials", 200)?, args.num("--seed", 42)?);
+            Box::new(move || commands::spatial(&report, &control, trials, seed))
         }
-        "snapshot" => match positional(&rest, 0, "snapshot action (inspect)")? {
+        "temporal" => {
+            let (past, present) = (args.path("--past")?, args.path("--present")?);
+            let control = args.path("--control")?;
+            let (trials, seed) = (args.num("--trials", 200)?, args.num("--seed", 42)?);
+            Box::new(move || commands::temporal(&past, &present, &control, trials, seed))
+        }
+        "blocklist" if args.rest.first().map(String::as_str) == Some("freeze") => {
+            let list = PathBuf::from(args.positional(1, "scored blocklist file")?);
+            let out = args.path("--out")?;
+            Box::new(move || commands::blocklist_freeze(&list, &out))
+        }
+        "blocklist" => {
+            let report = args.path("--report")?;
+            let prefix = args.num("--prefix", 24u8)?;
+            let format = args.str("--format", "plain");
+            let aggregate = args.has("--aggregate");
+            Box::new(move || commands::blocklist(&report, prefix, &format, aggregate))
+        }
+        "snapshot" => match args.positional(0, "snapshot action (inspect)")? {
             "inspect" => {
-                commands::snapshot_inspect(&PathBuf::from(positional(&rest, 1, "snapshot file")?))
+                let path = PathBuf::from(args.positional(1, "snapshot file")?);
+                Box::new(move || commands::snapshot_inspect(&path))
             }
-            other => Err(format!("unknown snapshot action {other:?} (want: inspect)")),
+            other => return Err(format!("unknown snapshot action {other:?} (want: inspect)")),
         },
         "score" => {
             let mut inputs = Vec::new();
-            for value in flag_all(&rest, "--report") {
+            for value in args.all("--report") {
                 let (class, path) = value
                     .split_once('=')
                     .ok_or_else(|| format!("--report wants class=path, got {value:?}"))?;
                 inputs.push((class.to_string(), PathBuf::from(path)));
             }
-            commands::score(&inputs, flag_num(&rest, "--prefix", 16u8)?)
+            let prefix = args.num("--prefix", 16u8)?;
+            Box::new(move || commands::score(&inputs, prefix))
         }
-        "demo" => commands::demo(
-            &PathBuf::from(flag_str(&rest, "--out", "demo-reports")),
-            flag_num(&rest, "--scale", 0.002f64)?,
-            flag_num(&rest, "--seed", 42u64)?,
-        ),
+        "demo" => {
+            let out = PathBuf::from(args.str("--out", "demo-reports"));
+            let (scale, seed) = (args.num("--scale", 0.002f64)?, args.num("--seed", 42u64)?);
+            Box::new(move || commands::demo(&out, scale, seed))
+        }
         "metrics" => {
-            if let Some(i) = rest.iter().position(|a| a.as_str() == "--diff") {
-                let a = rest
-                    .get(i + 1)
-                    .ok_or("--diff wants two .prom files: --diff a.prom b.prom")?;
-                let b = rest
-                    .get(i + 2)
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or("--diff wants two .prom files: --diff a.prom b.prom")?;
-                return commands::metrics_diff(
-                    &PathBuf::from(a.as_str()),
-                    &PathBuf::from(b.as_str()),
-                    flag_opt_num(&rest, "--interval-secs")?,
-                );
+            if let Some(i) = args.position("--diff") {
+                let usage = "--diff wants two .prom files: --diff a.prom b.prom";
+                let a = args.rest.get(i + 1).ok_or(usage)?;
+                let b = args.rest.get(i + 2);
+                let b = b.filter(|v| !v.starts_with("--")).ok_or(usage)?;
+                let interval = args.opt_num("--interval-secs")?;
+                return Ok(Box::new(move || {
+                    commands::metrics_diff(Path::new(a), Path::new(b), interval)
+                }));
             }
-            let path = positional(&rest, 0, "telemetry file")?;
-            let assert_zero: Vec<String> = flag_value(&rest, "--assert-zero")
+            let path = PathBuf::from(args.positional(0, "telemetry file")?);
+            let assert_zero: Vec<String> = args
+                .value("--assert-zero")
                 .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
                 .unwrap_or_default();
-            commands::metrics(&PathBuf::from(path), &assert_zero)
+            Box::new(move || commands::metrics(&path, &assert_zero))
         }
-        "serve" => commands::serve(serve_config(&rest)?),
-        "forecast" => match positional(&rest, 0, "forecast action (synth|fit|eval|simulate)")? {
-            "synth" => forecast::synth(&forecast::SynthOpts {
-                out: flag_path(&rest, "--out")?,
-                scale: flag_num(&rest, "--scale", 0.002f64)?,
-                seed: flag_num(&rest, "--seed", 42u64)?,
-                days: flag_num(&rest, "--days", 60u32)?,
-                benign: has_flag(&rest, "--benign"),
-            }),
-            "fit" => forecast::fit(&forecast::FitOpts {
-                archive: flag_path(&rest, "--archive")?,
-                out: PathBuf::from(flag_str(&rest, "--out", "forecast.txt")),
-                model: forecast_model_opts(&rest)?,
-                generation: flag_num(&rest, "--generation", 1u64)?,
-                name: flag_str(&rest, "--name", "unclean-forecast"),
-                telemetry: flag_value(&rest, "--telemetry").map(PathBuf::from),
-            }),
-            "eval" => forecast::eval(
-                &flag_path(&rest, "--archive")?,
-                flag_num(&rest, "--train-days", 0usize)?,
-                &forecast_model_opts(&rest)?,
-                has_flag(&rest, "--assert-beats-persistence"),
-            ),
-            "simulate" => forecast::simulate(&unclean_forecast::SimulateConfig {
-                scale: flag_num(&rest, "--scale", 0.02f64)?,
-                seed: flag_num(&rest, "--seed", 42u64)?,
-                days: flag_num(&rest, "--days", 280u32)?,
-                remediate_day: flag_num(&rest, "--remediate-day", 140i32)?,
-                compliance: flag_num(&rest, "--compliance", 0.8f64)?,
-                hygiene_lift: flag_num(&rest, "--hygiene-lift", 0.7f64)?,
-                targets: flag_num(&rest, "--targets", 24usize)?,
-                period_days: flag_num(&rest, "--period-days", 28u32)?,
-                threads: flag_num(&rest, "--threads", 0usize)?,
-                ..unclean_forecast::SimulateConfig::default()
-            }),
-            other => Err(format!(
-                "unknown forecast action {other:?} (want: synth|fit|eval|simulate)"
-            )),
+        "serve" => {
+            let config = serve_config(args)?;
+            Box::new(move || commands::serve(config))
+        }
+        "forecast" => match args.positional(0, "forecast action (synth|fit|eval|simulate)")? {
+            "synth" => {
+                let opts = forecast::SynthOpts {
+                    out: args.path("--out")?,
+                    scale: args.num("--scale", 0.002f64)?,
+                    seed: args.num("--seed", 42u64)?,
+                    days: args.num("--days", 60u32)?,
+                    benign: args.has("--benign"),
+                };
+                Box::new(move || forecast::synth(&opts))
+            }
+            "fit" => {
+                let opts = forecast::FitOpts {
+                    archive: args.path("--archive")?,
+                    out: PathBuf::from(args.str("--out", "forecast.txt")),
+                    model: forecast_model_opts(args)?,
+                    generation: args.num("--generation", 1u64)?,
+                    name: args.str("--name", "unclean-forecast"),
+                    telemetry: args.value("--telemetry").map(PathBuf::from),
+                };
+                Box::new(move || forecast::fit(&opts))
+            }
+            "eval" => {
+                let archive = args.path("--archive")?;
+                let train_days = args.num("--train-days", 0usize)?;
+                let model = forecast_model_opts(args)?;
+                let assert_beats = args.has("--assert-beats-persistence");
+                Box::new(move || forecast::eval(&archive, train_days, &model, assert_beats))
+            }
+            "simulate" => {
+                let config = unclean_forecast::SimulateConfig {
+                    scale: args.num("--scale", 0.02f64)?,
+                    seed: args.num("--seed", 42u64)?,
+                    days: args.num("--days", 280u32)?,
+                    remediate_day: args.num("--remediate-day", 140i32)?,
+                    compliance: args.num("--compliance", 0.8f64)?,
+                    hygiene_lift: args.num("--hygiene-lift", 0.7f64)?,
+                    targets: args.num("--targets", 24usize)?,
+                    period_days: args.num("--period-days", 28u32)?,
+                    threads: args.num("--threads", 0usize)?,
+                    ..unclean_forecast::SimulateConfig::default()
+                };
+                Box::new(move || forecast::simulate(&config))
+            }
+            other => {
+                return Err(format!(
+                    "unknown forecast action {other:?} (want: synth|fit|eval|simulate)"
+                ))
+            }
         },
-        "trace" => match positional(&rest, 0, "trace action (export)")? {
-            "export" => commands::trace_export(
-                positional(&rest, 1, "daemon address or events.json file")?,
-                flag_value(&rest, "--out").map(PathBuf::from).as_deref(),
-            ),
-            other => Err(format!("unknown trace action {other:?} (want: export)")),
+        "trace" => match args.positional(0, "trace action (export)")? {
+            "export" => {
+                let target = args.positional(1, "daemon address or events.json file")?;
+                let out = args.value("--out").map(PathBuf::from);
+                Box::new(move || commands::trace_export(target, out.as_deref()))
+            }
+            other => return Err(format!("unknown trace action {other:?} (want: export)")),
         },
-        "top" => commands::top(
-            positional(&rest, 0, "daemon address")?,
-            flag_num(&rest, "--interval-ms", 2000u64)?,
-            flag_num(&rest, "--iterations", 0u64)?,
-            has_flag(&rest, "--no-clear"),
-        ),
-        "ingest" => ingest::ingest(&ingest_opts(&rest)?),
-        "replay" => ingest::replay(&ingest::ReplayOpts {
-            to: flag_value(&rest, "--to")
-                .ok_or("missing required --to <host:port>")?
-                .to_string(),
-            archive: flag_value(&rest, "--archive").map(PathBuf::from),
-            synth: flag_num(&rest, "--synth", 20_000u64)?,
-            faults: match flag_str(&rest, "--faults", "none").as_str() {
-                "none" => unclean_flowgen::FaultConfig::default(),
-                "adverse" => unclean_flowgen::FaultConfig::adverse(),
-                other => return Err(format!("--faults wants none|adverse, got {other:?}")),
-            },
-            seed: flag_num(&rest, "--seed", 42u64)?,
-            pace_ms: flag_num(&rest, "--pace-ms", 0u64)?,
-            boot_unix_secs: unclean_flowgen::record::EPOCH_UNIX_SECS,
-        }),
-        "--help" | "-h" | "help" => Ok(format!("{USAGE}\n")),
-        other => Err(format!("unknown subcommand {other:?}")),
-    }
+        "top" => {
+            let addr = args.positional(0, "daemon address")?;
+            let interval_ms = args.num("--interval-ms", 2000u64)?;
+            let iterations = args.num("--iterations", 0u64)?;
+            let no_clear = args.has("--no-clear");
+            Box::new(move || commands::top(addr, interval_ms, iterations, no_clear))
+        }
+        "ingest" => {
+            let opts = ingest_opts(args)?;
+            Box::new(move || ingest::ingest(&opts))
+        }
+        "replay" => {
+            let opts = ingest::ReplayOpts {
+                to: args
+                    .value("--to")
+                    .ok_or("missing required --to <host:port>")?
+                    .to_string(),
+                archive: args.value("--archive").map(PathBuf::from),
+                synth: args.num("--synth", 20_000u64)?,
+                faults: match args.str("--faults", "none").as_str() {
+                    "none" => unclean_flowgen::FaultConfig::default(),
+                    "adverse" => unclean_flowgen::FaultConfig::adverse(),
+                    other => return Err(format!("--faults wants none|adverse, got {other:?}")),
+                },
+                seed: args.num("--seed", 42u64)?,
+                pace_ms: args.num("--pace-ms", 0u64)?,
+            };
+            Box::new(move || ingest::replay(&opts))
+        }
+        "--help" | "-h" | "help" => Box::new(|| Ok(format!("{USAGE}\n"))),
+        other => return Err(format!("unknown subcommand {other:?}")),
+    })
 }
 
 /// `unclean serve`'s flags, each parsed onto [`ServeConfig::new`]'s own
 /// default; only the listening address defaults differently, to the
 /// daemon's well-known port.
-fn serve_config(rest: &[&String]) -> Result<ServeConfig, String> {
-    let mut config = ServeConfig::new(flag_path(rest, "--blocklist")?);
-    config.forecast = flag_value(rest, "--forecast").map(PathBuf::from);
-    config.watch = has_flag(rest, "--watch").then_some(unclean_serve::WATCH_POLL);
+fn serve_config(args: &Args) -> Result<ServeConfig, String> {
+    let mut config = ServeConfig::new(args.path("--blocklist")?);
+    config.forecast = args.value("--forecast").map(PathBuf::from);
+    config.watch = args.has("--watch").then_some(unclean_serve::WATCH_POLL);
     let core = &mut config.core;
-    core.addr = flag_str(rest, "--addr", "127.0.0.1:7053");
-    core.threads = flag_num(rest, "--threads", core.threads)?.max(1);
-    core.max_conns = flag_num(rest, "--max-conns", core.max_conns)?.max(1);
+    core.addr = args.str("--addr", "127.0.0.1:7053");
+    core.threads = args.num("--threads", core.threads)?.max(1);
+    core.max_conns = args.num("--max-conns", core.max_conns)?.max(1);
     let read_timeout_ms = core.read_timeout.as_millis() as u64;
-    let read_timeout_ms = flag_num(rest, "--read-timeout-ms", read_timeout_ms)?;
+    let read_timeout_ms = args.num("--read-timeout-ms", read_timeout_ms)?;
     core.read_timeout = Duration::from_millis(read_timeout_ms.max(1));
-    if let Some(secs) = flag_opt_num(rest, "--stale-after-secs")? {
+    if let Some(secs) = args.opt_num("--stale-after-secs")? {
         core.stale_after = Some(Duration::from_secs(secs));
     }
-    if let Some(secs) = flag_opt_num(rest, "--degraded-after-secs")? {
+    if let Some(secs) = args.opt_num("--degraded-after-secs")? {
         core.degraded_after = Some(Duration::from_secs(secs));
     }
-    core.trace_sample = flag_num(rest, "--trace-sample", core.trace_sample)?;
-    core.trace_events = flag_num(rest, "--trace-events", core.trace_events)?;
-    if let Some(ms) = flag_opt_num(rest, "--history-ms")? {
+    core.trace_sample = args.num("--trace-sample", core.trace_sample)?;
+    core.trace_events = args.num("--trace-events", core.trace_events)?;
+    if let Some(ms) = args.opt_num("--history-ms")? {
         core.history_interval = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    let max_requests = flag_num(rest, "--max-requests-per-conn", core.max_requests_per_conn)?;
+    let max_requests = args.num("--max-requests-per-conn", core.max_requests_per_conn)?;
     core.max_requests_per_conn = max_requests.max(1);
     Ok(config)
 }
 
 /// `unclean ingest`'s flags, each parsed onto [`ingest::IngestOpts`]'s
 /// own default.
-fn ingest_opts(rest: &[&String]) -> Result<ingest::IngestOpts, String> {
+fn ingest_opts(args: &Args) -> Result<ingest::IngestOpts, String> {
     let d = ingest::IngestOpts::default();
     Ok(ingest::IngestOpts {
-        spool_dir: flag_path(rest, "--spool")?,
-        out: flag_path(rest, "--out")?,
-        bind: flag_str(rest, "--bind", &d.bind),
-        control: flag_str(rest, "--control", &d.control),
-        rescore_ms: flag_num(rest, "--rescore-ms", d.rescore_ms)?,
-        ring_capacity: flag_num(rest, "--ring-capacity", d.ring_capacity)?,
-        shed: flag_num(rest, "--shed", d.shed)?,
-        prefix_len: flag_num(rest, "--prefix", d.prefix_len)?,
-        min_score: flag_num(rest, "--min-score", d.min_score)?,
-        threads: flag_num(rest, "--threads", d.threads)?,
-        retries: flag_num(rest, "--retries", d.retries)?,
-        backoff_ms: flag_num(rest, "--backoff-ms", d.backoff_ms)?,
-        deadline_secs: flag_opt_num(rest, "--deadline-secs")?.or(d.deadline_secs),
-        stale_after_secs: flag_num(rest, "--stale-after-secs", d.stale_after_secs)?,
-        degraded_after_secs: flag_num(rest, "--degraded-after-secs", d.degraded_after_secs)?,
-        fail_attempts: flag_num(rest, "--fail-attempts", d.fail_attempts)?,
-        trace_events: flag_num(rest, "--trace-events", d.trace_events)?,
-        history_ms: flag_num(rest, "--history-ms", d.history_ms)?,
-        ..d
+        spool_dir: args.path("--spool")?,
+        out: args.path("--out")?,
+        bind: args.str("--bind", &d.bind),
+        control: args.str("--control", &d.control),
+        rescore_ms: args.num("--rescore-ms", d.rescore_ms)?,
+        prefix_len: args.num("--prefix", d.prefix_len)?,
+        min_score: args.num("--min-score", d.min_score)?,
+        threads: args.num("--threads", d.threads)?,
+        retries: args.num("--retries", d.retries)?,
+        backoff_ms: args.num("--backoff-ms", d.backoff_ms)?,
+        deadline_secs: args.opt_num("--deadline-secs")?.or(d.deadline_secs),
+        stale_after_secs: args.num("--stale-after-secs", d.stale_after_secs)?,
+        degraded_after_secs: args.num("--degraded-after-secs", d.degraded_after_secs)?,
+        fail_attempts: args.num("--fail-attempts", d.fail_attempts)?,
+        trace_events: args.num("--trace-events", d.trace_events)?,
+        history_ms: args.num("--history-ms", d.history_ms)?,
     })
 }
 
 /// The forecaster tunables `forecast fit` and `forecast eval` share.
-fn forecast_model_opts(rest: &[&String]) -> Result<forecast::ModelOpts, String> {
+fn forecast_model_opts(args: &Args) -> Result<forecast::ModelOpts, String> {
     Ok(forecast::ModelOpts {
-        horizon: flag_num(rest, "--horizon", 7u32)?,
-        level_half_life: flag_num(rest, "--level-half-life", 7.0f64)?,
-        trend_half_life: flag_num(rest, "--trend-half-life", 14.0f64)?,
-        neighbor_weight: flag_num(rest, "--neighbor-weight", 0.15f64)?,
-        threads: flag_num(rest, "--threads", 0usize)?,
+        horizon: args.num("--horizon", 7u32)?,
+        level_half_life: args.num("--level-half-life", 7.0f64)?,
+        trend_half_life: args.num("--trend-half-life", 14.0f64)?,
+        neighbor_weight: args.num("--neighbor-weight", 0.15f64)?,
+        threads: args.num("--threads", 0usize)?,
     })
 }
 
-fn positional<'a>(rest: &[&'a String], idx: usize, what: &str) -> Result<&'a str, String> {
-    rest.get(idx)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("missing {what}"))
+/// A subcommand's arguments. Every flag lookup is remembered, so that
+/// [`Args::check`] can refuse a `--flag` the subcommand never asked for.
+struct Args<'a> {
+    rest: &'a [String],
+    read: RefCell<Vec<&'static str>>,
 }
 
-fn flag_value<'a>(rest: &[&'a String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a.as_str() == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
-
-fn flag_all<'a>(rest: &[&'a String], flag: &str) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i].as_str() == flag {
-            if let Some(v) = rest.get(i + 1) {
-                out.push(v.as_str());
-                i += 2;
-                continue;
-            }
+impl<'a> Args<'a> {
+    fn new(rest: &'a [String]) -> Args<'a> {
+        Args {
+            rest,
+            read: RefCell::new(Vec::new()),
         }
-        i += 1;
     }
-    out
-}
 
-fn flag_path(rest: &[&String], flag: &str) -> Result<PathBuf, String> {
-    flag_value(rest, flag)
-        .map(PathBuf::from)
-        .ok_or_else(|| format!("missing required {flag} <file>"))
-}
-
-fn flag_str(rest: &[&String], flag: &str, default: &str) -> String {
-    flag_value(rest, flag).unwrap_or(default).to_string()
-}
-
-fn flag_num<T: std::str::FromStr>(rest: &[&String], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(rest, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{flag} got unparseable value {v:?}")),
+    /// Refuse the first `--flag` that no lookup asked for.
+    fn check(&self, name: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unread = |a: &&String| a.starts_with("--") && !read.iter().any(|r| r == a);
+        match self.rest.iter().find(unread) {
+            Some(flag) => Err(format!("unknown flag {flag} for '{name}'")),
+            None => Ok(()),
+        }
     }
-}
 
-fn flag_opt_num<T: std::str::FromStr>(rest: &[&String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(rest, flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{flag} got unparseable value {v:?}")),
+    fn positional(&self, idx: usize, what: &str) -> Result<&'a str, String> {
+        self.rest
+            .get(idx)
+            .map(|s| s.as_str())
+            .ok_or_else(|| format!("missing {what}"))
     }
-}
 
-fn has_flag(rest: &[&String], flag: &str) -> bool {
-    rest.iter().any(|a| a.as_str() == flag)
+    /// Where `flag` first appears, if it does.
+    fn position(&self, flag: &'static str) -> Option<usize> {
+        self.read.borrow_mut().push(flag);
+        self.rest.iter().position(|a| a == flag)
+    }
+
+    fn value(&self, flag: &'static str) -> Option<&'a str> {
+        let i = self.position(flag)?;
+        self.rest.get(i + 1).map(|s| s.as_str())
+    }
+
+    /// Every value `flag` is given, in order.
+    fn all(&self, flag: &'static str) -> Vec<&'a str> {
+        self.read.borrow_mut().push(flag);
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < self.rest.len() {
+            if self.rest[i] == flag {
+                if let Some(v) = self.rest.get(i + 1) {
+                    out.push(v.as_str());
+                    i += 2;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        out
+    }
+
+    fn path(&self, flag: &'static str) -> Result<PathBuf, String> {
+        self.value(flag)
+            .map(PathBuf::from)
+            .ok_or_else(|| format!("missing required {flag} <file>"))
+    }
+
+    fn str(&self, flag: &'static str, default: &str) -> String {
+        self.value(flag).unwrap_or(default).to_string()
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &'static str, default: T) -> Result<T, String> {
+        Ok(self.opt_num(flag)?.unwrap_or(default))
+    }
+
+    fn opt_num<T: std::str::FromStr>(&self, flag: &'static str) -> Result<Option<T>, String> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{flag} got unparseable value {v:?}")),
+        }
+    }
+
+    fn has(&self, flag: &'static str) -> bool {
+        self.position(flag).is_some()
+    }
 }
 
 #[cfg(test)]
@@ -471,8 +534,6 @@ mod tests {
             bind: "127.0.0.1:9995".to_string(),
             control: "127.0.0.1:7055".to_string(),
             rescore_ms: 2_000,
-            ring_capacity: 65_536,
-            shed: unclean_flowgen::ShedPolicy::DropOldest,
             prefix_len: 24,
             min_score: 0.0,
             threads: 0,
@@ -481,7 +542,6 @@ mod tests {
             deadline_secs: None,
             stale_after_secs: 15,
             degraded_after_secs: 60,
-            boot_unix_secs: unclean_flowgen::record::EPOCH_UNIX_SECS,
             fail_attempts: 0,
             trace_events: 4096,
             history_ms: 2_000,
@@ -489,18 +549,23 @@ mod tests {
     }
 
     /// The argument vectors the benchmark and the CI jobs run `serve` and
-    /// `ingest` with parse to today's settings, every field checked.
+    /// `ingest` with parse to today's settings, every field checked, and
+    /// pass the unknown-flag check.
     #[test]
     fn serve_and_ingest_flags_parse_onto_todays_defaults() {
         let serve = |line: &str| {
-            let args = argv(line);
-            let rest: Vec<&String> = args.iter().collect();
-            format!("{:?}", serve_config(&rest).expect("serve flags parse"))
+            let argv = argv(line);
+            let args = Args::new(&argv);
+            let config = serve_config(&args).expect("serve flags parse");
+            args.check("serve").expect("no unknown serve flag");
+            format!("{config:?}")
         };
         let ingest = |line: &str| {
-            let args = argv(line);
-            let rest: Vec<&String> = args.iter().collect();
-            format!("{:?}", ingest_opts(&rest).expect("ingest flags parse"))
+            let argv = argv(line);
+            let args = Args::new(&argv);
+            let opts = ingest_opts(&args).expect("ingest flags parse");
+            args.check("ingest").expect("no unknown ingest flag");
+            format!("{opts:?}")
         };
         let want_serve = |edit: &dyn Fn(&mut ServeConfig)| {
             let mut config = serve_defaults();
@@ -621,6 +686,48 @@ mod tests {
                 c.core.history_interval = None;
             })
         );
+    }
+
+    /// A flag the subcommand does not read is refused by name, before
+    /// anything runs: removed flags, typos, and flags of another
+    /// subcommand or action alike.
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        for (line, flag) in [
+            ("ingest --spool d --out f --shed newest", "--shed"),
+            (
+                "ingest --spool d --out f --ring-capacity 4",
+                "--ring-capacity",
+            ),
+            ("serve --blocklist x --bogus", "--bogus"),
+            ("serve --blocklist x --stale-after 15", "--stale-after"),
+            ("blocklist --report f --bogus", "--bogus"),
+            ("blocklist freeze f --out g --prefix 16", "--prefix"),
+            (
+                "metrics --diff a.prom b.prom --assert-zero x",
+                "--assert-zero",
+            ),
+            ("forecast fit --archive a --scale 0.1", "--scale"),
+            (
+                "replay --to 127.0.0.1:9 --boot-unix-secs 0",
+                "--boot-unix-secs",
+            ),
+        ] {
+            let err = command(&argv(line))
+                .err()
+                .unwrap_or_else(|| panic!("{line}"));
+            assert!(
+                err.contains(&format!("unknown flag {flag} ")),
+                "{line}: {err}"
+            );
+        }
+        // Every flag the ingest parser reads is accepted, USAGE's and
+        // `--fail-attempts` alike.
+        let line = "ingest --spool d --out f --bind b --control c --rescore-ms 1 --prefix 24 \
+                    --min-score 0 --threads 1 --retries 0 --backoff-ms 1 --deadline-secs 1 \
+                    --stale-after-secs 1 --degraded-after-secs 1 --fail-attempts 1 \
+                    --trace-events 1 --history-ms 1";
+        assert!(command(&argv(line)).is_ok(), "{line}");
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! * [`archive`] — the reader of the legacy v1 format (u16-framed V5
 //!   datagrams), used only by [`indexed::upgrade_v1`], and the
 //!   [`ArchiveTelemetry`] loss accounting both formats share;
-//! * [`source`] — the live UDP collector, which feeds a bounded, counted
-//!   shedding ring.
+//! * [`source`] — the live UDP collector: one reader thread books each
+//!   datagram onto the registry's `ingest.*` counters and queues its flows
+//!   on a fixed drop-oldest ring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +62,5 @@ pub use record::{
 };
 pub use seq::{Admit, SeqObservation, SequenceTracker};
 pub use session::Flow;
-pub use source::{
-    BatchStatus, FlowRing, RingTelemetry, ShedPolicy, UdpFlowSource, UdpSourceConfig,
-};
+pub use source::{BatchStatus, UdpFlowSource};
 pub use spool::{RecoveryReport, SpoolError, WalCheckpoint, WalSegments, WalSpool};

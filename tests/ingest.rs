@@ -22,8 +22,7 @@ use unclean_detect::{rescore_window, LiveScanConfig, LiveWindow};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::spool::{INDEX_FILE, SEGMENTS_FILE};
 use unclean_flowgen::{
-    encode_datagram, BatchStatus, Flow, UdpFlowSource, UdpSourceConfig, V5Header, WalSpool,
-    V5_MAX_RECORDS,
+    encode_datagram, BatchStatus, Flow, UdpFlowSource, V5Header, WalSpool, V5_MAX_RECORDS,
 };
 use unclean_serve::{ServeConfig, Server};
 use unclean_telemetry::Registry;
@@ -114,12 +113,10 @@ fn udp_to_wal_to_rescore_to_served_generation() {
     let dir = tmp_dir("streaming-loop");
     const SENT: u64 = 1_500;
 
-    // --- Socket → ring: real UDP datagrams into the flow source. ---
-    let mut source = UdpFlowSource::bind(UdpSourceConfig {
-        poll_timeout: Duration::from_millis(10),
-        ..UdpSourceConfig::default()
-    })
-    .expect("bind");
+    // --- Socket → ring: real UDP datagrams into the flow source, booked
+    // onto the registry's `ingest.*` counters. ---
+    let books = Registry::full();
+    let mut source = UdpFlowSource::bind("127.0.0.1:0", &books).expect("bind");
     send_flows(source.local_addr(), &scan_flows(SENT));
 
     // --- Ring → WAL: spool every admitted flow, then seal. ---
@@ -138,9 +135,12 @@ fn udp_to_wal_to_rescore_to_served_generation() {
         }
     }
     source.stop();
-    let telemetry = source.telemetry();
-    assert_eq!(telemetry.flows, SENT, "clean stream loses nothing");
-    assert_eq!(telemetry.lost_flows, 0);
+    assert_eq!(
+        books.counter_value("ingest.flows"),
+        SENT,
+        "clean stream loses nothing"
+    );
+    assert_eq!(books.counter_value("ingest.lost_flows"), 0);
     let sealed = spool.seal().expect("seal");
     assert!(sealed.is_some(), "a sealed segment materializes");
     assert_eq!(spool.checkpoint().sealed_flows, SENT);
