@@ -1,12 +1,10 @@
 //! Prints diagnostics of the generated world and epidemic: the
-//! substitution-argument sanity report (DESIGN.md §2) for any scale/seed,
-//! plus a flow-layer audit (archive loss, collector store drops) so
-//! degradation is visible from the same command.
+//! substitution-argument sanity report (DESIGN.md §2) for any scale/seed.
 
 use std::process::ExitCode;
-use unclean_bench::runner::{flow_audit, EXIT_USAGE};
+use unclean_bench::runner::EXIT_USAGE;
 use unclean_bench::BenchOpts;
-use unclean_netmodel::{EpidemicDiagnostics, Scenario, ScenarioConfig, WorldDiagnostics};
+use unclean_netmodel::{EpidemicDiagnostics, Scenario, WorldDiagnostics};
 use unclean_telemetry::Registry;
 
 fn main() -> ExitCode {
@@ -18,8 +16,7 @@ fn main() -> ExitCode {
         }
     };
     let registry = Registry::new(opts.telemetry);
-    let scenario =
-        Scenario::generate_recorded(ScenarioConfig::at_scale(opts.scale, opts.seed), &registry);
+    let scenario = Scenario::generate_recorded(opts.scenario_config(), &registry);
     println!(
         "== world diagnostics (scale {}, seed {}) ==\n",
         opts.scale, opts.seed
@@ -34,24 +31,6 @@ fn main() -> ExitCode {
         "expected control-week coverage: {:.1}%",
         scenario.expected_control_coverage() * 100.0
     );
-    println!("\n== flow-layer audit (one unclean-window day) ==\n");
-    match flow_audit(&scenario, &registry) {
-        Ok(audit) => {
-            println!(
-                "archive : {} datagrams, {} flows, {} lost, {} sequence gaps, {} reordered",
-                audit.archive.datagrams,
-                audit.archive.flows,
-                audit.archive.lost_flows,
-                audit.archive.sequence_gaps,
-                audit.archive.reordered
-            );
-            println!(
-                "store   : {} flows stored, {} dropped",
-                audit.stored, audit.dropped
-            );
-        }
-        Err(e) => eprintln!("flow audit failed: {e}"),
-    }
     if registry.enabled() {
         println!("\n== telemetry ==\n");
         print!("{}", registry.snapshot().render_tree());

@@ -166,6 +166,14 @@ impl BenchOpts {
         Ok((opts, extra))
     }
 
+    /// The scenario these options generate: `--scale` and `--seed`, built
+    /// over `--threads` workers.
+    pub fn scenario_config(&self) -> ScenarioConfig {
+        let mut config = ScenarioConfig::at_scale(self.scale, self.seed);
+        config.threads = self.threads;
+        config
+    }
+
     /// Parse process arguments; any argument `parse_known` doesn't
     /// recognize is a usage error (exit code 2 at the binary boundary).
     pub fn from_args() -> Result<BenchOpts, RunError> {
@@ -195,8 +203,8 @@ pub struct ExperimentContext {
     pub scenario: Scenario,
     /// The Table 1 / Table 2 report inventory.
     pub reports: ReportSet,
-    /// Run-level telemetry registry: scenario generation, the detector
-    /// pipeline, and the archive/flow-store audit all record here.
+    /// Run-level telemetry registry: scenario generation and the detector
+    /// pipeline record here.
     pub registry: Registry,
     /// Snapshot of [`ExperimentContext::registry`] taken right after
     /// generation — the shared context each experiment's telemetry is
@@ -214,16 +222,13 @@ impl ExperimentContext {
             opts.scale, opts.seed, threads
         );
         let registry = Registry::new(opts.telemetry);
-        // Declare the audit counters up front so a clean run exports an
-        // explicit zero rather than omitting the series.
+        // Declare the quarantine counter up front so a clean run exports
+        // an explicit zero rather than omitting the series.
         registry.counter("ingest.quarantined_lines");
-        registry.counter("store.flows_dropped");
         registry.gauge("bench.scale").set(opts.scale);
         registry.gauge("bench.trials").set(opts.trials as f64);
         let t0 = std::time::Instant::now();
-        let mut scenario_config = ScenarioConfig::at_scale(opts.scale, opts.seed);
-        scenario_config.threads = opts.threads;
-        let scenario = Scenario::generate_recorded(scenario_config, &registry);
+        let scenario = Scenario::generate_recorded(opts.scenario_config(), &registry);
         eprintln!(
             "[bench] world: {} hosts / {} blocks ({:.1?}); running detectors …",
             scenario.world.population.total_hosts(),
@@ -386,6 +391,20 @@ mod tests {
         assert!(o.scale > 0.0);
         assert_eq!(o.trials, 1000);
         assert!(o.out_dir.is_some());
+    }
+
+    #[test]
+    fn scenario_config_carries_scale_seed_and_threads() {
+        let args: Vec<String> = ["--scale", "smoke", "--seed", "9", "--threads", "3"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let (opts, extra) = BenchOpts::parse_known(&args).expect("parses");
+        assert!(extra.is_empty());
+        let config = opts.scenario_config();
+        assert_eq!(config.scale, SMOKE_SCALE);
+        assert_eq!(config.seed, 9);
+        assert_eq!(config.threads, 3);
     }
 
     #[test]

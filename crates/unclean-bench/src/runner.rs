@@ -36,9 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
-use unclean_flowgen::ArchiveTelemetry;
-use unclean_netmodel::Scenario;
-use unclean_telemetry::{prom, Registry, Snapshot};
+use unclean_telemetry::{prom, Snapshot};
 
 /// Everything that can go wrong in the harness outside an experiment's own
 /// assertions: bad usage, result I/O, serialization.
@@ -228,8 +226,6 @@ pub struct Manifest {
     pub fingerprint: Fingerprint,
     /// Per-experiment records, in registry order.
     pub runs: Vec<RunRecord>,
-    /// Flow-archive audit for this run (loss must be visible, not silent).
-    pub telemetry: Option<ArchiveTelemetry>,
 }
 
 impl Manifest {
@@ -501,83 +497,6 @@ pub fn run_one(
     )
 }
 
-/// The flow-layer audit: archive loss accounting plus collector store
-/// accounting, both recorded onto the registry the run's `metrics.prom`
-/// is rendered from — one source of truth for manifest and metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlowAudit {
-    /// Archive datagram/flow loss accounting (read-back side).
-    pub archive: ArchiveTelemetry,
-    /// Flows the collector store retained.
-    pub stored: u64,
-    /// Flows the collector store dropped.
-    pub dropped: u64,
-}
-
-/// Spool one synthetic day of border flows through the archive layer and
-/// a collector [`unclean_flowgen::FlowStore`], and report what came back —
-/// surfacing `lost_flows`, sequence gaps, and store drops in the manifest
-/// instead of leaving flow-layer degradation silent. All counts are also
-/// recorded onto `registry`.
-///
-/// The spool uses the v2 indexed segment format and replays it with one
-/// strict segment walk (CRC-verified per segment). A one-day audit is a
-/// single segment, and the v2 cursor books the same gap/loss accounting as
-/// the v1 reader, so the manifest telemetry values are unchanged from the
-/// v1-based audit.
-pub fn flow_audit(scenario: &Scenario, registry: &Registry) -> Result<FlowAudit, RunError> {
-    use unclean_flowgen::{
-        FlowGenerator, FlowStore, GeneratorConfig, IndexedArchive, IndexedArchiveWriter,
-        SegmentSource,
-    };
-    let spool_err = |e: &dyn std::fmt::Display| RunError::Io {
-        path: "<archive spool>".into(),
-        message: e.to_string(),
-    };
-    let model = scenario.activity();
-    let generator = FlowGenerator::new(
-        &scenario.observed,
-        GeneratorConfig::default(),
-        scenario.seeds.child("archive-audit"),
-    );
-    let boot = unclean_flowgen::record::EPOCH_UNIX_SECS;
-    let mut span = registry.span("audit");
-    let mut writer = IndexedArchiveWriter::new(Vec::new(), boot);
-    let mut store = FlowStore::new(None, usize::MAX);
-    store.attach_telemetry(registry);
-    let day = scenario.dates.unclean_window.start;
-    let mut write_error = None;
-    generator.flows_on(&model, day, true, |flow| {
-        store.observe(&flow);
-        if write_error.is_none() {
-            if let Err(e) = writer.push(&flow) {
-                write_error = Some(e);
-            }
-        }
-    });
-    if let Some(e) = write_error {
-        return Err(spool_err(&e));
-    }
-    let (bytes, _) = writer.finish().map_err(|e| spool_err(&e))?;
-    let archive = IndexedArchive::open(&bytes).map_err(|e| spool_err(&e))?;
-    let walk = archive
-        .walk(
-            &archive.index().select(None),
-            false,
-            &mut Vec::new(),
-            |_, cursor| cursor.for_each_flow(|_| {}),
-        )
-        .map_err(|e| spool_err(&e))?;
-    walk.telemetry.record(registry);
-    let audit = FlowAudit {
-        archive: walk.telemetry,
-        stored: store.flows().len() as u64,
-        dropped: store.dropped(),
-    };
-    span.field("flows", audit.archive.flows);
-    Ok(audit)
-}
-
 /// The registry `run_all` supervises: the full experiment registry plus
 /// the `--self-test-panic` injection when enabled.
 fn supervised_registry(cfg: &RunnerConfig) -> Vec<crate::experiments::Experiment> {
@@ -733,23 +652,9 @@ pub fn run_all(ctx: Arc<ExperimentContext>, cfg: &RunnerConfig) -> ExitCode {
             Err(e) => eprintln!("[bench] failed to write all.json: {e}"),
         }
     }
-    let telemetry = match flow_audit(&ctx.scenario, &ctx.registry) {
-        Ok(audit) => {
-            eprintln!(
-                "[bench] flow audit: {} archived ({} lost), {} stored, {} dropped",
-                audit.archive.flows, audit.archive.lost_flows, audit.stored, audit.dropped
-            );
-            Some(audit.archive)
-        }
-        Err(e) => {
-            eprintln!("[bench] archive audit failed: {e}");
-            None
-        }
-    };
     let manifest = Manifest {
         fingerprint,
         runs: records,
-        telemetry,
     };
     if let Some(dir) = &out_dir {
         match manifest.store(dir) {
@@ -759,7 +664,7 @@ pub fn run_all(ctx: Arc<ExperimentContext>, cfg: &RunnerConfig) -> ExitCode {
     }
 
     // Run-level telemetry exports: the run registry (generation, pipeline,
-    // declared counters, flow audit) plus every experiment's local
+    // declared counters) plus every experiment's local
     // snapshot prefixed by its id — one merged Snapshot as JSON and the
     // same data rendered as Prometheus text.
     if ctx.registry.enabled() {
@@ -932,7 +837,6 @@ mod tests {
                 telemetry: None,
                 peak_rss_kb: None,
             }],
-            telemetry: None,
         };
         manifest.store(&dir).expect("store");
         let back = Manifest::load(&dir).expect("load");

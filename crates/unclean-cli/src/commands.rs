@@ -748,11 +748,12 @@ pub fn metrics_diff(a: &Path, b: &Path, interval_secs: Option<f64>) -> Result<St
         b.display(),
         interval_secs.map_or(String::new(), |s| format!(" over {s}s"))
     );
-    let mut moved = 0usize;
+    let (mut moved, mut unchanged) = (0usize, 0usize);
     for (key, new) in &after {
         let old = before.get(key).copied().unwrap_or(0.0);
         let delta = new - old;
         if delta == 0.0 {
+            unchanged += 1;
             continue;
         }
         moved += 1;
@@ -775,11 +776,7 @@ pub fn metrics_diff(a: &Path, b: &Path, interval_secs: Option<f64>) -> Result<St
             let _ = writeln!(out, "  {key}  disappeared");
         }
     }
-    let _ = writeln!(
-        out,
-        "{moved} series moved, {} unchanged",
-        after.len().saturating_sub(moved)
-    );
+    let _ = writeln!(out, "{moved} series moved, {unchanged} unchanged");
     Ok(out)
 }
 
@@ -985,7 +982,7 @@ mod tests {
         let b = dir.join("b.prom");
         std::fs::write(
             &a,
-            "# TYPE unclean_requests counter\nunclean_requests 10\nunclean_reloads 5\n",
+            "# TYPE unclean_requests counter\nunclean_requests 10\nunclean_reloads 5\nunclean_gone 2\n",
         )
         .expect("write a");
         std::fs::write(
@@ -1003,6 +1000,9 @@ mod tests {
             !out.contains("unclean_reloads"),
             "unchanged series must be suppressed: {out}"
         );
+        assert!(out.contains("unclean_gone  disappeared"), "{out}");
+        // Requests and drops moved, gone disappeared; reloads held still.
+        assert!(out.ends_with("3 series moved, 1 unchanged\n"), "{out}");
         // Without an interval there is no rate column.
         let out = metrics_diff(&a, &b, None).expect("diff");
         assert!(out.contains("(+15)"), "{out}");
@@ -1187,7 +1187,7 @@ mod tests {
     fn sample_registry() -> unclean_telemetry::Registry {
         let registry = unclean_telemetry::Registry::full();
         registry.counter("detect.flows_ingested").add(1234);
-        registry.counter("store.flows_dropped");
+        registry.counter("ingest.quarantined_lines");
         {
             let _span = registry.span("pipeline");
         }
@@ -1200,7 +1200,7 @@ mod tests {
         let snap = sample_registry().snapshot();
         let path = dir.join("telemetry.json");
         std::fs::write(&path, serde_json::to_string(&snap).expect("serialize")).expect("write");
-        let out = metrics(&path, &["store.flows_dropped".into()]).expect("clean");
+        let out = metrics(&path, &["ingest.quarantined_lines".into()]).expect("clean");
         assert!(out.contains("detect.flows_ingested"), "{out}");
         assert!(out.contains("pipeline"), "{out}");
         assert!(out.contains("assert-zero: 1 counter(s) clean"), "{out}");
@@ -1282,7 +1282,7 @@ mod tests {
         let text = unclean_telemetry::prom::render(&sample_registry().snapshot(), "unclean");
         let path = dir.join("metrics.prom");
         std::fs::write(&path, text).expect("write");
-        let out = metrics(&path, &["unclean_store_flows_dropped".into()]).expect("clean");
+        let out = metrics(&path, &["unclean_ingest_quarantined_lines".into()]).expect("clean");
         assert!(out.contains("valid Prometheus text"), "{out}");
         assert!(out.contains("unclean_detect_flows_ingested"), "{out}");
         let err =

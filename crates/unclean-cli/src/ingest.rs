@@ -355,7 +355,7 @@ pub fn ingest(opts: &IngestOpts) -> Result<String, String> {
         let attempt_started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| run_attempt(opts, shared, attempt)));
         let error = match result {
-            Ok(Ok(summary)) => break Ok(format!("{summary} (attempt {attempt})")),
+            Ok(Ok(summary)) => break Ok(format!("{summary} (attempt {attempt})\n")),
             Ok(Err(e)) => e,
             Err(panic) => format!("panicked: {}", panic_message(&panic)),
         };

@@ -56,23 +56,27 @@ fn request(port: u16, method: &str, path: &str) -> Option<(u16, String)> {
     Some((status, body.to_string()))
 }
 
-/// A daemon started from the built binary with its stdout on a pipe
-/// whose reader is gone; killed on drop, so a failed assertion leaves no
-/// process behind.
+/// The write end of a pipe whose reader is gone.
+fn closed_pipe() -> std::io::PipeWriter {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    writer
+}
+
+/// A daemon started from the built binary; killed on drop, so a failed
+/// assertion leaves no process behind.
 struct Daemon {
     child: Child,
     stderr: PathBuf,
 }
 
 impl Daemon {
-    fn start(dir: &Path, args: &[&str]) -> Daemon {
-        let (reader, writer) = std::io::pipe().expect("pipe");
-        drop(reader);
+    fn start(dir: &Path, args: &[&str], stdout: impl Into<Stdio>) -> Daemon {
         let stderr = dir.join("stderr.log");
         let child = Command::new(env!("CARGO_BIN_EXE_unclean"))
             .args(args)
             .stdin(Stdio::null())
-            .stdout(writer)
+            .stdout(stdout)
             .stderr(std::fs::File::create(&stderr).expect("stderr log"))
             .spawn()
             .expect("start unclean");
@@ -159,24 +163,21 @@ fn serve_outlives_a_closed_stdout() {
             "--addr",
             &addr,
         ],
+        closed_pipe(),
     );
     daemon.wait_healthy(port);
     daemon.quit(port);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `unclean ingest … | true`: neither the control banner nor an
-/// attempt's banner takes the daemon down or restarts an attempt, and it
-/// drains and exits 0 on `/quit`.
-#[test]
-fn ingest_outlives_a_closed_stdout() {
-    let dir = scratch_dir("ingest-stdout");
+/// `unclean ingest` on a fresh spool, its control port on `port` and its
+/// stdout on `stdout`.
+fn start_ingest(dir: &Path, port: u16, stdout: impl Into<Stdio>) -> Daemon {
     let spool = dir.join("spool");
     let out = spool.join("bl.txt");
-    let port = free_port();
     let control = format!("127.0.0.1:{port}");
-    let mut daemon = Daemon::start(
-        &dir,
+    Daemon::start(
+        dir,
         &[
             "ingest",
             "--spool",
@@ -188,7 +189,18 @@ fn ingest_outlives_a_closed_stdout() {
             "--control",
             &control,
         ],
-    );
+        stdout,
+    )
+}
+
+/// `unclean ingest … | true`: neither the control banner nor an
+/// attempt's banner takes the daemon down or restarts an attempt, and it
+/// drains and exits 0 on `/quit`.
+#[test]
+fn ingest_outlives_a_closed_stdout() {
+    let dir = scratch_dir("ingest-stdout");
+    let port = free_port();
+    let mut daemon = start_ingest(&dir, port, closed_pipe());
     daemon.wait_healthy(port);
     let (_, metrics) = request(port, "GET", "/metrics").expect("/metrics answers");
     let restarts = metrics
@@ -197,5 +209,27 @@ fn ingest_outlives_a_closed_stdout() {
         .unwrap_or("0");
     assert_eq!(restarts, "0", "{}", daemon.stderr());
     daemon.quit(port);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `unclean ingest > FILE`: the drain summary is stdout's last line and
+/// ends in a newline, so whatever is written next starts a line of its
+/// own.
+#[test]
+fn ingest_drain_summary_ends_its_line() {
+    let dir = scratch_dir("ingest-summary");
+    let stdout = dir.join("stdout.txt");
+    let port = free_port();
+    let mut daemon = start_ingest(
+        &dir,
+        port,
+        std::fs::File::create(&stdout).expect("stdout file"),
+    );
+    daemon.wait_healthy(port);
+    daemon.quit(port);
+    let text = std::fs::read_to_string(&stdout).expect("read stdout");
+    let last = text.lines().last().unwrap_or_default();
+    assert!(last.starts_with("drained cleanly: "), "{text:?}");
+    assert!(text.ends_with("(attempt 1)\n"), "{text:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,19 +2,14 @@
 //!
 //! Border traffic at realistic scale is far too voluminous to retain, so —
 //! exactly like an operational SiLK/NetFlow pipeline — flows stream through
-//! aggregators:
-//!
-//! * [`CandidateCollector`] watches the /24s of an old bot report and
-//!   accumulates the per-source evidence §6.1 needs (any TCP record?
-//!   any payload-bearing record?) to build the candidate partition;
-//! * [`FlowStore`] retains raw flows matching a block filter, for
-//!   hand-examination (the paper's authors did the same to find the slow
-//!   scanners) and for tests.
+//! an aggregator: [`CandidateCollector`] watches the /24s of an old bot
+//! report and accumulates the per-source evidence §6.1 needs (any TCP
+//! record? any payload-bearing record?) to build the candidate partition.
 
 use crate::session::Flow;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use unclean_core::{BlockSet, Candidate, Day, Ip};
+use unclean_core::{BlockSet, Candidate, Ip};
 use unclean_telemetry::{Counter, Registry};
 
 /// Per-source evidence accumulated over an observation window.
@@ -185,77 +180,6 @@ impl CandidateCollector {
     }
 }
 
-/// Retains raw flows whose source matches a filter, bounded by a cap.
-#[derive(Debug, Clone)]
-pub struct FlowStore {
-    blocks: Option<BlockSet>,
-    cap: usize,
-    flows: Vec<Flow>,
-    dropped: u64,
-    stored_counter: Counter,
-    dropped_counter: Counter,
-}
-
-impl FlowStore {
-    /// Retain flows from sources in `blocks` (or all flows when `None`),
-    /// keeping at most `cap` (further flows are counted, not stored).
-    pub fn new(blocks: Option<BlockSet>, cap: usize) -> FlowStore {
-        FlowStore {
-            blocks,
-            cap,
-            flows: Vec::new(),
-            dropped: 0,
-            stored_counter: Counter::disabled(),
-            dropped_counter: Counter::disabled(),
-        }
-    }
-
-    /// Record retention onto `registry`: `store.flows_stored` and
-    /// `store.flows_dropped` (matching flows past the cap). Declaring
-    /// both up front means a clean run exports `store.flows_dropped 0`
-    /// rather than omitting the series.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.stored_counter = registry.counter("store.flows_stored");
-        self.dropped_counter = registry.counter("store.flows_dropped");
-    }
-
-    /// Feed one flow.
-    pub fn observe(&mut self, flow: &Flow) {
-        if let Some(b) = &self.blocks {
-            if !b.contains(flow.src) {
-                return;
-            }
-        }
-        if self.flows.len() < self.cap {
-            self.flows.push(*flow);
-            self.stored_counter.inc();
-        } else {
-            self.dropped += 1;
-            self.dropped_counter.inc();
-        }
-    }
-
-    /// Stored flows.
-    pub fn flows(&self) -> &[Flow] {
-        &self.flows
-    }
-
-    /// Matching flows that exceeded the cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Stored flows from one source.
-    pub fn flows_from(&self, src: Ip) -> Vec<&Flow> {
-        self.flows.iter().filter(|f| f.src == src).collect()
-    }
-
-    /// Stored flows on one day.
-    pub fn flows_on(&self, day: Day) -> Vec<&Flow> {
-        self.flows.iter().filter(|f| f.day() == day).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,43 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn store_caps_and_counts() {
-        let mut s = FlowStore::new(Some(watch(&["9.1.1.5"])), 2);
-        for i in 0..5 {
-            s.observe(&flow("9.1.1.9", false, 273 + i));
-        }
-        s.observe(&flow("8.0.0.1", false, 273)); // filtered out entirely
-        assert_eq!(s.flows().len(), 2);
-        assert_eq!(s.dropped(), 3);
-    }
-
-    #[test]
-    fn store_queries() {
-        let mut s = FlowStore::new(None, 100);
-        s.observe(&flow("9.1.1.9", false, 273));
-        s.observe(&flow("9.1.1.9", true, 274));
-        s.observe(&flow("9.2.2.2", true, 273));
-        assert_eq!(s.flows_from("9.1.1.9".parse().expect("ok")).len(), 2);
-        assert_eq!(s.flows_on(Day(273)).len(), 2);
-        assert_eq!(s.dropped(), 0);
-    }
-
-    #[test]
     fn telemetry_counts_ingest_and_drops() {
         let registry = Registry::full();
         let mut c = CandidateCollector::new(watch(&["9.1.1.5"]));
         c.attach_telemetry(&registry);
         c.observe(&flow("9.1.1.200", true, 273)); // inside
         c.observe(&flow("9.1.2.200", true, 273)); // outside
-        let mut s = FlowStore::new(None, 1);
-        s.attach_telemetry(&registry);
-        s.observe(&flow("9.1.1.9", false, 273));
-        s.observe(&flow("9.1.1.9", false, 274)); // past cap
         let snap = registry.snapshot();
         assert_eq!(snap.counters["collector.flows_observed"], 2);
         assert_eq!(snap.counters["collector.flows_matched"], 1);
-        assert_eq!(snap.counters["store.flows_stored"], 1);
-        assert_eq!(snap.counters["store.flows_dropped"], 1);
-        assert_eq!(s.dropped(), 1, "counter and field agree");
     }
 }

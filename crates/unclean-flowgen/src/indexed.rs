@@ -38,8 +38,8 @@
 //!   [`IndexedArchive`] lends the segments of an image in place, and
 //!   [`crate::WalSegments`] reads them from a file — a WAL spool's
 //!   `segments.dat`, or an archive file opened by path. The live rescore,
-//!   `run_all`'s flow audit, `unclean replay --archive`, `unclean
-//!   forecast` and `unclean inspect` all read segments this way.
+//!   `unclean replay --archive`, `unclean forecast` and `unclean
+//!   inspect` all read segments this way.
 //! * **Decoding is zero-copy**: [`SegmentCursor`] walks a borrowed
 //!   segment buffer and [`FlowView`] yields `Flow`s straight off the
 //!   wire — no `Vec<V5Record>` per datagram, no per-flow allocation.

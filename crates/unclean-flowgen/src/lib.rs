@@ -14,7 +14,7 @@
 //!   into border flows (benign sessions, SYN sweeps, slow scans,
 //!   ephemeral probes, SMTP bursts);
 //! * [`collector`] — streaming per-source aggregation: candidate evidence
-//!   for the §6 partition, plus a capped raw-flow store for inspection;
+//!   for the §6 partition;
 //! * [`faults`] — seeded drop/duplicate/corrupt fault injection, for
 //!   proving the analyses degrade gracefully under real telemetry loss;
 //! * [`indexed`] — archive format v2, the one run-time format: the
@@ -49,7 +49,7 @@ pub mod source;
 pub mod spool;
 
 pub use archive::{ArchiveError, ArchiveReader, ArchiveTelemetry};
-pub use collector::{CandidateCollector, FlowStore, SrcEvidence};
+pub use collector::{CandidateCollector, SrcEvidence};
 pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use generator::{FlowGenerator, GeneratorConfig};
 pub use indexed::{

@@ -983,20 +983,6 @@ impl Server {
     pub fn generation(&self) -> u64 {
         self.daemon().store.load().generation
     }
-
-    /// The currently served forecast generation, when a forecast artifact
-    /// is configured.
-    pub fn forecast_generation(&self) -> Option<u64> {
-        self.daemon()
-            .forecast
-            .as_ref()
-            .map(|f| f.store.load().generation)
-    }
-
-    /// Force a rebuild from the source file; returns the new generation.
-    pub fn reload(&self) -> Result<u64, ServeError> {
-        self.daemon().rebuild().map(|s| s.generation)
-    }
 }
 
 #[derive(Serialize)]

@@ -386,7 +386,7 @@ mod tests {
     fn sample_snapshot() -> Snapshot {
         let mut s = Snapshot::default();
         s.counters.insert("flowgen.flows_generated".into(), 1234);
-        s.counters.insert("store.flows_dropped".into(), 0);
+        s.counters.insert("ingest.quarantined_lines".into(), 0);
         s.gauges.insert("bench.scale".into(), 0.002);
         s.histograms.insert(
             "core.block_sizes".into(),
@@ -424,7 +424,7 @@ mod tests {
             exp.counter_u64("unclean_flowgen_flows_generated"),
             Some(1234)
         );
-        assert_eq!(exp.counter_u64("unclean_store_flows_dropped"), Some(0));
+        assert_eq!(exp.counter_u64("unclean_ingest_quarantined_lines"), Some(0));
         assert_eq!(
             exp.types["unclean_flowgen_flows_generated"], "counter",
             "counters declare their type"

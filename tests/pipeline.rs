@@ -196,38 +196,3 @@ fn control_report_is_a_plausible_internet_sample() {
     let sub = control.sample(&mut rng, 1000).expect("plenty");
     assert_eq!(sub.len(), 1000);
 }
-
-#[test]
-fn default_scenario_flow_store_drops_nothing() {
-    // Satellite for the dropped() bugfix: in the default fault-free
-    // scenario, a capacity-bounded FlowStore sized for the day must keep
-    // every flow — and the drop count must be *surfaced*, both through
-    // the accessor and through the telemetry counter.
-    use unclean_flowgen::FlowStore;
-    use unclean_telemetry::Registry;
-    let f = fixture();
-    let model = f.scenario.activity();
-    let generator = FlowGenerator::new(
-        &f.scenario.observed,
-        GeneratorConfig::default(),
-        f.scenario.seeds.child("store-audit"),
-    );
-    let registry = Registry::full();
-    let mut store = FlowStore::new(None, usize::MAX);
-    store.attach_telemetry(&registry);
-    let day = f.scenario.dates.unclean_window.start;
-    generator.flows_on(&model, day, true, |flow| store.observe(&flow));
-    assert!(!store.flows().is_empty(), "the day produced flows");
-    assert_eq!(store.dropped(), 0, "fault-free scenario drops nothing");
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counters.get("store.flows_dropped").copied(),
-        Some(0),
-        "the drop counter is declared and zero, not merely absent"
-    );
-    assert_eq!(
-        snap.counters.get("store.flows_stored").copied(),
-        Some(store.flows().len() as u64),
-        "stored counter matches the accessor"
-    );
-}
