@@ -582,7 +582,7 @@ pub fn demo(out_dir: &Path, scale: f64, seed: u64) -> Result<String, String> {
 /// `unclean metrics <file> [--assert-zero a,b]`: pretty-print a telemetry
 /// export. A `telemetry.json` snapshot renders as the stage tree with
 /// counter rates; a `metrics.prom` exposition is validated and
-/// summarized. `--assert-zero` fails (exit 2) when any named counter is
+/// summarized. `--assert-zero` fails (exit 1) when any named counter is
 /// nonzero — absent series count as zero, so a clean run that never
 /// declared the counter still passes.
 pub fn metrics(path: &Path, assert_zero: &[String]) -> Result<String, String> {

@@ -290,9 +290,24 @@ pub struct SynthOpts {
 }
 
 pub fn synth(opts: &SynthOpts) -> Result<String, String> {
+    use unclean_flowgen::record::{EPOCH_UNIX_SECS, V5_HORIZON_SECS};
     use unclean_flowgen::{FlowGenerator, GeneratorConfig, IndexedArchiveWriter};
-    use unclean_netmodel::{Scenario, ScenarioConfig};
+    use unclean_netmodel::{Scenario, ScenarioConfig, ScenarioDates};
 
+    // The archive's V5 records carry each flow's start as 32-bit uptime
+    // milliseconds since the boot anchor: only whole days that end within
+    // that horizon round-trip.
+    let boot = EPOCH_UNIX_SECS;
+    let start = ScenarioDates::paper().full_span.start;
+    let horizon_end = i64::from(boot) - i64::from(EPOCH_UNIX_SECS) + V5_HORIZON_SECS + 1;
+    let max_days = horizon_end.div_euclid(86_400) - i64::from(start.0);
+    if i64::from(opts.days) > max_days {
+        return Err(format!(
+            "--days {} passes the V5 uptime horizon: at most {max_days} whole days from {start} \
+             start within 2^32 ms of the exporter boot anchor",
+            opts.days
+        ));
+    }
     let scenario = Scenario::generate(ScenarioConfig::at_scale(opts.scale, opts.seed));
     let model = scenario.activity();
     let generator = FlowGenerator::new(
@@ -300,9 +315,7 @@ pub fn synth(opts: &SynthOpts) -> Result<String, String> {
         GeneratorConfig::default(),
         scenario.seeds.child("flowgen"),
     );
-    let boot = unclean_flowgen::record::EPOCH_UNIX_SECS;
     let mut writer = IndexedArchiveWriter::new(Vec::new(), boot);
-    let start = scenario.dates.full_span.start;
     let mut flows = 0u64;
     let mut write_error = None;
     for i in 0..opts.days.max(1) {

@@ -34,11 +34,11 @@
 //! and `POST /quit` (answers `draining`; the port stays up until the
 //! drain is done).
 //!
-//! `unclean replay` streams flows at a collector over UDP through the
-//! seeded fault model (drops, bursts, truncation, record corruption,
-//! duplicated datagrams) and prints exact wire accounting, so a chaos run
-//! can assert the collector's `ingested + shed + lost + duplicates` books
-//! every flow it sent.
+//! `unclean replay` streams flows at a collector over UDP, asking a seeded
+//! [`FaultInjector`] once per interior datagram whether it is dropped,
+//! swallowed by a burst, truncated, bit-flipped or sent twice, and prints
+//! exact wire accounting, so a chaos run can assert the collector's
+//! `ingested + shed + lost + duplicates` books every flow it sent.
 
 use crate::io::print;
 use std::fmt::Write as _;
@@ -53,10 +53,9 @@ use unclean_core::{publish_atomic, Ip};
 use unclean_detect::{LiveScanConfig, LiveWindow};
 use unclean_flowgen::record::{proto, tcp_flags, EPOCH_UNIX_SECS};
 use unclean_flowgen::{
-    encode_datagram, BatchStatus, FaultConfig, Flow, IndexedArchive, SegmentSource, UdpFlowSource,
-    V5Header, WalSpool, V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
+    encode_datagram, BatchStatus, Fault, FaultConfig, FaultInjector, Flow, IndexedArchive,
+    SegmentSource, UdpFlowSource, V5Header, WalSpool, V5_HEADER_LEN, V5_MAX_RECORDS, V5_RECORD_LEN,
 };
-use unclean_netmodel::randutil::{decides, index_hash};
 use unclean_serve::http::Request;
 use unclean_serve::{CoreConfig, Daemon, Response, Server, StageTrace};
 use unclean_stats::SeedTree;
@@ -558,7 +557,7 @@ pub struct ReplayOpts {
     pub archive: Option<PathBuf>,
     /// Flows to synthesize when no archive is given.
     pub synth: u64,
-    /// Wire fault model applied to every datagram but the last.
+    /// Wire fault model applied to every datagram but the first and last.
     pub faults: FaultConfig,
     /// Seed for the fault decision stream.
     pub seed: u64,
@@ -637,8 +636,8 @@ pub fn synth_flows(count: u64) -> Vec<Flow> {
 
 /// `unclean replay`: stream flows at a collector over UDP through the
 /// seeded wire fault model. The first and last datagrams are always sent
-/// intact — the first anchors the collector's sequence tracker, the last
-/// books every interior gap — so the printed accounting is exact.
+/// intact and once — the first anchors the collector's sequence tracker,
+/// the last books every interior gap — so the printed accounting is exact.
 /// Returns the stats plus the human-readable summary.
 pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), String> {
     // A damaged archive segment is skipped, not fatal; `quarantined`
@@ -696,40 +695,32 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
             .map_err(|e| format!("send to {target}: {e}"))
     };
 
-    let seeds = SeedTree::new(opts.seed).child("replay-wire");
-    let cfg = &opts.faults;
+    let mut faults = FaultInjector::new(opts.faults, SeedTree::new(opts.seed).child("replay-wire"));
     let mut stats = ReplayStats::default();
     let chunks: Vec<&[Flow]> = flows.chunks(V5_MAX_RECORDS).collect();
     let last = chunks.len() - 1;
     let mut seq: u32 = 0;
-    let mut burst_remaining: u32 = 0;
     for (i, chunk) in chunks.iter().enumerate() {
         let first_seq = seq;
         seq = seq.wrapping_add(chunk.len() as u32);
-        stats.generated += chunk.len() as u64;
-        let nonce = (i as u32).wrapping_add(1);
         let len = chunk.len() as u64;
-        let final_datagram = i == last;
-        // The first and last datagrams are fault-exempt loss-wise: the
+        stats.generated += len;
+        // The first and last datagrams are sent intact and once: the
         // first anchors the collector's sequence tracker (a gap before
         // any admitted datagram is invisible), and the last books every
         // interior gap. Everything between faces the full fault model.
-        let anchored = i == 0 || final_datagram;
-        if !anchored {
-            if burst_remaining > 0 {
-                burst_remaining -= 1;
-                stats.burst_dropped += len;
-                continue;
-            }
-            if decides(&seeds, nonce, 0, "replay-burst", cfg.burst_chance) {
-                burst_remaining = cfg.burst_len.saturating_sub(1);
-                stats.burst_dropped += len;
-                continue;
-            }
-            if decides(&seeds, nonce, 0, "replay-drop", cfg.drop_chance) {
-                stats.dropped += len;
-                continue;
-            }
+        let (fault, twice) = if i == 0 || i == last {
+            (Fault::Intact, false)
+        } else {
+            faults.next_fault()
+        };
+        match fault {
+            Fault::Burst => stats.burst_dropped += len,
+            Fault::Drop => stats.dropped += len,
+            _ => {}
+        }
+        if matches!(fault, Fault::Burst | Fault::Drop) {
+            continue;
         }
         let records: Vec<_> = chunk.iter().map(|f| f.to_v5(EPOCH_UNIX_SECS)).collect();
         let header = V5Header {
@@ -743,33 +734,28 @@ pub fn replay_with_stats(opts: &ReplayOpts) -> Result<(ReplayStats, String), Str
             sampling_interval: 0,
         };
         let mut wire = encode_datagram(&header, &records);
-        if !anchored {
-            if decides(&seeds, nonce, 0, "replay-trunc", cfg.truncate_chance) {
+        match fault {
+            Fault::Truncate => {
                 // Cut mid-way through the last record: the collector's
                 // decode fails and the whole datagram books as a gap.
-                wire.truncate(
-                    V5_HEADER_LEN + (chunk.len() - 1) * V5_RECORD_LEN + V5_RECORD_LEN / 2,
-                );
+                wire.truncate(wire.len() - V5_RECORD_LEN / 2);
                 stats.truncated_datagrams += 1;
                 stats.truncated_flows += len;
-                send(&wire)?;
-                pace(opts.pace_ms);
-                continue;
             }
-            if decides(&seeds, nonce, 0, "replay-corrupt", cfg.corrupt_chance) {
-                // Flip one *record* byte, never a header byte: the flow
-                // garbles but the sequence accounting stays exact.
-                let idx = V5_HEADER_LEN
-                    + index_hash(&seeds, nonce, 0, "replay-byte", chunk.len() * V5_RECORD_LEN);
-                let bit = index_hash(&seeds, nonce, 0, "replay-bit", 8);
-                wire[idx] ^= 1 << bit;
+            // Flip a *record* bit, never a header bit: the flow garbles
+            // but the sequence accounting stays exact.
+            Fault::Corrupt => {
+                faults.flip_bit(&mut wire[V5_HEADER_LEN..]);
                 stats.corrupted_datagrams += 1;
             }
+            _ => {}
         }
         send(&wire)?;
-        stats.delivered += len;
-        stats.datagrams += 1;
-        if !final_datagram && decides(&seeds, nonce, 0, "replay-dup", cfg.dup_datagram_chance) {
+        if fault != Fault::Truncate {
+            stats.delivered += len;
+            stats.datagrams += 1;
+        }
+        if twice {
             send(&wire)?;
             stats.duplicated_datagrams += 1;
             stats.duplicated_flows += len;
@@ -1468,6 +1454,52 @@ mod tests {
             "{summary}"
         );
         assert!(summary.contains("segment 1 ("), "{summary}");
+    }
+
+    /// The length of every datagram a plain UDP receiver gets from
+    /// `replay --synth 300` (ten datagrams) under `faults`, in arrival
+    /// order.
+    fn replayed_lengths(faults: FaultConfig) -> Vec<usize> {
+        let receiver = UdpSocket::bind("127.0.0.1:0").expect("receiver");
+        let to = receiver.local_addr().expect("addr").to_string();
+        replay_with_stats(&ReplayOpts {
+            to,
+            synth: 300,
+            faults,
+            ..ReplayOpts::default()
+        })
+        .expect("replay");
+        receiver
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .expect("read timeout");
+        let mut buf = [0u8; 2048];
+        std::iter::from_fn(|| receiver.recv(&mut buf).ok()).collect()
+    }
+
+    /// Each interior datagram meets the fault model once; the first and
+    /// last arrive intact and once, whatever the faults.
+    #[test]
+    fn replay_faults_interior_datagrams_and_spares_the_anchors() {
+        let full = V5_HEADER_LEN + V5_MAX_RECORDS * V5_RECORD_LEN;
+        let none = FaultConfig::default();
+        assert_eq!(replayed_lengths(none), [full; 10]);
+        let dropped = replayed_lengths(FaultConfig {
+            drop_chance: 1.0,
+            ..none
+        });
+        assert_eq!(dropped, [full; 2]);
+        let duplicated = replayed_lengths(FaultConfig {
+            duplicate_chance: 1.0,
+            ..none
+        });
+        assert_eq!(duplicated, [full; 18]);
+        let truncated = replayed_lengths(FaultConfig {
+            truncate_chance: 1.0,
+            ..none
+        });
+        let mut cut = [1_440; 10];
+        (cut[0], cut[9]) = (full, full);
+        assert_eq!(truncated, cut);
     }
 
     #[test]

@@ -46,7 +46,7 @@ USAGE:
                     [--trace-sample N] [--trace-events 4096] [--history-ms 2000]
                     [--max-requests-per-conn 100000]
   unclean forecast  synth --out <spool.flows> [--scale 0.002] [--seed 42]
-                    [--days 60] [--benign]
+                    [--days 49] [--benign]
   unclean forecast  fit --archive <spool.flows> [--out forecast.txt]
                     [--horizon 7] [--level-half-life 7] [--trend-half-life 14]
                     [--neighbor-weight 0.15] [--threads 0] [--generation 1]
@@ -67,7 +67,8 @@ USAGE:
   unclean trace     export <addr|events.json> [--out FILE]
   unclean top       <addr> [--interval-ms 2000] [--iterations 0] [--no-clear]
 
-Every subcommand refuses a --flag it does not take (exit 2).
+Every subcommand refuses a --flag it does not take (exit 2, with this
+usage); a command that runs and fails exits 1.
 
 'serve' and 'ingest' both record causally-linked trace events onto a
 bounded ring: 'unclean trace export 127.0.0.1:7053 --out t.json' saves a
@@ -93,9 +94,18 @@ peak replay buffer size. 'archive index' prints a v2 archive's footer
 index, or upgrades a legacy v1 archive to v2 (the only command that reads
 v1).";
 
+/// A command line that does not parse exits 2 with the usage text; a
+/// parsed command that fails exits 1 with its error alone.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let command = match command(&args) {
+        Ok(command) => command,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match command() {
         Ok(output) => match io::print(&output) {
             Ok(()) => ExitCode::SUCCESS,
             // The reader has gone (`unclean … | head`): nothing is lost.
@@ -106,15 +116,10 @@ fn main() -> ExitCode {
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::from(2)
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-}
-
-/// Dispatch a full argument vector; returns the output text.
-fn run(argv: &[String]) -> Result<String, String> {
-    command(argv)?()
 }
 
 /// A parsed subcommand, ready to run.
@@ -231,7 +236,7 @@ fn parse<'a>(name: &str, args: &Args<'a>) -> Result<Command<'a>, String> {
                     out: args.path("--out")?,
                     scale: args.num("--scale", 0.002f64)?,
                     seed: args.num("--seed", 42u64)?,
-                    days: args.num("--days", 60u32)?,
+                    days: args.num("--days", 49u32)?,
                     benign: args.has("--benign"),
                 };
                 Box::new(move || forecast::synth(&opts))
@@ -478,6 +483,11 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// Parse and run a full argument vector; returns the output text.
+    fn run(argv: &[String]) -> Result<String, String> {
+        command(argv)?()
     }
 
     #[test]

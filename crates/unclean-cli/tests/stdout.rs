@@ -233,3 +233,62 @@ fn ingest_drain_summary_ends_its_line() {
     assert!(text.ends_with("(attempt 1)\n"), "{text:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run the built binary on `args`: its exit code, stdout and stderr.
+fn unclean(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_unclean"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run unclean");
+    let text = |bytes: Vec<u8>| String::from_utf8_lossy(&bytes).into_owned();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// A command that parses and then fails exits 1 with its error alone; a
+/// command line that does not parse exits 2 with the usage text.
+#[test]
+fn runtime_failures_exit_1_and_usage_errors_exit_2() {
+    let (code, _, stderr) = unclean(&["inspect", "/nonexistent/unclean/report.txt"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("USAGE:"), "{stderr}");
+
+    let (code, _, stderr) = unclean(&["inspect", "x", "--bogus"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+/// `forecast synth` refuses, before generating anything, more days than
+/// fit within the V5 uptime horizon of its boot anchor; 49 days fit, and
+/// `forecast fit` sees every one of them.
+#[test]
+fn forecast_synth_stops_at_the_v5_horizon() {
+    let dir = scratch_dir("synth-horizon");
+    let archive = dir.join("spool.flows");
+    let archive = archive.to_str().expect("utf-8");
+    let synth = |days: &str| {
+        unclean(&[
+            "forecast", "synth", "--out", archive, "--scale", "0.002", "--seed", "11", "--days",
+            days,
+        ])
+    };
+    let (code, _, stderr) = synth("50");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("horizon"), "{stderr}");
+    assert!(stderr.contains("at most 49"), "{stderr}");
+    assert!(!stderr.contains("USAGE:"), "{stderr}");
+    assert!(!Path::new(archive).exists(), "nothing is written");
+
+    let (code, _, stderr) = synth("49");
+    assert_eq!(code, Some(0), "{stderr}");
+    let forecast = dir.join("forecast.txt");
+    let forecast = forecast.to_str().expect("utf-8");
+    let (code, stdout, stderr) =
+        unclean(&["forecast", "fit", "--archive", archive, "--out", forecast]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains(" over 49 day(s) "), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

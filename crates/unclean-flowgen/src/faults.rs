@@ -1,57 +1,50 @@
-//! Fault injection for the flow pipeline.
+//! Fault injection for flow export.
 //!
 //! Operational NetFlow is lossy: exporters sample and drop under load, UDP
 //! export datagrams vanish or arrive corrupted, and collectors deduplicate
 //! imperfectly. Analyses built on flow data must degrade gracefully, so —
-//! in the tradition of network-stack test harnesses — this module wraps a
-//! flow stream with configurable, seeded faults:
+//! in the tradition of network-stack test harnesses — [`FaultInjector`]
+//! decides, seeded, what happens to each unit of export traffic:
 //!
-//! * **drop** — the flow never reaches the collector;
-//! * **duplicate** — the flow is delivered twice (retransmitted export);
-//! * **corrupt** — one byte of the flow's wire encoding flips; the flow is
-//!   re-decoded and delivered as whatever the bytes now say (fields-level
-//!   corruption, exactly what a bit-flipped datagram produces);
-//! * **burst loss** — a correlated run of consecutive drops, the signature
+//! * **burst loss** — a correlated run of consecutive losses, the signature
 //!   of a collector buffer overrun or a routing flap (real telemetry loss
 //!   clusters; independent drops alone understate the damage);
+//! * **drop** — the unit never reaches the collector;
 //! * **truncation** — the export datagram is cut short mid-record, so the
-//!   flow's partial encoding never decodes and the flow is lost (counted
-//!   separately from drops: an operator diagnoses the two differently).
+//!   unit's partial encoding never decodes and it is lost (counted
+//!   separately from drops: an operator diagnoses the two differently);
+//! * **corrupt** — one bit of the unit's record bytes flips; the records
+//!   still frame, and decode as whatever the bytes now say;
+//! * **duplicate** — a delivered unit arrives twice (a retransmitted
+//!   export).
 //!
-//! The integration suite drives the detectors through this wrapper to show
-//! the paper's pipeline conclusions survive realistic telemetry loss.
+//! A unit is one flow in [`FaultInjector::apply`], which the integration
+//! suite drives the detectors through, and one whole datagram in `unclean
+//! replay`, which sends the outcome at a live collector.
 
-use crate::record::EPOCH_UNIX_SECS;
+use crate::record::{decode_datagram, encode_datagram, V5Header, EPOCH_UNIX_SECS, V5_HEADER_LEN};
 use crate::session::Flow;
-use serde::{Deserialize, Serialize};
 use unclean_netmodel::randutil::{decides, index_hash};
 use unclean_stats::SeedTree;
-use unclean_telemetry::{Counter, Registry};
 
-/// Fault probabilities (each evaluated independently per flow).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Fault probabilities (each evaluated independently per unit).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Probability a flow is dropped entirely.
+    /// Probability a unit is dropped entirely.
     pub drop_chance: f64,
-    /// Probability a flow is delivered twice.
+    /// Probability a delivered unit is delivered twice.
     pub duplicate_chance: f64,
-    /// Probability one byte of the flow's V5 encoding flips.
+    /// Probability one bit of the unit's record bytes flips.
     pub corrupt_chance: f64,
-    /// Probability a loss burst *starts* at a given flow (when one isn't
+    /// Probability a loss burst *starts* at a given unit (when one isn't
     /// already running); the burst then swallows [`FaultConfig::burst_len`]
-    /// consecutive flows.
+    /// consecutive units.
     pub burst_chance: f64,
-    /// Flows consumed by one loss burst.
+    /// Units consumed by one loss burst.
     pub burst_len: u32,
-    /// Probability the flow's export datagram is truncated mid-record,
-    /// losing the flow.
+    /// Probability the unit's export datagram is truncated mid-record,
+    /// losing the unit.
     pub truncate_chance: f64,
-    /// Probability a whole *encoded export datagram* is delivered twice
-    /// on the wire ([`FaultInjector::apply_datagram`]) — a retransmitted
-    /// UDP export, the fault a collector must detect by
-    /// `first_seq`/`end_seq` overlap rather than double-ingest.
-    #[serde(default)]
-    pub dup_datagram_chance: f64,
 }
 
 impl Default for FaultConfig {
@@ -63,7 +56,6 @@ impl Default for FaultConfig {
             burst_chance: 0.0,
             burst_len: 8,
             truncate_chance: 0.0,
-            dup_datagram_chance: 0.0,
         }
     }
 }
@@ -80,53 +72,49 @@ impl FaultConfig {
             burst_chance: 0.005,
             burst_len: 8,
             truncate_chance: 0.05,
-            dup_datagram_chance: 0.05,
         }
     }
 }
 
 /// Statistics of what the injector did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Flows seen.
+    /// Units seen.
     pub seen: u64,
-    /// Flows dropped (independent drops).
+    /// Units dropped (independent drops).
     pub dropped: u64,
-    /// Flows duplicated.
+    /// Units delivered twice.
     pub duplicated: u64,
-    /// Flows corrupted.
+    /// Units corrupted.
     pub corrupted: u64,
-    /// Flows swallowed by correlated loss bursts.
+    /// Units swallowed by correlated loss bursts.
     pub burst_dropped: u64,
-    /// Flows lost to datagram truncation.
+    /// Units lost to datagram truncation.
     pub truncated: u64,
-    /// Whole export datagrams delivered twice by
-    /// [`FaultInjector::apply_datagram`].
-    #[serde(default)]
-    pub duplicated_datagrams: u64,
 }
 
-/// Registry counters mirroring [`FaultStats`], all disabled by default.
-#[derive(Debug, Clone, Default)]
-struct FaultCounters {
-    seen: Counter,
-    dropped: Counter,
-    duplicated: Counter,
-    corrupted: Counter,
-    burst_dropped: Counter,
-    truncated: Counter,
-    duplicated_datagrams: Counter,
+/// What the fault model does to one unit, checked in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Swallowed by a correlated loss burst.
+    Burst,
+    /// Dropped independently.
+    Drop,
+    /// Cut short mid-record: the unit never decodes.
+    Truncate,
+    /// Delivered with one bit flipped ([`FaultInjector::flip_bit`]).
+    Corrupt,
+    /// Delivered as sent.
+    Intact,
 }
 
-/// A seeded fault injector over flows.
+/// A seeded fault injector over units of export traffic.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     config: FaultConfig,
     seeds: SeedTree,
     stats: FaultStats,
-    counters: FaultCounters,
     counter: u32,
-    datagram_counter: u32,
     burst_remaining: u32,
 }
 
@@ -140,7 +128,6 @@ impl FaultInjector {
             config.corrupt_chance,
             config.burst_chance,
             config.truncate_chance,
-            config.dup_datagram_chance,
         ] {
             assert!(
                 (0.0..=1.0).contains(&p),
@@ -155,27 +142,9 @@ impl FaultInjector {
             config,
             seeds,
             stats: FaultStats::default(),
-            counters: FaultCounters::default(),
             counter: 0,
-            datagram_counter: 0,
             burst_remaining: 0,
         }
-    }
-
-    /// Mirror the injector's accounting onto `registry` as the
-    /// `faults.seen` / `faults.dropped` / `faults.duplicated` /
-    /// `faults.corrupted` / `faults.burst_dropped` / `faults.truncated`
-    /// counters (incremented alongside [`FaultInjector::stats`]).
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.counters = FaultCounters {
-            seen: registry.counter("faults.seen"),
-            dropped: registry.counter("faults.dropped"),
-            duplicated: registry.counter("faults.duplicated"),
-            corrupted: registry.counter("faults.corrupted"),
-            burst_dropped: registry.counter("faults.burst_dropped"),
-            truncated: registry.counter("faults.truncated"),
-            duplicated_datagrams: registry.counter("faults.duplicated_datagrams"),
-        };
     }
 
     /// What the injector has done so far.
@@ -183,87 +152,94 @@ impl FaultInjector {
         self.stats
     }
 
-    /// Pass one flow through the fault model, delivering the survivors to
-    /// `sink` (zero, one, or two times).
-    pub fn apply(&mut self, flow: &Flow, mut sink: impl FnMut(Flow)) {
+    /// Decide the fault for the next unit and book it: the fault, and
+    /// whether a delivered unit is delivered twice. A running burst
+    /// swallows everything until it ends — correlated loss, checked
+    /// before any independent fault.
+    pub fn next_fault(&mut self) -> (Fault, bool) {
         self.counter = self.counter.wrapping_add(1);
-        let n = self.counter;
         self.stats.seen += 1;
-        self.counters.seen.inc();
-        // A running burst swallows everything until it ends — correlated
-        // loss, checked before any independent fault.
-        if self.burst_remaining > 0 {
+        let n = self.counter;
+        let decide = |label, p| decides(&self.seeds, n, 0, label, p);
+        let fault = if self.burst_remaining > 0 {
             self.burst_remaining -= 1;
-            self.stats.burst_dropped += 1;
-            self.counters.burst_dropped.inc();
-            return;
-        }
-        if decides(&self.seeds, n, 0, "fault-burst", self.config.burst_chance) {
+            Fault::Burst
+        } else if decide("fault-burst", self.config.burst_chance) {
             self.burst_remaining = self.config.burst_len.saturating_sub(1);
-            self.stats.burst_dropped += 1;
-            self.counters.burst_dropped.inc();
-            return;
-        }
-        if decides(&self.seeds, n, 0, "fault-drop", self.config.drop_chance) {
-            self.stats.dropped += 1;
-            self.counters.dropped.inc();
-            return;
-        }
-        if decides(
-            &self.seeds,
-            n,
-            0,
-            "fault-trunc",
-            self.config.truncate_chance,
-        ) {
-            // The record sits past the cut in a truncated datagram: its
-            // partial bytes never decode, so the flow is simply lost.
-            self.stats.truncated += 1;
-            self.counters.truncated.inc();
-            return;
-        }
-        let delivered = if decides(
-            &self.seeds,
-            n,
-            0,
-            "fault-corrupt",
-            self.config.corrupt_chance,
-        ) {
-            self.stats.corrupted += 1;
-            self.counters.corrupted.inc();
-            corrupt_one_byte(flow, &self.seeds, n)
+            Fault::Burst
+        } else if decide("fault-drop", self.config.drop_chance) {
+            Fault::Drop
+        } else if decide("fault-trunc", self.config.truncate_chance) {
+            Fault::Truncate
+        } else if decide("fault-corrupt", self.config.corrupt_chance) {
+            Fault::Corrupt
         } else {
-            *flow
+            Fault::Intact
+        };
+        let twice = matches!(fault, Fault::Corrupt | Fault::Intact)
+            && decide("fault-dup", self.config.duplicate_chance);
+        match fault {
+            Fault::Burst => self.stats.burst_dropped += 1,
+            Fault::Drop => self.stats.dropped += 1,
+            Fault::Truncate => self.stats.truncated += 1,
+            Fault::Corrupt => self.stats.corrupted += 1,
+            Fault::Intact => {}
+        }
+        self.stats.duplicated += u64::from(twice);
+        (fault, twice)
+    }
+
+    /// Flip one seeded bit of `bytes`, the record bytes of the unit just
+    /// decided [`Fault::Corrupt`].
+    pub fn flip_bit(&self, bytes: &mut [u8]) {
+        let byte = index_hash(&self.seeds, self.counter, 1, "fault-byte", bytes.len());
+        let bit = index_hash(&self.seeds, self.counter, 2, "fault-bit", 8);
+        bytes[byte] ^= 1 << bit;
+    }
+
+    /// Pass one flow through the fault model, delivering the survivors to
+    /// `sink` (zero, one, or two times). A corrupted flow is delivered as
+    /// its V5 encoding decodes once a bit of its record has flipped.
+    pub fn apply(&mut self, flow: &Flow, mut sink: impl FnMut(Flow)) {
+        let (fault, twice) = self.next_fault();
+        let delivered = match fault {
+            Fault::Burst | Fault::Drop | Fault::Truncate => return,
+            Fault::Corrupt => self.corrupt(flow),
+            Fault::Intact => *flow,
         };
         sink(delivered);
-        if decides(&self.seeds, n, 0, "fault-dup", self.config.duplicate_chance) {
-            self.stats.duplicated += 1;
-            self.counters.duplicated.inc();
+        if twice {
             sink(delivered);
         }
     }
 
-    /// Pass one *encoded export datagram* through the datagram-level fault
-    /// model: with [`FaultConfig::dup_datagram_chance`] the whole wire
-    /// image is delivered twice — the retransmitted-export fault whose
-    /// `first_seq`/`end_seq` overlap a collector's sequence accounting
-    /// must catch (and withhold) instead of double-ingesting. Uses its
-    /// own nonce stream, so interleaving it with [`FaultInjector::apply`]
-    /// never perturbs the flow-level fault pattern.
-    pub fn apply_datagram(&mut self, wire: &[u8], mut sink: impl FnMut(&[u8])) {
-        self.datagram_counter = self.datagram_counter.wrapping_add(1);
-        let n = self.datagram_counter;
-        sink(wire);
-        if decides(
-            &self.seeds,
-            n,
-            1,
-            "fault-dup-datagram",
-            self.config.dup_datagram_chance,
-        ) {
-            self.stats.duplicated_datagrams += 1;
-            self.counters.duplicated_datagrams.inc();
-            sink(wire);
+    /// Flip one bit of the flow's V5 wire encoding and decode it back.
+    fn corrupt(&self, flow: &Flow) -> Flow {
+        // Anchor the exporter clock near the flow so the encoding round-trips.
+        let boot = (EPOCH_UNIX_SECS as i64 + flow.start_secs - 1000).max(0) as u32;
+        // View the record as its wire bytes via a single-record datagram.
+        let header = V5Header {
+            count: 1,
+            sys_uptime_ms: 0,
+            unix_secs: boot,
+            unix_nsecs: 0,
+            flow_sequence: 0,
+            engine_type: 0,
+            engine_id: 0,
+            sampling_interval: 0,
+        };
+        let mut wire = encode_datagram(&header, &[flow.to_v5(boot)]);
+        self.flip_bit(&mut wire[V5_HEADER_LEN..]);
+        match decode_datagram(&wire) {
+            Ok((_, records)) => Flow::from_v5(&records[0], boot),
+            // Corruption that breaks framing loses the record: deliver the
+            // original with zeroed counters (an exporter would emit garbage;
+            // this keeps the stream total stable for the tests).
+            Err(_) => Flow {
+                packets: 0,
+                octets: 0,
+                ..*flow
+            },
         }
     }
 }
@@ -278,58 +254,6 @@ pub fn truncate_segment_tail(bytes: &mut [u8], segment: &crate::indexed::Segment
     let start = end - tail.min(segment.len as usize);
     for b in &mut bytes[start..end] {
         *b = 0;
-    }
-}
-
-/// Flip one seeded byte inside `segment` (bit rot, a bad sector): the
-/// archive-level analogue of [`FaultConfig::corrupt_chance`], pointed at
-/// the spool instead of the export stream.
-pub fn corrupt_segment_byte(
-    bytes: &mut [u8],
-    segment: &crate::indexed::SegmentInfo,
-    seeds: &SeedTree,
-    nonce: u32,
-) {
-    let idx = segment.offset as usize
-        + index_hash(seeds, nonce, 3, "fault-seg-byte", segment.len as usize);
-    let bit = index_hash(seeds, nonce, 4, "fault-seg-bit", 8);
-    bytes[idx] ^= 1 << bit;
-}
-
-/// Flip one byte of the flow's V5 wire encoding and decode it back.
-fn corrupt_one_byte(flow: &Flow, seeds: &SeedTree, nonce: u32) -> Flow {
-    // Anchor the exporter clock near the flow so the encoding round-trips.
-    let boot = (EPOCH_UNIX_SECS as i64 + flow.start_secs - 1000).max(0) as u32;
-    let mut rec = flow.to_v5(boot);
-    // View the record as its wire bytes via a single-record datagram.
-    let header = crate::record::V5Header {
-        count: 1,
-        sys_uptime_ms: 0,
-        unix_secs: boot,
-        unix_nsecs: 0,
-        flow_sequence: 0,
-        engine_type: 0,
-        engine_id: 0,
-        sampling_interval: 0,
-    };
-    let mut wire = crate::record::encode_datagram(&header, &[rec]);
-    let body = crate::record::V5_HEADER_LEN;
-    let idx = body + index_hash(seeds, nonce, 1, "fault-byte", crate::record::V5_RECORD_LEN);
-    let bit = index_hash(seeds, nonce, 2, "fault-bit", 8);
-    wire[idx] ^= 1 << bit;
-    match crate::record::decode_datagram(&wire) {
-        Ok((_, records)) => {
-            rec = records[0];
-            Flow::from_v5(&rec, boot)
-        }
-        // Corruption that breaks framing loses the record: deliver the
-        // original with zeroed counters (an exporter would emit garbage;
-        // this keeps the stream total stable for the tests).
-        Err(_) => Flow {
-            packets: 0,
-            octets: 0,
-            ..*flow
-        },
     }
 }
 
@@ -431,6 +355,48 @@ mod tests {
         assert_eq!(o1, o2);
     }
 
+    /// FNV-1a over every field of every flow, in order.
+    fn digest(flows: &[Flow]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for f in flows {
+            for field in [
+                u64::from(f.src.0),
+                u64::from(f.dst.0),
+                u64::from(f.src_port),
+                u64::from(f.dst_port),
+                u64::from(f.proto),
+                u64::from(f.packets),
+                u64::from(f.octets),
+                u64::from(f.flags),
+                f.start_secs as u64,
+                u64::from(f.duration_secs),
+            ] {
+                for byte in field.to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// The adverse pattern over 2,000 flows, pinned: what each flow meets
+    /// and what reaches the sink may not drift.
+    #[test]
+    fn adverse_pattern_is_pinned() {
+        let (stats, out) = run(FaultConfig::adverse(), 2_000);
+        let booked = (
+            stats.seen,
+            stats.burst_dropped,
+            stats.dropped,
+            stats.truncated,
+            stats.corrupted,
+            stats.duplicated,
+        );
+        assert_eq!(booked, (2_000, 72, 303, 75, 249, 67));
+        assert_eq!(out.len(), 1_617);
+        assert_eq!(digest(&out), 0x6562_21b2_48a0_e1be);
+    }
+
     #[test]
     fn burst_loss_arrives_in_runs() {
         let cfg = FaultConfig {
@@ -491,62 +457,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_mirror_stats() {
-        let registry = Registry::full();
-        let mut inj = FaultInjector::new(FaultConfig::adverse(), SeedTree::new(7));
-        inj.attach_telemetry(&registry);
-        let mut delivered = 0u64;
-        for i in 0..2_000 {
-            inj.apply(&flow(i), |_| delivered += 1);
-        }
-        let stats = inj.stats();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["faults.seen"], stats.seen);
-        assert_eq!(snap.counters["faults.dropped"], stats.dropped);
-        assert_eq!(snap.counters["faults.duplicated"], stats.duplicated);
-        assert_eq!(snap.counters["faults.corrupted"], stats.corrupted);
-        assert_eq!(snap.counters["faults.burst_dropped"], stats.burst_dropped);
-        assert_eq!(snap.counters["faults.truncated"], stats.truncated);
-        assert!(stats.dropped > 0, "adverse preset actually drops");
-    }
-
-    #[test]
-    fn datagram_duplication_delivers_whole_datagrams_twice() {
-        let cfg = FaultConfig {
-            dup_datagram_chance: 0.25,
-            ..FaultConfig::default()
-        };
-        let mut inj = FaultInjector::new(cfg, SeedTree::new(7));
-        let mut delivered = 0u64;
-        let wire = [0u8; 72];
-        for _ in 0..8_000 {
-            inj.apply_datagram(&wire, |w| {
-                assert_eq!(w, wire);
-                delivered += 1;
-            });
-        }
-        let stats = inj.stats();
-        assert_eq!(delivered, 8_000 + stats.duplicated_datagrams);
-        let rate = stats.duplicated_datagrams as f64 / 8_000.0;
-        assert!((rate - 0.25).abs() < 0.03, "dup-datagram rate {rate}");
-        // The datagram lane must not consume the flow lane's nonces: the
-        // flow-level pattern with and without interleaved datagram faults
-        // is identical.
-        let mut plain = FaultInjector::new(FaultConfig::adverse(), SeedTree::new(3));
-        let mut mixed = FaultInjector::new(FaultConfig::adverse(), SeedTree::new(3));
-        let (mut out_plain, mut out_mixed) = (Vec::new(), Vec::new());
-        for i in 0..2_000 {
-            plain.apply(&flow(i), |f| out_plain.push(f));
-            mixed.apply_datagram(&wire, |_| {});
-            mixed.apply(&flow(i), |f| out_mixed.push(f));
-        }
-        assert_eq!(out_plain, out_mixed);
-    }
-
-    #[test]
     fn archive_fault_helpers_damage_exactly_one_segment() {
         use crate::indexed::{IndexedArchive, IndexedArchiveWriter, SegmentSource};
-        use unclean_core::snap::crc32;
         let mut w = IndexedArchiveWriter::new(Vec::new(), EPOCH_UNIX_SECS);
         for day in 0..3 {
             for i in 0..50u32 {
@@ -566,23 +478,6 @@ mod tests {
         assert!(archive.segment_cursor(0, None, &mut buf).is_ok());
         assert!(archive.segment_cursor(1, None, &mut buf).is_ok());
         assert!(archive.segment_cursor(2, None, &mut buf).is_err());
-        // Corruption helper: deterministic, and only the target segment.
-        let mut bitrot = bytes.clone();
-        corrupt_segment_byte(&mut bitrot, &index.segments[1], &SeedTree::new(9), 1);
-        let mut bitrot2 = bytes.clone();
-        corrupt_segment_byte(&mut bitrot2, &index.segments[1], &SeedTree::new(9), 1);
-        assert_eq!(bitrot, bitrot2, "seeded damage is reproducible");
-        assert_ne!(bitrot, bytes);
-        let s0 = &index.segments[0];
-        let s1 = &index.segments[1];
-        assert_eq!(
-            crc32(&bitrot[s0.offset as usize..(s0.offset + s0.len) as usize]),
-            s0.crc
-        );
-        assert_ne!(
-            crc32(&bitrot[s1.offset as usize..(s1.offset + s1.len) as usize]),
-            s1.crc
-        );
     }
 
     #[test]

@@ -53,7 +53,8 @@
 use crate::archive::{ArchiveError, ArchiveReader, ArchiveTelemetry};
 use crate::record::{
     decode_header_v2, encode_datagram_v2, get_uvarint, put_uvarint, unzigzag32, zigzag32,
-    DecodeError, V2RecordCursor, V5Header, V5Record, V5_MAX_RECORDS,
+    DecodeError, V2RecordCursor, V5Header, V5Record, EPOCH_UNIX_SECS, V5_HORIZON_SECS,
+    V5_MAX_RECORDS,
 };
 use crate::seq::{Admit, SequenceTracker};
 use crate::session::Flow;
@@ -401,6 +402,27 @@ impl<W: Write> SegmentEncoder<W> {
         }
     }
 
+    /// Refuse a flow the V5 encoding would carry to another day: one that
+    /// starts before the boot anchor (its uptime clamps to 0) or past
+    /// [`V5_HORIZON_SECS`] after it (its uptime wraps). Callers check
+    /// before anything else, so a refused flow changes nothing.
+    pub(crate) fn check_horizon(&self, flow: &Flow) -> io::Result<()> {
+        let since_boot = flow
+            .start_secs
+            .saturating_add(i64::from(EPOCH_UNIX_SECS) - i64::from(self.boot_unix_secs));
+        if (0..=V5_HORIZON_SECS).contains(&since_boot) {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "a flow on {} starts {since_boot} s from the exporter boot anchor, outside \
+                 the V5 uptime horizon (0..={V5_HORIZON_SECS} s)",
+                flow.day()
+            ),
+        ))
+    }
+
     /// Whether `flow` starts on another day than the open segment: the
     /// caller closes the segment before pushing it.
     pub(crate) fn ends_segment(&self, flow: &Flow) -> bool {
@@ -512,8 +534,9 @@ pub struct IndexedArchiveWriter<W: Write> {
 
 impl<W: Write> IndexedArchiveWriter<W> {
     /// A writer exporting against the given boot anchor (the V5 uptime
-    /// fields set the lossless round-trip horizon: flows must start
-    /// within ~49 days of it).
+    /// fields set the lossless round-trip horizon: [`Self::push`] refuses
+    /// a flow that starts before it or more than [`V5_HORIZON_SECS`]
+    /// after it).
     pub fn new(out: W, boot_unix_secs: u32) -> IndexedArchiveWriter<W> {
         IndexedArchiveWriter {
             enc: SegmentEncoder::new(out, boot_unix_secs, 0, 0),
@@ -522,8 +545,11 @@ impl<W: Write> IndexedArchiveWriter<W> {
     }
 
     /// Queue one flow. A day change closes the current segment; 30 queued
-    /// records flush a datagram.
+    /// records flush a datagram. A flow past the V5 uptime horizon is
+    /// refused (`InvalidInput`, naming its day) and leaves the writer as
+    /// it was.
     pub fn push(&mut self, flow: &Flow) -> io::Result<()> {
+        self.enc.check_horizon(flow)?;
         if self.enc.ends_segment(flow) {
             self.segments.extend(self.enc.close()?);
         }
@@ -919,6 +945,36 @@ pub(crate) mod tests {
         assert_eq!(index.segments[0].first_seq, 0);
         assert_eq!(index.segments[0].end_seq, 95);
         assert_eq!(index.segments[1].first_seq, 95);
+    }
+
+    /// A flow V5's uptime clock cannot carry is refused, naming its day,
+    /// and leaves the writer exactly as it was; the horizon's last second
+    /// is written and read back intact.
+    #[test]
+    fn flows_past_the_v5_horizon_are_refused() {
+        let boot_secs = i64::from(boot() - EPOCH_UNIX_SECS);
+        let at = |secs: i64| Flow {
+            start_secs: boot_secs + secs,
+            ..flow(0, 7)
+        };
+        let mut plain = IndexedArchiveWriter::new(Vec::new(), boot());
+        let mut refusing = IndexedArchiveWriter::new(Vec::new(), boot());
+        for w in [&mut plain, &mut refusing] {
+            w.push(&at(10)).expect("inside the horizon");
+        }
+        for secs in [-1, 4_294_968] {
+            let err = refusing.push(&at(secs)).expect_err("outside the horizon");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let day = at(secs).day().to_string();
+            assert!(err.to_string().contains(&day), "{err} names {day}");
+        }
+        for w in [&mut plain, &mut refusing] {
+            w.push(&at(4_294_967)).expect("the horizon's last second");
+        }
+        let (bytes, _) = refusing.finish().expect("finish");
+        assert_eq!(bytes, plain.finish().expect("finish").0);
+        let archive = IndexedArchive::open(&bytes).expect("v2");
+        assert_eq!(walk_flows(&archive, None).0, [at(10), at(4_294_967)]);
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!   ephemeral probes, SMTP bursts);
 //! * [`collector`] — streaming per-source aggregation: candidate evidence
 //!   for the §6 partition;
-//! * [`faults`] — seeded drop/duplicate/corrupt fault injection, for
-//!   proving the analyses degrade gracefully under real telemetry loss;
+//! * [`faults`] — the one seeded export fault model: [`FaultInjector`]
+//!   decides burst, drop, truncation, corruption or delivery, and
+//!   duplication, per flow (proving the analyses degrade gracefully
+//!   under real telemetry loss) or per datagram (`unclean replay`'s
+//!   wire);
 //! * [`indexed`] — archive format v2, the one run-time format: the
 //!   segment encoder (per-day CRC'd segments of varint delta-compressed
 //!   datagrams), the [`SegmentInfo`] entry codec, the footer index,
@@ -50,7 +53,7 @@ pub mod spool;
 
 pub use archive::{ArchiveError, ArchiveReader, ArchiveTelemetry};
 pub use collector::{CandidateCollector, SrcEvidence};
-pub use faults::{FaultConfig, FaultInjector, FaultStats};
+pub use faults::{Fault, FaultConfig, FaultInjector, FaultStats};
 pub use generator::{FlowGenerator, GeneratorConfig};
 pub use indexed::{
     ArchiveIndex, FlowView, IndexedArchive, IndexedArchiveWriter, IndexedError, QuarantinedSegment,

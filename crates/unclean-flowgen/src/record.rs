@@ -25,6 +25,11 @@ pub const V5_MAX_RECORDS: usize = 30;
 /// Unix timestamp of the scenario epoch, 2006-01-01T00:00:00Z.
 pub const EPOCH_UNIX_SECS: u32 = 1_136_073_600;
 
+/// The last whole second after its exporter's boot at which a flow can
+/// start: a record's `first` is 32-bit milliseconds of uptime, which
+/// wraps 2³² ms (~49.7 days) after boot.
+pub const V5_HORIZON_SECS: i64 = (1 << 32) / 1000;
+
 /// TCP flag bits as they appear in the `tcp_flags` record field.
 pub mod tcp_flags {
     /// FIN.

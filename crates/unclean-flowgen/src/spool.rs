@@ -427,8 +427,11 @@ impl WalSpool {
     }
 
     /// Queue one flow. A day change seals the current segment durably;
-    /// 30 queued records flush a datagram to the data file.
+    /// 30 queued records flush a datagram to the data file. A flow past
+    /// the V5 uptime horizon is refused (`InvalidInput`, naming its day)
+    /// and leaves the spool as it was.
     pub fn push(&mut self, flow: &Flow) -> Result<(), SpoolError> {
+        self.enc.check_horizon(flow)?;
         if self.enc.ends_segment(flow) {
             self.seal()?;
         }
@@ -545,6 +548,41 @@ mod tests {
             .join(format!("{name}-{:?}", std::thread::current().id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A flow V5's uptime clock cannot carry is refused, naming its day,
+    /// before it can seal the open segment: the spool stays as it was.
+    #[test]
+    fn flows_past_the_v5_horizon_are_refused() {
+        let at = |secs: i64| Flow {
+            start_secs: secs,
+            ..flow(0, 7)
+        };
+        let mut plain = WalSpool::create(&tmp_dir("horizon-plain"), boot()).expect("create");
+        let mut refusing = WalSpool::create(&tmp_dir("horizon-refusing"), boot()).expect("create");
+        for spool in [&mut plain, &mut refusing] {
+            spool.push(&at(10)).expect("inside the horizon");
+        }
+        for secs in [-1, 4_294_968] {
+            let Err(SpoolError::Io(err)) = refusing.push(&at(secs)) else {
+                panic!("a flow {secs} s from boot was spooled");
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let day = at(secs).day().to_string();
+            assert!(err.to_string().contains(&day), "{err} names {day}");
+            assert_eq!(refusing.checkpoint(), plain.checkpoint());
+        }
+        for spool in [&mut plain, &mut refusing] {
+            spool
+                .push(&at(4_294_967))
+                .expect("the horizon's last second");
+            spool.seal().expect("seal");
+        }
+        assert_eq!(refusing.checkpoint(), plain.checkpoint());
+        assert_eq!(
+            refusing.sealed_image().expect("image"),
+            plain.sealed_image().expect("image")
+        );
     }
 
     #[test]

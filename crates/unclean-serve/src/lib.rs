@@ -18,23 +18,25 @@
 //! path. Requests parse incrementally off per-connection buffers
 //! ([`http::parse_request`]); responses serialize into per-connection
 //! output buffers flushed as sockets allow. Every shard answers from an
-//! `Arc` clone of the current [`ServingSnapshot`](snapshot::ServingSnapshot).
-//! Snapshots are generation-numbered; a watcher thread (or `POST
-//! /reload`) rebuilds off the serving path and atomically swaps the
+//! `Arc` clone of the current [`Snapshot`](snapshot::Snapshot) of each
+//! served file: the blocklist and, with `--forecast`, the forecast
+//! artifact. Both build, reload, watch and report through one path:
+//! snapshots are generation-numbered; a watcher thread per file (or
+//! `POST /reload`) rebuilds off the serving path and atomically swaps the
 //! `Arc`, so a hot reload under load loses zero requests — in-flight
-//! lookups keep answering from the generation they loaded. The source
-//! can be a text blocklist *or* a frozen-trie snapshot file
-//! (`unclean blocklist freeze`), which is memory-mapped: cold start is
-//! O(1) and co-located daemons share one page-cache copy. The event
-//! loop and the operator endpoints are one core: [`Server::run`] serves
-//! any [`Daemon`], and `unclean ingest` runs its control port on it.
+//! lookups keep answering from the generation they loaded. The blocklist
+//! can be a text list *or* a frozen-trie snapshot file (`unclean
+//! blocklist freeze`), which is memory-mapped: cold start is O(1) and
+//! co-located daemons share one page-cache copy. The event loop and the
+//! operator endpoints are one core: [`Server::run`] serves any
+//! [`Daemon`], and `unclean ingest` runs its control port on it.
 //!
 //! | module | what lives there |
 //! |---|---|
 //! | [`http`] | incremental HTTP/1.x request parser + response serializer |
 //! | [`poll`] | epoll/poll readiness wrapper (unix), SO_REUSEPORT shard listeners |
-//! | [`snapshot`] | generation-numbered builds (text or mmap), atomic swap store |
-//! | [`server`] | the HTTP daemon core (shard event loops, operator endpoints, housekeeping) and the blocklist daemon on it (routing, watcher, binary batch protocol) |
+//! | [`snapshot`] | the served files (`Artifact`: blocklist trie, forecast), generation-numbered builds, atomic swap store |
+//! | [`server`] | the HTTP daemon core (shard event loops, operator endpoints, housekeeping) and the blocklist daemon on it (routing, one reload/watch path per served file, binary batch protocol) |
 //!
 //! ```no_run
 //! use unclean_serve::{ServeConfig, Server};
@@ -54,7 +56,4 @@ pub mod snapshot;
 pub use server::{
     Blocklist, CoreConfig, Daemon, Response, ServeConfig, Server, StageTrace, WATCH_POLL,
 };
-pub use snapshot::{
-    build_forecast_snapshot, build_snapshot, ForecastSnapshot, ForecastStore, ServeError,
-    ServingSnapshot, SnapshotStore,
-};
+pub use snapshot::{build_snapshot, ServeError};

@@ -71,20 +71,18 @@
 //! throughout. With no thresholds configured the health is always `ok`.
 
 use crate::http::{respond, write_response, Request, Version};
-use crate::snapshot::{
-    build_forecast_snapshot, build_snapshot, ForecastSnapshot, ForecastStore, ServeError,
-    ServingSnapshot, SnapshotStore,
-};
+use crate::snapshot::{build_snapshot, Artifact, GenerationStore, ServeError, Snapshot};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use unclean_core::frozen::{FrozenTrie, LANES};
 use unclean_core::prelude::Ip;
+use unclean_forecast::ForecastArtifact;
 use unclean_telemetry::{
     chrome_trace_json, prom, Counter, Gauge, Histogram, MetricsHistory, Registry, TraceEvent,
     TraceKind, TraceRing,
@@ -733,7 +731,8 @@ fn housekeeping_loop<D: Daemon>(shared: &Shared<D>) {
 // The blocklist daemon
 // ---------------------------------------------------------------------------
 
-/// The blocklist daemon's instrument handles.
+/// The blocklist daemon's request counters; each served file keeps its
+/// own reload and generation series.
 struct BlocklistMetrics {
     lookup: Counter,
     batch: Counter,
@@ -746,20 +745,10 @@ struct BlocklistMetrics {
     clean: Counter,
     bad_request: Counter,
     not_found: Counter,
-    reloads: Counter,
-    reload_errors: Counter,
     forecast_req: Counter,
     forecast_hits: Counter,
     forecast_misses: Counter,
     forecast_bad_request: Counter,
-    forecast_reloads: Counter,
-    forecast_reload_errors: Counter,
-    generation: Gauge,
-    entries: Gauge,
-    generation_age_secs: Gauge,
-    forecast_generation: Gauge,
-    forecast_entries: Gauge,
-    forecast_generation_age_secs: Gauge,
 }
 
 impl BlocklistMetrics {
@@ -776,112 +765,121 @@ impl BlocklistMetrics {
             clean: registry.counter("answers.clean"),
             bad_request: registry.counter("responses.bad_request"),
             not_found: registry.counter("responses.not_found"),
-            reloads: registry.counter("reload.count"),
-            reload_errors: registry.counter("reload.errors"),
             forecast_req: registry.counter("requests.forecast"),
             forecast_hits: registry.counter("forecast.hits"),
             forecast_misses: registry.counter("forecast.misses"),
             forecast_bad_request: registry.counter("forecast.bad_request"),
-            forecast_reloads: registry.counter("forecast.reload.count"),
-            forecast_reload_errors: registry.counter("forecast.reload.errors"),
-            generation: registry.gauge("snapshot.generation"),
-            entries: registry.gauge("snapshot.entries"),
-            generation_age_secs: registry.gauge("generation_age_secs"),
-            forecast_generation: registry.gauge("forecast.generation"),
-            forecast_entries: registry.gauge("forecast.entries"),
-            forecast_generation_age_secs: registry.gauge("forecast_generation_age_secs"),
         }
     }
 }
 
-/// Forecast serving state, present only when `--forecast` points at an
-/// artifact. The blocklist trio (store, watched source, rebuild lock) is
-/// mirrored here so the forecast hot-reloads through exactly the same
-/// generation discipline without perturbing blocklist serving.
-struct ForecastShared {
-    store: ForecastStore,
-    source: PathBuf,
-    rebuild_lock: Mutex<()>,
+/// The names one served file reports under: its five series, and the
+/// `artifact` tag its reload events carry, if any.
+struct ServedNames {
+    reloads: &'static str,
+    reload_errors: &'static str,
+    generation: &'static str,
+    entries: &'static str,
+    age_secs: &'static str,
+    tag: Option<&'static str>,
 }
 
-/// The blocklist daemon: answers `/lookup`, `/batch`, `/batch-bin`,
-/// `/forecast`, `/snapshot` and `/reload` from the current
-/// [`SnapshotStore`] generation, and shuts down on `POST /quit`.
-pub struct Blocklist {
-    store: SnapshotStore,
-    forecast: Option<ForecastShared>,
+const LIST_NAMES: ServedNames = ServedNames {
+    reloads: "reload.count",
+    reload_errors: "reload.errors",
+    generation: "snapshot.generation",
+    entries: "snapshot.entries",
+    age_secs: "generation_age_secs",
+    tag: None,
+};
+
+const FORECAST_NAMES: ServedNames = ServedNames {
+    reloads: "forecast.reload.count",
+    reload_errors: "forecast.reload.errors",
+    generation: "forecast.generation",
+    entries: "forecast.entries",
+    age_secs: "forecast_generation_age_secs",
+    tag: Some("forecast"),
+};
+
+/// One file the daemon serves: its generation store, its source, the
+/// lock that keeps its rebuilds in order, and its series.
+struct Served<A> {
+    store: GenerationStore<A>,
     source: PathBuf,
     rebuild_lock: Mutex<()>,
     registry: Registry,
-    metrics: BlocklistMetrics,
+    tag: Option<&'static str>,
+    reloads: Counter,
+    reload_errors: Counter,
+    generation: Gauge,
+    entries: Gauge,
+    age_secs: Gauge,
 }
 
-impl Blocklist {
-    /// Build generation 1 of the blocklist (and of the forecast, when
-    /// configured).
-    fn boot(config: &ServeConfig, registry: &Registry) -> Result<Blocklist, ServeError> {
-        let metrics = BlocklistMetrics::new(registry);
-        let boot = build_snapshot(&config.source, 1, registry)?;
-        metrics.generation.set(boot.generation as f64);
-        metrics.entries.set(boot.trie.len() as f64);
-        // Fail fast on a bad forecast artifact: a daemon started with
-        // `--forecast` should not come up silently forecast-less.
-        let forecast = match &config.forecast {
-            Some(source) => {
-                let boot_forecast = build_forecast_snapshot(source, 1, registry)?;
-                metrics.forecast_generation.set(1.0);
-                metrics
-                    .forecast_entries
-                    .set(boot_forecast.artifact.entries.len() as f64);
-                Some(ForecastShared {
-                    store: ForecastStore::new(boot_forecast),
-                    source: source.clone(),
-                    rebuild_lock: Mutex::new(()),
-                })
-            }
-            None => None,
-        };
-        Ok(Blocklist {
-            store: SnapshotStore::new(boot),
-            forecast,
-            source: config.source.clone(),
+impl<A: Artifact> Served<A> {
+    /// Build generation 1 of `source`. Its reload event is left to
+    /// [`Server::start`], once the trace ring is installed.
+    fn boot(source: &Path, names: &ServedNames, registry: &Registry) -> Result<Self, ServeError> {
+        let boot = build_snapshot::<A>(source, 1, registry)?;
+        let served = Served {
+            source: source.to_path_buf(),
             rebuild_lock: Mutex::new(()),
             registry: registry.clone(),
-            metrics,
-        })
+            tag: names.tag,
+            reloads: registry.counter(names.reloads),
+            reload_errors: registry.counter(names.reload_errors),
+            generation: registry.gauge(names.generation),
+            entries: registry.gauge(names.entries),
+            age_secs: registry.gauge(names.age_secs),
+            store: GenerationStore::new(boot),
+        };
+        served.show(&served.store.load());
+        Ok(served)
+    }
+
+    /// Set the generation and entry gauges to `snapshot`'s.
+    fn show(&self, snapshot: &Snapshot<A>) {
+        self.generation.set(snapshot.generation as f64);
+        self.entries.set(snapshot.artifact.entries() as f64);
     }
 
     /// Rebuild from the source file and install. Serialized so concurrent
     /// `/reload`s and the watcher cannot install out of order; the build
     /// itself runs here, off every *other* shard's serving path.
-    fn rebuild(&self) -> Result<Arc<ServingSnapshot>, ServeError> {
+    fn rebuild(&self) -> Result<Arc<Snapshot<A>>, ServeError> {
         let _guard = self.rebuild_lock.lock().expect("rebuild lock");
         let generation = self.store.claim_generation();
         match build_snapshot(&self.source, generation, &self.registry) {
             Ok(snapshot) => {
-                self.metrics.reloads.inc();
-                self.metrics.generation.set(snapshot.generation as f64);
-                self.metrics.entries.set(snapshot.trie.len() as f64);
-                self.record_reload_event(&snapshot);
+                self.reloads.inc();
+                self.show(&snapshot);
+                self.trace_reload(&snapshot);
                 self.store.install(snapshot);
                 Ok(self.store.load())
             }
             Err(e) => {
-                self.metrics.reload_errors.inc();
+                self.reload_errors.inc();
                 Err(e)
             }
         }
     }
 
     /// Record a [`TraceKind::Reload`] event carrying the serving
-    /// generation and — when the source was published by `unclean
-    /// ingest` — the upstream generation that links this reload into the
-    /// producer's lineage.
-    fn record_reload_event(&self, snapshot: &ServingSnapshot) {
+    /// generation and — when the file was stamped by its producer (`unclean
+    /// ingest`, `unclean forecast fit`) — the upstream generation that
+    /// links this reload into the producer's lineage. The forecast's
+    /// events are tagged `artifact=forecast`, so lineage walks can tell
+    /// the two reload streams apart.
+    fn trace_reload(&self, snapshot: &Snapshot<A>) {
         let mut event = TraceEvent::now(TraceKind::Reload)
             .generation(snapshot.generation)
-            .dur_ns(snapshot.build_micros.saturating_mul(1000))
-            .field("entries", snapshot.trie.len())
+            .dur_ns(snapshot.build_micros.saturating_mul(1000));
+        if let Some(tag) = self.tag {
+            event = event.field("artifact", tag);
+        }
+        event = event
+            .field("entries", snapshot.artifact.entries())
             .field("source", &snapshot.source);
         if let Some(source_generation) = snapshot.source_generation {
             event = event.source_generation(source_generation);
@@ -889,72 +887,55 @@ impl Blocklist {
         self.registry.trace_event(event);
     }
 
-    /// Rebuild the forecast snapshot from its artifact and install, the
-    /// forecast twin of [`Blocklist::rebuild`]. Returns `Ok(None)` when
-    /// no forecast artifact is configured.
-    fn rebuild_forecast(&self) -> Result<Option<Arc<ForecastSnapshot>>, ServeError> {
-        let Some(forecast) = &self.forecast else {
-            return Ok(None);
-        };
-        let _guard = forecast.rebuild_lock.lock().expect("forecast rebuild lock");
-        let generation = forecast.store.claim_generation();
-        match build_forecast_snapshot(&forecast.source, generation, &self.registry) {
-            Ok(snapshot) => {
-                self.metrics.forecast_reloads.inc();
-                self.metrics
-                    .forecast_generation
-                    .set(snapshot.generation as f64);
-                self.metrics
-                    .forecast_entries
-                    .set(snapshot.artifact.entries.len() as f64);
-                self.record_forecast_reload_event(&snapshot);
-                forecast.store.install(snapshot);
-                Ok(Some(forecast.store.load()))
-            }
-            Err(e) => {
-                self.metrics.forecast_reload_errors.inc();
-                Err(e)
-            }
-        }
-    }
-
-    /// Record a [`TraceKind::Reload`] event for a forecast generation,
-    /// tagged `artifact=forecast` so lineage walks can tell the two
-    /// reload streams apart.
-    fn record_forecast_reload_event(&self, snapshot: &ForecastSnapshot) {
-        let mut event = TraceEvent::now(TraceKind::Reload)
-            .generation(snapshot.generation)
-            .field("artifact", "forecast")
-            .field("entries", snapshot.artifact.entries.len() as u64)
-            .field("source", &snapshot.source);
-        if let Some(source_generation) = snapshot.source_generation {
-            event = event.source_generation(source_generation);
-        }
-        self.registry.trace_event(event);
+    /// The served generation and its age; refreshes the age gauge.
+    fn freshness(&self) -> (u64, Duration) {
+        let snapshot = self.store.load();
+        let age = age_since(snapshot.built_unix_ms);
+        self.age_secs.set(age.as_secs_f64());
+        (snapshot.generation, age)
     }
 }
 
+/// The blocklist daemon: answers `/lookup`, `/batch`, `/batch-bin`,
+/// `/snapshot` and `/reload` from the current generation of its list,
+/// `/forecast` from its forecast's, and shuts down on `POST /quit`.
+pub struct Blocklist {
+    list: Served<FrozenTrie>,
+    forecast: Option<Served<ForecastArtifact>>,
+    metrics: BlocklistMetrics,
+}
+
 impl Server {
-    /// Build the boot snapshot, run the core for it, and spawn the
-    /// source-file watchers when configured.
+    /// Build the boot snapshots, run the core for them, and spawn the
+    /// source-file watchers when configured. A bad forecast artifact
+    /// fails the start: a daemon started with `--forecast` should not
+    /// come up silently forecast-less.
     pub fn start(config: ServeConfig, registry: Registry) -> Result<Server, ServeError> {
-        let blocklist = Blocklist::boot(&config, &registry)?;
+        let blocklist = Blocklist {
+            list: Served::boot(&config.source, &LIST_NAMES, &registry)?,
+            forecast: config
+                .forecast
+                .as_deref()
+                .map(|source| Served::boot(source, &FORECAST_NAMES, &registry))
+                .transpose()?,
+            metrics: BlocklistMetrics::new(&registry),
+        };
         let mut server = Server::run(blocklist, config.core, registry)?;
         // The boot build is generation 1's "reload": record it so a
         // lookup served before any watcher/reload fires still has a
         // reload event to chain through.
         let blocklist = server.daemon();
-        blocklist.record_reload_event(&blocklist.store.load());
+        blocklist.list.trace_reload(&blocklist.list.store.load());
         if let Some(forecast) = &blocklist.forecast {
-            blocklist.record_forecast_reload_event(&forecast.store.load());
+            forecast.trace_reload(&forecast.store.load());
         }
         if let Some(interval) = config.watch {
             server.watch("serve-watch", interval, config.source, |b| {
-                let _ = b.rebuild();
+                let _ = b.list.rebuild();
             })?;
             if let Some(forecast) = config.forecast {
                 server.watch("serve-watch-forecast", interval, forecast, |b| {
-                    let _ = b.rebuild_forecast();
+                    let _ = b.forecast.as_ref().map(Served::rebuild);
                 })?;
             }
         }
@@ -981,7 +962,7 @@ impl Server {
 
     /// The currently served generation number.
     pub fn generation(&self) -> u64 {
-        self.daemon().store.load().generation
+        self.daemon().list.store.load().generation
     }
 }
 
@@ -1100,16 +1081,10 @@ impl Daemon for Blocklist {
     const NAME: &'static str = "unclean-serve";
 
     fn freshness(&self) -> (u64, Duration) {
-        let snapshot = self.store.load();
-        let age = age_since(snapshot.built_unix_ms);
-        self.metrics.generation_age_secs.set(age.as_secs_f64());
         if let Some(forecast) = &self.forecast {
-            let forecast_age = age_since(forecast.store.load().built_unix_ms);
-            self.metrics
-                .forecast_generation_age_secs
-                .set(forecast_age.as_secs_f64());
+            forecast.freshness();
         }
-        (snapshot.generation, age)
+        self.list.freshness()
     }
 
     fn route(&self, request: &Request, trace: Option<&mut StageTrace>) -> Option<Response> {
@@ -1134,8 +1109,8 @@ impl Daemon for Blocklist {
                     ));
                 };
                 let t_lookup = trace.as_ref().map(|_| Instant::now());
-                let snapshot = self.store.load();
-                let answer = match snapshot.trie.lookup(ip) {
+                let snapshot = self.list.store.load();
+                let answer = match snapshot.artifact.lookup(ip) {
                     Some(m) => {
                         metrics.blocked.inc();
                         LookupAnswer {
@@ -1261,7 +1236,7 @@ impl Daemon for Blocklist {
                 metrics.batch.inc();
                 let body = String::from_utf8_lossy(&request.body);
                 let t_lookup = trace.as_ref().map(|_| Instant::now());
-                let snapshot = self.store.load();
+                let snapshot = self.list.store.load();
                 let mut out = String::new();
                 // Lines wait in a stack buffer and are answered each time it
                 // fills, so the answers stream out in line order.
@@ -1276,11 +1251,11 @@ impl Daemon for Blocklist {
                     pending[waiting] = (line, line.parse().ok());
                     waiting += 1;
                     if waiting == LANES {
-                        answer_batch_lines(&snapshot.trie, &pending, &mut out, metrics);
+                        answer_batch_lines(&snapshot.artifact, &pending, &mut out, metrics);
                         waiting = 0;
                     }
                 }
-                answer_batch_lines(&snapshot.trie, &pending[..waiting], &mut out, metrics);
+                answer_batch_lines(&snapshot.artifact, &pending[..waiting], &mut out, metrics);
                 metrics.batch_ips.add(lines);
                 if let (Some(stages), Some(t_lookup)) = (trace, t_lookup) {
                     stages.lookup_ns = elapsed_ns(t_lookup);
@@ -1301,7 +1276,7 @@ impl Daemon for Blocklist {
                 let count = addresses.len() / 4;
                 let detail = request.query_param("detail") == Some("1");
                 let t_lookup = trace.as_ref().map(|_| Instant::now());
-                let snapshot = self.store.load();
+                let snapshot = self.list.store.load();
                 let mut out = vec![0; 8 + count + if detail { 4 * count } else { 0 }];
                 let generation = snapshot.generation.min(u32::MAX as u64) as u32;
                 out[..4].copy_from_slice(&generation.to_be_bytes());
@@ -1316,7 +1291,7 @@ impl Daemon for Blocklist {
                     for (ip, raw) in ips.iter_mut().zip(group.chunks_exact(4)) {
                         *ip = Ip(u32::from_be_bytes([raw[0], raw[1], raw[2], raw[3]]));
                     }
-                    snapshot.trie.lookup_batch(&ips[..n], &mut answers[..n]);
+                    snapshot.artifact.lookup_batch(&ips[..n], &mut answers[..n]);
                     for (i, answer) in (first..).zip(&answers[..n]) {
                         verdicts[i] = answer.map_or(0, |m| m.cidr.len() + 1);
                         if detail {
@@ -1338,15 +1313,15 @@ impl Daemon for Blocklist {
             }
             ("GET", "/snapshot") => {
                 metrics.snapshot_req.inc();
-                let snapshot = self.store.load();
+                let snapshot = self.list.store.load();
                 let forecast = self.forecast.as_ref().map(|f| f.store.load());
                 Response::json(&SnapshotAnswer {
                     generation: snapshot.generation,
-                    entries: snapshot.trie.len(),
+                    entries: snapshot.artifact.len(),
                     source: snapshot.source.clone(),
                     build_micros: snapshot.build_micros,
                     built_unix_ms: snapshot.built_unix_ms,
-                    memory_bytes: snapshot.trie.memory_bytes(),
+                    memory_bytes: snapshot.artifact.memory_bytes(),
                     source_generation: snapshot.source_generation,
                     source_published_unix_ms: snapshot.source_published_unix_ms,
                     forecast_generation: forecast.as_ref().map(|f| f.generation),
@@ -1357,15 +1332,15 @@ impl Daemon for Blocklist {
             }
             ("POST", "/reload") => {
                 metrics.reload_req.inc();
-                match self.rebuild() {
+                match self.list.rebuild() {
                     Ok(snapshot) => {
                         // The forecast rebuild rides along; a failure keeps
                         // serving the old forecast generation (counted on
                         // forecast.reload.errors) and reports null here.
-                        let forecast = self.rebuild_forecast().ok().flatten();
+                        let forecast = self.forecast.as_ref().and_then(|f| f.rebuild().ok());
                         Response::json(&ReloadAnswer {
                             generation: snapshot.generation,
-                            entries: snapshot.trie.len(),
+                            entries: snapshot.artifact.len(),
                             forecast_generation: forecast.as_ref().map(|f| f.generation),
                             forecast_entries: forecast.as_ref().map(|f| f.artifact.entries.len()),
                         })
@@ -1794,8 +1769,8 @@ fn watcher_loop(
         let current = std::fs::metadata(source).ok().map(|m| fingerprint(&m));
         if current.is_some() && current != last {
             // A failed build keeps serving the old generation (the error
-            // is counted on reload.errors); either way this fingerprint
-            // has been dealt with.
+            // is counted on the file's reload errors); either way this
+            // fingerprint has been dealt with.
             rebuild(&shared.daemon);
             last = current;
         }

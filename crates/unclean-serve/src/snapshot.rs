@@ -1,40 +1,119 @@
-//! Generation-numbered frozen-trie snapshots and the store that swaps
-//! them atomically.
+//! Generation-numbered snapshots of the files `unclean serve` answers
+//! from, and the store that swaps them atomically.
 //!
-//! A [`ServingSnapshot`] is immutable: the frozen trie plus its build
-//! provenance. A [`GenerationStore`] hands out `Arc` clones to request
-//! handlers; installing a new generation swaps the `Arc` under a lock
-//! held for nanoseconds, so in-flight requests keep answering from the
-//! generation they loaded — a hot reload under load loses nothing.
+//! A served file is an [`Artifact`]: the blocklist's [`FrozenTrie`] or
+//! the [`ForecastArtifact`]. A [`Snapshot`] is immutable: one artifact
+//! plus its build provenance. A [`GenerationStore`] hands out `Arc`
+//! clones to request handlers; installing a new generation swaps the
+//! `Arc` under a lock held for nanoseconds, so in-flight requests keep
+//! answering from the generation they loaded — a hot reload under load
+//! loses nothing.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use unclean_core::frozen::FrozenTrie;
-use unclean_telemetry::Registry;
+use unclean_forecast::ForecastArtifact;
+use unclean_telemetry::{Registry, Span};
 
-/// One immutable generation of the serving state.
+/// A file the daemon serves and hot-reloads.
+pub trait Artifact: Sized {
+    /// The span each build records.
+    const SPAN: &'static str;
+
+    /// Read `source`, noting any detail on `span`. Returns the artifact,
+    /// the publisher's generation stamp and its publish time (Unix ms),
+    /// when the file carries them.
+    fn load(source: &Path, span: &mut Span)
+        -> Result<(Self, Option<u64>, Option<u64>), ServeError>;
+
+    /// Entries served.
+    fn entries(&self) -> usize;
+}
+
+/// The blocklist: a scored (or plain) text list, parsed and frozen — or,
+/// when the file leads with the frozen-snapshot magic (`unclean blocklist
+/// freeze`), memory-mapped: O(1) regardless of entry count, no parse, and
+/// co-located daemons share one page-cache copy. Generation and publish
+/// time come from the list's `generation=`/`published_unix_ms=` header
+/// metadata (written by `unclean ingest`) or the snapshot's meta.
+impl Artifact for FrozenTrie {
+    const SPAN: &'static str = "build";
+
+    fn load(
+        source: &Path,
+        span: &mut Span,
+    ) -> Result<(Self, Option<u64>, Option<u64>), ServeError> {
+        if unclean_core::snap::is_snapshot(source) {
+            let trie = FrozenTrie::open_mmap(source)
+                .map_err(|e| ServeError::Source(format!("cannot map {}: {e}", source.display())))?;
+            span.field("mmap", 1u64);
+            let meta = trie.snapshot_meta();
+            let (generation, published) = (
+                meta.and_then(|m| m.source_generation),
+                meta.map(|m| m.built_unix_ms),
+            );
+            return Ok((trie, generation, published));
+        }
+        let text = read(source)?;
+        let scored = unclean_core::blocklist::parse_scored(&text)
+            .map_err(|e| ServeError::Source(format!("cannot parse {}: {e}", source.display())))?;
+        let meta = unclean_core::blocklist::parse_header_meta(&text).map_err(|e| {
+            ServeError::Source(format!("corrupt header in {}: {e}", source.display()))
+        })?;
+        Ok((
+            FrozenTrie::from_scored(scored),
+            meta.get("generation").and_then(|g| g.parse().ok()),
+            meta.get("published_unix_ms").and_then(|t| t.parse().ok()),
+        ))
+    }
+
+    fn entries(&self) -> usize {
+        self.len()
+    }
+}
+
+/// The forecast artifact `unclean forecast fit` publishes.
+impl Artifact for ForecastArtifact {
+    const SPAN: &'static str = "forecast_build";
+
+    fn load(source: &Path, _: &mut Span) -> Result<(Self, Option<u64>, Option<u64>), ServeError> {
+        let artifact = ForecastArtifact::parse(&read(source)?)
+            .map_err(|e| ServeError::Source(format!("cannot parse {}: {e}", source.display())))?;
+        let (generation, published) = (artifact.generation, artifact.published_unix_ms);
+        Ok((artifact, generation, published))
+    }
+
+    fn entries(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+fn read(source: &Path) -> Result<String, ServeError> {
+    std::fs::read_to_string(source)
+        .map_err(|e| ServeError::Source(format!("cannot read {}: {e}", source.display())))
+}
+
+/// One immutable generation of a served file.
 #[derive(Debug)]
-pub struct ServingSnapshot {
+pub struct Snapshot<A> {
     /// Monotone generation number (1 for the boot snapshot).
     pub generation: u64,
-    /// The frozen longest-prefix-match trie requests are answered from.
-    pub trie: FrozenTrie,
+    /// What requests are answered from.
+    pub artifact: A,
     /// The source file the snapshot was built from.
     pub source: String,
-    /// Wall-clock time spent parsing + building + freezing, microseconds.
+    /// Wall-clock time spent reading and building, microseconds.
     pub build_micros: u64,
     /// Unix milliseconds at which the build finished.
     pub built_unix_ms: u64,
-    /// The producer's generation number, parsed from the blocklist
-    /// header's `generation=G` metadata (written by `unclean ingest`).
-    /// This is the causal id that ties a served lookup back across the
+    /// The producer's generation number, from the file's own stamp. This
+    /// is the causal id that ties a served answer back across the
     /// process boundary to the publish / rescore / WAL-segment events
-    /// that produced its verdict. `None` for lists without metadata.
+    /// that produced it. `None` for files without one.
     pub source_generation: Option<u64>,
-    /// The producer's publish timestamp (`published_unix_ms=T` header
-    /// metadata), if present.
+    /// The producer's publish timestamp, if stamped.
     pub source_published_unix_ms: Option<u64>,
 }
 
@@ -64,55 +143,26 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Build one snapshot from a scored (or plain) blocklist file — or,
-/// when the file leads with the frozen-snapshot magic (`unclean
-/// blocklist freeze`), memory-map it: O(1) regardless of entry count,
-/// no parse, and co-located daemons share one page-cache copy. Runs off
-/// the serving path; the old generation keeps serving while this parses
-/// and freezes. Records a `build` span with `generation`/`entries`
-/// fields on `registry`.
-pub fn build_snapshot(
+/// Build one snapshot of `source`. Runs off the serving path; the old
+/// generation keeps serving while this reads. Records an
+/// [`Artifact::SPAN`] span with `generation`/`entries` fields (and
+/// `source_generation`, when stamped) on `registry`.
+pub fn build_snapshot<A: Artifact>(
     source: &Path,
     generation: u64,
     registry: &Registry,
-) -> Result<ServingSnapshot, ServeError> {
-    let mut span = registry.span("build");
+) -> Result<Snapshot<A>, ServeError> {
+    let mut span = registry.span(A::SPAN);
     span.field("generation", generation);
     let t0 = Instant::now();
-    let (trie, source_generation, source_published_unix_ms) =
-        if unclean_core::snap::is_snapshot(source) {
-            let trie = FrozenTrie::open_mmap(source)
-                .map_err(|e| ServeError::Source(format!("cannot map {}: {e}", source.display())))?;
-            span.field("mmap", 1u64);
-            let meta = trie.snapshot_meta();
-            (
-                trie,
-                meta.and_then(|m| m.source_generation),
-                meta.map(|m| m.built_unix_ms),
-            )
-        } else {
-            let text = std::fs::read_to_string(source).map_err(|e| {
-                ServeError::Source(format!("cannot read {}: {e}", source.display()))
-            })?;
-            let scored = unclean_core::blocklist::parse_scored(&text).map_err(|e| {
-                ServeError::Source(format!("cannot parse {}: {e}", source.display()))
-            })?;
-            let meta = unclean_core::blocklist::parse_header_meta(&text).map_err(|e| {
-                ServeError::Source(format!("corrupt header in {}: {e}", source.display()))
-            })?;
-            (
-                FrozenTrie::from_scored(scored),
-                meta.get("generation").and_then(|g| g.parse().ok()),
-                meta.get("published_unix_ms").and_then(|t| t.parse().ok()),
-            )
-        };
-    span.field("entries", trie.len());
+    let (artifact, source_generation, source_published_unix_ms) = A::load(source, &mut span)?;
+    span.field("entries", artifact.entries());
     if let Some(source_generation) = source_generation {
         span.field("source_generation", source_generation);
     }
-    Ok(ServingSnapshot {
+    Ok(Snapshot {
         generation,
-        trie,
+        artifact,
         source: source.display().to_string(),
         build_micros: t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
         built_unix_ms: SystemTime::now()
@@ -124,89 +174,18 @@ pub fn build_snapshot(
     })
 }
 
-/// One immutable generation of the forecast serving state: a parsed
-/// [`unclean_forecast::ForecastArtifact`] plus build provenance, the
-/// same shape [`ServingSnapshot`] gives the blocklist, held in a
-/// [`ForecastStore`].
-#[derive(Debug)]
-pub struct ForecastSnapshot {
-    /// Monotone generation number (1 for the boot snapshot).
-    pub generation: u64,
-    /// The parsed forecast artifact requests are answered from.
-    pub artifact: unclean_forecast::ForecastArtifact,
-    /// The source file the snapshot was built from.
-    pub source: String,
-    /// Unix milliseconds at which the build finished.
-    pub built_unix_ms: u64,
-    /// The publisher's generation stamp from the artifact header.
-    pub source_generation: Option<u64>,
-    /// The publisher's timestamp from the artifact header.
-    pub source_published_unix_ms: Option<u64>,
-}
-
-/// Build one forecast snapshot from a published artifact. Runs off the
-/// serving path, like [`build_snapshot`]; records a `forecast_build`
-/// span with `generation`/`entries` fields on `registry`.
-pub fn build_forecast_snapshot(
-    source: &Path,
-    generation: u64,
-    registry: &Registry,
-) -> Result<ForecastSnapshot, ServeError> {
-    let mut span = registry.span("forecast_build");
-    span.field("generation", generation);
-    let text = std::fs::read_to_string(source)
-        .map_err(|e| ServeError::Source(format!("cannot read {}: {e}", source.display())))?;
-    let artifact = unclean_forecast::ForecastArtifact::parse(&text)
-        .map_err(|e| ServeError::Source(format!("cannot parse {}: {e}", source.display())))?;
-    span.field("entries", artifact.entries.len() as u64);
-    Ok(ForecastSnapshot {
-        generation,
-        source: source.display().to_string(),
-        built_unix_ms: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-            .unwrap_or(0),
-        source_generation: artifact.generation,
-        source_published_unix_ms: artifact.published_unix_ms,
-        artifact,
-    })
-}
-
-/// A generation of serving state a [`GenerationStore`] can hold.
-pub trait Generation {
-    /// The monotone generation number.
-    fn generation(&self) -> u64;
-}
-
-impl Generation for ServingSnapshot {
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
-impl Generation for ForecastSnapshot {
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
 /// Holds the current generation; hands out `Arc` clones and swaps in new
 /// generations atomically, forward only.
 #[derive(Debug)]
-pub struct GenerationStore<T> {
-    current: Mutex<Arc<T>>,
+pub struct GenerationStore<A> {
+    current: Mutex<Arc<Snapshot<A>>>,
     next_generation: AtomicU64,
 }
 
-/// The blocklist snapshot store.
-pub type SnapshotStore = GenerationStore<ServingSnapshot>;
-/// The forecast snapshot store.
-pub type ForecastStore = GenerationStore<ForecastSnapshot>;
-
-impl<T: Generation> GenerationStore<T> {
-    /// A store serving `boot` as generation `boot.generation()`.
-    pub fn new(boot: T) -> GenerationStore<T> {
-        let next = boot.generation() + 1;
+impl<A> GenerationStore<A> {
+    /// A store serving `boot` as generation `boot.generation`.
+    pub fn new(boot: Snapshot<A>) -> GenerationStore<A> {
+        let next = boot.generation + 1;
         GenerationStore {
             current: Mutex::new(Arc::new(boot)),
             next_generation: AtomicU64::new(next),
@@ -215,7 +194,7 @@ impl<T: Generation> GenerationStore<T> {
 
     /// The current generation, shared. Callers keep answering from their
     /// clone even if a newer generation is installed mid-request.
-    pub fn load(&self) -> Arc<T> {
+    pub fn load(&self) -> Arc<Snapshot<A>> {
         Arc::clone(&self.current.lock().expect("generation store"))
     }
 
@@ -227,9 +206,9 @@ impl<T: Generation> GenerationStore<T> {
     /// Install a newly built generation. Refuses to go backwards: if a
     /// newer generation was installed while this one built, it is dropped
     /// and `false` is returned.
-    pub fn install(&self, snapshot: T) -> bool {
+    pub fn install(&self, snapshot: Snapshot<A>) -> bool {
         let mut current = self.current.lock().expect("generation store");
-        if snapshot.generation() <= current.generation() {
+        if snapshot.generation <= current.generation {
             return false;
         }
         *current = Arc::new(snapshot);
@@ -242,7 +221,7 @@ mod tests {
     use super::*;
     use unclean_core::prelude::Ip;
 
-    fn snapshot(generation: u64, text: &str) -> ServingSnapshot {
+    fn snapshot(generation: u64, text: &str) -> Snapshot<FrozenTrie> {
         let dir = std::env::temp_dir().join("unclean-serve-snapshot");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join(format!(
@@ -257,8 +236,8 @@ mod tests {
     fn build_parses_scores_and_records_provenance() {
         let snap = snapshot(1, "9.1.0.0/16 # score=2.5\n203.0.113.0/24\n");
         assert_eq!(snap.generation, 1);
-        assert_eq!(snap.trie.len(), 2);
-        let m = snap.trie.lookup("9.1.44.44".parse::<Ip>().expect("ip"));
+        assert_eq!(snap.artifact.len(), 2);
+        let m = snap.artifact.lookup("9.1.44.44".parse::<Ip>().expect("ip"));
         assert_eq!(m.expect("blocked").score, 2.5);
         assert!(snap.built_unix_ms > 0);
         assert!(snap.source.contains("list-1"));
@@ -269,14 +248,14 @@ mod tests {
         let registry = Registry::off();
         let missing = Path::new("/nonexistent/unclean/blocklist.txt");
         assert!(matches!(
-            build_snapshot(missing, 1, &registry),
+            build_snapshot::<FrozenTrie>(missing, 1, &registry),
             Err(ServeError::Source(_))
         ));
         let dir = std::env::temp_dir().join("unclean-serve-snapshot");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let bad = dir.join("garbage.txt");
         std::fs::write(&bad, "not-a-cidr\n").expect("write");
-        let err = build_snapshot(&bad, 1, &registry).expect_err("garbage");
+        let err = build_snapshot::<FrozenTrie>(&bad, 1, &registry).expect_err("garbage");
         assert!(err.to_string().contains("garbage.txt"), "{err}");
     }
 
@@ -306,7 +285,7 @@ mod tests {
         let path = dir.join(format!("frozen-{:?}.snap", std::thread::current().id()));
         let text = "9.1.0.0/16 # score=2.5\n203.0.113.0/24 # score=1.0\n";
         let scored = unclean_core::blocklist::parse_scored(text).expect("parse");
-        let trie = unclean_core::frozen::FrozenTrie::from_scored(scored);
+        let trie = FrozenTrie::from_scored(scored);
         trie.freeze_to_file(
             &path,
             unclean_core::snap::SnapshotMeta {
@@ -316,14 +295,15 @@ mod tests {
         )
         .expect("freeze");
 
-        let snap = build_snapshot(&path, 7, &Registry::full()).expect("build");
-        assert!(snap.trie.is_mapped(), "snapshot sources are mmapped");
+        let snap: Snapshot<FrozenTrie> =
+            build_snapshot(&path, 7, &Registry::full()).expect("build");
+        assert!(snap.artifact.is_mapped(), "snapshot sources are mmapped");
         assert_eq!(snap.generation, 7);
-        assert_eq!(snap.trie.len(), 2);
+        assert_eq!(snap.artifact.len(), 2);
         assert_eq!(snap.source_generation, Some(41));
         assert_eq!(snap.source_published_unix_ms, Some(123));
         let m = snap
-            .trie
+            .artifact
             .lookup("9.1.44.44".parse::<Ip>().expect("ip"))
             .expect("blocked");
         assert_eq!(m.score, 2.5);
@@ -331,7 +311,7 @@ mod tests {
 
     #[test]
     fn store_swaps_forward_only() {
-        let store = SnapshotStore::new(snapshot(1, "9.1.0.0/16\n"));
+        let store = GenerationStore::new(snapshot(1, "9.1.0.0/16\n"));
         let held = store.load();
         assert_eq!(held.generation, 1);
 
@@ -346,6 +326,6 @@ mod tests {
 
         // The earlier load still answers from its own generation.
         assert_eq!(held.generation, 1);
-        assert!(held.trie.contains("9.1.0.0".parse::<Ip>().expect("ip")));
+        assert!(held.artifact.contains("9.1.0.0".parse::<Ip>().expect("ip")));
     }
 }

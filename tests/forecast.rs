@@ -16,7 +16,7 @@ use unclean_flowgen::{FlowGenerator, GeneratorConfig, IndexedArchiveWriter};
 use unclean_forecast::{evaluate, DailySeries, ForecastArtifact, ForecastConfig, ForecastModel};
 use unclean_netmodel::{Scenario, ScenarioConfig};
 use unclean_serve::{ServeConfig, Server};
-use unclean_telemetry::Registry;
+use unclean_telemetry::{Registry, TraceEvent, TraceKind};
 
 /// Days of flow history synthesized into the shared archive.
 const ARCHIVE_DAYS: u32 = 40;
@@ -221,6 +221,122 @@ fn forecast_endpoint_hot_reloads_generations() {
     ))
     .to_string();
     assert!(miss.contains("\"known\":false"), "{miss}");
+
+    let quit = http(&addr, "POST /quit HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+    assert!(quit.starts_with("HTTP/1.0 200"), "{quit}");
+    server.wait();
+}
+
+/// The value of one `/metrics` sample, if exported.
+fn metric(addr: &str, name: &str) -> Option<f64> {
+    let text = http(addr, "GET /metrics HTTP/1.0\r\n\r\n");
+    body_of(&text).lines().find_map(|line| {
+        let (series, value) = line.split_once(' ')?;
+        (series == name).then(|| value.parse().ok())?
+    })
+}
+
+/// One JSON answer from the daemon.
+fn json(addr: &str, request: &str) -> serde_json::Value {
+    let text = http(addr, request);
+    serde_json::from_str(body_of(&text)).unwrap_or_else(|e| panic!("{e}: {text}"))
+}
+
+/// A numeric member of a JSON answer.
+fn num(answer: &serde_json::Value, key: &str) -> Option<u64> {
+    answer.get(key).and_then(serde_json::Value::as_u64)
+}
+
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "never saw {what}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A forecast republished as garbage is refused: the watcher counts the
+/// failed rebuild, `/forecast` keeps answering from the last good
+/// generation, the blocklist does not move, and `POST /reload` reports
+/// the forecast rebuild that rode along as `null`.
+#[test]
+fn a_garbage_forecast_keeps_serving_the_last_good_generation() {
+    let dir = tmp_dir("garbage-reload");
+    let model = ForecastModel::fit(
+        &archive_series(),
+        &ForecastConfig::default(),
+        &Executor::new(2),
+    );
+    let mut artifact = ForecastArtifact::from_model(&model, "e2e");
+    artifact.generation = Some(7);
+    let forecast_path = dir.join("forecast.txt");
+    let publish = |text: &str| {
+        publish_atomic(&forecast_path, |f| f.write_all(text.as_bytes())).expect("publish")
+    };
+    publish(&artifact.render());
+    let blocklist = dir.join("blocklist.txt");
+    std::fs::write(&blocklist, "203.0.113.0/24 # score=1.0\n").expect("blocklist");
+
+    let mut serve = ServeConfig::new(&blocklist);
+    serve.core.threads = 1;
+    serve.watch = Some(Duration::from_millis(50));
+    serve.forecast = Some(forecast_path.clone());
+    let server = Server::start(serve, Registry::full()).expect("serve");
+    let addr = server.local_addr().to_string();
+    let known = artifact.entries.first().expect("nonempty model").network;
+    let query = format!(
+        "GET /forecast?net={}.{}.0.0/16 HTTP/1.0\r\n\r\n",
+        known >> 8,
+        known & 255
+    );
+    let forecast = || json(&addr, &query);
+
+    // A good republish (a new inode) is forecast generation 2.
+    publish(&artifact.render());
+    wait_for("forecast generation 2", || {
+        num(&forecast(), "generation") == Some(2)
+    });
+    publish("# forecast: garbage\nnot-a-network level=1\n");
+    wait_for("the failed rebuild counted", || {
+        metric(&addr, "unclean_serve_forecast_reload_errors") == Some(1.0)
+    });
+    let answer = forecast();
+    assert_eq!(num(&answer, "generation"), Some(2), "{answer:?}");
+    assert_eq!(num(&answer, "source_generation"), Some(7), "{answer:?}");
+    let snapshot = json(&addr, "GET /snapshot HTTP/1.0\r\n\r\n");
+    assert_eq!(num(&snapshot, "generation"), Some(1), "{snapshot:?}");
+    assert_eq!(
+        num(&snapshot, "forecast_generation"),
+        Some(2),
+        "{snapshot:?}"
+    );
+
+    let reload = json(&addr, "POST /reload HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+    assert_eq!(num(&reload, "generation"), Some(2), "{reload:?}");
+    let forecast_generation = reload.get("forecast_generation");
+    assert!(
+        forecast_generation.is_some_and(serde_json::Value::is_null),
+        "{reload:?}"
+    );
+    assert_eq!(
+        metric(&addr, "unclean_serve_forecast_reload_errors"),
+        Some(2.0)
+    );
+
+    // The good reload is on the trace ring, tagged and linked upstream.
+    let trace = json(&addr, "GET /trace?format=events HTTP/1.0\r\n\r\n");
+    let events = trace.get("events").expect("events");
+    let events: Vec<TraceEvent> =
+        serde_json::from_str(&serde_json::to_string(events).expect("reserialize"))
+            .expect("events deserialize");
+    let tagged = ("artifact".to_string(), "forecast".to_string());
+    assert!(
+        events.iter().any(|e| e.kind == TraceKind::Reload
+            && e.fields.contains(&tagged)
+            && e.generation == Some(2)
+            && e.source_generation == Some(7)),
+        "{events:?}"
+    );
 
     let quit = http(&addr, "POST /quit HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
     assert!(quit.starts_with("HTTP/1.0 200"), "{quit}");

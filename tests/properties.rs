@@ -314,7 +314,6 @@ proptest! {
                 burst_chance: burst,
                 burst_len,
                 truncate_chance: trunc,
-                dup_datagram_chance: 0.0,
             },
             SeedTree::new(seed),
         );
